@@ -22,7 +22,7 @@ config = sf.TransformerConfig(
     weight_group_width=4, kv_group_width=4)
 model = sf.build_model(config, rng=0)
 
-cost = model.cost()
+cost = sf.PlannedModel(model).cost()
 print(f"\nmodel: {config.num_layers} layers, d={config.hidden_dim}, "
       f"{cost.param_count} parameters, {cost.mac_count} MACs/sequence, "
       f"{cost.bytes} bytes")

@@ -20,8 +20,9 @@ tokens = np.random.default_rng(0).integers(0, 6, size=(4, 16))
 
 
 def show(name, plan):
-    cost = model.cost(plan)
-    logits, _ = model.forward(tokens, plan=plan)
+    planned = sf.PlannedModel(model, plan)
+    cost = planned.cost()
+    logits, _ = planned.forward(tokens)
     print(f"{name:34s} macs={cost.mac_count:7d} params={cost.param_count:5d} "
           f"bytes={cost.bytes:6d} logits shape={logits.data.shape}")
 

@@ -43,7 +43,8 @@ tl = sf.evaluate_loss(model, None, data.train)
 vl = sf.evaluate_loss(model, None, data.val)
 thresholds = sf.SplitThresholds(
     sf.Thresholds(tl * 1.2, tl * 1.2, tl), sf.Thresholds(vl * 1.2, vl * 1.2, vl))
-lo, hi = sf.shrink_weight_groups(model, data, ffn_block(0), thresholds,
-                                 sf.FocusMode(sf.Focus.SPEED, 0.2),
-                                 epochs_per_candidate=1)
+analyzer = sf.GreedyAnalyzer(model, data, thresholds,
+                             sf.FocusMode(sf.Focus.SPEED, 0.2), seed=0,
+                             epochs_per_candidate=1)
+lo, hi = analyzer.shrink(ffn_block(0))
 print(f"  kept interval of {cfg.num_weight_groups} groups: [{lo}, {hi})")

@@ -15,19 +15,18 @@ from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KV_GROUP,
                        enumerate_elements, order_queue)
 from .errors import ConfigError, InfeasibleError, PlanError, StageError
 from .experiment import (ExperimentConfig, MetricsBundle, ModelShape, RunReport,
-                         compare_baselines, run_experiment, sweep_thresholds)
+                         compare_baselines, run_experiment, sweep_thresholds,
+                         train_baseline)
 from .focus import Focus, FocusMode
-from .model import (AttentionMask, PlannedModel, TransformerModel, apply_plan,
-                    build_model, load_checkpoint, measure_latency,
-                    save_checkpoint)
+from .model import (AttentionMask, PlannedModel, TransformerModel, build_model,
+                    load_checkpoint, measure_latency, save_checkpoint)
 from .optim import Adam
 from .plan import (ApproxPlan, GroupShrink, KvPrune, Quantize, QuantizedGroup,
                    SignMatch, prune_kv_positions, quantize_dequantize,
                    quantize_group)
 from .significance import (GreedyAnalyzer, SplitThresholds, Thresholds,
                            compute_thresholds, evaluate_candidate,
-                           final_finetune, greedy_significance,
-                           oracle_significance, shrink_weight_groups,
+                           final_finetune, oracle_significance,
                            taylor_significance)
 from .signmatch import (OpCounter, SignMatchConfig, causal_select,
                         full_attention, representative_sign, score_keys,
@@ -48,15 +47,15 @@ __all__ = [
     "QuantizedGroup", "RunReport", "SignMatch", "SignMatchConfig",
     "SplitThresholds", "StageError", "TaskData", "TaskSpec", "Tensor",
     "Thresholds", "TransElement", "TransformerConfig", "TransformerModel",
-    "apply_plan", "build_model", "causal_select", "compare_baselines",
+    "build_model", "causal_select", "compare_baselines",
     "compute_thresholds", "cross_entropy", "encompass_filter",
     "enumerate_elements", "evaluate_accuracy", "evaluate_candidate",
     "evaluate_loss", "final_finetune", "full_attention", "generate_task",
-    "greedy_significance", "layer_norm", "load_checkpoint", "make_rng",
+    "layer_norm", "load_checkpoint", "make_rng",
     "matmul", "measure_latency", "no_grad", "oracle_significance",
     "order_queue", "prune_kv_positions", "quantize_dequantize",
     "quantize_group", "representative_sign", "run_experiment",
-    "save_checkpoint", "score_keys", "select_topk", "shrink_weight_groups",
+    "save_checkpoint", "score_keys", "select_topk",
     "sign_match_attention", "softmax_rows", "spawn_rng", "sweep_thresholds",
-    "taylor_significance", "train_epochs",
+    "taylor_significance", "train_baseline", "train_epochs",
 ]

@@ -15,19 +15,23 @@ from pathlib import Path
 
 from .errors import ConfigError, InfeasibleError, PlanError, StageError
 from .experiment import (ExperimentConfig, compare_baselines, run_experiment,
-                         sweep_thresholds)
-from .model import load_checkpoint, save_checkpoint, build_model
+                         sweep_thresholds, train_baseline)
+from .model import PlannedModel, load_checkpoint, save_checkpoint
 from .plan import ApproxPlan
 from .tasks import generate_task
-from .tensor import spawn_rng
-from .training import evaluate_accuracy, evaluate_loss, train_epochs
+from .training import evaluate_accuracy, evaluate_loss
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} file not found: {path}") from exc
 
 
 def _load_config(args) -> ExperimentConfig:
     try:
-        doc = json.loads(Path(args.config).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {args.config}") from exc
+        doc = json.loads(_read_text(args.config, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     for override in getattr(args, "set", None) or []:
@@ -41,8 +45,6 @@ def _load_config(args) -> ExperimentConfig:
         doc["max_degradation"] = args.max_degradation
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
-    if getattr(args, "train_loss_only", False):
-        doc["train_loss_only"] = True
     return ExperimentConfig.from_doc(doc)
 
 
@@ -67,14 +69,11 @@ def _cmd_train(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data = generate_task(config.task)
-    model = build_model(config.transformer_config(), config.seed)
-    train_epochs(model, None, data.train, config.epochs_baseline,
-                 spawn_rng(config.seed, 0), lr=config.lr, batch_size=config.batch_size)
+    data, model, train_loss, val_loss = train_baseline(config)
     save_checkpoint(model, out / "baseline")
     metrics = {
-        "train_loss": evaluate_loss(model, None, data.train),
-        "val_loss": evaluate_loss(model, None, data.val),
+        "train_loss": train_loss,
+        "val_loss": val_loss,
         "val_accuracy": evaluate_accuracy(model, None, data.val),
     }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True))
@@ -91,10 +90,13 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _load_config(args)
-    model = load_checkpoint(args.checkpoint)
-    plan = ApproxPlan.from_json(Path(args.plan).read_text()) if args.plan else ApproxPlan()
+    try:
+        model = load_checkpoint(args.checkpoint)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"checkpoint file not found: {exc.filename}") from exc
+    plan = ApproxPlan.from_json(_read_text(args.plan, "plan")) if args.plan else ApproxPlan()
     data = generate_task(config.task)
-    cost = model.cost(plan)
+    cost = PlannedModel(model, plan).cost()
     result = {
         "train_loss": evaluate_loss(model, plan, data.train),
         "val_loss": evaluate_loss(model, plan, data.val),
@@ -153,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_opt)
     p_opt.add_argument("--focus", choices=["speed", "size", "accuracy"])
     p_opt.add_argument("--max-degradation", type=float, dest="max_degradation")
-    p_opt.add_argument("--train-loss-only", action="store_true", dest="train_loss_only",
-                       help="accept decisions on the train split alone")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint, optionally under a plan")

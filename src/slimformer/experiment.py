@@ -13,21 +13,23 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .config import TransformerConfig
 from .elements import ElementQueue, enumerate_elements, order_queue
-from .errors import ConfigError, InfeasibleError, StageError
+from .errors import ConfigError, InfeasibleError, PlanError, StageError
 from .focus import Focus, FocusMode
-from .model import (TransformerModel, build_model, measure_latency,
-                    save_checkpoint)
+from .model import (PlannedModel, TransformerModel, build_model,
+                    measure_latency, save_checkpoint)
 from .plan import ApproxPlan
 from .significance import (GreedyAnalyzer, SplitThresholds, final_finetune,
                            oracle_significance, taylor_significance)
 from .tasks import TaskData, TaskSpec, generate_task
 from .tensor import spawn_rng
-from .training import evaluate_accuracy, evaluate_loss, train_epochs
+from .training import (DEFAULT_BATCH, DEFAULT_LR, evaluate_accuracy,
+                       evaluate_loss, train_epochs)
 
 
 @dataclass(frozen=True)
@@ -42,23 +44,40 @@ class ModelShape:
     kv_group_width: int = 4
 
 
+# Fields the config doc does not store flat under their own name: "shape"
+# is the "model" section, "focus" is "focus" plus "max_degradation", and the
+# epoch budgets form the "epochs" section.
+_EPOCHS = {"epochs_baseline": "baseline", "epochs_candidate": "candidate",
+           "epochs_final": "final"}
+_STRUCTURED = ("task", "shape", "focus", *_EPOCHS)
+
+
+def _section(doc: dict, name: str, keys) -> dict:
+    """A nested config section, rejecting keys the schema does not know."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section '{name}' must be an object")
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in config section '{name}'")
+    return section
+
+
 @dataclass
 class ExperimentConfig:
     task: TaskSpec
-    shape: ModelShape = field(default_factory=ModelShape)
-    focus: FocusMode = field(default_factory=lambda: FocusMode(Focus.SPEED))
+    shape: ModelShape = ModelShape()
+    focus: FocusMode = FocusMode(Focus.SPEED)
     seed: int = 0
     epochs_baseline: int = 5
     epochs_candidate: int = 1
     epochs_final: int = 5
-    lr: float = 3e-3
-    batch_size: int = 32
+    lr: float = DEFAULT_LR
+    batch_size: int = DEFAULT_BATCH
     eps_skip: float | None = None
     eps_approx: float | None = None
     sign_match_k: int | None = None
     quant_bits: int = 8
-    train_loss_only: bool = False
-    qat_enabled: bool = False
     max_oracle_elements: int = 64
     comparators: tuple[str, ...] = ("greedy_heuristic", "greedy_plain",
                                     "oracle", "taylor")
@@ -80,63 +99,34 @@ class ExperimentConfig:
         )
 
     def to_doc(self) -> dict:
-        return {
-            "task": self.task.to_dict(),
-            "model": {
-                "num_layers": self.shape.num_layers,
-                "hidden_dim": self.shape.hidden_dim,
-                "num_heads": self.shape.num_heads,
-                "ffn_dim": self.shape.ffn_dim,
-                "weight_group_width": self.shape.weight_group_width,
-                "kv_group_width": self.shape.kv_group_width,
-            },
-            "focus": self.focus.focus.value,
-            "max_degradation": self.focus.acceptable_degradation,
-            "seed": self.seed,
-            "epochs": {"baseline": self.epochs_baseline,
-                       "candidate": self.epochs_candidate,
-                       "final": self.epochs_final},
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "eps_skip": self.eps_skip,
-            "eps_approx": self.eps_approx,
-            "sign_match_k": self.sign_match_k,
-            "quant_bits": self.quant_bits,
-            "train_loss_only": self.train_loss_only,
-            "qat_enabled": self.qat_enabled,
-            "max_oracle_elements": self.max_oracle_elements,
-            "comparators": list(self.comparators),
-        }
+        doc = {"task": self.task.to_dict(), "model": asdict(self.shape),
+               "focus": self.focus.focus.value,
+               "max_degradation": self.focus.acceptable_degradation,
+               "epochs": {key: getattr(self, name) for name, key in _EPOCHS.items()}}
+        for f in fields(self):
+            if f.name not in _STRUCTURED:
+                value = getattr(self, f.name)
+                doc[f.name] = list(value) if isinstance(value, tuple) else value
+        return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
+        """Inverse of to_doc; absent keys take the dataclass defaults.
+        Unknown top-level keys are ignored, unknown section keys rejected."""
         try:
             task = TaskSpec.from_dict(doc["task"])
         except KeyError as exc:
             raise ConfigError("config needs a 'task' section") from exc
-        shape = ModelShape(**doc.get("model", {}))
-        focus = FocusMode.parse(doc.get("focus", "speed"),
-                                doc.get("max_degradation", 0.005))
-        epochs = doc.get("epochs", {})
-        return cls(
-            task=task, shape=shape, focus=focus,
-            seed=doc.get("seed", 0),
-            epochs_baseline=epochs.get("baseline", 5),
-            epochs_candidate=epochs.get("candidate", 1),
-            epochs_final=epochs.get("final", 5),
-            lr=doc.get("lr", 3e-3),
-            batch_size=doc.get("batch_size", 32),
-            eps_skip=doc.get("eps_skip"),
-            eps_approx=doc.get("eps_approx"),
-            sign_match_k=doc.get("sign_match_k"),
-            quant_bits=doc.get("quant_bits", 8),
-            train_loss_only=doc.get("train_loss_only", False),
-            qat_enabled=doc.get("qat_enabled", False),
-            max_oracle_elements=doc.get("max_oracle_elements", 64),
-            comparators=tuple(doc.get("comparators", ("greedy_heuristic",
-                                                      "greedy_plain", "oracle",
-                                                      "taylor"))),
-        )
+        shape = ModelShape(**_section(doc, "model", [f.name for f in fields(ModelShape)]))
+        focus = FocusMode.parse(doc.get("focus", cls.focus.focus.value),
+                                doc.get("max_degradation", cls.focus.acceptable_degradation))
+        epochs = _section(doc, "epochs", _EPOCHS.values())
+        kwargs = {name: epochs[key] for name, key in _EPOCHS.items() if key in epochs}
+        kwargs.update((f.name, doc[f.name]) for f in fields(cls)
+                      if f.name not in _STRUCTURED and f.name in doc)
+        if "comparators" in kwargs:
+            kwargs["comparators"] = tuple(kwargs["comparators"])
+        return cls(task=task, shape=shape, focus=focus, **kwargs)
 
 
 @dataclass
@@ -185,7 +175,7 @@ class RunReport:
 
 def _metrics(model: TransformerModel, plan, data: TaskData, spec: TaskSpec,
              latency_batch=None) -> MetricsBundle:
-    cost = model.cost(plan)
+    cost = PlannedModel(model, plan).cost()
     tokens = (data.val.tokens if latency_batch is None else latency_batch)[:16]
     wall = measure_latency(model, plan, tokens, repeats=3)
     val_loss = evaluate_loss(model, plan, data.val)
@@ -227,17 +217,31 @@ def _histogram(plan, num_layers: int) -> list[dict]:
     return rows
 
 
+@contextmanager
 def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
+    """Re-raise a failure inside the block as a StageError naming it."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
 
-    return _Ctx()
+def train_baseline(config: ExperimentConfig) -> tuple[TaskData, TransformerModel,
+                                                      float, float]:
+    """The fine-tuned baseline every pipeline starts from: generate the task,
+    build the model, train it. Returns (data, model, train loss, val loss)."""
+    with _stage("generate_task"):
+        data = generate_task(config.task)
+    with _stage("build_model"):
+        model = build_model(config.transformer_config(), config.seed)
+    with _stage("baseline_finetune"):
+        train_epochs(model, None, data.train, config.epochs_baseline,
+                     spawn_rng(config.seed, 0), lr=config.lr,
+                     batch_size=config.batch_size)
+        return (data, model, evaluate_loss(model, None, data.train),
+                evaluate_loss(model, None, data.val))
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunReport:
@@ -248,18 +252,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config.to_doc(), indent=2, sort_keys=True))
 
-    with _stage("generate_task"):
-        data = generate_task(config.task)
-    with _stage("build_model"):
-        tcfg = config.transformer_config()
-        model = build_model(tcfg, config.seed)
+    data, model, baseline_train, baseline_val = train_baseline(config)
+    tcfg = model.config
     with _stage("baseline_finetune"):
-        train_epochs(model, None, data.train, config.epochs_baseline,
-                     spawn_rng(config.seed, 0), lr=config.lr,
-                     batch_size=config.batch_size)
         save_checkpoint(model, out / "baseline")
-        baseline_train = evaluate_loss(model, None, data.train)
-        baseline_val = evaluate_loss(model, None, data.val)
     with _stage("thresholds"):
         thresholds = SplitThresholds.from_baselines(
             baseline_train, baseline_val, config.focus,
@@ -271,16 +267,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunReport:
             model, data, thresholds, config.focus, config.seed,
             epochs_per_candidate=config.epochs_candidate, lr=config.lr,
             batch_size=config.batch_size, sign_match_k=config.sign_match_k,
-            quant_bits=config.quant_bits, train_loss_only=config.train_loss_only,
-            log_path=out / "decisions.jsonl")
+            quant_bits=config.quant_bits, log_path=out / "decisions.jsonl")
         plan = analyzer.run(queue)
         (out / "plan.json").write_text(plan.to_json())
         (out / "elements.json").write_text(queue.to_json())
     with _stage("final_finetune"):
         final = final_finetune(analyzer.work, plan, data, config.epochs_final,
                                seed=config.seed, lr=config.lr,
-                               batch_size=config.batch_size,
-                               qat_enabled=config.qat_enabled)
+                               batch_size=config.batch_size)
         save_checkpoint(final, out / "model")
     with _stage("metrics_report"):
         base = _metrics(model, None, data, config.task)
@@ -313,13 +307,8 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
             f"{len(elements)} elements exceed the comparison guard of "
             f"{config.max_oracle_elements}")
 
-    data = generate_task(config.task)
-    model = build_model(tcfg, config.seed)
-    train_epochs(model, None, data.train, config.epochs_baseline,
-                 spawn_rng(config.seed, 0), lr=config.lr, batch_size=config.batch_size)
-    baseline_train = evaluate_loss(model, None, data.train)
-    baseline_val = evaluate_loss(model, None, data.val)
-    baseline_cost = model.cost(None)
+    data, model, baseline_train, baseline_val = train_baseline(config)
+    baseline_cost = PlannedModel(model).cost()
 
     def greedy_row(method: str, ordered: bool, encompass: bool) -> dict:
         thresholds = SplitThresholds.from_baselines(
@@ -333,12 +322,11 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
             model, data, thresholds, config.focus, config.seed,
             epochs_per_candidate=config.epochs_candidate, lr=config.lr,
             batch_size=config.batch_size, sign_match_k=config.sign_match_k,
-            quant_bits=config.quant_bits, train_loss_only=config.train_loss_only,
-            encompass_enabled=encompass)
+            quant_bits=config.quant_bits, encompass_enabled=encompass)
         t0 = time.perf_counter()
         plan = analyzer.run(queue)
         seconds = time.perf_counter() - t0
-        cost = analyzer.work.cost(plan)
+        cost = PlannedModel(analyzer.work, plan).cost()
         return {
             "method": method,
             "train_loss": evaluate_loss(analyzer.work, plan, data.train),
@@ -351,7 +339,6 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
         }
 
     def scored_row(method: str, scores: dict, k: int, seconds: float) -> dict:
-        from .errors import PlanError
         ranked = sorted(scores, key=lambda el: (scores[el], el.key))
         plan = ApproxPlan()
         taken = 0
@@ -365,7 +352,7 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
                 continue  # lowest-score set may be structurally invalid
             plan = candidate
             taken += 1
-        cost = model.cost(plan)
+        cost = PlannedModel(model, plan).cost()
         return {
             "method": method,
             "train_loss": evaluate_loss(model, plan, data.train),

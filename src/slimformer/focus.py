@@ -30,7 +30,7 @@ class FocusMode:
             raise ConfigError("acceptable_degradation must be >= 0")
 
     @classmethod
-    def parse(cls, name: str, degradation: float = 0.005) -> "FocusMode":
+    def parse(cls, name: str, degradation: float) -> "FocusMode":
         try:
             return cls(Focus(name.lower()), degradation)
         except ValueError as exc:

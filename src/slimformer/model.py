@@ -135,23 +135,6 @@ class TransformerModel:
             dst.data = src.data.copy()
         return twin
 
-    # -- forward -----------------------------------------------------------
-
-    def forward(self, tokens, labels=None, plan: ApproxPlan | None = None,
-                counter: OpCounter | None = None, quant_ste: bool = False):
-        return PlannedModel(self, plan).forward(tokens, labels, counter=counter,
-                                                quant_ste=quant_ste)
-
-    def attention_forward(self, layer: int, x: Tensor, plan: ApproxPlan | None = None,
-                          counter: OpCounter | None = None) -> Tensor:
-        return PlannedModel(self, plan).attention_sublayer(layer, x, counter=counter)
-
-    def ffn_forward(self, layer: int, x: Tensor, plan: ApproxPlan | None = None) -> Tensor:
-        return PlannedModel(self, plan).ffn_sublayer(layer, x)
-
-    def cost(self, plan: ApproxPlan | None = None) -> costs.CostModel:
-        return PlannedModel(self, plan).cost()
-
 
 def _param(data: np.ndarray) -> Tensor:
     return Tensor(data, requires_grad=True)
@@ -200,8 +183,7 @@ class PlannedModel:
     # -- sublayers ----------------------------------------------------------
 
     def attention_sublayer(self, layer: int, x: Tensor,
-                           counter: OpCounter | None = None,
-                           quant_ste: bool = False) -> Tensor:
+                           counter: OpCounter | None = None) -> Tensor:
         cfg = self.model.config
         view = self.views[layer]
         if view.attn_skipped:
@@ -218,10 +200,10 @@ class PlannedModel:
                                 f"sequence length {n_x}")
             mask = self.model.mask.matrix(n_x, kv_positions)
         h = layer_norm(x, p.ln1_g, p.ln1_b)
-        wq = _effective(p.wq, view.qkv_live, view.quant.get("wq"), quant_ste)
-        wk = _effective(p.wk, view.qkv_live, view.quant.get("wk"), quant_ste)
-        wv = _effective(p.wv, view.qkv_live, view.quant.get("wv"), quant_ste)
-        wo = _effective(p.wo, None, view.quant.get("wo"), quant_ste)
+        wq = _effective(p.wq, view.qkv_live, view.quant.get("wq"))
+        wk = _effective(p.wk, view.qkv_live, view.quant.get("wk"))
+        wv = _effective(p.wv, view.qkv_live, view.quant.get("wv"))
+        wo = _effective(p.wo, None, view.quant.get("wo"))
 
         q = add(matmul(h, wq), p.bq)
         pruned_kv = len(kv_positions) < n_x
@@ -263,21 +245,20 @@ class PlannedModel:
         attn = add(matmul(merged, wo), p.bo)
         return add(x, attn)
 
-    def ffn_sublayer(self, layer: int, x: Tensor, quant_ste: bool = False) -> Tensor:
+    def ffn_sublayer(self, layer: int, x: Tensor) -> Tensor:
         view = self.views[layer]
         if view.ffn_skipped:
             return x
         p = self.model.layers[layer]
         h = layer_norm(x, p.ln2_g, p.ln2_b)
-        w1 = _effective(p.w1, view.ffn_live, view.quant.get("w1"), quant_ste)
-        w2 = _effective(p.w2, None, view.quant.get("w2"), quant_ste)
+        w1 = _effective(p.w1, view.ffn_live, view.quant.get("w1"))
+        w2 = _effective(p.w2, None, view.quant.get("w2"))
         z = gelu(add(matmul(h, w1), p.b1))
         return add(x, add(matmul(z, w2), p.b2))
 
     # -- end to end ----------------------------------------------------------
 
-    def forward(self, tokens, labels=None, counter: OpCounter | None = None,
-                quant_ste: bool = False):
+    def forward(self, tokens, labels=None, counter: OpCounter | None = None):
         """Run the model under the plan. Returns (logits, loss); loss is None
         when labels are not given."""
         cfg = self.model.config
@@ -294,8 +275,8 @@ class PlannedModel:
 
         x = add(embedding_lookup(self.model.embedding, tokens), self.model.positional)
         for layer in range(cfg.num_layers):
-            x = self.attention_sublayer(layer, x, counter=counter, quant_ste=quant_ste)
-            x = self.ffn_sublayer(layer, x, quant_ste=quant_ste)
+            x = self.attention_sublayer(layer, x, counter=counter)
+            x = self.ffn_sublayer(layer, x)
         x = layer_norm(x, self.model.lnf_g, self.model.lnf_b)
 
         if cfg.task_kind == "classification":
@@ -318,19 +299,14 @@ class PlannedModel:
         return costs.cost_from_views(self.model.config, self.views)
 
 
-def apply_plan(model: TransformerModel, plan: ApproxPlan) -> PlannedModel:
-    """Validate a plan against a model and return the execution view."""
-    return PlannedModel(model, plan)
-
-
-def _effective(w: Tensor, live: np.ndarray | None, bands, quant_ste: bool) -> Tensor:
-    """Weight matrix as the plan sees it: pruned rows zeroed (and receiving
-    no gradient), quantized bands replaced by their round-trip images."""
+def _effective(w: Tensor, live: np.ndarray | None, bands) -> Tensor:
+    """Weight matrix as the plan sees it: pruned rows zeroed and quantized
+    bands replaced by their round-trip images; neither receives gradient."""
     out = w
     if live is not None and not live.all():
         out = mul(out, live.astype(np.float64)[:, None])
     if bands:
-        out = quantized_rows(out, bands, quant_ste)
+        out = quantized_rows(out, bands)
     return out
 
 
@@ -379,18 +355,32 @@ def save_checkpoint(model: TransformerModel, prefix: str | Path) -> tuple[Path, 
 
 
 def load_checkpoint(prefix: str | Path) -> TransformerModel:
+    """Read a checkpoint pair. The manifest must list every parameter of
+    the configured model, and nothing else, as "<f8" data inside the
+    `.bin`; anything else raises PlanError."""
     prefix = Path(prefix)
     manifest = json.loads(prefix.with_suffix(".json").read_text())
+    if manifest.get("dtype") != "<f8":
+        raise PlanError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
     config = TransformerConfig.from_dict(manifest["config"])
     model = TransformerModel(config, manifest.get("seed", -1))
     blob = prefix.with_suffix(".bin").read_bytes()
     params = dict(model.named_parameters())
+    listed = [spec["name"] for spec in manifest["tensors"]]
+    if sorted(listed) != sorted(params):
+        unknown = sorted(set(listed) - set(params))
+        missing = sorted(set(params) - set(listed))
+        raise PlanError(f"checkpoint tensors do not match the model: unknown {unknown}, "
+                        f"missing {missing}")
     for spec in manifest["tensors"]:
         t = params[spec["name"]]
-        count = int(np.prod(spec["shape"]))
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=spec["offset"])
         if tuple(spec["shape"]) != t.data.shape:
             raise PlanError(f"checkpoint tensor {spec['name']} has shape {spec['shape']}, "
                             f"expected {t.data.shape}")
-        t.data = arr.reshape(spec["shape"]).astype(np.float64)
+        end = spec["offset"] + 8 * t.data.size
+        if spec["offset"] < 0 or end > len(blob):
+            raise PlanError(f"checkpoint tensor {spec['name']} needs bytes "
+                            f"[{spec['offset']}, {end}) of a {len(blob)}-byte .bin")
+        arr = np.frombuffer(blob, dtype="<f8", count=t.data.size, offset=spec["offset"])
+        t.data = arr.reshape(t.data.shape).astype(np.float64)
     return model

@@ -390,27 +390,21 @@ def quantize_dequantize(weights: np.ndarray, bits: int) -> np.ndarray:
     return quantize_group(weights, bits).dequantize()
 
 
-def quantized_rows(w: Tensor, bands: list[tuple[int, int, int]],
-                   straight_through: bool = False) -> Tensor:
+def quantized_rows(w: Tensor, bands: list[tuple[int, int, int]]) -> Tensor:
     """Replace row bands [lo, hi) of a weight matrix by their
     quantize-dequantize images.
 
-    Gradients for quantized rows pass through unchanged when
-    ``straight_through`` is set, and are zeroed (frozen rows) otherwise;
-    untouched rows always keep their gradient.
+    Quantized rows are frozen (zero gradient); untouched rows keep theirs.
     """
     data = w.data.copy()
-    passthrough = np.ones(w.data.shape[0], dtype=bool) if not straight_through else None
+    passthrough = np.ones(w.data.shape[0], dtype=bool)
     for lo, hi, bits in bands:
         if hi > w.data.shape[0]:
             raise PlanError(f"quantization band [{lo}, {hi}) exceeds {w.data.shape[0]} rows")
         data[lo:hi] = quantize_dequantize(w.data[lo:hi], bits)
-        if passthrough is not None:
-            passthrough[lo:hi] = False
+        passthrough[lo:hi] = False
 
     def grad_fn(g):
-        if passthrough is None:
-            return (g,)
         return (g * passthrough[:, None],)
 
     return _result(data, (w,), grad_fn)

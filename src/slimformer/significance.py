@@ -23,7 +23,7 @@ from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, QKV_GROUP,
                        enumerate_elements, ffn_block)
 from .errors import ConfigError, InfeasibleError, PlanError
 from .focus import Focus, FocusMode
-from .model import TransformerModel
+from .model import PlannedModel, TransformerModel
 from .plan import ApproxPlan, GroupShrink, Quantize, SignMatch, params_to_doc
 from .tasks import TaskData
 from .tensor import spawn_rng
@@ -122,8 +122,7 @@ class GreedyAnalyzer:
                  thresholds: SplitThresholds, focus: FocusMode, seed: int,
                  epochs_per_candidate: int = 1, lr: float = DEFAULT_LR,
                  batch_size: int = DEFAULT_BATCH, sign_match_k: int | None = None,
-                 quant_bits: int = 8, train_loss_only: bool = False,
-                 encompass_enabled: bool = True, log_path=None):
+                 quant_bits: int = 8, encompass_enabled: bool = True, log_path=None):
         self.model = model
         self.data = data
         self.thresholds = thresholds
@@ -134,7 +133,6 @@ class GreedyAnalyzer:
         self.batch_size = batch_size
         self.sign_match_k = sign_match_k or max(1, model.config.context_len // 4)
         self.quant_bits = quant_bits
-        self.train_loss_only = train_loss_only
         self.encompass_enabled = encompass_enabled
 
         self.log_path = log_path
@@ -150,20 +148,17 @@ class GreedyAnalyzer:
 
     # -- acceptance rules ---------------------------------------------------
 
-    def _both(self, train_ok: bool, val_ok: bool) -> bool:
-        return train_ok and (val_ok or self.train_loss_only)
-
     def _accept_skip(self, tl: float, vl: float) -> bool:
         t, v = self.thresholds.train, self.thresholds.val
         if self.focus.focus == Focus.ACCURACY:
-            return self._both(tl < t.min_loss_seen, vl < v.min_loss_seen)
-        return self._both(tl <= t.skip_threshold, vl <= v.skip_threshold)
+            return tl < t.min_loss_seen and vl < v.min_loss_seen
+        return tl <= t.skip_threshold and vl <= v.skip_threshold
 
     def _accept_approx(self, tl: float, vl: float) -> bool:
         if self.focus.focus == Focus.ACCURACY:
             return False
         t, v = self.thresholds.train, self.thresholds.val
-        return self._both(tl <= t.approx_threshold, vl <= v.approx_threshold)
+        return tl <= t.approx_threshold and vl <= v.approx_threshold
 
     def _high_importance(self, tl: float, vl: float) -> bool:
         """Whether a kept block should drop its inner elements.
@@ -172,7 +167,7 @@ class GreedyAnalyzer:
         only blocks whose removal pushed loss above the original baseline
         (anything milder leaves its groups worth examining)."""
         if self.focus.focus == Focus.ACCURACY:
-            return not self._both(tl <= self.baseline_train, vl <= self.baseline_val)
+            return not (tl <= self.baseline_train and vl <= self.baseline_val)
         return True
 
     def _thresholds_doc(self) -> dict:
@@ -283,18 +278,31 @@ class GreedyAnalyzer:
         block = ffn_block(first.layer) if first.kind == FFN_GROUP else attn_block(first.layer)
         family = [first] + queue.extract_family(first.kind, first.layer, "shrink_scan")
         indices = sorted(e.index for e in family)
-        lo, hi = self._two_phase_shrink(first.kind, first.layer, indices)
+        lo, hi = self.shrink(block, indices)
         # consolidate the kept interval on the block unless the scan was
         # partial or the block itself is already gone
         full_range = indices == list(range(self.model.config.num_weight_groups))
         if full_range and block not in self.plan.skiplist:
             self.plan = self.plan.with_approx(block, GroupShrink(lo, hi))
 
-    def _two_phase_shrink(self, kind: str, layer: int, indices: list[int]) -> tuple[int, int]:
-        """Prune groups from the bottom up, then from the top down, so the
-        surviving groups form one contiguous dense band. Returns the kept
-        interval [lo, hi) in group units."""
-        pruned: set[int] = set()
+    def shrink(self, block: TransElement, indices: list[int] | None = None) -> tuple[int, int]:
+        """Two-phase contiguous shrinking of one FFN block's weight groups
+        (or the QKV first stage of an attention block) under speed focus.
+
+        Groups (all of them unless `indices` narrows the scan) are pruned
+        from the bottom up, then from the top down, so the survivors form
+        one contiguous dense band. Accepted prunes join the working plan.
+        Returns the kept interval [lo, hi) in group units; a block where
+        nothing is removable keeps the full range."""
+        if self.focus.focus != Focus.SPEED:
+            raise ConfigError("contiguous shrinking applies under speed focus only; "
+                              "other focuses prune groups individually")
+        if block.kind not in (FFN_BLOCK, ATTN_BLOCK):
+            raise ConfigError("shrink target must be an FFN or ATTN block")
+        kind = FFN_GROUP if block.kind == FFN_BLOCK else QKV_GROUP
+        layer = block.layer
+        if indices is None:
+            indices = list(range(self.model.config.num_weight_groups))
 
         def attempt(g: int, phase: str) -> bool:
             candidate = self.plan.with_skip(TransElement(kind, layer, g))
@@ -310,7 +318,6 @@ class GreedyAnalyzer:
                 self.plan = candidate
                 self.work = tuned
                 self._update_min_loss(tl, vl)
-                pruned.add(g)
             return ok
 
         n_bottom = 0
@@ -330,34 +337,6 @@ class GreedyAnalyzer:
         return hi, hi
 
 
-def greedy_significance(model: TransformerModel, data: TaskData, queue: ElementQueue,
-                        thresholds: SplitThresholds, focus: FocusMode, seed: int = 0,
-                        **kwargs) -> ApproxPlan:
-    """Run the greedy loop and return the resulting plan (see GreedyAnalyzer
-    for the full working state)."""
-    return GreedyAnalyzer(model, data, thresholds, focus, seed, **kwargs).run(queue)
-
-
-def shrink_weight_groups(model: TransformerModel, data: TaskData, block: TransElement,
-                         thresholds: SplitThresholds, focus: FocusMode, seed: int = 0,
-                         epochs_per_candidate: int = 1, **kwargs) -> tuple[int, int]:
-    """Two-phase contiguous weight-group shrinking of one FFN block (or the
-    QKV first stage of an attention block) under speed focus. Returns the
-    kept interval; a block where nothing is removable keeps the full range.
-    """
-    if focus.focus != Focus.SPEED:
-        raise ConfigError("contiguous shrinking applies under speed focus only; "
-                          "other focuses prune groups individually")
-    if block.kind not in (FFN_BLOCK, ATTN_BLOCK):
-        raise ConfigError("shrink target must be an FFN or ATTN block")
-    analyzer = GreedyAnalyzer(model, data, thresholds, focus, seed,
-                              epochs_per_candidate=epochs_per_candidate, **kwargs)
-    kind = FFN_GROUP if block.kind == FFN_BLOCK else QKV_GROUP
-    indices = list(range(model.config.num_weight_groups))
-    lo, hi = analyzer._two_phase_shrink(kind, block.layer, indices)
-    return lo, hi
-
-
 # -- comparison baselines -------------------------------------------------------
 
 def taylor_signed_scores(model: TransformerModel, data: TaskData,
@@ -369,7 +348,7 @@ def taylor_signed_scores(model: TransformerModel, data: TaskData,
     elements = elements if elements is not None else enumerate_elements(model.config)
     work = model.clone()
     tokens, labels = next(iter_batches(data.train, batch_size))
-    _, loss = work.forward(tokens, labels)
+    _, loss = PlannedModel(work).forward(tokens, labels)
     loss.backward()
     scores = {}
     for el in elements:
@@ -442,14 +421,13 @@ def oracle_significance(model: TransformerModel, data: TaskData,
 
 def final_finetune(model: TransformerModel, plan: ApproxPlan, data: TaskData,
                    epochs: int, seed: int = 0, lr: float = DEFAULT_LR,
-                   batch_size: int = DEFAULT_BATCH,
-                   qat_enabled: bool = False) -> TransformerModel:
+                   batch_size: int = DEFAULT_BATCH) -> TransformerModel:
     """Fine-tune the frozen plan for the baseline epoch budget.
 
-    Only live parameters train; quantized bands use a straight-through
-    estimator when qat_enabled and stay frozen at their dequantized values
-    otherwise. The best train-loss weights across epochs are returned, so
-    the result is never worse on the train split than the plan-freeze state.
+    Only live parameters train; quantized bands stay frozen at their
+    dequantized values. The best train-loss weights across epochs are
+    returned, so the result is never worse on the train split than the
+    plan-freeze state.
     """
     tuned = model.clone()
     if epochs == 0:
@@ -458,8 +436,7 @@ def final_finetune(model: TransformerModel, plan: ApproxPlan, data: TaskData,
     best = tuned.clone()
     best_loss = evaluate_loss(tuned, plan, data.train)
     for _ in range(epochs):
-        train_epochs(tuned, plan, data.train, 1, rng, lr=lr,
-                     batch_size=batch_size, quant_ste=qat_enabled)
+        train_epochs(tuned, plan, data.train, 1, rng, lr=lr, batch_size=batch_size)
         cur = evaluate_loss(tuned, plan, data.train)
         if cur < best_loss:
             best_loss = cur

@@ -24,12 +24,12 @@ def iter_batches(dataset: Dataset, batch_size: int,
 
 def train_epochs(model: TransformerModel, plan: ApproxPlan | None, dataset: Dataset,
                  epochs: int, rng: np.random.Generator, lr: float = DEFAULT_LR,
-                 batch_size: int = DEFAULT_BATCH, quant_ste: bool = False) -> list[float]:
+                 batch_size: int = DEFAULT_BATCH) -> list[float]:
     """Train in place for `epochs` epochs; returns per-epoch mean batch loss.
 
     Only parameters of blocks the plan keeps alive are optimized; pruned
-    weight-group rows receive identically zero gradients through their
-    masks, and quantized bands follow the straight-through flag.
+    weight-group rows and quantized bands receive identically zero
+    gradients.
     """
     plan = plan or ApproxPlan.empty()
     planned = PlannedModel(model, plan)
@@ -38,7 +38,7 @@ def train_epochs(model: TransformerModel, plan: ApproxPlan | None, dataset: Data
     for _ in range(epochs):
         losses = []
         for tokens, labels in iter_batches(dataset, batch_size, rng):
-            _, loss = planned.forward(tokens, labels, quant_ste=quant_ste)
+            _, loss = planned.forward(tokens, labels)
             opt.zero_grad()
             loss.backward()
             opt.step()

@@ -13,8 +13,9 @@ import pytest
 
 from slimformer import (ApproxPlan, ElementQueue, ExperimentConfig, Focus,
                         FocusMode, GreedyAnalyzer, ModelShape, OpCounter,
-                        PlanError, SignMatchConfig, SplitThresholds, TaskSpec,
-                        Tensor, Thresholds, TransElement, TransformerConfig,
+                        PlanError, PlannedModel, SignMatchConfig,
+                        SplitThresholds, TaskSpec, Tensor, Thresholds,
+                        TransElement, TransformerConfig,
                         build_model, compare_baselines, full_attention,
                         generate_task, prune_kv_positions, quantize_group,
                         run_experiment, sign_match_attention)
@@ -108,7 +109,7 @@ def test_criterion_01_gradient_correctness():
     labels[:, -1] = -1
 
     for param in (model.layers[0].wq, model.layers[0].w1, model.embedding):
-        fd_check(lambda: model.forward(tokens, labels)[1], param, n_coords=6)
+        fd_check(lambda: PlannedModel(model).forward(tokens, labels)[1], param, n_coords=6)
 
     elapsed = time.time() - start
     assert elapsed < 60, f"gradient suite took {elapsed:.1f}s"
@@ -134,7 +135,7 @@ def test_criterion_02_attention_reference_equivalence():
             weight_group_width=d, kv_group_width=max(n, 1))
         model = build_model(cfg, 1000 + trial)
         x = gen.normal(size=(n, d))
-        out = model.attention_forward(0, Tensor(x))
+        out = PlannedModel(model).attention_sublayer(0, Tensor(x))
         mask = None
         if causal:
             mask = np.where(np.arange(n)[None, :] <= np.arange(n)[:, None], 0.0, -1e9)
@@ -230,30 +231,30 @@ def test_criterion_05_pruning_equivalence_oracles():
     small = build_model(small_cfg, 21)
     for name, t in dict(small.named_parameters()).items():
         t.data = dict(model.named_parameters())[name].data.copy()
-    full_logits, _ = model.forward(tokens, plan=plan)
-    small_logits, _ = small.forward(tokens)
+    full_logits, _ = PlannedModel(model, plan).forward(tokens)
+    small_logits, _ = PlannedModel(small).forward(tokens)
     assert np.array_equal(full_logits.data, small_logits.data)
 
     # (b) FFN group prune == zeroing those W1 rows, bit exact
     gplan = ApproxPlan().with_skip(TransElement(FFN_GROUP, 0, 1))
     x = gen.normal(size=(8, 8))
-    pruned = model.ffn_forward(0, Tensor(x), gplan)
+    pruned = PlannedModel(model, gplan).ffn_sublayer(0, Tensor(x))
     twin = model.clone()
     twin.layers[0].w1.data[4:8] = 0.0
-    zeroed = twin.ffn_forward(0, Tensor(x), None)
+    zeroed = PlannedModel(twin).ffn_sublayer(0, Tensor(x))
     assert np.array_equal(pruned.data, zeroed.data)
 
     # (c) KV position prune == attention over reduced key/value matrices
     el, params = prune_kv_positions(0, [2, 5, 6], 8)
     kv_plan = ApproxPlan().with_approx(el, params)
-    out = model.attention_forward(0, Tensor(x), kv_plan)
+    out = PlannedModel(model, kv_plan).attention_sublayer(0, Tensor(x))
     expected = ref_attention_per_head(x, layer_dict(model, 0), 2,
                                       kv_positions=np.array([0, 1, 3, 4, 7]))
     assert np.abs(out.data - expected).max() < 1e-12
 
     # (d) head pruning: shape preserved, pruned slices zero before W_o
     hplan = ApproxPlan().with_skip(TransElement(HEAD, 0, 1))
-    out_h = model.attention_forward(0, Tensor(x), hplan)
+    out_h = PlannedModel(model, hplan).attention_sublayer(0, Tensor(x))
     assert out_h.data.shape == x.shape
     expected_h = ref_attention_per_head(x, layer_dict(model, 0), 2, live_heads=[0])
     assert np.abs(out_h.data - expected_h).max() < 1e-12
@@ -348,8 +349,8 @@ def test_criterion_07_greedy_vs_exhaustive_oracle():
         except PlanError:
             continue
         if feasible(subset):
-            feasible_macs.add(model.cost(subset).mac_count)
-    assert model.cost(plan).mac_count in feasible_macs
+            feasible_macs.add(PlannedModel(model, subset).cost().mac_count)
+    assert PlannedModel(model, plan).cost().mac_count in feasible_macs
 
     # accuracy focus clause
     acc_thresholds = SplitThresholds(Thresholds(tl, tl, tl), Thresholds(vl, vl, vl))

@@ -175,6 +175,11 @@ class TestConfigRoundtrip:
         with pytest.raises(ConfigError, match="task"):
             ExperimentConfig.from_doc({})
 
+    def test_unknown_top_level_keys_ignored(self):
+        doc = small_config().to_doc()
+        doc.update(train_loss_only=False, qat_enabled=False)
+        assert ExperimentConfig.from_doc(doc) == small_config()
+
 
 class TestCli:
     def write_config(self, path: Path, **kw) -> Path:
@@ -228,6 +233,38 @@ class TestCli:
                        "\"context_len\": 8, \"train_size\": 10}}")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("section, key", [("model", "num_layer"),
+                                              ("epochs", "baselin")])
+    def test_unknown_section_key_exit_code(self, tmp_path, capsys, section, key):
+        cfg = self.write_config(tmp_path)
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "t"),
+                     "--set", f"{section}.{key}=2"])
+        assert code == 2
+        assert f"unknown key(s) ['{key}'] in config section '{section}'" in \
+            capsys.readouterr().err
+
+    def test_evaluate_missing_inputs_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, epochs_baseline=1)
+        out = tmp_path / "train_out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(cfg),
+                     "--checkpoint", str(tmp_path / "nope")])
+        assert code == 2
+        assert "config error: checkpoint file not found" in capsys.readouterr().err
+        code = main(["evaluate", "--config", str(cfg), "--checkpoint", str(out / "baseline"),
+                     "--plan", str(tmp_path / "nope.json")])
+        assert code == 2
+        assert "config error: plan file not found" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_exit_code(self, tmp_path):
+        cfg = self.write_config(tmp_path, epochs_baseline=1)
+        out = tmp_path / "train_out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "baseline.bin").write_bytes((out / "baseline.bin").read_bytes()[:-8])
+        assert main(["evaluate", "--config", str(cfg),
+                     "--checkpoint", str(out / "baseline")]) == 3
+
     def test_infeasible_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, max_oracle_elements=2)
         code = main(["compare-baselines", "--config", str(cfg),
@@ -242,3 +279,23 @@ class TestCli:
                      "--epsilons", "0.1,0.2:0.5"])
         assert code == 0
         assert (out / "sweep.csv").exists()
+
+
+class TestSharedBaseline:
+    """train, optimize and compare-baselines start from one baseline."""
+
+    def test_train_and_optimize_write_identical_baseline(self, tmp_path):
+        cfg = TestCli().write_config(tmp_path, epochs_baseline=2, epochs_candidate=0,
+                                     epochs_final=0)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "baseline.bin").read_bytes()
+                == (tmp_path / "b" / "baseline.bin").read_bytes())
+
+    def test_compare_baselines_matches_run_experiment(self, tmp_path):
+        config = small_config(epochs_baseline=2, epochs_candidate=0, epochs_final=0,
+                              comparators=("greedy_heuristic",))
+        report = run_experiment(config, tmp_path / "run")
+        baseline = compare_baselines(config)["baseline"]
+        assert baseline["train_loss"] == report.baseline.train_loss
+        assert baseline["val_loss"] == report.baseline.val_loss

@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from slimformer import (ApproxPlan, ConfigError, KvPrune, Quantize, SignMatch,
-                        Tensor, TransElement, TransformerConfig, apply_plan,
-                        build_model, load_checkpoint, measure_latency,
-                        save_checkpoint)
+from slimformer import (ApproxPlan, ConfigError, KvPrune, PlanError,
+                        PlannedModel, Quantize, SignMatch, Tensor, TransElement,
+                        TransformerConfig, build_model, load_checkpoint,
+                        measure_latency, save_checkpoint)
 from slimformer.costs import attn_macs, ffn_macs, quantized_bytes
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
                                  attn_block, ffn_block)
@@ -82,7 +82,7 @@ class TestAttentionForward:
     def test_single_position_causal_is_value_transform(self, causal_config):
         model = build_model(causal_config, 3)
         x = Tensor(make_rng(0).normal(size=(1, causal_config.hidden_dim)))
-        out = model.attention_forward(0, x)
+        out = PlannedModel(model).attention_sublayer(0, x)
         layer = layer_dict(model, 0)
         h = ref_layer_norm(x.data, layer["ln1_g"], layer["ln1_b"])
         v = h @ layer["wv"] + layer["bv"]
@@ -94,7 +94,7 @@ class TestAttentionForward:
         for i in range(tiny_config.num_heads):
             plan = plan.with_skip(TransElement(HEAD, 0, i))
         x = Tensor(make_rng(1).normal(size=(4, tiny_config.hidden_dim)))
-        out = tiny_model.attention_forward(0, x, plan)
+        out = PlannedModel(tiny_model, plan).attention_sublayer(0, x)
         # fresh model has zero output bias, so the sublayer reduces to x + 0
         np.testing.assert_array_equal(out.data, x.data)
         assert out.shape == x.shape
@@ -106,14 +106,14 @@ class TestAttentionForward:
                                     weight_group_width=4, kv_group_width=4)
             model = build_model(cfg, 100 + trial)
             x = rng.normal(size=(4, 8))
-            out = model.attention_forward(0, Tensor(x))
+            out = PlannedModel(model).attention_sublayer(0, Tensor(x))
             expected = ref_attention_per_head(x, layer_dict(model, 0), cfg.num_heads)
             np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-10)
 
     def test_head_subset_pruning_shape_and_reference(self, tiny_config, tiny_model, rng):
         plan = ApproxPlan().with_skip(TransElement(HEAD, 0, 1))
         x = rng.normal(size=(6, tiny_config.hidden_dim))
-        out = tiny_model.attention_forward(0, Tensor(x), plan)
+        out = PlannedModel(tiny_model, plan).attention_sublayer(0, Tensor(x))
         expected = ref_attention_per_head(x, layer_dict(tiny_model, 0),
                                           tiny_config.num_heads, live_heads=[0])
         assert out.shape == (6, tiny_config.hidden_dim)
@@ -124,7 +124,7 @@ class TestFfnForward:
     def test_skipped_block_is_identity(self, tiny_model, rng):
         plan = ApproxPlan().with_skip(ffn_block(0))
         x = rng.normal(size=(4, 8))
-        out = tiny_model.ffn_forward(0, Tensor(x), plan)
+        out = PlannedModel(tiny_model, plan).ffn_sublayer(0, Tensor(x))
         np.testing.assert_array_equal(out.data, x)
 
     def test_all_groups_pruned_is_bias_only(self, tiny_config, tiny_model, rng):
@@ -132,7 +132,7 @@ class TestFfnForward:
         for g in range(tiny_config.num_weight_groups):
             plan = plan.with_skip(TransElement(FFN_GROUP, 0, g))
         x = rng.normal(size=(4, 8))
-        out = tiny_model.ffn_forward(0, Tensor(x), plan)
+        out = PlannedModel(tiny_model, plan).ffn_sublayer(0, Tensor(x))
         layer = layer_dict(tiny_model, 0)
         expected = ref_ffn(x, layer, live_rows=np.zeros(8))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -141,10 +141,10 @@ class TestFfnForward:
         model = build_model(tiny_config, 17)
         plan = ApproxPlan().with_skip(TransElement(FFN_GROUP, 1, 0))
         x = rng.normal(size=(4, 8))
-        out = model.ffn_forward(1, Tensor(x), plan)
+        out = PlannedModel(model, plan).ffn_sublayer(1, Tensor(x))
         twin = model.clone()
         twin.layers[1].w1.data[0:tiny_config.weight_group_width] = 0.0
-        expected = twin.ffn_forward(1, Tensor(x), None)
+        expected = PlannedModel(twin).ffn_sublayer(1, Tensor(x))
         np.testing.assert_array_equal(out.data, expected.data)
 
 
@@ -152,8 +152,8 @@ class TestForward:
     def test_empty_plan_equals_explicit_active(self, tiny_model, majority_data):
         tok = majority_data.train.tokens[:8]
         lab = majority_data.train.labels[:8]
-        _, loss_a = tiny_model.forward(tok, lab, None)
-        _, loss_b = tiny_model.forward(tok, lab, ApproxPlan())
+        _, loss_a = PlannedModel(tiny_model).forward(tok, lab)
+        _, loss_b = PlannedModel(tiny_model, ApproxPlan()).forward(tok, lab)
         assert loss_a.data.tobytes() == loss_b.data.tobytes()
 
     def test_skip_all_blocks_leaves_embedding_head_path(self, tiny_config, tiny_model,
@@ -162,7 +162,8 @@ class TestForward:
         for i in range(tiny_config.num_layers):
             plan = plan.with_skip(attn_block(i)).with_skip(ffn_block(i))
         tok = majority_data.train.tokens[:4]
-        logits, _ = tiny_model.forward(tok, majority_data.train.labels[:4], plan)
+        logits, _ = PlannedModel(tiny_model, plan).forward(
+            tok, majority_data.train.labels[:4])
         x = tiny_model.embedding.data[tok] + tiny_model.positional.data
         x = ref_layer_norm(x, tiny_model.lnf_g.data, tiny_model.lnf_b.data)
         expected = x.mean(axis=1) @ tiny_model.head_w.data + tiny_model.head_b.data
@@ -173,18 +174,19 @@ class TestForward:
         that block deleted."""
         plan = ApproxPlan().with_skip(ffn_block(1))
         tok = majority_data.train.tokens[0]
-        logits, _ = tiny_model.forward(tok[None, :], majority_data.train.labels[:1], plan)
+        logits, _ = PlannedModel(tiny_model, plan).forward(
+            tok[None, :], majority_data.train.labels[:1])
         expected = ref_model_forward(tiny_model, tok, include={("ffn", 1): False})
         np.testing.assert_allclose(logits.data[0], expected, rtol=0, atol=1e-10)
 
     def test_padding_short_sequences(self, tiny_model, majority_data):
         tok = majority_data.train.tokens[:2, :5]
-        logits, _ = tiny_model.forward(tok)
+        logits, _ = PlannedModel(tiny_model).forward(tok)
         assert logits.data.shape[0] == 2
 
     def test_token_out_of_range(self, tiny_model):
         with pytest.raises(ValueError, match="token id out of range"):
-            tiny_model.forward(np.array([[99, 0, 1]]))
+            PlannedModel(tiny_model).forward(np.array([[99, 0, 1]]))
 
     def test_causal_mask_blocks_future_influence(self, causal_model, rng):
         """Changing tokens after position t never changes logits at <= t."""
@@ -193,8 +195,8 @@ class TestForward:
         for t in (2, 5):
             variant = base.copy()
             variant[t + 1:] = (variant[t + 1:] + 1) % 5
-            la, _ = causal_model.forward(base[None, :])
-            lb, _ = causal_model.forward(variant[None, :])
+            la, _ = PlannedModel(causal_model).forward(base[None, :])
+            lb, _ = PlannedModel(causal_model).forward(variant[None, :])
             np.testing.assert_array_equal(la.data[0, :t + 1], lb.data[0, :t + 1])
             assert not np.array_equal(la.data[0, t + 1:], lb.data[0, t + 1:])
 
@@ -202,15 +204,15 @@ class TestForward:
 class TestCost:
     def test_skipped_ffn_block_param_delta(self, tiny_config, tiny_model):
         d, y = tiny_config.hidden_dim, tiny_config.ffn_dim
-        full = tiny_model.cost(None)
-        skipped = tiny_model.cost(ApproxPlan().with_skip(ffn_block(0)))
+        full = PlannedModel(tiny_model).cost()
+        skipped = PlannedModel(tiny_model, ApproxPlan().with_skip(ffn_block(0))).cost()
         # weights 2dy plus biases b1 (y), b2 (d) and the block's norm affine (2d)
         assert full.param_count - skipped.param_count == 2 * d * y + y + 3 * d
 
     def test_quantized_group_bytes_and_params(self, tiny_config, tiny_model):
         plan = ApproxPlan().with_approx(TransElement(FFN_GROUP, 1, 1), Quantize(8))
-        full = tiny_model.cost(None)
-        quant = tiny_model.cost(plan)
+        full = PlannedModel(tiny_model).cost()
+        quant = PlannedModel(tiny_model, plan).cost()
         count = tiny_config.weight_group_width * tiny_config.ffn_dim
         expected_delta = count * 8 - quantized_bytes(count, 8)
         assert full.bytes - quant.bytes == expected_delta
@@ -233,7 +235,7 @@ class TestCost:
 
     def test_cost_additivity(self, tiny_config, tiny_model):
         from slimformer.costs import head_macs
-        full = tiny_model.cost(None)
+        full = PlannedModel(tiny_model).cost()
         expected = head_macs(tiny_config)
         for _ in range(tiny_config.num_layers):
             expected += attn_macs(tiny_config) + ffn_macs(tiny_config)
@@ -242,8 +244,8 @@ class TestCost:
     def test_kv_prune_reduces_macs_not_params(self, tiny_config, tiny_model):
         el, params = __import__("slimformer").prune_kv_positions(0, [0, 1], 8)
         plan = ApproxPlan().with_approx(el, params)
-        full = tiny_model.cost(None)
-        pruned = tiny_model.cost(plan)
+        full = PlannedModel(tiny_model).cost()
+        pruned = PlannedModel(tiny_model, plan).cost()
         assert pruned.mac_count < full.mac_count
         assert pruned.param_count == full.param_count
 
@@ -261,7 +263,8 @@ class TestLatency:
         plan = ApproxPlan()
         for i in range(tiny_config.num_layers):
             plan = plan.with_skip(attn_block(i)).with_skip(ffn_block(i))
-        assert tiny_model.cost(plan).mac_count < tiny_model.cost(None).mac_count
+        assert (PlannedModel(tiny_model, plan).cost().mac_count
+                < PlannedModel(tiny_model).cost().mac_count)
 
     def test_median_definition(self):
         import statistics
@@ -289,14 +292,35 @@ class TestCheckpoint:
         assert offsets == sorted(offsets)
         assert "config" in manifest and "seed" in manifest
 
+    @pytest.mark.parametrize("case, match", [
+        pytest.param(case, match, id=case) for case, match in (
+            ("missing_tensor", r"missing \['head_w'\]"),
+            ("unknown_tensor", r"unknown \['bogus'\]"),
+            ("truncated_bin", "head_b needs bytes"),
+            ("foreign_dtype", "dtype"))])
+    def test_corrupt_checkpoint_rejected(self, tiny_model, tmp_path, case, match):
+        json_path, bin_path = save_checkpoint(tiny_model, tmp_path / "model")
+        manifest = json.loads(json_path.read_text())
+        if case == "missing_tensor":
+            manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] != "head_w"]
+        elif case == "unknown_tensor":
+            manifest["tensors"][0]["name"] = "bogus"
+        elif case == "foreign_dtype":
+            manifest["dtype"] = "<f4"
+        else:
+            bin_path.write_bytes(bin_path.read_bytes()[:-8])
+        json_path.write_text(json.dumps(manifest))
+        with pytest.raises(PlanError, match=match):
+            load_checkpoint(tmp_path / "model")
+
 
 class TestApplyPlanView:
     def test_empty_plan_identical_forward(self, tiny_model, majority_data):
         tok = majority_data.train.tokens[:4]
         lab = majority_data.train.labels[:4]
-        view = apply_plan(tiny_model, ApproxPlan())
+        view = PlannedModel(tiny_model, ApproxPlan())
         _, loss_a = view.forward(tok, lab)
-        _, loss_b = tiny_model.forward(tok, lab)
+        _, loss_b = PlannedModel(tiny_model).forward(tok, lab)
         assert loss_a.data.tobytes() == loss_b.data.tobytes()
 
     def test_combined_entries_order_independent(self, tiny_config, rng):
@@ -306,18 +330,18 @@ class TestApplyPlanView:
         plan_a = ApproxPlan().with_skip(head).with_approx(quant_el, Quantize(8))
         plan_b = ApproxPlan().with_approx(quant_el, Quantize(8)).with_skip(head)
         tok = rng.integers(0, 5, size=(3, 8))
-        la, _ = model.forward(tok, plan=plan_a)
-        lb, _ = model.forward(tok, plan=plan_b)
+        la, _ = PlannedModel(model, plan_a).forward(tok)
+        lb, _ = PlannedModel(model, plan_b).forward(tok)
         np.testing.assert_array_equal(la.data, lb.data)
         # both effects visible
-        base, _ = model.forward(tok, plan=None)
+        base, _ = PlannedModel(model).forward(tok)
         assert not np.array_equal(la.data, base.data)
 
     def test_idempotent_application(self, tiny_model, majority_data):
         plan = ApproxPlan().with_skip(attn_block(0))
         tok = majority_data.train.tokens[:4]
-        a = apply_plan(tiny_model, plan).forward(tok)[0]
-        b = apply_plan(tiny_model, plan).forward(tok)[0]
+        a = PlannedModel(tiny_model, plan).forward(tok)[0]
+        b = PlannedModel(tiny_model, plan).forward(tok)[0]
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_conflicting_entries_rejected(self, tiny_model):
@@ -331,4 +355,4 @@ class TestApplyPlanView:
         from slimformer.errors import PlanError
         plan = ApproxPlan().with_skip(TransElement(HEAD, 0, 9))
         with pytest.raises((PlanError, ConfigError), match="out of range"):
-            apply_plan(tiny_model, plan)
+            PlannedModel(tiny_model, plan)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from slimformer import (ApproxPlan, GroupShrink, KvPrune, PlanError, Quantize,
-                        SignMatch, Tensor, TransElement, build_model,
+from slimformer import (ApproxPlan, GroupShrink, KvPrune, PlanError,
+                        PlannedModel, Quantize, SignMatch, Tensor,
+                        TransElement, build_model,
                         prune_kv_positions, quantize_dequantize, quantize_group)
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
                                  KV_GROUP, QKV_GROUP, attn_block, ffn_block)
@@ -56,14 +57,9 @@ class TestQuantizedRowsOp:
 
     def test_frozen_rows_get_zero_grad(self, rng):
         w = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
-        sum_all(mul(quantized_rows(w, [(0, 4, 8)], straight_through=False), 2.0)).backward()
+        sum_all(mul(quantized_rows(w, [(0, 4, 8)]), 2.0)).backward()
         np.testing.assert_array_equal(w.grad[0:4], 0.0)
         np.testing.assert_array_equal(w.grad[4:], 2.0)
-
-    def test_straight_through_passes_grad(self, rng):
-        w = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
-        sum_all(mul(quantized_rows(w, [(0, 4, 8)], straight_through=True), 2.0)).backward()
-        np.testing.assert_array_equal(w.grad, 2.0)
 
 
 class TestPlanStructure:
@@ -110,15 +106,15 @@ class TestKvPrune:
         el, params = prune_kv_positions(0, [], 8)
         plan = ApproxPlan().with_approx(el, params)
         x = rng.normal(size=(8, 8))
-        a = tiny_model.attention_forward(0, Tensor(x), plan)
-        b = tiny_model.attention_forward(0, Tensor(x), None)
+        a = PlannedModel(tiny_model, plan).attention_sublayer(0, Tensor(x))
+        b = PlannedModel(tiny_model).attention_sublayer(0, Tensor(x))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_prune_all_but_one_attends_single_key(self, tiny_config, tiny_model, rng):
         el, params = prune_kv_positions(0, range(1, 8), 8)
         plan = ApproxPlan().with_approx(el, params)
         x = rng.normal(size=(8, tiny_config.hidden_dim))
-        out = tiny_model.attention_forward(0, Tensor(x), plan)
+        out = PlannedModel(tiny_model, plan).attention_sublayer(0, Tensor(x))
         layer = layer_dict(tiny_model, 0)
         h = ref_layer_norm(x, layer["ln1_g"], layer["ln1_b"])
         v0 = h[0:1] @ layer["wv"] + layer["bv"]  # softmax over one key is 1
@@ -131,7 +127,7 @@ class TestKvPrune:
         el, params = prune_kv_positions(1, [1, 2, 5, 6], 8)
         plan = ApproxPlan().with_approx(el, params)
         x = rng.normal(size=(8, tiny_config.hidden_dim))
-        out = model.attention_forward(1, Tensor(x), plan)
+        out = PlannedModel(model, plan).attention_sublayer(1, Tensor(x))
         expected = ref_attention_per_head(x, layer_dict(model, 1),
                                           tiny_config.num_heads, kv_positions=keep)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -165,9 +161,9 @@ class TestTransformProperties:
             ApproxPlan().with_skip(TransElement(QKV_GROUP, 0, 1)),
             ApproxPlan().with_skip(TransElement(KV_GROUP, 1, 0)),
         ]
-        base_shape = model.forward(tok)[0].data.shape
+        base_shape = PlannedModel(model).forward(tok)[0].data.shape
         for plan in plans:
-            assert model.forward(tok, plan=plan)[0].data.shape == base_shape
+            assert PlannedModel(model, plan).forward(tok)[0].data.shape == base_shape
 
     def test_disjoint_transforms_commute(self, tiny_config, rng):
         model = build_model(tiny_config, 43)
@@ -183,6 +179,6 @@ class TestTransformProperties:
             plan = ApproxPlan()
             for kind, el, params in order:
                 plan = plan.with_skip(el) if kind == "skip" else plan.with_approx(el, params)
-            return model.forward(tok, plan=plan)[0].data
+            return PlannedModel(model, plan).forward(tok)[0].data
 
         np.testing.assert_array_equal(build(entries), build(entries[::-1]))

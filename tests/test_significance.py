@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from slimformer import (ApproxPlan, ConfigError, ElementQueue, Focus,
-                        FocusMode, GreedyAnalyzer, InfeasibleError, SignMatch,
-                        SplitThresholds, TaskSpec, Thresholds, TransElement,
-                        TransformerConfig, build_model, compute_thresholds,
+                        FocusMode, GreedyAnalyzer, InfeasibleError,
+                        PlannedModel, SignMatch, SplitThresholds, TaskSpec,
+                        Thresholds, TransElement, TransformerConfig,
+                        build_model, compute_thresholds,
                         evaluate_candidate, final_finetune, generate_task,
-                        greedy_significance, oracle_significance, order_queue,
-                        shrink_weight_groups, taylor_significance)
+                        oracle_significance, order_queue, taylor_significance)
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
                                  attn_block, enumerate_elements, ffn_block)
 from slimformer.significance import taylor_signed_scores
@@ -239,9 +239,8 @@ class TestShrink:
         kill_ffn(model, 0)
         tl = evaluate_loss(model, None, data.train)
         vl = evaluate_loss(model, None, data.val)
-        lo, hi = shrink_weight_groups(model, data, ffn_block(0),
-                                      exact_thresholds(tl, vl), SPEED,
-                                      epochs_per_candidate=0)
+        lo, hi = GreedyAnalyzer(model, data, exact_thresholds(tl, vl), SPEED, 0,
+                                epochs_per_candidate=0).shrink(ffn_block(0))
         assert lo == hi  # empty kept interval
 
     def test_only_group_zero_essential(self):
@@ -254,9 +253,8 @@ class TestShrink:
         model.layers[0].w1.data[cfg.weight_group_width:] = 0.0  # make pruning physical
         tl = evaluate_loss(model, None, data.train)
         vl = evaluate_loss(model, None, data.val)
-        lo, hi = shrink_weight_groups(model, data, ffn_block(0),
-                                      exact_thresholds(tl, vl), SPEED,
-                                      epochs_per_candidate=0)
+        lo, hi = GreedyAnalyzer(model, data, exact_thresholds(tl, vl), SPEED, 0,
+                                epochs_per_candidate=0).shrink(ffn_block(0))
         assert (lo, hi) == (0, 1)
 
     def test_matches_two_phase_interval_oracle(self):
@@ -269,8 +267,8 @@ class TestShrink:
         vl = evaluate_loss(model, None, data.val)
         eps = 0.05
         thresholds = exact_thresholds(tl, vl, eps)
-        lo, hi = shrink_weight_groups(model, data, ffn_block(0), thresholds,
-                                      SPEED, epochs_per_candidate=0)
+        lo, hi = GreedyAnalyzer(model, data, thresholds, SPEED, 0,
+                                epochs_per_candidate=0).shrink(ffn_block(0))
         G = cfg.num_weight_groups
 
         def feasible(pruned):
@@ -297,8 +295,8 @@ class TestShrink:
 
     def test_requires_speed_focus(self, trained, majority_data):
         with pytest.raises(ConfigError, match="speed focus"):
-            shrink_weight_groups(trained, majority_data, ffn_block(0),
-                                 exact_thresholds(1.0, 1.0), SIZE)
+            GreedyAnalyzer(trained, majority_data, exact_thresholds(1.0, 1.0), SIZE,
+                           0).shrink(ffn_block(0))
 
     def test_full_greedy_records_shrink_entry(self):
         data, cfg = self.make_data(), self.make_config()
@@ -344,7 +342,7 @@ class TestTaylor:
         work = trained.clone()
         tokens = majority_data.train.tokens[:64]
         labels = majority_data.train.labels[:64]
-        _, loss = work.forward(tokens, labels)
+        _, loss = PlannedModel(work).forward(tokens, labels)
         loss.backward()
         p = work.layers[0]
         rest = sum(float((getattr(p, n).data * getattr(p, n).grad).sum())
@@ -412,13 +410,3 @@ class TestFinalFinetune:
         tuned = final_finetune(trained, plan, majority_data, 2, seed=7, lr=0.01)
         assert (tuned.layers[0].wq.data.tobytes()
                 == trained.layers[0].wq.data.tobytes())
-
-
-def test_greedy_significance_wrapper(trained, tiny_config, majority_data):
-    tl = evaluate_loss(trained, None, majority_data.train)
-    vl = evaluate_loss(trained, None, majority_data.val)
-    queue = order_queue(enumerate_elements(tiny_config), SPEED, tiny_config)
-    plan = greedy_significance(trained, majority_data, queue,
-                               exact_thresholds(tl, vl, 0.4), SPEED, seed=11,
-                               epochs_per_candidate=0)
-    assert isinstance(plan, ApproxPlan)
