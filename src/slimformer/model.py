@@ -23,9 +23,9 @@ from .errors import ConfigError, PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
 from .signmatch import (MASK_NEG, OpCounter, SignMatchConfig, full_attention,
                         sign_match_attention)
-from .tensor import (Tensor, add, concat_last, cross_entropy, embedding_lookup,
-                     gather_rows, gelu, layer_norm, make_rng, matmul, mean_rows,
-                     merge_heads, mul, reshape, slice_last, split_heads)
+from .tensor import (Tensor, add, cross_entropy, embedding_lookup, gather_rows,
+                     gelu, layer_norm, make_rng, matmul, mean_rows, merge_heads,
+                     mul, reshape, split_heads)
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,6 @@ class PlannedModel:
         self.model = model
         self.plan = plan or ApproxPlan.empty()
         self.views: list[LayerView] = self.plan.resolve(model.config)
-        n = model.config.context_len
-        self._masks = [model.mask.matrix(n, v.kv_positions) for v in self.views]
 
     # -- sublayers ----------------------------------------------------------
 
@@ -190,15 +188,11 @@ class PlannedModel:
             return x
         p = self.model.layers[layer]
         n_x = x.data.shape[-2]
-        if n_x == cfg.context_len:
-            kv_positions, mask = view.kv_positions, self._masks[layer]
-        else:
-            # standalone sublayer calls may pass shorter sequences
-            kv_positions = view.kv_positions[view.kv_positions < n_x]
-            if kv_positions.size == 0:
-                raise PlanError(f"layer {layer}: no live key/value positions for "
-                                f"sequence length {n_x}")
-            mask = self.model.mask.matrix(n_x, kv_positions)
+        # standalone sublayer calls may pass sequences shorter than the context
+        kv_positions = view.kv_positions[view.kv_positions < n_x]
+        if kv_positions.size == 0:
+            raise PlanError(f"layer {layer}: no live key/value positions for "
+                            f"sequence length {n_x}")
         h = layer_norm(x, p.ln1_g, p.ln1_b)
         wq = _effective(p.wq, view.qkv_live, view.quant.get("wq"))
         wk = _effective(p.wk, view.qkv_live, view.quant.get("wk"))
@@ -211,37 +205,19 @@ class PlannedModel:
         k = add(matmul(h_kv, wk), p.bk)
         v = add(matmul(h_kv, wv), p.bv)
 
-        dh = cfg.head_dim
-        causal = self.model.mask.mode == "causal"
-        live = set(view.live_heads)
-        if view.signmatch_k is not None:
-            # per-head path: sign matching selects keys per head
-            zeros_shape = x.data.shape[:-1] + (dh,)
-            sm = SignMatchConfig(view.signmatch_k, causal)
-            heads = []
-            for i in range(cfg.num_heads):
-                if i not in live:
-                    heads.append(Tensor(np.zeros(zeros_shape)))
-                    continue
-                q_h = slice_last(q, i * dh, (i + 1) * dh)
-                k_h = slice_last(k, i * dh, (i + 1) * dh)
-                v_h = slice_last(v, i * dh, (i + 1) * dh)
-                heads.append(sign_match_attention(
-                    q_h, k_h, v_h, sm, key_positions=kv_positions, counter=counter))
-            merged = concat_last(heads)
+        # heads folded into the batch axis: [B*h, n, dh]
+        heads = cfg.num_heads
+        q, k, v = (split_heads(t, heads) for t in (q, k, v))
+        if view.signmatch_k is None:
+            out = full_attention(q, k, v, self.model.mask.matrix(n_x, kv_positions))
         else:
-            # vectorized path: heads folded into the batch axis
-            rank2 = x.data.ndim == 2
-            out = full_attention(split_heads(q, cfg.num_heads),
-                                 split_heads(k, cfg.num_heads),
-                                 split_heads(v, cfg.num_heads),
-                                 mask)
-            merged = merge_heads(out, cfg.num_heads, squeeze=rank2)
-            if len(live) < cfg.num_heads:
-                head_mask = np.zeros(cfg.hidden_dim)
-                for i in view.live_heads:
-                    head_mask[i * dh:(i + 1) * dh] = 1.0
-                merged = mul(merged, head_mask)
+            sm = SignMatchConfig(view.signmatch_k, self.model.mask.mode == "causal")
+            out = sign_match_attention(q, k, v, sm, key_positions=kv_positions,
+                                       counter=counter)
+        merged = merge_heads(out, heads, squeeze=x.data.ndim == 2)
+        if len(view.live_heads) < heads:
+            live = np.isin(np.arange(heads), view.live_heads).astype(np.float64)
+            merged = mul(merged, np.repeat(live, cfg.head_dim))
         attn = add(matmul(merged, wo), p.bo)
         return add(x, attn)
 
@@ -359,20 +335,29 @@ def load_checkpoint(prefix: str | Path) -> TransformerModel:
     the configured model, and nothing else, as "<f8" data inside the
     `.bin`; anything else raises PlanError."""
     prefix = Path(prefix)
-    manifest = json.loads(prefix.with_suffix(".json").read_text())
+    try:
+        manifest = json.loads(prefix.with_suffix(".json").read_text())
+    except json.JSONDecodeError as exc:
+        raise PlanError(f"checkpoint manifest is not JSON: {exc}") from exc
+    tensors = manifest.get("tensors") if isinstance(manifest, dict) else None
+    if not isinstance(tensors, list) or "config" not in manifest:
+        raise PlanError("checkpoint manifest needs a 'config' and a 'tensors' list")
+    if not all(isinstance(spec, dict) and {"name", "shape", "offset"} <= spec.keys()
+               for spec in tensors):
+        raise PlanError("every checkpoint tensor entry needs a name, shape and offset")
     if manifest.get("dtype") != "<f8":
         raise PlanError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
     config = TransformerConfig.from_dict(manifest["config"])
     model = TransformerModel(config, manifest.get("seed", -1))
     blob = prefix.with_suffix(".bin").read_bytes()
     params = dict(model.named_parameters())
-    listed = [spec["name"] for spec in manifest["tensors"]]
+    listed = [spec["name"] for spec in tensors]
     if sorted(listed) != sorted(params):
         unknown = sorted(set(listed) - set(params))
         missing = sorted(set(params) - set(listed))
         raise PlanError(f"checkpoint tensors do not match the model: unknown {unknown}, "
                         f"missing {missing}")
-    for spec in manifest["tensors"]:
+    for spec in tensors:
         t = params[spec["name"]]
         if tuple(spec["shape"]) != t.data.shape:
             raise PlanError(f"checkpoint tensor {spec['name']} has shape {spec['shape']}, "

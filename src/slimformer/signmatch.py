@@ -5,6 +5,10 @@ majority-vote representative sign vector built from the queries; only the
 top-K keys enter the softmax. Scoring touches each matrix entry once, so
 the score stage is linear in sequence length instead of quadratic.
 
+Every function takes leading batch axes (``[..., n, d]`` matrices,
+``[..., n]`` distances); each leading index is an independent sequence, so
+a model calls them once on its ``[B*h, n, dh]`` head-folded tensors.
+
 Sign convention: an entry counts as positive only when strictly > 0, so
 sign(0) = -1 throughout (zero weights occur in test fixtures).
 """
@@ -28,7 +32,10 @@ class OpCounter:
 
     score_stage counts the key-side work (sign extraction + Hamming
     comparisons); rep_sign counts building the query-side representative.
-    starved_queries counts causal rows left with no visible key.
+    starved_queries counts causal rows left with no visible key. Every
+    sequence handed to sign_match_attention is counted, including the rows
+    of pruned heads in a sign-matched block, which are scored and then
+    masked like the dense path does.
     """
 
     rep_sign: int = 0
@@ -60,62 +67,55 @@ class SignMatchConfig:
 
 def representative_sign(query: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     """Majority sign of each query column: +1 when at least half the rows
-    are strictly positive (ties resolve to +1), else -1."""
+    are strictly positive (ties resolve to +1), else -1. [..., n, d] -> [..., d]."""
     q = np.asarray(query, dtype=np.float64)
-    n, d = q.shape
-    counts = (q > 0).sum(axis=0)
+    counts = (q > 0).sum(axis=-2)
     if counter is not None:
-        counter.rep_sign += n * d
-    return np.where(counts >= n / 2, 1, -1).astype(np.int64)
+        counter.rep_sign += q.size
+    return np.where(counts >= q.shape[-2] / 2, 1, -1).astype(np.int64)
 
 
 def score_keys(key: np.ndarray, val: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     """Hamming distance between each key row's sign pattern and the
-    representative vector."""
+    representative vector. [..., n, d] keys, [..., d] signs -> [..., n]."""
     k = np.asarray(key, dtype=np.float64)
-    n, d = k.shape
-    if val.shape != (d,):
-        raise ValueError(f"sign vector length {val.shape} does not match key width {d}")
+    if val.shape != k.shape[:-2] + k.shape[-1:]:
+        raise ValueError(f"sign vector shape {val.shape} does not match keys {k.shape}")
     signs = np.where(k > 0, 1, -1)
     if counter is not None:
-        counter.sign_extract += n * d
-        counter.hamming += n * d
-    return (signs != val).sum(axis=1).astype(np.int64)
+        counter.sign_extract += k.size
+        counter.hamming += k.size
+    return (signs != val[..., None, :]).sum(axis=-1).astype(np.int64)
 
 
-def select_topk(distances, k: int) -> list[int]:
-    """Indices of the k smallest distances, ties broken by ascending index."""
+def select_topk(distances, k: int) -> list:
+    """Indices of the k smallest distances along the last axis, ties broken
+    by ascending index; a list per leading index for batched input."""
     dist = np.asarray(distances)
-    n = dist.shape[0]
+    n = dist.shape[-1]
     if k > n:
         raise PlanError(f"cannot select {k} keys from {n}")
-    order = np.lexsort((np.arange(n), dist))
-    return [int(i) for i in order[:k]]
+    return np.argsort(dist, axis=-1, kind="stable")[..., :k].tolist()
 
 
-def causal_select(distances, n: int, k: int) -> list[int]:
+def causal_select(distances, n: int, k: int) -> list:
     """Two-phase top-k for causal attention: ceil(k/4) best keys from the
     earliest quarter of positions first, then the best remaining keys
-    overall, so early queries are unlikely to be left without visible keys."""
+    overall, so early queries are unlikely to be left without visible keys.
+    Selects along the last axis, like select_topk."""
     dist = np.asarray(distances)
-    if n != dist.shape[0]:
+    if n != dist.shape[-1]:
         raise ValueError("distance list length does not match n")
     if k > n:
         raise PlanError(f"cannot select {k} keys from {n}")
     quarter = max(1, -(-n // 4))
     k_early = min(-(-k // 4), quarter)
-    early_pool = np.arange(quarter)
-    early_order = np.lexsort((early_pool, dist[:quarter]))
-    picked = [int(early_pool[i]) for i in early_order[:k_early]]
-    taken = set(picked)
-    rest_order = np.lexsort((np.arange(n), dist))
-    for i in rest_order:
-        if len(picked) == k:
-            break
-        if int(i) not in taken:
-            picked.append(int(i))
-            taken.add(int(i))
-    return picked
+    early = np.argsort(dist[..., :quarter], axis=-1, kind="stable")[..., :k_early]
+    taken = np.zeros(dist.shape, dtype=bool)
+    np.put_along_axis(taken, early, True, axis=-1)
+    rest = np.argsort(np.where(taken, np.iinfo(np.int64).max, dist), axis=-1,
+                      kind="stable")[..., :k - k_early]
+    return np.concatenate([early, rest], axis=-1).tolist()
 
 
 def full_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -129,9 +129,8 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = No
 
 def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, cfg: SignMatchConfig,
                          key_positions: np.ndarray | None = None,
-                         query_positions: np.ndarray | None = None,
                          counter: OpCounter | None = None) -> Tensor:
-    """Attention restricted to the top-K sign-matched keys.
+    """Attention restricted to the top-K sign-matched keys of each sequence.
 
     key_positions maps key rows to their original sequence positions (used
     by the causal mask when some positions were pruned upstream). Selected
@@ -140,42 +139,28 @@ def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, cfg: SignMatchConfig,
     the selected keys produce a zero output row and bump the starvation
     counter.
     """
-    batched = q.data.ndim == 3
     n_q = q.data.shape[-2]
     n_k = k.data.shape[-2]
     kk = min(cfg.k, n_k)
     if key_positions is None:
         key_positions = np.arange(n_k, dtype=np.int64)
-    if query_positions is None:
-        query_positions = np.arange(n_q, dtype=np.int64)
 
-    q_mats = q.data if batched else q.data[None]
-    k_mats = k.data if batched else k.data[None]
-    sel = np.empty((q_mats.shape[0], kk), dtype=np.int64)
-    for b in range(q_mats.shape[0]):
-        val = representative_sign(q_mats[b], counter)
-        dist = score_keys(k_mats[b], val, counter)
-        rows = causal_select(dist, n_k, kk) if cfg.causal else select_topk(dist, kk)
-        sel[b] = np.sort(np.asarray(rows, dtype=np.int64))
-
-    idx = sel if batched else sel[0]
-    k_sel = gather_rows(k, idx)
-    v_sel = gather_rows(v, idx)
+    dist = score_keys(k.data, representative_sign(q.data, counter), counter)
+    rows = causal_select(dist, n_k, kk) if cfg.causal else select_topk(dist, kk)
+    sel = np.sort(np.asarray(rows, dtype=np.int64), axis=-1)   # [..., kk]
+    k_sel = gather_rows(k, sel)
+    v_sel = gather_rows(v, sel)
 
     mask = None
     starve = None
     if cfg.causal:
-        sel_pos = key_positions[sel]                       # [B, kk]
-        visible = sel_pos[:, None, :] <= query_positions[None, :, None]  # [B, n_q, kk]
+        visible = key_positions[sel][..., None, :] <= np.arange(n_q)[:, None]  # [..., n_q, kk]
         mask = np.where(visible, 0.0, MASK_NEG)
-        starved = ~visible.any(axis=2)                     # [B, n_q]
+        starved = ~visible.any(axis=-1)                    # [..., n_q]
         if counter is not None:
             counter.starved_queries += int(starved.sum())
         if starved.any():
             starve = np.where(starved, 0.0, 1.0)[..., None]
-        if not batched:
-            mask = mask[0]
-            starve = None if starve is None else starve[0]
 
     out = full_attention(q, k_sel, v_sel, mask)
     if starve is not None:

@@ -227,33 +227,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(data, (a,), grad_fn)
 
 
-def slice_last(a: Tensor, lo: int, hi: int) -> Tensor:
-    """Columns [lo, hi) along the last axis."""
-    data = a.data[..., lo:hi]
-
-    def grad_fn(g):
-        ga = np.zeros_like(a.data)
-        ga[..., lo:hi] = g
-        return (ga,)
-
-    return _result(data, (a,), grad_fn)
-
-
-def concat_last(parts) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=-1)
-    widths = [p.data.shape[-1] for p in parts]
-
-    def grad_fn(g):
-        grads, ofs = [], 0
-        for w in widths:
-            grads.append(g[..., ofs:ofs + w])
-            ofs += w
-        return tuple(grads)
-
-    return _result(data, tuple(parts), grad_fn)
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows along axis -2. For rank 3, indices may be per-batch [B, K]."""
     idx = np.asarray(indices, dtype=np.int64)

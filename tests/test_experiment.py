@@ -265,6 +265,14 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg),
                      "--checkpoint", str(out / "baseline")]) == 3
 
+    def test_malformed_manifest_exit_code(self, tmp_path):
+        cfg = self.write_config(tmp_path, epochs_baseline=1)
+        out = tmp_path / "train_out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "baseline.json").write_text('{"dtype": "<f8"}')
+        assert main(["evaluate", "--config", str(cfg),
+                     "--checkpoint", str(out / "baseline")]) == 3
+
     def test_infeasible_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, max_oracle_elements=2)
         code = main(["compare-baselines", "--config", str(cfg),

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from slimformer import (ApproxPlan, ConfigError, KvPrune, PlanError,
-                        PlannedModel, Quantize, SignMatch, Tensor, TransElement,
-                        TransformerConfig, build_model, load_checkpoint,
-                        measure_latency, save_checkpoint)
+                        PlannedModel, Quantize, SignMatch, SignMatchConfig, Tensor,
+                        TransElement, TransformerConfig, build_model,
+                        load_checkpoint, measure_latency, save_checkpoint,
+                        sign_match_attention)
 from slimformer.costs import attn_macs, ffn_macs, quantized_bytes
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
-                                 attn_block, ffn_block)
+                                 KV_GROUP, attn_block, ffn_block)
 from slimformer.tensor import layer_norm, make_rng
 
-from reference import (layer_dict, ref_attention_per_head, ref_ffn,
-                       ref_layer_norm, ref_model_forward)
+from reference import (finite_difference_grad, layer_dict,
+                       ref_attention_per_head, ref_ffn, ref_layer_norm,
+                       ref_model_forward)
 
 
 class TestBuildModel:
@@ -118,6 +120,66 @@ class TestAttentionForward:
                                           tiny_config.num_heads, live_heads=[0])
         assert out.shape == (6, tiny_config.hidden_dim)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
+
+
+class TestSignMatchedAttention:
+    """A sign-matched block with a pruned head and a pruned KV group against
+    a per-head oracle that sign-matches plain column slices of q/k/v."""
+
+    LIVE_KV = np.array([0, 1, 2, 3, 8, 9, 10, 11])
+
+    @staticmethod
+    def model(causal):
+        cfg = TransformerConfig(num_layers=1, hidden_dim=12, num_heads=3, ffn_dim=16,
+                                context_len=12, vocab_size=6, autoregressive=causal,
+                                task_kind="language_model" if causal else "classification",
+                                weight_group_width=4, kv_group_width=4)
+        plan = (ApproxPlan().with_skip(TransElement(HEAD, 0, 1))
+                .with_skip(TransElement(KV_GROUP, 0, 1))
+                .with_approx(attn_block(0), SignMatch(5)))
+        return build_model(cfg, 5), plan
+
+    def oracle(self, model, x, causal):
+        p = model.layers[0]
+        h = layer_norm(Tensor(x), p.ln1_g, p.ln1_b).data
+        q = h @ p.wq.data + p.bq.data
+        k = h[..., self.LIVE_KV, :] @ p.wk.data + p.bk.data
+        v = h[..., self.LIVE_KV, :] @ p.wv.data + p.bv.data
+        merged = np.zeros_like(x)
+        for head in (0, 2):
+            cols = slice(4 * head, 4 * head + 4)
+            merged[..., cols] = sign_match_attention(
+                Tensor(q[..., cols]), Tensor(k[..., cols]), Tensor(v[..., cols]),
+                SignMatchConfig(5, causal), key_positions=self.LIVE_KV).data
+        return x + (merged @ p.wo.data + p.bo.data)
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("shape", [(12, 12), (3, 12, 12)], ids=["rank2", "batched"])
+    def test_matches_per_head_oracle(self, rng, causal, shape):
+        model, plan = self.model(causal)
+        x = rng.normal(size=shape)
+        out = PlannedModel(model, plan).attention_sublayer(0, Tensor(x))
+        assert np.array_equal(out.data, self.oracle(model, x, causal))
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    def test_forward_gradients_match_finite_differences(self, causal):
+        model, plan = self.model(causal)
+        gen = np.random.default_rng(3)
+        tokens = gen.integers(0, 6, size=(2, 12))
+        labels = gen.integers(0, 6, size=(2, 12) if causal else 2)
+        planned = PlannedModel(model, plan)
+        p = model.layers[0]
+        for param in (p.wq, p.wk, p.wo):
+            param.grad = None
+            planned.forward(tokens, labels)[1].backward()
+            analytic = param.grad.copy()
+            param.grad = None
+            numeric = finite_difference_grad(
+                lambda: planned.forward(tokens, labels)[1].item(), param.data)
+            big = np.abs(numeric) > 1e-7
+            rel = np.abs(analytic - numeric)[big] / np.abs(numeric)[big]
+            assert big.any() and rel.max() < 1e-5
+            assert np.abs(analytic - numeric)[~big].max(initial=0.0) < 1e-6
 
 
 class TestFfnForward:
@@ -297,11 +359,24 @@ class TestCheckpoint:
             ("missing_tensor", r"missing \['head_w'\]"),
             ("unknown_tensor", r"unknown \['bogus'\]"),
             ("truncated_bin", "head_b needs bytes"),
-            ("foreign_dtype", "dtype"))])
+            ("foreign_dtype", "dtype"),
+            ("not_json", "not JSON"),
+            ("no_tensors", "'tensors' list"),
+            ("no_config", "'config'"),
+            ("tensors_not_list", "'tensors' list"),
+            ("tensor_without_shape", "name, shape and offset"))])
     def test_corrupt_checkpoint_rejected(self, tiny_model, tmp_path, case, match):
         json_path, bin_path = save_checkpoint(tiny_model, tmp_path / "model")
         manifest = json.loads(json_path.read_text())
-        if case == "missing_tensor":
+        if case == "not_json":
+            manifest = None
+        elif case in ("no_tensors", "no_config"):
+            del manifest[case[3:]]
+        elif case == "tensors_not_list":
+            manifest["tensors"] = {t["name"]: t for t in manifest["tensors"]}
+        elif case == "tensor_without_shape":
+            del manifest["tensors"][3]["shape"]
+        elif case == "missing_tensor":
             manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] != "head_w"]
         elif case == "unknown_tensor":
             manifest["tensors"][0]["name"] = "bogus"
@@ -309,7 +384,7 @@ class TestCheckpoint:
             manifest["dtype"] = "<f4"
         else:
             bin_path.write_bytes(bin_path.read_bytes()[:-8])
-        json_path.write_text(json.dumps(manifest))
+        json_path.write_text("{not json" if manifest is None else json.dumps(manifest))
         with pytest.raises(PlanError, match=match):
             load_checkpoint(tmp_path / "model")
 

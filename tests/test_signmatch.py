@@ -47,6 +47,17 @@ class TestScoreKeys:
                        if (1 if k[i, j] > 0 else -1) != val[j])
             assert got[i] == mism
 
+    def test_batched_matches_rows(self, rng):
+        q = rng.normal(size=(2, 3, 10, 6))
+        k = rng.normal(size=(2, 3, 10, 6))
+        val = representative_sign(q)
+        dist = score_keys(k, val)
+        assert val.shape == (2, 3, 6) and dist.shape == (2, 3, 10)
+        for b in range(2):
+            for h in range(3):
+                np.testing.assert_array_equal(val[b, h], representative_sign(q[b, h]))
+                np.testing.assert_array_equal(dist[b, h], score_keys(k[b, h], val[b, h]))
+
 
 class TestSelectTopK:
     def test_basic(self):
@@ -61,6 +72,13 @@ class TestSelectTopK:
     def test_k_too_large(self):
         with pytest.raises(PlanError):
             select_topk([1, 2], 3)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_batched_matches_rows(self, rng, k):
+        dist = rng.integers(0, 3, size=(5, 8))
+        dist[0] = 2  # all-equal distances
+        got = select_topk(dist, k)
+        assert got == [select_topk(row, k) for row in dist]
 
 
 class TestCausalSelect:
@@ -77,6 +95,14 @@ class TestCausalSelect:
     def test_k_too_large(self):
         with pytest.raises(PlanError):
             causal_select(np.zeros(4, dtype=int), 4, 5)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 8])
+    def test_batched_matches_rows(self, rng, k):
+        dist = rng.integers(0, 3, size=(5, 8))
+        dist[0] = 2  # all-equal distances
+        got = causal_select(dist, 8, k)
+        assert got == [causal_select(row, 8, k) for row in dist]
+        assert all(len(set(row)) == k for row in got)
 
     def test_non_causal_dispatch_uses_plain_topk(self, rng):
         q = Tensor(rng.normal(size=(8, 4)))
@@ -175,6 +201,24 @@ class TestLinearContract:
 
         assert count(16) == 2 * count(8)
         assert count(32) == 2 * count(16)
+
+    def test_batched_counts_equal_sum_of_rows(self, rng):
+        q = rng.normal(size=(4, 8, 4))
+        k = rng.normal(size=(4, 8, 4))
+        batched, rows = OpCounter(), OpCounter()
+        score_keys(k, representative_sign(q, batched), batched)
+        for b in range(4):
+            score_keys(k[b], representative_sign(q[b], rows), rows)
+        assert (batched.rep_sign, batched.sign_extract, batched.hamming) == \
+               (rows.rep_sign, rows.sign_extract, rows.hamming) == (128, 128, 128)
+
+        cfg = SignMatchConfig(2, causal=True)
+        v = rng.normal(size=(4, 8, 4))
+        batched, rows = OpCounter(), OpCounter()
+        sign_match_attention(Tensor(q), Tensor(k), Tensor(v), cfg, counter=batched)
+        for b in range(4):
+            sign_match_attention(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), cfg, counter=rows)
+        assert batched == rows
 
 
 class TestPermutationCovariance:

@@ -1,0 +1,64 @@
+"""Print the sha256 of the determinism fixtures' audit artifacts.
+
+    python3 tools/fixture_hashes.py [--root CHECKOUT]
+
+Runs ``run_experiment`` on five fixed configs, each into a temporary
+directory, and prints one line per fixture and artifact:
+``<fixture> <artifact> <sha256>``. The fixtures are
+``tests/test_experiment.py::small_config`` under speed, size and accuracy
+focus (``small_speed``, ``small_size``, ``small_accuracy``) and
+``perfbench/scenarios.optimize_config("speed")`` and ``("size")``
+(``bench_speed``, ``bench_size``). A change that claims the same behaviour
+must print the same lines as its parent: run the script in both checkouts
+(or point ``--root`` at the other one) and diff the output. The package,
+the tests and the benchmark scenarios are all imported from ``--root``
+(default: the checkout that holds this script); nothing is written there.
+BLAS runs on one thread, as in the benchmark. Takes about a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ARTIFACTS = ("plan.json", "decisions.jsonl", "model.bin")
+
+
+def fixtures(root: Path) -> list:
+    """(name, ExperimentConfig) pairs, imported from the checkout at root."""
+    for sub in ("src", "tests", "perfbench"):
+        sys.path.insert(0, str(root / sub))
+    from scenarios import optimize_config
+    from test_experiment import small_config
+
+    from slimformer import Focus
+    return ([(f"small_{focus}", small_config(Focus(focus)))
+             for focus in ("speed", "size", "accuracy")]
+            + [(f"bench_{focus}", optimize_config(focus)) for focus in ("speed", "size")])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src/, tests/ and perfbench/ are used")
+    args = parser.parse_args(argv)
+    # before numpy is first imported, which fixes the BLAS thread count
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    configs = fixtures(args.root.resolve())
+    from slimformer import run_experiment
+    for name, config in configs:
+        with tempfile.TemporaryDirectory() as tmp:
+            run_experiment(config, Path(tmp))
+            for artifact in ARTIFACTS:
+                digest = hashlib.sha256((Path(tmp) / artifact).read_bytes()).hexdigest()
+                print(f"{name} {artifact} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
