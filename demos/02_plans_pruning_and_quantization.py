@@ -1,5 +1,5 @@
 """Approximation plans: skip blocks, prune heads and weight groups, prune
-key/value positions, quantize weight groups.
+key/value position groups, quantize weight groups.
 
 Every transform keeps output shapes intact, so plans compose freely; the
 cost model reflects exactly what each entry saves.
@@ -9,7 +9,7 @@ import numpy as np
 
 import slimformer as sf
 from slimformer import ApproxPlan, Quantize, TransElement
-from slimformer.elements import FFN_GROUP, HEAD, attn_block, ffn_block
+from slimformer.elements import FFN_GROUP, HEAD, KV_GROUP, attn_block, ffn_block
 
 config = sf.TransformerConfig(num_layers=2, hidden_dim=16, num_heads=2,
                               ffn_dim=32, context_len=16, vocab_size=7,
@@ -40,9 +40,9 @@ show("prune head 1 of layer 0", ApproxPlan().with_skip(TransElement(HEAD, 0, 1))
 show("prune FFN weight group 2, layer 0",
      ApproxPlan().with_skip(TransElement(FFN_GROUP, 0, 2)))
 
-# Key/value position pruning shrinks the attention score matrix.
-el, params = sf.prune_kv_positions(0, positions=[4, 5, 6, 7], context_len=16)
-show("prune 4 kv positions, layer 0", ApproxPlan().with_approx(el, params))
+# Key/value position pruning shrinks the attention score matrix; with
+# kv_group_width=4, group 1 holds positions 4-7.
+show("prune 4 kv positions, layer 0", ApproxPlan().with_skip(TransElement(KV_GROUP, 0, 1)))
 
 # Quantization shrinks bytes only: same MACs, same parameters.
 show("quantize FFN group to 4 bits",

@@ -9,7 +9,7 @@ scoring work grows linearly with sequence length instead of quadratically.
 import numpy as np
 
 import slimformer as sf
-from slimformer import OpCounter, SignMatchConfig, Tensor
+from slimformer import OpCounter, Tensor
 
 gen = np.random.default_rng(7)
 n, d = 32, 16
@@ -32,23 +32,22 @@ print("planted hot keys:   ", sorted(hot))
 full = sf.full_attention(Tensor(q), Tensor(k), Tensor(v)).data
 print("\nerror vs full attention as K grows:")
 for kk in (1, 4, 8, 16, 32):
-    out = sf.sign_match_attention(Tensor(q), Tensor(k), Tensor(v),
-                                  SignMatchConfig(kk)).data
+    out = sf.sign_match_attention(Tensor(q), Tensor(k), Tensor(v), kk).data
     print(f"  K={kk:2d}: mean abs err {np.abs(out - full).mean():.5f}")
 
 print("\nscore-stage comparison counts (linear in n):")
 for nn in (16, 32, 64):
     counter = OpCounter()
     qq, kk_, vv = (Tensor(gen.normal(size=(nn, d))) for _ in range(3))
-    sf.sign_match_attention(qq, kk_, vv, SignMatchConfig(4), counter=counter)
+    sf.sign_match_attention(qq, kk_, vv, 4, counter=counter)
     print(f"  n={nn:3d}: score stage {counter.score_stage} comparisons "
           f"(= 2*n*d = {2 * nn * d})")
 
 # Autoregressive variant: a quarter of the budget is reserved for early
 # positions so early queries keep something to attend to.
 counter = OpCounter()
-out = sf.sign_match_attention(Tensor(q), Tensor(k), Tensor(v),
-                              SignMatchConfig(8, causal=True), counter=counter)
+out = sf.sign_match_attention(Tensor(q), Tensor(k), Tensor(v), 8, causal=True,
+                              counter=counter)
 print(f"\ncausal variant: {counter.starved_queries} starved queries "
       f"(zeroed output rows)")
 print("causal selection:", sorted(sf.causal_select(dist, n, 8)))

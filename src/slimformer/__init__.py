@@ -4,8 +4,8 @@ Train a small transformer on a synthetic task, walk a heuristically ordered
 queue of its elements (blocks, heads, weight groups, key/value position
 groups), and prune or approximate whatever the loss thresholds allow:
 residual block skipping, head zero-padding, contiguous weight-group
-shrinking, group quantization, key/value position pruning and linear-time
-sign-matching attention.
+shrinking, group quantization, key/value position-group pruning and
+linear-time sign-matching attention.
 """
 
 from .config import TransformerConfig
@@ -18,19 +18,18 @@ from .experiment import (ExperimentConfig, MetricsBundle, ModelShape, RunReport,
                          compare_baselines, run_experiment, sweep_thresholds,
                          train_baseline)
 from .focus import Focus, FocusMode
-from .model import (AttentionMask, PlannedModel, TransformerModel, build_model,
-                    load_checkpoint, measure_latency, save_checkpoint)
+from .model import (PlannedModel, TransformerModel, build_model, load_checkpoint,
+                    measure_latency, save_checkpoint)
 from .optim import Adam
-from .plan import (ApproxPlan, GroupShrink, KvPrune, Quantize, QuantizedGroup,
-                   SignMatch, prune_kv_positions, quantize_dequantize,
-                   quantize_group)
+from .plan import (ApproxPlan, GroupShrink, Quantize, QuantizedGroup, SignMatch,
+                   quantize_dequantize, quantize_group)
 from .significance import (GreedyAnalyzer, SplitThresholds, Thresholds,
                            compute_thresholds, evaluate_candidate,
                            final_finetune, oracle_significance,
                            taylor_significance)
-from .signmatch import (OpCounter, SignMatchConfig, causal_select,
-                        full_attention, representative_sign, score_keys,
-                        select_topk, sign_match_attention)
+from .signmatch import (OpCounter, causal_select, full_attention,
+                        representative_sign, score_keys, select_topk,
+                        sign_match_attention)
 from .tasks import Dataset, TaskData, TaskSpec, generate_task
 from .tensor import (Tensor, cross_entropy, layer_norm, make_rng, matmul,
                      no_grad, softmax_rows, spawn_rng)
@@ -39,12 +38,12 @@ from .training import evaluate_accuracy, evaluate_loss, train_epochs
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "ApproxPlan", "AttentionMask", "ATTN_BLOCK", "CostModel",
+    "Adam", "ApproxPlan", "ATTN_BLOCK", "CostModel",
     "ConfigError", "Dataset", "ElementQueue", "ExperimentConfig", "FFN_BLOCK",
     "FFN_GROUP", "Focus", "FocusMode", "GreedyAnalyzer", "GroupShrink", "HEAD",
-    "InfeasibleError", "KV_GROUP", "KvPrune", "MetricsBundle", "ModelShape",
+    "InfeasibleError", "KV_GROUP", "MetricsBundle", "ModelShape",
     "OpCounter", "PlanError", "PlannedModel", "QKV_GROUP", "Quantize",
-    "QuantizedGroup", "RunReport", "SignMatch", "SignMatchConfig",
+    "QuantizedGroup", "RunReport", "SignMatch",
     "SplitThresholds", "StageError", "TaskData", "TaskSpec", "Tensor",
     "Thresholds", "TransElement", "TransformerConfig", "TransformerModel",
     "build_model", "causal_select", "compare_baselines",
@@ -53,7 +52,7 @@ __all__ = [
     "evaluate_loss", "final_finetune", "full_attention", "generate_task",
     "layer_norm", "load_checkpoint", "make_rng",
     "matmul", "measure_latency", "no_grad", "oracle_significance",
-    "order_queue", "prune_kv_positions", "quantize_dequantize",
+    "order_queue", "quantize_dequantize",
     "quantize_group", "representative_sign", "run_experiment",
     "save_checkpoint", "score_keys", "select_topk",
     "sign_match_attention", "softmax_rows", "spawn_rng", "sweep_thresholds",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import costs
 from .config import TransformerConfig
-from .errors import ConfigError
+from .errors import ConfigError, PlanError
 from .focus import Focus, FocusMode
 
 FFN_BLOCK = "ffn_block"
@@ -102,7 +102,7 @@ def enumerate_elements(config: TransformerConfig) -> list[TransElement]:
 
 
 def element_bounds(config: TransformerConfig, el: TransElement) -> None:
-    """Raise if an element does not exist under this configuration."""
+    """Raise PlanError if an element does not exist under this configuration."""
     limits = {
         FFN_BLOCK: 1,
         ATTN_BLOCK: 1,
@@ -112,7 +112,7 @@ def element_bounds(config: TransformerConfig, el: TransElement) -> None:
         KV_GROUP: config.num_kv_groups,
     }
     if el.layer >= config.num_layers or el.index >= limits[el.kind]:
-        raise ConfigError(f"element {el.key} out of range for this config")
+        raise PlanError(f"element {el.key} out of range for this config")
 
 
 class ElementQueue:
@@ -180,7 +180,7 @@ class ElementQueue:
 
 
 def order_queue(elements: list[TransElement], focus: FocusMode,
-                config: TransformerConfig, task_kind: str | None = None,
+                config: TransformerConfig,
                 layer_order: list[int] | None = None) -> ElementQueue:
     """Build the analysis queue: blocks, then heads, then groups.
 
@@ -191,7 +191,6 @@ def order_queue(elements: list[TransElement], focus: FocusMode,
     type, by MACs under speed/accuracy focus or by parameters under size
     focus, goes first so expensive blocks leave the model early.
     """
-    task_kind = task_kind or config.task_kind
     L = config.num_layers
     if layer_order is None:
         layer_order = list(range(L - 1, -1, -1))

@@ -19,32 +19,13 @@ import numpy as np
 
 from . import costs
 from .config import TransformerConfig
-from .errors import ConfigError, PlanError
+from .errors import PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
-from .signmatch import (MASK_NEG, OpCounter, SignMatchConfig, full_attention,
+from .signmatch import (OpCounter, causal_mask, full_attention,
                         sign_match_attention)
 from .tensor import (Tensor, add, cross_entropy, embedding_lookup, gather_rows,
                      gelu, layer_norm, make_rng, matmul, mean_rows, merge_heads,
                      mul, reshape, split_heads)
-
-
-@dataclass(frozen=True)
-class AttentionMask:
-    """Additive attention mask; causal mode forbids attending forward."""
-
-    mode: str = "none"  # none | causal
-
-    def __post_init__(self):
-        if self.mode not in ("none", "causal"):
-            raise ConfigError(f"unknown mask mode '{self.mode}'")
-
-    def matrix(self, n: int, kv_positions: np.ndarray | None = None) -> np.ndarray | None:
-        """[n, n_kv] additive mask: entry (i, j) is MASK_NEG iff key j sits
-        at a position after query i."""
-        if self.mode == "none":
-            return None
-        pos = np.arange(n) if kv_positions is None else np.asarray(kv_positions)
-        return np.where(pos[None, :] <= np.arange(n)[:, None], 0.0, MASK_NEG)
 
 
 @dataclass
@@ -97,10 +78,6 @@ class TransformerModel:
         self.head_w = _param(np.zeros((d, c)))
         self.head_b = _param(np.zeros(c))
 
-    @property
-    def mask(self) -> AttentionMask:
-        return AttentionMask("causal" if self.config.autoregressive else "none")
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [("embedding", self.embedding), ("positional", self.positional)]
         for i, layer in enumerate(self.layers):
@@ -108,25 +85,6 @@ class TransformerModel:
                 out.append((f"layers.{i}.{name}", getattr(layer, name)))
         out.extend([("lnf_g", self.lnf_g), ("lnf_b", self.lnf_b),
                     ("head_w", self.head_w), ("head_b", self.head_b)])
-        return out
-
-    def parameters(self, plan: ApproxPlan | None = None) -> list[Tensor]:
-        """All parameters, or only those of blocks the plan keeps alive."""
-        if plan is None or plan.is_empty():
-            return [t for _, t in self.named_parameters()]
-        views = plan.resolve(self.config)
-        out = [self.embedding, self.positional]
-        for i, layer in enumerate(self.layers):
-            if not views[i].attn_skipped:
-                names = LayerParams.ATTN_NAMES
-                if not views[i].live_heads:
-                    # every head pruned: nothing upstream of the zero-padded
-                    # output can influence the loss
-                    names = ("wo", "bo")
-                out.extend(getattr(layer, name) for name in names)
-            if not views[i].ffn_skipped:
-                out.extend(getattr(layer, name) for name in LayerParams.FFN_NAMES)
-        out.extend([self.lnf_g, self.lnf_b, self.head_w, self.head_b])
         return out
 
     def clone(self) -> "TransformerModel":
@@ -175,8 +133,24 @@ class PlannedModel:
 
     def __init__(self, model: TransformerModel, plan: ApproxPlan | None = None):
         self.model = model
-        self.plan = plan or ApproxPlan.empty()
+        self.plan = plan or ApproxPlan()
         self.views: list[LayerView] = self.plan.resolve(model.config)
+
+    def parameters(self) -> list[Tensor]:
+        """Parameters of the blocks the plan keeps alive, in
+        named_parameters order."""
+        m = self.model
+        out = [m.embedding, m.positional]
+        for layer, view in zip(m.layers, self.views):
+            if not view.attn_skipped:
+                # every head pruned: nothing upstream of the zero-padded
+                # output can influence the loss
+                names = LayerParams.ATTN_NAMES if view.live_heads else ("wo", "bo")
+                out.extend(getattr(layer, name) for name in names)
+            if not view.ffn_skipped:
+                out.extend(getattr(layer, name) for name in LayerParams.FFN_NAMES)
+        out.extend([m.lnf_g, m.lnf_b, m.head_w, m.head_b])
+        return out
 
     # -- sublayers ----------------------------------------------------------
 
@@ -209,11 +183,11 @@ class PlannedModel:
         heads = cfg.num_heads
         q, k, v = (split_heads(t, heads) for t in (q, k, v))
         if view.signmatch_k is None:
-            out = full_attention(q, k, v, self.model.mask.matrix(n_x, kv_positions))
+            mask = causal_mask(n_x, kv_positions) if cfg.autoregressive else None
+            out = full_attention(q, k, v, mask)
         else:
-            sm = SignMatchConfig(view.signmatch_k, self.model.mask.mode == "causal")
-            out = sign_match_attention(q, k, v, sm, key_positions=kv_positions,
-                                       counter=counter)
+            out = sign_match_attention(q, k, v, view.signmatch_k, cfg.autoregressive,
+                                       key_positions=kv_positions, counter=counter)
         merged = merge_heads(out, heads, squeeze=x.data.ndim == 2)
         if len(view.live_heads) < heads:
             live = np.isin(np.arange(heads), view.live_heads).astype(np.float64)

@@ -1,12 +1,24 @@
 """Approximation plans: which elements are pruned and how the rest are
-approximated (group quantization, contiguous group shrinking, key/value
-position pruning, sign-matching attention)."""
+approximated.
+
+Pruning is the skiplist: blocks bypassed through their residual connection,
+heads zero-padded, weight groups and key/value position groups dropped.
+Approximation is one dataclass per variant (group quantization, contiguous
+group shrinking, sign-matching attention), attached to a surviving element
+only through ``ApproxPlan.with_approx``, which checks that the variant
+applies to that element kind and that the element carries no entry of the
+same variant. ``from_doc``/``from_json`` rebuild a plan through the same
+checks and raise ``PlanError`` for any malformed document; ``resolve``
+checks the elements against a config and expands the plan into per-layer
+views.
+"""
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -14,7 +26,7 @@ from .config import TransformerConfig
 from .costs import quantized_bytes
 from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KV_GROUP,
                        QKV_GROUP, TransElement, element_bounds)
-from .errors import PlanError
+from .errors import ConfigError, PlanError
 from .tensor import Tensor, _result
 
 QUANT_BITS = (2, 4, 8)
@@ -22,6 +34,7 @@ QUANT_BITS = (2, 4, 8)
 
 @dataclass(frozen=True)
 class Quantize:
+    name: ClassVar[str] = "quantize"
     bits: int
 
     def __post_init__(self):
@@ -31,6 +44,7 @@ class Quantize:
 
 @dataclass(frozen=True)
 class SignMatch:
+    name: ClassVar[str] = "sign_match"
     k: int
 
     def __post_init__(self):
@@ -42,6 +56,7 @@ class SignMatch:
 class GroupShrink:
     """Contiguous kept weight-group interval [lo, hi)."""
 
+    name: ClassVar[str] = "group_shrink"
     lo: int
     hi: int
 
@@ -50,22 +65,13 @@ class GroupShrink:
             raise PlanError(f"bad kept interval [{self.lo}, {self.hi})")
 
 
-@dataclass(frozen=True)
-class KvPrune:
-    positions: tuple[int, ...]
+ApproxParams = Quantize | SignMatch | GroupShrink
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(sorted(set(self.positions))))
-
-
-ApproxParams = Quantize | SignMatch | GroupShrink | KvPrune
-
-_VARIANT_NAMES = {Quantize: "quantize", SignMatch: "sign_match",
-                  GroupShrink: "group_shrink", KvPrune: "kv_prune"}
+_VARIANTS = {cls.name: cls for cls in (Quantize, SignMatch, GroupShrink)}
 
 # Which approximation variants may be attached to which element kind.
 _ALLOWED = {
-    ATTN_BLOCK: (Quantize, SignMatch, GroupShrink, KvPrune),
+    ATTN_BLOCK: (Quantize, SignMatch, GroupShrink),
     FFN_BLOCK: (Quantize, GroupShrink),
     FFN_GROUP: (Quantize,),
     QKV_GROUP: (Quantize,),
@@ -74,80 +80,76 @@ _ALLOWED = {
 
 def params_to_doc(params: ApproxParams) -> dict:
     """JSON-ready description of one approximation entry."""
-    if isinstance(params, Quantize):
-        fields = {"bits": params.bits}
-    elif isinstance(params, SignMatch):
-        fields = {"k": params.k}
-    elif isinstance(params, GroupShrink):
-        fields = {"lo": params.lo, "hi": params.hi}
-    else:
-        fields = {"positions": list(params.positions)}
-    return {"variant": _VARIANT_NAMES[type(params)], "params": fields}
+    return {"variant": params.name, "params": asdict(params)}
 
 
-def prune_kv_positions(layer: int, positions, context_len: int) -> tuple[TransElement, KvPrune]:
-    """Plan entry removing the given key/value sequence positions in one
-    attention block (same set for keys and values; output shape unchanged)."""
-    positions = sorted(set(int(p) for p in positions))
-    if any(p < 0 or p >= context_len for p in positions):
-        raise PlanError(f"kv positions out of range [0, {context_len})")
-    if len(positions) >= context_len:
-        raise PlanError("cannot prune every key/value position")
-    return TransElement(ATTN_BLOCK, layer), KvPrune(tuple(positions))
+def params_from_doc(entry: dict) -> ApproxParams:
+    """Inverse of params_to_doc: exactly the variant's fields, as integers."""
+    variant = entry.get("variant")
+    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise PlanError(f"unknown approximation variant {variant!r}")
+    names = sorted(f.name for f in fields(cls))
+    values = entry.get("params")
+    if not isinstance(values, dict) or sorted(values) != names:
+        raise PlanError(f"{cls.name} entry needs params {names}, got {values!r}")
+    try:
+        ints = {name: int(values[name]) for name in names}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PlanError(f"{cls.name} params must be integers, got {values!r}") from exc
+    return cls(**ints)
+
+
+def _element(key) -> TransElement:
+    try:
+        return TransElement.from_key(str(key))
+    except ConfigError as exc:
+        raise PlanError(str(exc)) from exc
+
+
+def _in_both(el: TransElement) -> PlanError:
+    return PlanError(f"elements in both skiplist and approxlist: {[el.key]}")
 
 
 class ApproxPlan:
     """Skiplist plus approximation entries.
 
-    The skiplist holds elements removed outright (blocks bypassed through
-    their residual connection, heads zero-padded, weight groups and
-    key/value position groups dropped). The approximation map attaches
-    parameters to surviving elements; one element may carry several
-    compatible entries (e.g. an attention block that is sign-matched and
-    has its QKV rows shrunk).
+    The skiplist holds elements removed outright. The approximation map
+    attaches parameters to surviving elements; one element may carry
+    several compatible entries (e.g. an attention block that is
+    sign-matched and has its QKV rows shrunk). Entries enter only through
+    ``with_approx``.
     """
 
-    def __init__(self, skiplist=(), approxlist=None):
+    def __init__(self, skiplist=()):
         self.skiplist: set[TransElement] = set(skiplist)
         self.approxlist: dict[TransElement, tuple[ApproxParams, ...]] = {}
-        for el, entries in (approxlist or {}).items():
-            if isinstance(entries, (Quantize, SignMatch, GroupShrink, KvPrune)):
-                entries = (entries,)
-            self.approxlist[el] = tuple(entries)
-        self._check_disjoint()
-
-    def _check_disjoint(self):
-        overlap = self.skiplist & set(self.approxlist)
-        if overlap:
-            raise PlanError(
-                f"elements in both skiplist and approxlist: {sorted(e.key for e in overlap)}")
-
-    @classmethod
-    def empty(cls) -> "ApproxPlan":
-        return cls()
 
     def copy(self) -> "ApproxPlan":
-        return ApproxPlan(self.skiplist, dict(self.approxlist))
+        new = ApproxPlan(self.skiplist)
+        new.approxlist = dict(self.approxlist)
+        return new
 
     def is_empty(self) -> bool:
         return not self.skiplist and not self.approxlist
 
     def with_skip(self, el: TransElement) -> "ApproxPlan":
+        if el in self.approxlist:
+            raise _in_both(el)
         new = self.copy()
         new.skiplist.add(el)
-        new._check_disjoint()
         return new
 
     def with_approx(self, el: TransElement, params: ApproxParams) -> "ApproxPlan":
-        allowed = _ALLOWED.get(el.kind, ())
-        if not isinstance(params, allowed):
+        if not isinstance(params, _ALLOWED.get(el.kind, ())):
             raise PlanError(f"{type(params).__name__} not applicable to {el.kind}")
-        new = self.copy()
-        existing = new.approxlist.get(el, ())
+        if el in self.skiplist:
+            raise _in_both(el)
+        existing = self.approxlist.get(el, ())
         if any(isinstance(p, type(params)) for p in existing):
-            raise PlanError(f"{el.key} already has a {_VARIANT_NAMES[type(params)]} entry")
+            raise PlanError(f"{el.key} already has a {params.name} entry")
+        new = self.copy()
         new.approxlist[el] = existing + (params,)
-        new._check_disjoint()
         return new
 
     def entries(self, el: TransElement) -> tuple[ApproxParams, ...]:
@@ -176,33 +178,32 @@ class ApproxPlan:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ApproxPlan":
-        plan = cls(TransElement.from_key(k) for k in doc.get("skip", ()))
+        """Rebuild a plan through with_skip/with_approx; any malformed
+        document raises PlanError."""
+        if not (isinstance(doc, dict) and isinstance(doc.get("skip", []), list)
+                and isinstance(doc.get("approx", []), list)):
+            raise PlanError("a plan document needs 'skip' and 'approx' lists")
+        plan = cls(_element(key) for key in doc.get("skip", ()))
         for entry in doc.get("approx", ()):
-            el = TransElement.from_key(entry["element"])
-            variant = entry.get("variant")
-            fields = entry.get("params", {})
-            if variant == "quantize":
-                params: ApproxParams = Quantize(int(fields["bits"]))
-            elif variant == "sign_match":
-                params = SignMatch(int(fields["k"]))
-            elif variant == "group_shrink":
-                params = GroupShrink(int(fields["lo"]), int(fields["hi"]))
-            elif variant == "kv_prune":
-                params = KvPrune(tuple(int(p) for p in fields["positions"]))
-            else:
-                raise PlanError(f"unknown approximation variant '{variant}'")
-            plan = plan.with_approx(el, params)
+            if not isinstance(entry, dict) or "element" not in entry:
+                raise PlanError(f"approx entry without an element: {entry!r}")
+            plan = plan.with_approx(_element(entry["element"]), params_from_doc(entry))
         return plan
 
     @classmethod
     def from_json(cls, text: str) -> "ApproxPlan":
-        return cls.from_doc(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise PlanError(f"plan is not JSON: {exc}") from exc
+        return cls.from_doc(doc)
 
     # -- resolution --------------------------------------------------------
 
     def resolve(self, config: TransformerConfig) -> list["LayerView"]:
         """Validate against a config and expand into per-layer views."""
-        views = [LayerView.fresh(config, layer) for layer in range(config.num_layers)]
+        views = [LayerView(layer, config) for layer in range(config.num_layers)]
+        w = config.weight_group_width
         for el in self.skiplist:
             element_bounds(config, el)
             view = views[el.layer]
@@ -213,9 +214,9 @@ class ApproxPlan:
             elif el.kind == HEAD:
                 view.dead_heads.add(el.index)
             elif el.kind == FFN_GROUP:
-                view.kill_ffn_group(el.index, config)
+                view.ffn_live[el.index * w:(el.index + 1) * w] = False
             elif el.kind == QKV_GROUP:
-                view.kill_qkv_group(el.index, config)
+                view.qkv_live[el.index * w:(el.index + 1) * w] = False
             elif el.kind == KV_GROUP:
                 lo = el.index * config.kv_group_width
                 view.dead_positions.update(range(lo, lo + config.kv_group_width))
@@ -232,39 +233,22 @@ class ApproxPlan:
 class LayerView:
     """Resolved execution state of one layer under a plan."""
 
-    def __init__(self, layer: int, attn_skipped: bool, ffn_skipped: bool,
-                 qkv_live: np.ndarray, ffn_live: np.ndarray):
+    def __init__(self, layer: int, config: TransformerConfig):
         self.layer = layer
-        self.attn_skipped = attn_skipped
-        self.ffn_skipped = ffn_skipped
+        self.attn_skipped = False
+        self.ffn_skipped = False
         self.dead_heads: set[int] = set()
-        self.qkv_live = qkv_live
-        self.ffn_live = ffn_live
+        self.qkv_live = np.ones(config.hidden_dim, dtype=bool)
+        self.ffn_live = np.ones(config.hidden_dim, dtype=bool)
         self.dead_positions: set[int] = set()
         self.signmatch_k: int | None = None
         self.quant: dict[str, list[tuple[int, int, int]]] = {}  # matrix -> [(lo, hi, bits)]
         self.live_heads: tuple[int, ...] = ()
         self.kv_positions: np.ndarray | None = None
 
-    @classmethod
-    def fresh(cls, config: TransformerConfig, layer: int) -> "LayerView":
-        return cls(layer, False, False,
-                   np.ones(config.hidden_dim, dtype=bool),
-                   np.ones(config.hidden_dim, dtype=bool))
-
-    def kill_ffn_group(self, g: int, config: TransformerConfig):
-        w = config.weight_group_width
-        self.ffn_live[g * w:(g + 1) * w] = False
-
-    def kill_qkv_group(self, g: int, config: TransformerConfig):
-        w = config.weight_group_width
-        self.qkv_live[g * w:(g + 1) * w] = False
-
     def apply_approx(self, el: TransElement, params: ApproxParams,
                      config: TransformerConfig):
         if isinstance(params, SignMatch):
-            if el.kind != ATTN_BLOCK:
-                raise PlanError("sign matching applies to attention blocks")
             if params.k > config.context_len:
                 raise PlanError(f"sign-match k {params.k} exceeds context length")
             self.signmatch_k = params.k
@@ -278,10 +262,6 @@ class LayerView:
                 self.ffn_live &= mask
             else:
                 self.qkv_live &= mask
-        elif isinstance(params, KvPrune):
-            if any(p >= config.context_len for p in params.positions):
-                raise PlanError("kv prune position out of range")
-            self.dead_positions.update(params.positions)
         elif isinstance(params, Quantize):
             w = config.weight_group_width
             if el.kind == FFN_GROUP:
@@ -320,8 +300,6 @@ class LayerView:
                 f"causal context; early queries may have no visible keys", stacklevel=2)
         for matrix, bands in self.quant.items():
             bands.sort()
-        if self.signmatch_k is not None:
-            self.signmatch_k = min(self.signmatch_k, len(live))
 
     def attn_quant_bands(self, config: TransformerConfig) -> list[tuple[int, int]]:
         """(live element count, bits) per quantized band of the attention matrices."""

@@ -140,7 +140,7 @@ class GreedyAnalyzer:
             open(log_path, "w").close()
 
         self.work = model.clone()
-        self.plan = ApproxPlan.empty()
+        self.plan = ApproxPlan()
         self.records: list[dict] = []
         self._step = 0
         self.baseline_train = thresholds.train.min_loss_seen

@@ -26,6 +26,13 @@ from .tensor import (Tensor, add, gather_rows, matmul, mul, softmax_rows,
 MASK_NEG = -1e9
 
 
+def causal_mask(n: int, key_positions: np.ndarray) -> np.ndarray:
+    """[..., n, n_k] additive mask for [..., n_k] key positions: entry
+    (i, j) is MASK_NEG iff key j sits at a position after query i."""
+    pos = np.asarray(key_positions)
+    return np.where(pos[..., None, :] <= np.arange(n)[:, None], 0.0, MASK_NEG)
+
+
 @dataclass
 class OpCounter:
     """Instrumentation for the linear-scoring contract.
@@ -53,16 +60,6 @@ class OpCounter:
 
     def reset(self):
         self.rep_sign = self.sign_extract = self.hamming = self.starved_queries = 0
-
-
-@dataclass(frozen=True)
-class SignMatchConfig:
-    k: int
-    causal: bool = False
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise PlanError("sign-match k must be >= 1")
 
 
 def representative_sign(query: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
@@ -127,36 +124,37 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = No
     return matmul(softmax_rows(scores), v)
 
 
-def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, cfg: SignMatchConfig,
+def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
+                         causal: bool = False,
                          key_positions: np.ndarray | None = None,
                          counter: OpCounter | None = None) -> Tensor:
-    """Attention restricted to the top-K sign-matched keys of each sequence.
+    """Attention restricted to the top_k sign-matched keys of each sequence.
 
     key_positions maps key rows to their original sequence positions (used
     by the causal mask when some positions were pruned upstream). Selected
-    keys are gathered in ascending original order, so at K = n the result
-    is bit-identical to full attention. Causal queries that can see none of
-    the selected keys produce a zero output row and bump the starvation
-    counter.
+    keys are gathered in ascending original order, so at top_k = n the
+    result is bit-identical to full attention. Causal queries that can see
+    none of the selected keys produce a zero output row and bump the
+    starvation counter.
     """
+    if top_k < 1:
+        raise PlanError("sign-match k must be >= 1")
     n_q = q.data.shape[-2]
     n_k = k.data.shape[-2]
-    kk = min(cfg.k, n_k)
+    kk = min(top_k, n_k)
     if key_positions is None:
         key_positions = np.arange(n_k, dtype=np.int64)
 
     dist = score_keys(k.data, representative_sign(q.data, counter), counter)
-    rows = causal_select(dist, n_k, kk) if cfg.causal else select_topk(dist, kk)
+    rows = causal_select(dist, n_k, kk) if causal else select_topk(dist, kk)
     sel = np.sort(np.asarray(rows, dtype=np.int64), axis=-1)   # [..., kk]
     k_sel = gather_rows(k, sel)
     v_sel = gather_rows(v, sel)
 
-    mask = None
-    starve = None
-    if cfg.causal:
-        visible = key_positions[sel][..., None, :] <= np.arange(n_q)[:, None]  # [..., n_q, kk]
-        mask = np.where(visible, 0.0, MASK_NEG)
-        starved = ~visible.any(axis=-1)                    # [..., n_q]
+    mask = starve = None
+    if causal:
+        mask = causal_mask(n_q, key_positions[sel])            # [..., n_q, kk]
+        starved = (mask == MASK_NEG).all(axis=-1)              # [..., n_q]
         if counter is not None:
             counter.starved_queries += int(starved.sum())
         if starved.any():

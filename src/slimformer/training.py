@@ -31,9 +31,8 @@ def train_epochs(model: TransformerModel, plan: ApproxPlan | None, dataset: Data
     weight-group rows and quantized bands receive identically zero
     gradients.
     """
-    plan = plan or ApproxPlan.empty()
     planned = PlannedModel(model, plan)
-    opt = Adam(model.parameters(plan), lr=lr)
+    opt = Adam(planned.parameters(), lr=lr)
     means = []
     for _ in range(epochs):
         losses = []

@@ -5,6 +5,7 @@ per criterion. Fixtures are sized for desk-scale runs; tolerances are fixed
 here and nowhere else.
 """
 
+import dataclasses
 import json
 import time
 
@@ -13,15 +14,15 @@ import pytest
 
 from slimformer import (ApproxPlan, ElementQueue, ExperimentConfig, Focus,
                         FocusMode, GreedyAnalyzer, ModelShape, OpCounter,
-                        PlanError, PlannedModel, SignMatchConfig,
+                        PlanError, PlannedModel,
                         SplitThresholds, TaskSpec, Tensor, Thresholds,
                         TransElement, TransformerConfig,
                         build_model, compare_baselines, full_attention,
-                        generate_task, prune_kv_positions, quantize_group,
+                        generate_task, quantize_group,
                         run_experiment, sign_match_attention)
 from slimformer.costs import quantized_bytes
-from slimformer.elements import (FFN_GROUP, HEAD, attn_block, enumerate_elements,
-                                 ffn_block, order_queue)
+from slimformer.elements import (FFN_GROUP, HEAD, KV_GROUP, attn_block,
+                                 enumerate_elements, ffn_block, order_queue)
 from slimformer.tensor import (cross_entropy, gelu, layer_norm, make_rng, matmul,
                                mean_rows, mul, softmax_rows, spawn_rng, sum_all)
 from slimformer.training import evaluate_accuracy, evaluate_loss, train_epochs
@@ -159,7 +160,7 @@ def test_criterion_03_sign_matching_exact_at_full_k():
         mask = None
         if causal:
             mask = np.where(np.arange(n)[None, :] <= np.arange(n)[:, None], 0.0, -1e9)
-        out = sign_match_attention(q, k, v, SignMatchConfig(n, causal))
+        out = sign_match_attention(q, k, v, n, causal)
         full = full_attention(q, k, v, mask)
         assert np.array_equal(out.data, full.data), f"trial {trial}"
 
@@ -169,7 +170,7 @@ def test_criterion_03_sign_matching_exact_at_full_k():
         q = Tensor(gen2.normal(size=(n, 8)))
         k = Tensor(gen2.normal(size=(n, 8)))
         v = Tensor(gen2.normal(size=(n, 8)))
-        sign_match_attention(q, k, v, SignMatchConfig(4), counter=counter)
+        sign_match_attention(q, k, v, 4, counter=counter)
         return counter.score_stage, counter.total
 
     for n in (8, 16, 32):
@@ -198,8 +199,7 @@ def test_criterion_04_sign_matching_fidelity_trend():
         v = gen.normal(size=(n, d))
         full = full_attention(Tensor(q), Tensor(kmat), Tensor(v)).data
         for k in ks:
-            out = sign_match_attention(Tensor(q), Tensor(kmat), Tensor(v),
-                                       SignMatchConfig(k)).data
+            out = sign_match_attention(Tensor(q), Tensor(kmat), Tensor(v), k).data
             errs[k].append(np.abs(out - full).mean())
     means = [float(np.mean(errs[k])) for k in ks]
     print("\n  mean abs error by K:",
@@ -244,10 +244,11 @@ def test_criterion_05_pruning_equivalence_oracles():
     zeroed = PlannedModel(twin).ffn_sublayer(0, Tensor(x))
     assert np.array_equal(pruned.data, zeroed.data)
 
-    # (c) KV position prune == attention over reduced key/value matrices
-    el, params = prune_kv_positions(0, [2, 5, 6], 8)
-    kv_plan = ApproxPlan().with_approx(el, params)
-    out = PlannedModel(model, kv_plan).attention_sublayer(0, Tensor(x))
+    # (c) KV position prune == attention over reduced key/value matrices, on
+    # a one-position-per-group twin of the config (same seed, same weights)
+    kv_model = build_model(dataclasses.replace(cfg, kv_group_width=1), 21)
+    kv_plan = ApproxPlan(TransElement(KV_GROUP, 0, p) for p in (2, 5, 6))
+    out = PlannedModel(kv_model, kv_plan).attention_sublayer(0, Tensor(x))
     expected = ref_attention_per_head(x, layer_dict(model, 0), 2,
                                       kv_positions=np.array([0, 1, 3, 4, 7]))
     assert np.abs(out.data - expected).max() < 1e-12

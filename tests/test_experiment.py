@@ -273,6 +273,17 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg),
                      "--checkpoint", str(out / "baseline")]) == 3
 
+    def test_malformed_plan_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, epochs_baseline=1)
+        out = tmp_path / "train_out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        plan = tmp_path / "plan.json"
+        for text in ("{not json", '{"skip": ["head:0:7"], "approx": []}'):
+            plan.write_text(text)
+            assert main(["evaluate", "--config", str(cfg), "--checkpoint",
+                         str(out / "baseline"), "--plan", str(plan)]) == 3
+        assert capsys.readouterr().err.count("error: ") == 2
+
     def test_infeasible_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, max_oracle_elements=2)
         code = main(["compare-baselines", "--config", str(cfg),

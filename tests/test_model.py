@@ -1,19 +1,21 @@
 """Model construction, plan-parameterized forward, cost accounting,
 checkpoints."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from slimformer import (ApproxPlan, ConfigError, KvPrune, PlanError,
-                        PlannedModel, Quantize, SignMatch, SignMatchConfig, Tensor,
+from slimformer import (ApproxPlan, ConfigError, PlanError,
+                        PlannedModel, Quantize, SignMatch, Tensor,
                         TransElement, TransformerConfig, build_model,
                         load_checkpoint, measure_latency, save_checkpoint,
                         sign_match_attention)
 from slimformer.costs import attn_macs, ffn_macs, quantized_bytes
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
                                  KV_GROUP, attn_block, ffn_block)
+from slimformer.signmatch import causal_mask
 from slimformer.tensor import layer_norm, make_rng
 
 from reference import (finite_difference_grad, layer_dict,
@@ -45,13 +47,11 @@ class TestBuildModel:
                               weight_group_width=7)
 
     def test_causal_mask_matrix_semantics(self):
-        from slimformer import AttentionMask
-        m = AttentionMask("causal").matrix(4)
+        m = causal_mask(4, np.arange(4))
         for i in range(4):
             for j in range(4):
                 assert m[i, j] == (0.0 if j <= i else -1e9)
-        assert AttentionMask("none").matrix(4) is None
-        sliced = AttentionMask("causal").matrix(4, kv_positions=np.array([1, 3]))
+        sliced = causal_mask(4, np.array([1, 3]))
         np.testing.assert_array_equal(sliced, [[-1e9, -1e9], [0.0, -1e9],
                                                [0.0, -1e9], [0.0, 0.0]])
 
@@ -150,7 +150,7 @@ class TestSignMatchedAttention:
             cols = slice(4 * head, 4 * head + 4)
             merged[..., cols] = sign_match_attention(
                 Tensor(q[..., cols]), Tensor(k[..., cols]), Tensor(v[..., cols]),
-                SignMatchConfig(5, causal), key_positions=self.LIVE_KV).data
+                5, causal, key_positions=self.LIVE_KV).data
         return x + (merged @ p.wo.data + p.bo.data)
 
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
@@ -303,9 +303,9 @@ class TestCost:
             expected += attn_macs(tiny_config) + ffn_macs(tiny_config)
         assert full.mac_count == expected
 
-    def test_kv_prune_reduces_macs_not_params(self, tiny_config, tiny_model):
-        el, params = __import__("slimformer").prune_kv_positions(0, [0, 1], 8)
-        plan = ApproxPlan().with_approx(el, params)
+    def test_kv_prune_reduces_macs_not_params(self, tiny_config):
+        tiny_model = build_model(dataclasses.replace(tiny_config, kv_group_width=1), 7)
+        plan = ApproxPlan([TransElement(KV_GROUP, 0, 0), TransElement(KV_GROUP, 0, 1)])
         full = PlannedModel(tiny_model).cost()
         pruned = PlannedModel(tiny_model, plan).cost()
         assert pruned.mac_count < full.mac_count

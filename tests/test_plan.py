@@ -1,12 +1,14 @@
 """Plans, quantization, key/value position pruning."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from slimformer import (ApproxPlan, GroupShrink, KvPrune, PlanError,
-                        PlannedModel, Quantize, SignMatch, Tensor,
-                        TransElement, build_model,
-                        prune_kv_positions, quantize_dequantize, quantize_group)
+from slimformer import (ApproxPlan, GroupShrink, PlanError, PlannedModel,
+                        Quantize, SignMatch, Tensor, TransElement, build_model,
+                        quantize_dequantize, quantize_group)
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
                                  KV_GROUP, QKV_GROUP, attn_block, ffn_block)
 from slimformer.plan import quantized_rows
@@ -101,40 +103,84 @@ class TestPlanStructure:
         np.testing.assert_array_equal(view.ffn_live, expected)
 
 
+SIGN_MATCH = {"element": "attn_block:0:0", "variant": "sign_match", "params": {"k": 4}}
+
+MALFORMED_PLANS = {
+    "not_json": "{not json",
+    "not_object": [],
+    "no_params": {"approx": [{**SIGN_MATCH, "params": {}}]},
+    "non_int_param": {"approx": [{**SIGN_MATCH, "params": {"k": "x"}}]},
+    "extra_param": {"approx": [{**SIGN_MATCH, "params": {"k": 4, "bits": 8}}]},
+    "no_element": {"approx": [{"variant": "sign_match", "params": {"k": 4}}]},
+    "unknown_variant": {"approx": [{**SIGN_MATCH, "variant": "no_such_variant"}]},
+    "approx_not_list": {"approx": SIGN_MATCH},
+    "skip_not_list": {"skip": "attn_block:0:0"},
+    "bad_element_key": {"skip": ["no_such_kind:0:0"]},
+}
+
+
+class TestPlanDocument:
+    @pytest.mark.parametrize("doc", MALFORMED_PLANS.values(), ids=MALFORMED_PLANS.keys())
+    def test_malformed_plan_rejected(self, doc):
+        with pytest.raises(PlanError):
+            ApproxPlan.from_json(doc if isinstance(doc, str) else json.dumps(doc))
+
+    @pytest.mark.parametrize("approx", [
+        [{"element": "head:0:1", "variant": "quantize", "params": {"bits": 8}}],
+        [{"element": "kv_position_group:0:0", "variant": "group_shrink",
+          "params": {"lo": 0, "hi": 1}}],
+        [{"element": "ffn_weight_group:0:0", "variant": "quantize", "params": {"bits": b}}
+         for b in (8, 2)],
+    ], ids=["quantize_head", "shrink_kv_group", "two_quantize"])
+    def test_unchecked_entries_rejected(self, approx):
+        with pytest.raises(PlanError):
+            ApproxPlan.from_doc({"skip": [], "approx": approx})
+
+    def test_element_missing_from_config_rejected(self, tiny_config):
+        plan = ApproxPlan.from_doc({"skip": ["head:0:7"], "approx": []})
+        with pytest.raises(PlanError, match="out of range"):
+            plan.resolve(tiny_config)
+
+
+def kv_twin(config, seed):
+    """The model of `config` and `seed` (same weights) on a config with one
+    position per key/value group, so KV_GROUP skips prune single positions."""
+    return build_model(dataclasses.replace(config, kv_group_width=1), seed)
+
+
+def kv_plan(layer, positions):
+    return ApproxPlan(TransElement(KV_GROUP, layer, p) for p in positions)
+
+
 class TestKvPrune:
-    def test_empty_prune_unchanged(self, tiny_model, rng):
-        el, params = prune_kv_positions(0, [], 8)
-        plan = ApproxPlan().with_approx(el, params)
+    def test_empty_prune_unchanged(self, tiny_config, tiny_model, rng):
+        model = kv_twin(tiny_config, 7)
+        plan = kv_plan(0, [])
         x = rng.normal(size=(8, 8))
-        a = PlannedModel(tiny_model, plan).attention_sublayer(0, Tensor(x))
+        a = PlannedModel(model, plan).attention_sublayer(0, Tensor(x))
         b = PlannedModel(tiny_model).attention_sublayer(0, Tensor(x))
         np.testing.assert_array_equal(a.data, b.data)
 
-    def test_prune_all_but_one_attends_single_key(self, tiny_config, tiny_model, rng):
-        el, params = prune_kv_positions(0, range(1, 8), 8)
-        plan = ApproxPlan().with_approx(el, params)
+    def test_prune_all_but_one_attends_single_key(self, tiny_config, rng):
+        model = kv_twin(tiny_config, 7)
+        plan = kv_plan(0, range(1, 8))
         x = rng.normal(size=(8, tiny_config.hidden_dim))
-        out = PlannedModel(tiny_model, plan).attention_sublayer(0, Tensor(x))
-        layer = layer_dict(tiny_model, 0)
+        out = PlannedModel(model, plan).attention_sublayer(0, Tensor(x))
+        layer = layer_dict(model, 0)
         h = ref_layer_norm(x, layer["ln1_g"], layer["ln1_b"])
         v0 = h[0:1] @ layer["wv"] + layer["bv"]  # softmax over one key is 1
         expected = x + np.repeat(v0, 8, axis=0) @ layer["wo"] + layer["bo"]
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_random_prune_matches_reduced_matrix_reference(self, tiny_config, rng):
-        model = build_model(tiny_config, 31)
+        model = kv_twin(tiny_config, 31)
         keep = np.array([0, 3, 4, 7])
-        el, params = prune_kv_positions(1, [1, 2, 5, 6], 8)
-        plan = ApproxPlan().with_approx(el, params)
+        plan = kv_plan(1, [1, 2, 5, 6])
         x = rng.normal(size=(8, tiny_config.hidden_dim))
         out = PlannedModel(model, plan).attention_sublayer(1, Tensor(x))
         expected = ref_attention_per_head(x, layer_dict(model, 1),
                                           tiny_config.num_heads, kv_positions=keep)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
-    def test_prune_all_positions_rejected(self):
-        with pytest.raises(PlanError, match="every key/value position"):
-            prune_kv_positions(0, range(8), 8)
 
     def test_kv_group_skip_all_rejected_at_resolve(self, tiny_config):
         plan = (ApproxPlan()

@@ -4,7 +4,7 @@ selection, the causal two-phase pick, and attention equivalences."""
 import numpy as np
 import pytest
 
-from slimformer import (OpCounter, PlanError, SignMatchConfig, Tensor,
+from slimformer import (OpCounter, PlanError, Tensor,
                         causal_select, full_attention, representative_sign,
                         score_keys, select_topk, sign_match_attention)
 
@@ -110,7 +110,7 @@ class TestCausalSelect:
         v = Tensor(rng.normal(size=(8, 4)))
         dist = score_keys(k.data, representative_sign(q.data))
         expected_rows = sorted(select_topk(dist, 3))
-        out = sign_match_attention(q, k, v, SignMatchConfig(3, causal=False))
+        out = sign_match_attention(q, k, v, 3, causal=False)
         gathered = full_attention(q, Tensor(k.data[expected_rows]),
                                   Tensor(v.data[expected_rows]))
         np.testing.assert_array_equal(out.data, gathered.data)
@@ -121,7 +121,7 @@ class TestSignMatchAttention:
         q = Tensor(rng.normal(size=(6, 4)))
         k = Tensor(rng.normal(size=(6, 4)))
         v = Tensor(rng.normal(size=(6, 4)))
-        out = sign_match_attention(q, k, v, SignMatchConfig(6))
+        out = sign_match_attention(q, k, v, 6)
         full = full_attention(q, k, v)
         np.testing.assert_array_equal(out.data, full.data)
 
@@ -129,14 +129,14 @@ class TestSignMatchAttention:
         q = Tensor(rng.normal(size=(1, 4)))
         k = Tensor(rng.normal(size=(1, 4)))
         v = Tensor(rng.normal(size=(1, 4)))
-        out = sign_match_attention(q, k, v, SignMatchConfig(1))
+        out = sign_match_attention(q, k, v, 1)
         np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
     def test_gather_then_full_attention_oracle(self, rng):
         q = Tensor(rng.normal(size=(8, 4)))
         k = Tensor(rng.normal(size=(8, 4)))
         v = Tensor(rng.normal(size=(8, 4)))
-        out = sign_match_attention(q, k, v, SignMatchConfig(4))
+        out = sign_match_attention(q, k, v, 4)
         rows = sorted(select_topk(score_keys(k.data, representative_sign(q.data)), 4))
         oracle = full_attention(q, Tensor(k.data[rows]), Tensor(v.data[rows]))
         np.testing.assert_array_equal(out.data, oracle.data)
@@ -150,8 +150,7 @@ class TestSignMatchAttention:
         k = Tensor(kdata)
         v = Tensor(rng.normal(size=(8, d)))
         counter = OpCounter()
-        cfg = SignMatchConfig(2, causal=True)
-        out = sign_match_attention(q, k, v, cfg, counter=counter)
+        out = sign_match_attention(q, k, v, 2, causal=True, counter=counter)
         sel = sorted(causal_select(score_keys(kdata, representative_sign(q.data)), 8, 2))
         starved = [i for i in range(8) if all(j > i for j in sel)]
         assert counter.starved_queries == len(starved)
@@ -171,11 +170,9 @@ class TestSignMatchAttention:
         q = rng.normal(size=(3, 8, 4))
         k = rng.normal(size=(3, 8, 4))
         v = rng.normal(size=(3, 8, 4))
-        batched = sign_match_attention(Tensor(q), Tensor(k), Tensor(v),
-                                       SignMatchConfig(4))
+        batched = sign_match_attention(Tensor(q), Tensor(k), Tensor(v), 4)
         for b in range(3):
-            single = sign_match_attention(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]),
-                                          SignMatchConfig(4))
+            single = sign_match_attention(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), 4)
             np.testing.assert_allclose(batched.data[b], single.data, atol=1e-12)
 
 
@@ -186,7 +183,7 @@ class TestLinearContract:
         q = Tensor(gen.normal(size=(8, 4)))
         k = Tensor(gen.normal(size=(8, 4)))
         v = Tensor(gen.normal(size=(8, 4)))
-        sign_match_attention(q, k, v, SignMatchConfig(2), counter=counter)
+        sign_match_attention(q, k, v, 2, counter=counter)
         assert counter.score_stage == 8 * 4 + 8 * 4  # sign extraction + Hamming
 
     def test_count_doubles_with_n(self):
@@ -196,7 +193,7 @@ class TestLinearContract:
             q = Tensor(gen.normal(size=(n, 4)))
             k = Tensor(gen.normal(size=(n, 4)))
             v = Tensor(gen.normal(size=(n, 4)))
-            sign_match_attention(q, k, v, SignMatchConfig(2), counter=counter)
+            sign_match_attention(q, k, v, 2, counter=counter)
             return counter.total
 
         assert count(16) == 2 * count(8)
@@ -212,12 +209,12 @@ class TestLinearContract:
         assert (batched.rep_sign, batched.sign_extract, batched.hamming) == \
                (rows.rep_sign, rows.sign_extract, rows.hamming) == (128, 128, 128)
 
-        cfg = SignMatchConfig(2, causal=True)
         v = rng.normal(size=(4, 8, 4))
         batched, rows = OpCounter(), OpCounter()
-        sign_match_attention(Tensor(q), Tensor(k), Tensor(v), cfg, counter=batched)
+        sign_match_attention(Tensor(q), Tensor(k), Tensor(v), 2, True, counter=batched)
         for b in range(4):
-            sign_match_attention(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), cfg, counter=rows)
+            sign_match_attention(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), 2, True,
+                                 counter=rows)
         assert batched == rows
 
 
@@ -227,9 +224,8 @@ class TestPermutationCovariance:
         kdata = rng.normal(size=(6, 4))
         vdata = rng.normal(size=(6, 4))
         perm = np.array([3, 1, 5, 0, 2, 4])
-        out = sign_match_attention(q, Tensor(kdata), Tensor(vdata), SignMatchConfig(6))
-        out_p = sign_match_attention(q, Tensor(kdata[perm]), Tensor(vdata[perm]),
-                                     SignMatchConfig(6))
+        out = sign_match_attention(q, Tensor(kdata), Tensor(vdata), 6)
+        out_p = sign_match_attention(q, Tensor(kdata[perm]), Tensor(vdata[perm]), 6)
         np.testing.assert_allclose(out.data, out_p.data, atol=1e-12)
 
     def test_selection_depends_only_on_contents(self):
