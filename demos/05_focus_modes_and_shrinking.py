@@ -50,7 +50,7 @@ sf.train_epochs(model, None, data.train, 6, sf.spawn_rng(3, 0), lr=0.01)
 tl = sf.evaluate_loss(model, None, data.train)
 vl = sf.evaluate_loss(model, None, data.val)
 thresholds = sf.SplitThresholds(
-    sf.Thresholds(tl * 1.2, tl * 1.2, tl), sf.Thresholds(vl * 1.2, vl * 1.2, vl))
+    sf.Thresholds(tl * 1.2, tl * 1.2), sf.Thresholds(vl * 1.2, vl * 1.2))
 analyzer = sf.GreedyAnalyzer(model, data, thresholds,
                              sf.FocusMode(sf.Focus.SPEED, 0.2), seed=0,
                              epochs_per_candidate=1)

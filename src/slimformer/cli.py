@@ -123,11 +123,11 @@ def _cmd_sweep(args) -> int:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ":" in chunk:
-            skip_part, approx_part = chunk.split(":", 1)
-            pairs.append((float(skip_part), float(approx_part)))
-        else:
-            pairs.append(float(chunk))
+        try:
+            values = [float(part) for part in chunk.split(":", 1)]
+        except ValueError as exc:
+            raise ConfigError(f"bad --epsilons entry {chunk!r}") from exc
+        pairs.append(tuple(values) if len(values) == 2 else values[0])
     rows = sweep_thresholds(config, pairs, args.out, workers=args.workers)
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0

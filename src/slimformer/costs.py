@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import TransformerConfig
 
 FLOAT_BYTES = 8
@@ -102,38 +104,46 @@ def quantized_bytes(count: int, bits: int) -> int:
 
 
 def cost_from_views(config: TransformerConfig, views) -> CostModel:
-    """Aggregate cost over resolved per-layer plan views.
-
-    Views are duck-typed: attn_skipped/ffn_skipped, live_heads,
-    qkv_live/ffn_live boolean masks, kv_positions, signmatch_k, and
-    quant band lists [(matrix_rows_lo, rows_hi, cols, bits), ...] exposed
-    through attn_quant_bands()/ffn_quant_bands().
-    """
+    """Aggregate cost over resolved per-layer plan views (``plan.LayerView``):
+    skip flags, the head_live/kv_live/qkv_live/ffn_live boolean masks,
+    signmatch_k, and quant_bits, the bits of each weight-group-wide row band
+    per matrix (0: full precision)."""
     macs = head_macs(config)
     params = static_params(config)
     nbytes = static_params(config) * FLOAT_BYTES
+    d, dh = config.hidden_dim, config.head_dim
     for view in views:
         if not view.attn_skipped:
-            h_live = len(view.live_heads)
+            h_live = int(view.head_live.sum())
             d_in = int(view.qkv_live.sum())
             macs += attn_macs(config, live_heads=h_live, live_qkv_rows=d_in,
-                              n_kv=len(view.kv_positions), signmatch_k=view.signmatch_k)
+                              n_kv=int(view.kv_live.sum()), signmatch_k=view.signmatch_k)
             p = attn_params(config, live_heads=h_live, live_qkv_rows=d_in)
             params += p
-            nbytes += p * FLOAT_BYTES + _quant_delta(view.attn_quant_bands(config))
+            width = dh * h_live
+            nbytes += p * FLOAT_BYTES + _quant_delta(config, view.quant_bits, (
+                ("wq", view.qkv_live, width), ("wk", view.qkv_live, width),
+                ("wv", view.qkv_live, width), ("wo", np.repeat(view.head_live, dh), d)))
         if not view.ffn_skipped:
             d_live = int(view.ffn_live.sum())
             macs += ffn_macs(config, live_rows=d_live)
             p = ffn_params(config, live_rows=d_live)
             params += p
-            nbytes += p * FLOAT_BYTES + _quant_delta(view.ffn_quant_bands(config))
+            nbytes += p * FLOAT_BYTES + _quant_delta(config, view.quant_bits, (
+                ("w1", view.ffn_live, config.ffn_dim),
+                ("w2", np.ones(config.ffn_dim, dtype=bool), d)))
     return CostModel(mac_count=int(macs), param_count=int(params), bytes=int(nbytes))
 
 
-def _quant_delta(bands) -> int:
-    """Byte delta from replacing float storage with packed codes per band."""
+def _quant_delta(config: TransformerConfig, quant_bits: dict, matrices) -> int:
+    """Byte delta from storing quantized row bands as packed codes instead
+    of floats. ``matrices`` holds (name, row liveness mask, live column
+    count); a band stores its live rows times the live columns."""
+    g = config.weight_group_width
     delta = 0
-    for count, bits in bands:
-        if count > 0:
-            delta += quantized_bytes(count, bits) - count * FLOAT_BYTES
+    for name, live, cols in matrices:
+        for band, bits in enumerate(quant_bits[name].tolist()):
+            count = int(live[band * g:(band + 1) * g].sum()) * cols
+            if bits and count > 0:
+                delta += quantized_bytes(count, bits) - count * FLOAT_BYTES
     return delta

@@ -23,7 +23,7 @@ from .errors import ConfigError, InfeasibleError, PlanError, StageError
 from .focus import Focus, FocusMode
 from .model import (PlannedModel, TransformerModel, build_model,
                     measure_latency, save_checkpoint)
-from .plan import ApproxPlan
+from .plan import QUANT_BITS, ApproxPlan
 from .significance import (GreedyAnalyzer, SplitThresholds, final_finetune,
                            oracle_significance, taylor_significance)
 from .tasks import TaskData, TaskSpec, generate_task
@@ -50,6 +50,7 @@ class ModelShape:
 _EPOCHS = {"epochs_baseline": "baseline", "epochs_candidate": "candidate",
            "epochs_final": "final"}
 _STRUCTURED = ("task", "shape", "focus", *_EPOCHS)
+COMPARATORS = ("greedy_heuristic", "greedy_plain", "oracle", "taylor")
 
 
 def _section(doc: dict, name: str, keys) -> dict:
@@ -79,8 +80,23 @@ class ExperimentConfig:
     sign_match_k: int | None = None
     quant_bits: int = 8
     max_oracle_elements: int = 64
-    comparators: tuple[str, ...] = ("greedy_heuristic", "greedy_plain",
-                                    "oracle", "taylor")
+    comparators: tuple[str, ...] = COMPARATORS
+
+    def __post_init__(self):
+        n, k = self.task.context_len, self.sign_match_k
+        if self.quant_bits not in QUANT_BITS:
+            raise ConfigError(f"quant_bits must be one of {QUANT_BITS}, got {self.quant_bits}")
+        if k is not None and not 1 <= k <= n:
+            raise ConfigError(f"sign_match_k must be in [1, context_len={n}], got {k}")
+        if min(self.epochs_baseline, self.epochs_candidate, self.epochs_final) < 0:
+            raise ConfigError("epoch budgets must be >= 0")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        unknown = sorted(set(self.comparators) - set(COMPARATORS))
+        if unknown:
+            raise ConfigError(f"unknown comparator(s) {unknown}; known: {list(COMPARATORS)}")
 
     def transformer_config(self) -> TransformerConfig:
         """Model config derived from the task (vocab gains one padding id)."""
@@ -199,8 +215,7 @@ def _plan_summary(plan, total_elements: int) -> dict:
     approx: dict[str, int] = {}
     for el, entries in plan.approxlist.items():
         for params in entries:
-            name = type(params).__name__.lower()
-            approx[name] = approx.get(name, 0) + 1
+            approx[params.name] = approx.get(params.name, 0) + 1
     return {"skipped": dict(sorted(skipped.items())),
             "approximated": dict(sorted(approx.items())),
             "skiplist_size": len(plan.skiplist),
@@ -244,6 +259,20 @@ def train_baseline(config: ExperimentConfig) -> tuple[TaskData, TransformerModel
                 evaluate_loss(model, None, data.val))
 
 
+def _analyzer(config: ExperimentConfig, model: TransformerModel, data: TaskData,
+              baseline_train: float, baseline_val: float, **kwargs) -> GreedyAnalyzer:
+    """The greedy analyzer a config asks for, with fresh thresholds from the
+    baseline losses; a bad eps pair fails as stage 'thresholds'."""
+    with _stage("thresholds"):
+        thresholds = SplitThresholds.from_baselines(
+            baseline_train, baseline_val, config.focus,
+            config.eps_skip, config.eps_approx)
+    return GreedyAnalyzer(model, data, thresholds, config.focus, config.seed,
+                          epochs_per_candidate=config.epochs_candidate, lr=config.lr,
+                          batch_size=config.batch_size, sign_match_k=config.sign_match_k,
+                          quant_bits=config.quant_bits, **kwargs)
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunReport:
     """Full pipeline; writes report.json, plan.json, decisions.jsonl,
     elements.json and the baseline/final checkpoint pairs into out_dir.
@@ -256,18 +285,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunReport:
     tcfg = model.config
     with _stage("baseline_finetune"):
         save_checkpoint(model, out / "baseline")
-    with _stage("thresholds"):
-        thresholds = SplitThresholds.from_baselines(
-            baseline_train, baseline_val, config.focus,
-            config.eps_skip, config.eps_approx)
     with _stage("order_queue"):
         queue = order_queue(enumerate_elements(tcfg), config.focus, tcfg)
     with _stage("significance"):
-        analyzer = GreedyAnalyzer(
-            model, data, thresholds, config.focus, config.seed,
-            epochs_per_candidate=config.epochs_candidate, lr=config.lr,
-            batch_size=config.batch_size, sign_match_k=config.sign_match_k,
-            quant_bits=config.quant_bits, log_path=out / "decisions.jsonl")
+        analyzer = _analyzer(config, model, data, baseline_train, baseline_val,
+                             log_path=out / "decisions.jsonl")
         plan = analyzer.run(queue)
         (out / "plan.json").write_text(plan.to_json())
         (out / "elements.json").write_text(queue.to_json())
@@ -311,18 +333,12 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
     baseline_cost = PlannedModel(model).cost()
 
     def greedy_row(method: str, ordered: bool, encompass: bool) -> dict:
-        thresholds = SplitThresholds.from_baselines(
-            baseline_train, baseline_val, config.focus,
-            config.eps_skip, config.eps_approx)
         if ordered:
             queue = order_queue(elements, config.focus, tcfg)
         else:
             queue = ElementQueue(list(elements))
-        analyzer = GreedyAnalyzer(
-            model, data, thresholds, config.focus, config.seed,
-            epochs_per_candidate=config.epochs_candidate, lr=config.lr,
-            batch_size=config.batch_size, sign_match_k=config.sign_match_k,
-            quant_bits=config.quant_bits, encompass_enabled=encompass)
+        analyzer = _analyzer(config, model, data, baseline_train, baseline_val,
+                             encompass_enabled=encompass)
         t0 = time.perf_counter()
         plan = analyzer.run(queue)
         seconds = time.perf_counter() - t0

@@ -145,7 +145,7 @@ class PlannedModel:
             if not view.attn_skipped:
                 # every head pruned: nothing upstream of the zero-padded
                 # output can influence the loss
-                names = LayerParams.ATTN_NAMES if view.live_heads else ("wo", "bo")
+                names = LayerParams.ATTN_NAMES if view.head_live.any() else ("wo", "bo")
                 out.extend(getattr(layer, name) for name in names)
             if not view.ffn_skipped:
                 out.extend(getattr(layer, name) for name in LayerParams.FFN_NAMES)
@@ -163,15 +163,14 @@ class PlannedModel:
         p = self.model.layers[layer]
         n_x = x.data.shape[-2]
         # standalone sublayer calls may pass sequences shorter than the context
-        kv_positions = view.kv_positions[view.kv_positions < n_x]
+        kv_positions = np.flatnonzero(view.kv_live[:n_x])
         if kv_positions.size == 0:
             raise PlanError(f"layer {layer}: no live key/value positions for "
                             f"sequence length {n_x}")
         h = layer_norm(x, p.ln1_g, p.ln1_b)
-        wq = _effective(p.wq, view.qkv_live, view.quant.get("wq"))
-        wk = _effective(p.wk, view.qkv_live, view.quant.get("wk"))
-        wv = _effective(p.wv, view.qkv_live, view.quant.get("wv"))
-        wo = _effective(p.wo, None, view.quant.get("wo"))
+        wq, wk, wv = (_effective(getattr(p, m), view.qkv_live, view.quant_bits[m], cfg)
+                      for m in ("wq", "wk", "wv"))
+        wo = _effective(p.wo, None, view.quant_bits["wo"], cfg)
 
         q = add(matmul(h, wq), p.bq)
         pruned_kv = len(kv_positions) < n_x
@@ -189,20 +188,20 @@ class PlannedModel:
             out = sign_match_attention(q, k, v, view.signmatch_k, cfg.autoregressive,
                                        key_positions=kv_positions, counter=counter)
         merged = merge_heads(out, heads, squeeze=x.data.ndim == 2)
-        if len(view.live_heads) < heads:
-            live = np.isin(np.arange(heads), view.live_heads).astype(np.float64)
-            merged = mul(merged, np.repeat(live, cfg.head_dim))
+        if not view.head_live.all():
+            merged = mul(merged, np.repeat(view.head_live, cfg.head_dim))
         attn = add(matmul(merged, wo), p.bo)
         return add(x, attn)
 
     def ffn_sublayer(self, layer: int, x: Tensor) -> Tensor:
+        cfg = self.model.config
         view = self.views[layer]
         if view.ffn_skipped:
             return x
         p = self.model.layers[layer]
         h = layer_norm(x, p.ln2_g, p.ln2_b)
-        w1 = _effective(p.w1, view.ffn_live, view.quant.get("w1"))
-        w2 = _effective(p.w2, None, view.quant.get("w2"))
+        w1 = _effective(p.w1, view.ffn_live, view.quant_bits["w1"], cfg)
+        w2 = _effective(p.w2, None, view.quant_bits["w2"], cfg)
         z = gelu(add(matmul(h, w1), p.b1))
         return add(x, add(matmul(z, w2), p.b2))
 
@@ -249,14 +248,18 @@ class PlannedModel:
         return costs.cost_from_views(self.model.config, self.views)
 
 
-def _effective(w: Tensor, live: np.ndarray | None, bands) -> Tensor:
+def _effective(w: Tensor, live: np.ndarray | None, bits: np.ndarray,
+               cfg: TransformerConfig) -> Tensor:
     """Weight matrix as the plan sees it: pruned rows zeroed and quantized
-    bands replaced by their round-trip images; neither receives gradient."""
+    row bands replaced by their round-trip images; neither receives
+    gradient."""
     out = w
     if live is not None and not live.all():
         out = mul(out, live.astype(np.float64)[:, None])
-    if bands:
-        out = quantized_rows(out, bands)
+    if bits.any():
+        g = cfg.weight_group_width
+        out = quantized_rows(out, [(i * g, min((i + 1) * g, w.data.shape[0]), int(b))
+                                   for i, b in enumerate(bits) if b])
     return out
 
 

@@ -10,7 +10,7 @@ applies to that element kind and that the element carries no entry of the
 same variant. ``from_doc``/``from_json`` rebuild a plan through the same
 checks and raise ``PlanError`` for any malformed document; ``resolve``
 checks the elements against a config and expands the plan into per-layer
-views.
+views of boolean liveness masks and per-band quantization bits.
 """
 
 from __future__ import annotations
@@ -75,6 +75,14 @@ _ALLOWED = {
     FFN_BLOCK: (Quantize, GroupShrink),
     FFN_GROUP: (Quantize,),
     QKV_GROUP: (Quantize,),
+}
+
+# The weight matrices a Quantize entry on each element kind covers.
+_QUANT_MATRICES = {
+    ATTN_BLOCK: ("wq", "wk", "wv", "wo"),
+    FFN_BLOCK: ("w1", "w2"),
+    FFN_GROUP: ("w1",),
+    QKV_GROUP: ("wq", "wk", "wv"),
 }
 
 
@@ -202,8 +210,8 @@ class ApproxPlan:
 
     def resolve(self, config: TransformerConfig) -> list["LayerView"]:
         """Validate against a config and expand into per-layer views."""
-        views = [LayerView(layer, config) for layer in range(config.num_layers)]
-        w = config.weight_group_width
+        views = [LayerView(config) for _ in range(config.num_layers)]
+        w, kv = config.weight_group_width, config.kv_group_width
         for el in self.skiplist:
             element_bounds(config, el)
             view = views[el.layer]
@@ -212,39 +220,46 @@ class ApproxPlan:
             elif el.kind == FFN_BLOCK:
                 view.ffn_skipped = True
             elif el.kind == HEAD:
-                view.dead_heads.add(el.index)
-            elif el.kind == FFN_GROUP:
-                view.ffn_live[el.index * w:(el.index + 1) * w] = False
-            elif el.kind == QKV_GROUP:
-                view.qkv_live[el.index * w:(el.index + 1) * w] = False
+                view.head_live[el.index] = False
             elif el.kind == KV_GROUP:
-                lo = el.index * config.kv_group_width
-                view.dead_positions.update(range(lo, lo + config.kv_group_width))
+                view.kv_live[el.index * kv:(el.index + 1) * kv] = False
+            else:
+                live = view.ffn_live if el.kind == FFN_GROUP else view.qkv_live
+                live[el.index * w:(el.index + 1) * w] = False
         for el, entries in self.approxlist.items():
             element_bounds(config, el)
-            view = views[el.layer]
             for params in entries:
-                view.apply_approx(el, params, config)
-        for view in views:
-            view.finish(config)
+                views[el.layer].apply_approx(el, params, config)
+        for layer, view in enumerate(views):
+            if view.attn_skipped:
+                continue
+            if not view.kv_live.any():
+                raise PlanError(f"layer {layer}: all key/value positions pruned")
+            if config.autoregressive and not view.kv_live[:(config.context_len + 3) // 4].all():
+                warnings.warn(
+                    f"layer {layer}: pruned key/value positions in the first quarter of a "
+                    f"causal context; early queries may have no visible keys", stacklevel=2)
         return views
 
 
 class LayerView:
-    """Resolved execution state of one layer under a plan."""
+    """Resolved execution state of one layer under a plan: one boolean
+    liveness mask per axis (heads, key/value positions, QKV and FFN input
+    rows) and, per weight matrix, the quantization bits of each
+    weight-group-wide row band (0: full precision)."""
 
-    def __init__(self, layer: int, config: TransformerConfig):
-        self.layer = layer
+    def __init__(self, config: TransformerConfig):
         self.attn_skipped = False
         self.ffn_skipped = False
-        self.dead_heads: set[int] = set()
+        self.head_live = np.ones(config.num_heads, dtype=bool)
+        self.kv_live = np.ones(config.context_len, dtype=bool)
         self.qkv_live = np.ones(config.hidden_dim, dtype=bool)
         self.ffn_live = np.ones(config.hidden_dim, dtype=bool)
-        self.dead_positions: set[int] = set()
         self.signmatch_k: int | None = None
-        self.quant: dict[str, list[tuple[int, int, int]]] = {}  # matrix -> [(lo, hi, bits)]
-        self.live_heads: tuple[int, ...] = ()
-        self.kv_positions: np.ndarray | None = None
+        bands = -(-config.ffn_dim // config.weight_group_width)
+        self.quant_bits = {m: np.zeros(config.num_weight_groups, dtype=np.int64)
+                           for m in ("wq", "wk", "wv", "wo", "w1")}
+        self.quant_bits["w2"] = np.zeros(bands, dtype=np.int64)
 
     def apply_approx(self, el: TransElement, params: ApproxParams,
                      config: TransformerConfig):
@@ -263,66 +278,10 @@ class LayerView:
             else:
                 self.qkv_live &= mask
         elif isinstance(params, Quantize):
-            w = config.weight_group_width
-            if el.kind == FFN_GROUP:
-                self._add_band("w1", el.index * w, (el.index + 1) * w, params.bits)
-            elif el.kind == QKV_GROUP:
-                for m in ("wq", "wk", "wv"):
-                    self._add_band(m, el.index * w, (el.index + 1) * w, params.bits)
-            elif el.kind == FFN_BLOCK:
-                for lo in range(0, config.hidden_dim, w):
-                    self._add_band("w1", lo, min(lo + w, config.hidden_dim), params.bits)
-                for lo in range(0, config.ffn_dim, w):
-                    self._add_band("w2", lo, min(lo + w, config.ffn_dim), params.bits)
-            else:  # attention block
-                for m in ("wq", "wk", "wv", "wo"):
-                    for lo in range(0, config.hidden_dim, w):
-                        self._add_band(m, lo, min(lo + w, config.hidden_dim), params.bits)
-
-    def _add_band(self, matrix: str, lo: int, hi: int, bits: int):
-        bands = self.quant.setdefault(matrix, [])
-        # finer-granularity entries override block-level bands on their rows
-        bands[:] = [b for b in bands if not (b[0] == lo and b[1] == hi)]
-        bands.append((lo, hi, bits))
-
-    def finish(self, config: TransformerConfig):
-        self.live_heads = tuple(i for i in range(config.num_heads)
-                                if i not in self.dead_heads)
-        live = [p for p in range(config.context_len) if p not in self.dead_positions]
-        if not self.attn_skipped and not live:
-            raise PlanError(f"layer {self.layer}: all key/value positions pruned")
-        self.kv_positions = np.array(live, dtype=np.int64)
-        if (config.autoregressive and self.dead_positions
-                and min(self.dead_positions) < (config.context_len + 3) // 4
-                and not self.attn_skipped):
-            warnings.warn(
-                f"layer {self.layer}: pruned key/value positions in the first quarter of a "
-                f"causal context; early queries may have no visible keys", stacklevel=2)
-        for matrix, bands in self.quant.items():
-            bands.sort()
-
-    def attn_quant_bands(self, config: TransformerConfig) -> list[tuple[int, int]]:
-        """(live element count, bits) per quantized band of the attention matrices."""
-        dh = config.head_dim
-        row_is_live_head = np.zeros(config.hidden_dim, dtype=bool)
-        for head in self.live_heads:
-            row_is_live_head[head * dh:(head + 1) * dh] = True
-        cols = dh * len(self.live_heads)
-        out = []
-        for matrix in ("wq", "wk", "wv"):
-            for lo, hi, bits in self.quant.get(matrix, ()):
-                out.append((int(self.qkv_live[lo:hi].sum()) * cols, bits))
-        for lo, hi, bits in self.quant.get("wo", ()):
-            out.append((int(row_is_live_head[lo:hi].sum()) * config.hidden_dim, bits))
-        return out
-
-    def ffn_quant_bands(self, config: TransformerConfig) -> list[tuple[int, int]]:
-        out = []
-        for lo, hi, bits in self.quant.get("w1", ()):
-            out.append((int(self.ffn_live[lo:hi].sum()) * config.ffn_dim, bits))
-        for lo, hi, bits in self.quant.get("w2", ()):
-            out.append(((hi - lo) * config.hidden_dim, bits))
-        return out
+            # the entry applied last wins on the bands it covers
+            bands = el.index if el.kind in (FFN_GROUP, QKV_GROUP) else slice(None)
+            for m in _QUANT_MATRICES[el.kind]:
+                self.quant_bits[m][bands] = params.bits
 
 
 @dataclass

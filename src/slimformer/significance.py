@@ -6,8 +6,8 @@ threshold on both splits the removal sticks (and the fine-tuned weights
 become the new working state); inside the band between skip and
 approximation thresholds the element is replaced by a kind-appropriate
 approximation; otherwise it is kept and, for blocks, its inner elements are
-dropped from the queue. Under accuracy focus the running minimum loss is
-the bar instead, and only pruning is applied.
+dropped from the queue. Under accuracy focus both bars are the best
+accepted loss so far, and only pruning is applied.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ from .training import (DEFAULT_BATCH, DEFAULT_LR, evaluate_loss, iter_batches,
 class Thresholds:
     """Loss bounds gating pruning (skip) and approximation decisions.
 
-    min_loss_seen is the accuracy-focus bar: it starts at the baseline loss
-    and only decreases, tracking the best accepted state.
+    Under accuracy focus both bounds are the running minimum: they start at
+    the baseline loss and drop to the loss of each accepted skip.
     """
 
     skip_threshold: float
     approx_threshold: float
-    min_loss_seen: float
 
     def __post_init__(self):
         if self.skip_threshold > self.approx_threshold:
@@ -60,7 +59,7 @@ def compute_thresholds(baseline_loss: float, focus: FocusMode,
     if not math.isfinite(baseline_loss) or baseline_loss <= 0:
         raise ConfigError(f"baseline loss must be positive and finite, got {baseline_loss}")
     if focus.focus == Focus.ACCURACY:
-        return Thresholds(baseline_loss, baseline_loss, baseline_loss)
+        return Thresholds(baseline_loss, baseline_loss)
     if eps_skip is None:
         eps_skip = focus.acceptable_degradation
     if eps_approx is None:
@@ -68,8 +67,7 @@ def compute_thresholds(baseline_loss: float, focus: FocusMode,
     if eps_skip < 0 or eps_approx < eps_skip:
         raise ConfigError("need 0 <= eps_skip <= eps_approx")
     return Thresholds(baseline_loss * (1.0 + eps_skip),
-                      baseline_loss * (1.0 + eps_approx),
-                      baseline_loss)
+                      baseline_loss * (1.0 + eps_approx))
 
 
 @dataclass
@@ -131,7 +129,9 @@ class GreedyAnalyzer:
         self.epochs = epochs_per_candidate
         self.lr = lr
         self.batch_size = batch_size
-        self.sign_match_k = sign_match_k or max(1, model.config.context_len // 4)
+        if sign_match_k is None:
+            sign_match_k = max(1, model.config.context_len // 4)
+        self.sign_match_k = sign_match_k
         self.quant_bits = quant_bits
         self.encompass_enabled = encompass_enabled
 
@@ -143,20 +143,19 @@ class GreedyAnalyzer:
         self.plan = ApproxPlan()
         self.records: list[dict] = []
         self._step = 0
-        self.baseline_train = thresholds.train.min_loss_seen
-        self.baseline_val = thresholds.val.min_loss_seen
+        # the accuracy-focus baseline: the bars before any skip lowers them
+        self.baseline_train = thresholds.train.skip_threshold
+        self.baseline_val = thresholds.val.skip_threshold
 
     # -- acceptance rules ---------------------------------------------------
 
     def _accept_skip(self, tl: float, vl: float) -> bool:
         t, v = self.thresholds.train, self.thresholds.val
-        if self.focus.focus == Focus.ACCURACY:
-            return tl < t.min_loss_seen and vl < v.min_loss_seen
+        if self.focus.focus == Focus.ACCURACY:  # strict improvement
+            return tl < t.skip_threshold and vl < v.skip_threshold
         return tl <= t.skip_threshold and vl <= v.skip_threshold
 
     def _accept_approx(self, tl: float, vl: float) -> bool:
-        if self.focus.focus == Focus.ACCURACY:
-            return False
         t, v = self.thresholds.train, self.thresholds.val
         return tl <= t.approx_threshold and vl <= v.approx_threshold
 
@@ -171,43 +170,37 @@ class GreedyAnalyzer:
         return True
 
     def _thresholds_doc(self) -> dict:
-        t, v = self.thresholds.train, self.thresholds.val
-        if self.focus.focus == Focus.ACCURACY:
-            return {"train": {"skip": t.min_loss_seen, "approx": t.min_loss_seen},
-                    "val": {"skip": v.min_loss_seen, "approx": v.min_loss_seen}}
-        return {"train": {"skip": t.skip_threshold, "approx": t.approx_threshold},
-                "val": {"skip": v.skip_threshold, "approx": v.approx_threshold}}
+        return {split: {"skip": t.skip_threshold, "approx": t.approx_threshold}
+                for split, t in (("train", self.thresholds.train),
+                                 ("val", self.thresholds.val))}
 
-    # -- evaluation -----------------------------------------------------------
-
-    def _resolvable(self, plan: ApproxPlan) -> bool:
-        """Reject candidates that would produce an invalid plan (e.g. pruning
-        the last key/value position group of a live block)."""
+    def _try_skip(self, el: TransElement, action: str) -> dict:
+        """The one trial every candidate takes: fine-tune under the plan
+        with `el` skipped and adopt plan and tuned model if the losses clear
+        the skip bar. Returns the decision record, not yet logged ("skip" or
+        "keep"; no losses if the skip would make the plan invalid)."""
+        candidate = self.plan.with_skip(el)
+        rec = {"element": el.key, "tentative_action": action, "train_loss": None,
+               "val_loss": None, "thresholds": self._thresholds_doc(), "decision": "keep"}
         try:
-            plan.resolve(self.model.config)
-            return True
+            candidate.resolve(self.model.config)
         except PlanError:
-            return False
-
-    def _evaluate(self, plan: ApproxPlan):
+            rec["approx"] = {"reason": "plan would be invalid"}
+            return rec
         rng = spawn_rng(self.seed, 2, self._step)
         self._step += 1
-        return evaluate_candidate(self.work, plan, self.data, self.epochs, rng,
-                                  lr=self.lr, batch_size=self.batch_size)
+        tl, vl, tuned = evaluate_candidate(self.work, candidate, self.data, self.epochs,
+                                           rng, lr=self.lr, batch_size=self.batch_size)
+        rec.update(train_loss=tl, val_loss=vl)
+        if self._accept_skip(tl, vl):
+            rec["decision"] = "skip"
+            self.plan, self.work = candidate, tuned
+            if self.focus.focus == Focus.ACCURACY:
+                for t, loss in ((self.thresholds.train, tl), (self.thresholds.val, vl)):
+                    t.skip_threshold = t.approx_threshold = loss
+        return rec
 
-    def _record(self, el: TransElement, action: str, tl: float, vl: float,
-                decision: str, approx: dict | None = None,
-                thresholds_doc: dict | None = None):
-        rec = {
-            "element": el.key,
-            "tentative_action": action,
-            "train_loss": tl,
-            "val_loss": vl,
-            "thresholds": thresholds_doc or self._thresholds_doc(),
-            "decision": decision,
-        }
-        if approx is not None:
-            rec["approx"] = approx
+    def _log(self, rec: dict):
         self.records.append(rec)
         if self.log_path is not None:
             with open(self.log_path, "a") as fh:
@@ -225,52 +218,38 @@ class GreedyAnalyzer:
         return self.plan
 
     def _decide(self, el: TransElement, queue: ElementQueue):
-        candidate = self.plan.with_skip(el)
-        if not self._resolvable(candidate):
-            self._record(el, "skip", None, None, "keep",
-                         {"reason": "plan would be invalid"})
-            return
-        tl, vl, tuned = self._evaluate(candidate)
-        thresholds_doc = self._thresholds_doc()  # capture before min-loss update
-        if self._accept_skip(tl, vl):
-            self.plan = candidate
-            self.work = tuned
-            self._update_min_loss(tl, vl)
+        rec = self._try_skip(el, "skip")
+        tl, vl = rec["train_loss"], rec["val_loss"]
+        if rec["decision"] == "skip":
             if self.encompass_enabled and el.granularity == 0:
                 encompass_filter(queue, el, "skipped")
-            decision, approx_doc = "skip", None
-        else:
-            params = self._band_approximation(el) if self._accept_approx(tl, vl) else None
-            if params == "shrink":
-                decision = "approximate"
-                approx_doc = {"variant": "group_shrink", "status": "scheduled"}
-            elif params is not None:
-                self.plan = self.plan.with_approx(el, params)
-                decision, approx_doc = "approximate", params_to_doc(params)
-            else:
-                decision, approx_doc = "keep", None
-                if (self.encompass_enabled and el.granularity == 0
-                        and self._high_importance(tl, vl)):
-                    encompass_filter(queue, el, "kept")
-        self._record(el, "skip", tl, vl, decision, approx_doc, thresholds_doc)
+        elif tl is not None:
+            decision, approx = "keep", None
+            if self._accept_approx(tl, vl):
+                decision, approx = self._approximate(el)
+            if approx is not None:
+                rec.update(decision=decision, approx=approx)
+            elif (self.encompass_enabled and el.granularity == 0
+                    and self._high_importance(tl, vl)):
+                encompass_filter(queue, el, "kept")
+        self._log(rec)
 
-    def _update_min_loss(self, tl: float, vl: float):
-        if self.focus.focus == Focus.ACCURACY:
-            self.thresholds.train.min_loss_seen = min(self.thresholds.train.min_loss_seen, tl)
-            self.thresholds.val.min_loss_seen = min(self.thresholds.val.min_loss_seen, vl)
-
-    def _band_approximation(self, el: TransElement):
-        """Kind-appropriate approximation for an element inside the band."""
+    def _approximate(self, el: TransElement) -> tuple[str, dict | None]:
+        """Approximate an element inside the band, if its kind has an
+        approximation under the focus; returns the decision and approx doc."""
+        params = None
         if self.focus.focus == Focus.SPEED:
-            if el.kind == ATTN_BLOCK:
-                return SignMatch(self.sign_match_k)
             if el.kind == FFN_BLOCK:
-                return "shrink"  # realized at group granularity
-            return None
-        if self.focus.focus == Focus.SIZE:
-            if el.kind in (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, QKV_GROUP):
-                return Quantize(self.quant_bits)
-        return None
+                return "approximate", {"variant": "group_shrink", "status": "scheduled"}
+            if el.kind == ATTN_BLOCK:
+                params = SignMatch(self.sign_match_k)
+        elif self.focus.focus == Focus.SIZE and el.kind in (ATTN_BLOCK, FFN_BLOCK,
+                                                              FFN_GROUP, QKV_GROUP):
+            params = Quantize(self.quant_bits)
+        if params is None:
+            return "keep", None
+        self.plan = self.plan.with_approx(el, params)
+        return "approximate", params_to_doc(params)
 
     # -- contiguous shrinking ---------------------------------------------------
 
@@ -305,20 +284,9 @@ class GreedyAnalyzer:
             indices = list(range(self.model.config.num_weight_groups))
 
         def attempt(g: int, phase: str) -> bool:
-            candidate = self.plan.with_skip(TransElement(kind, layer, g))
-            if not self._resolvable(candidate):
-                self._record(TransElement(kind, layer, g), f"shrink_prune_{phase}",
-                             None, None, "keep", {"reason": "plan would be invalid"})
-                return False
-            tl, vl, tuned = self._evaluate(candidate)
-            ok = self._accept_skip(tl, vl)
-            self._record(TransElement(kind, layer, g), f"shrink_prune_{phase}",
-                         tl, vl, "skip" if ok else "keep")
-            if ok:
-                self.plan = candidate
-                self.work = tuned
-                self._update_min_loss(tl, vl)
-            return ok
+            rec = self._try_skip(TransElement(kind, layer, g), f"shrink_prune_{phase}")
+            self._log(rec)
+            return rec["decision"] == "skip"
 
         n_bottom = 0
         for g in indices:

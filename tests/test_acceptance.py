@@ -284,8 +284,8 @@ def test_criterion_06_shrinking_contiguity():
         tl = evaluate_loss(model, None, data.train)
         vl = evaluate_loss(model, None, data.val)
         thresholds = SplitThresholds(
-            Thresholds(tl * (1 + eps), tl * (1 + eps), tl),
-            Thresholds(vl * (1 + eps), vl * (1 + eps), vl))
+            Thresholds(tl * (1 + eps), tl * (1 + eps)),
+            Thresholds(vl * (1 + eps), vl * (1 + eps)))
         analyzer = GreedyAnalyzer(model, data, thresholds,
                                   FocusMode(Focus.SPEED, eps), seed=run,
                                   epochs_per_candidate=0)
@@ -324,8 +324,8 @@ def test_criterion_07_greedy_vs_exhaustive_oracle():
     vl = evaluate_loss(model, None, data.val)
     eps = 0.3
     thresholds = SplitThresholds(
-        Thresholds(tl * (1 + eps), tl * (1 + eps), tl),
-        Thresholds(vl * (1 + eps), vl * (1 + eps), vl))
+        Thresholds(tl * (1 + eps), tl * (1 + eps)),
+        Thresholds(vl * (1 + eps), vl * (1 + eps)))
 
     focus = FocusMode(Focus.SPEED, eps)
     queue = order_queue(elements, focus, cfg)
@@ -354,7 +354,7 @@ def test_criterion_07_greedy_vs_exhaustive_oracle():
     assert PlannedModel(model, plan).cost().mac_count in feasible_macs
 
     # accuracy focus clause
-    acc_thresholds = SplitThresholds(Thresholds(tl, tl, tl), Thresholds(vl, vl, vl))
+    acc_thresholds = SplitThresholds(Thresholds(tl, tl), Thresholds(vl, vl))
     acc_analyzer = GreedyAnalyzer(model, data, acc_thresholds,
                                   FocusMode(Focus.ACCURACY), seed=5,
                                   epochs_per_candidate=1, lr=0.005)

@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,3 +68,14 @@ def test_serve_inputs_build_every_plan():
             assert isinstance(model, PlannedModel)
             logits, _ = model.forward(tokens)
             assert np.isfinite(logits.data).all()
+
+
+def test_cost_check_passes_on_every_serve_plan():
+    """checks.check_plan recomputes cost_from_views(tcfg, plan.resolve(tcfg))
+    from plan.json; it must agree with the bound model's own cost."""
+    scenarios, checks = load("scenarios"), load("checks")
+    tcfg = scenarios.serve_config()
+    _, planned = scenarios.serve_inputs(0, batch=2)
+    for name, model in planned.items():
+        report = SimpleNamespace(optimized=model.cost())
+        assert checks.check_plan(model.plan.to_json(), tcfg, report) == [], name

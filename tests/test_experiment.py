@@ -67,6 +67,33 @@ class TestRunExperiment:
                 assert rec["train_loss"] <= rec["thresholds"]["train"]["skip"]
                 assert rec["val_loss"] <= rec["thresholds"]["val"]["skip"]
 
+    def test_plan_summary_uses_plan_variant_names(self, speed_run):
+        _, out = speed_run
+        doc = json.loads((out / "report.json").read_text())
+        plan = json.loads((out / "plan.json").read_text())
+        variants = {entry["variant"] for entry in plan["approx"]}
+        assert variants  # the speed run approximates something
+        assert set(doc["plan_summary"]["approximated"]) == variants
+
+    def test_accuracy_focus_bars_track_best_accepted_loss(self, tmp_path):
+        """Under accuracy focus both bars of every record equal the running
+        minimum of the baseline loss and the losses of earlier accepted
+        skips, per split."""
+        config = small_config(Focus.ACCURACY, epochs_baseline=2, epochs_candidate=2)
+        report = run_experiment(config, tmp_path)
+        best = {"train": report.baseline.train_loss, "val": report.baseline.val_loss}
+        accepted = 0
+        for line in (tmp_path / "decisions.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            for split, bar in best.items():
+                assert rec["thresholds"][split] == {"skip": bar, "approx": bar}
+            if rec["decision"] == "skip":
+                accepted += 1
+                best = {"train": min(best["train"], rec["train_loss"]),
+                        "val": min(best["val"], rec["val_loss"])}
+        assert accepted >= 2  # a lowered bar is checked on later records
+        assert best["val"] < report.baseline.val_loss
+
     def test_accuracy_focus_never_worse(self, tmp_path):
         config = small_config(focus=Focus.ACCURACY, epochs_candidate=1)
         report = run_experiment(config, tmp_path / "acc")
@@ -289,6 +316,26 @@ class TestCli:
         code = main(["compare-baselines", "--config", str(cfg),
                      "--out", str(tmp_path / "cmp")])
         assert code == 3
+
+    @pytest.mark.parametrize("override", [
+        "quant_bits=3", "sign_match_k=-1", "sign_match_k=0", "sign_match_k=9",
+        "epochs.baseline=-1", "lr=-1", "lr=0", "batch_size=0",
+        'comparators=["oracel","taylor"]'])
+    def test_bad_config_value_fails_at_load(self, tmp_path, capsys, override):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "opt_out"
+        code = main(["optimize", "--config", str(cfg), "--out", str(out),
+                     "--set", override])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the baseline trains
+
+    def test_sweep_bad_epsilon_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep_out"),
+                     "--epsilons", "0.1,abc"])
+        assert code == 2
+        assert "config error: bad --epsilons entry 'abc'" in capsys.readouterr().err
 
     def test_sweep_cli(self, tmp_path):
         cfg = self.write_config(tmp_path, epochs_baseline=1, epochs_candidate=0,

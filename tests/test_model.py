@@ -7,14 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from slimformer import (ApproxPlan, ConfigError, PlanError,
+from slimformer import (ApproxPlan, ConfigError, GroupShrink, PlanError,
                         PlannedModel, Quantize, SignMatch, Tensor,
                         TransElement, TransformerConfig, build_model,
                         load_checkpoint, measure_latency, save_checkpoint,
                         sign_match_attention)
-from slimformer.costs import attn_macs, ffn_macs, quantized_bytes
+from slimformer.costs import attn_macs, cost_from_views, ffn_macs, quantized_bytes
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
-                                 KV_GROUP, attn_block, ffn_block)
+                                 KV_GROUP, QKV_GROUP, attn_block, ffn_block)
 from slimformer.signmatch import causal_mask
 from slimformer.tensor import layer_norm, make_rng
 
@@ -280,6 +280,33 @@ class TestCost:
         assert full.bytes - quant.bytes == expected_delta
         assert full.param_count == quant.param_count
         assert full.mac_count == quant.mac_count
+
+    def test_quantized_bytes_match_brute_force_count(self):
+        """Each quantized row band stores its live rows times its matrix's
+        live columns as packed codes; counted here from explicit masks."""
+        cfg = TransformerConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=14,
+                                context_len=8, vocab_size=6, weight_group_width=4)
+        d, y, w, dh = cfg.hidden_dim, cfg.ffn_dim, cfg.weight_group_width, cfg.head_dim
+        pruned = ApproxPlan([TransElement(HEAD, 0, 1), TransElement(QKV_GROUP, 0, 0)])
+        pruned = pruned.with_approx(ffn_block(0), GroupShrink(1, 2))
+        quant = (pruned.with_approx(attn_block(0), Quantize(8))
+                 .with_approx(ffn_block(0), Quantize(4)))
+        head_live = np.arange(d) < dh  # head 0 of 2 survives
+        qkv_rows = np.arange(d) >= w   # QKV group 0 skipped
+        ffn_rows = (np.arange(d) >= w) & (np.arange(d) < 2 * w)  # kept group [1, 2)
+        masks = {m: (np.outer(qkv_rows, head_live), 8) for m in ("wq", "wk", "wv")}
+        masks["wo"] = (np.outer(head_live, np.ones(d, bool)), 8)
+        masks["w1"] = (np.outer(ffn_rows, np.ones(y, bool)), 4)
+        masks["w2"] = (np.ones((y, d), bool), 4)
+        expected = 0
+        for live, bits in masks.values():
+            for lo in range(0, live.shape[0], w):
+                count = int(live[lo:lo + w].sum())
+                if count:
+                    expected += count * 8 - quantized_bytes(count, bits)
+        delta = (cost_from_views(cfg, pruned.resolve(cfg)).bytes
+                 - cost_from_views(cfg, quant.resolve(cfg)).bytes)
+        assert delta == expected > 0
 
     def test_signmatch_score_stage_linear_in_n(self):
         def cfg(n):

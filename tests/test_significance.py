@@ -27,8 +27,8 @@ ACCURACY = FocusMode(Focus.ACCURACY)
 def exact_thresholds(train_loss, val_loss, eps=0.0):
     """Thresholds pinned at (1 + eps) times the given baselines."""
     return SplitThresholds(
-        Thresholds(train_loss * (1 + eps), train_loss * (1 + eps), train_loss),
-        Thresholds(val_loss * (1 + eps), val_loss * (1 + eps), val_loss))
+        Thresholds(train_loss * (1 + eps), train_loss * (1 + eps)),
+        Thresholds(val_loss * (1 + eps), val_loss * (1 + eps)))
 
 
 def kill_attn(model, layer):
@@ -57,7 +57,6 @@ class TestComputeThresholds:
 
     def test_accuracy_focus_starts_at_baseline(self):
         t = compute_thresholds(0.8, ACCURACY)
-        assert t.min_loss_seen == 0.8
         assert t.skip_threshold == t.approx_threshold == 0.8
 
     def test_zero_degradation_collapses_band(self):
@@ -74,7 +73,7 @@ class TestComputeThresholds:
         with pytest.raises(ConfigError):
             compute_thresholds(1.0, SPEED, eps_skip=0.2, eps_approx=0.1)
         with pytest.raises(ConfigError):
-            Thresholds(2.0, 1.0, 2.0)
+            Thresholds(2.0, 1.0)
 
 
 class TestEvaluateCandidate:
@@ -138,8 +137,8 @@ class TestGreedyLoop:
         harmful block is reverted and approximated."""
         tl = evaluate_loss(trained, None, majority_data.train)
         vl = evaluate_loss(trained, None, majority_data.val)
-        thresholds = SplitThresholds(Thresholds(tl, tl * 1e6, tl),
-                                     Thresholds(vl, vl * 1e6, vl))
+        thresholds = SplitThresholds(Thresholds(tl, tl * 1e6),
+                                     Thresholds(vl, vl * 1e6))
         analyzer = GreedyAnalyzer(trained, majority_data, thresholds, SPEED,
                                   seed=2, epochs_per_candidate=0)
         plan = analyzer.run(ElementQueue([attn_block(0)]))
@@ -152,8 +151,8 @@ class TestGreedyLoop:
         tl = evaluate_loss(trained, None, majority_data.train)
         vl = evaluate_loss(trained, None, majority_data.val)
         # zero-width band: whatever fails the skip rule is high importance
-        thresholds = SplitThresholds(Thresholds(tl * 0.5, tl * 0.5, tl),
-                                     Thresholds(vl * 0.5, vl * 0.5, vl))
+        thresholds = SplitThresholds(Thresholds(tl * 0.5, tl * 0.5),
+                                     Thresholds(vl * 0.5, vl * 0.5))
         queue = order_queue(enumerate_elements(tiny_config), SPEED, tiny_config)
         analyzer = GreedyAnalyzer(trained, majority_data, thresholds, SPEED,
                                   seed=3, epochs_per_candidate=0)
@@ -185,7 +184,7 @@ class TestGreedyLoop:
     def test_accuracy_focus_requires_strict_improvement(self, trained, majority_data):
         tl = evaluate_loss(trained, None, majority_data.train)
         vl = evaluate_loss(trained, None, majority_data.val)
-        thresholds = SplitThresholds(Thresholds(tl, tl, tl), Thresholds(vl, vl, vl))
+        thresholds = SplitThresholds(Thresholds(tl, tl), Thresholds(vl, vl))
         work = trained.clone()
         kill_attn(work, 0)  # dead block: removal is exactly neutral, not better
         analyzer = GreedyAnalyzer(work, majority_data, thresholds, ACCURACY,
@@ -306,8 +305,8 @@ class TestShrink:
         vl = evaluate_loss(model, None, data.val)
         # FFN block harmful to skip is impossible here (it is dead), so force
         # the band by pinning skip below any reachable loss
-        thresholds = SplitThresholds(Thresholds(tl * 0.5, tl * 2.0, tl),
-                                     Thresholds(vl * 0.5, vl * 2.0, vl))
+        thresholds = SplitThresholds(Thresholds(tl * 0.5, tl * 2.0),
+                                     Thresholds(vl * 0.5, vl * 2.0))
         queue = order_queue(enumerate_elements(cfg), SPEED, cfg)
         analyzer = GreedyAnalyzer(model, data, thresholds, SPEED, seed=8,
                                   epochs_per_candidate=0)
