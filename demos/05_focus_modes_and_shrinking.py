@@ -36,9 +36,10 @@ for focus in (sf.FocusMode(sf.Focus.SPEED, 0.2),
 # prune keeps its fine-tuned model, and the extra tuning pulls the next
 # prunes back to 0.61, 0.60 and 0.64, while the thresholds stay fixed at
 # the untuned baseline (the stale-baseline effect of ROADMAP direction 3);
-# so all four groups go. With tighter thresholds (eps <= 0.07) the first
-# bottom and the first top prune both fail and the full range [0, 4) is
-# kept; no setting of these tasks was found that leaves a partial band.
+# so all four groups go and the plan holds them as one GroupShrink(4, 4).
+# With tighter thresholds (eps <= 0.07) the first bottom and the first top
+# prune both fail, the full range [0, 4) is kept and the plan gets no entry;
+# no setting of these tasks was found that leaves a partial band.
 print("\ncontiguous shrinking of one FFN block:")
 cfg = sf.TransformerConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
                            context_len=8, vocab_size=5, task_kind="classification",
@@ -60,3 +61,5 @@ for rec in analyzer.records:
     print(f"  {rec['tentative_action']:18s} {rec['element']:20s} train {rec['train_loss']:.4f} "
           f"val {rec['val_loss']:.4f} -> {rec['decision']}")
 print(f"  kept interval of {cfg.num_weight_groups} groups: [{lo}, {hi})")
+written = analyzer.plan.entries(ffn_block(0))
+print(f"  plan entry on {ffn_block(0).key}: {written[0] if written else 'nothing written'}")

@@ -81,6 +81,13 @@ def ffn_block(layer: int) -> TransElement:
     return TransElement(FFN_BLOCK, layer)
 
 
+def weight_group_block(el: TransElement) -> TransElement | None:
+    """The block whose weight groups `el` is one of (the FFN block of an FFN
+    group, the attention block of a QKV group); None for other kinds."""
+    kind = {FFN_GROUP: FFN_BLOCK, QKV_GROUP: ATTN_BLOCK}.get(el.kind)
+    return None if kind is None else TransElement(kind, el.layer)
+
+
 def enumerate_elements(config: TransformerConfig) -> list[TransElement]:
     """All elements of a model: 2L blocks, L*h heads, then the weight and
     key/value position groups, in canonical (layer-ascending) order."""

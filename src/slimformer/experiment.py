@@ -349,7 +349,8 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
             "val_loss": evaluate_loss(analyzer.work, plan, data.val),
             "mac_count": cost.mac_count,
             "param_count": cost.param_count,
-            "elements_removed": len(plan.skiplist),
+            # counts a shrink scan's prunes, which the plan holds as one GroupShrink
+            "elements_removed": sum(r["decision"] == "skip" for r in analyzer.records),
             "candidates_evaluated": len(analyzer.records),
             "analysis_seconds": seconds,
         }

@@ -8,6 +8,8 @@ approximation thresholds the element is replaced by a kind-appropriate
 approximation; otherwise it is kept and, for blocks, its inner elements are
 dropped from the queue. Under accuracy focus both bars are the best
 accepted loss so far, and only pruning is applied.
+Under speed focus `shrink` scans a block's weight groups from both ends and
+leaves one GroupShrink for the band that survives (none for the full band).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, QKV_GROUP,
-                       ElementQueue, TransElement, attn_block, encompass_filter,
-                       enumerate_elements, ffn_block)
+                       ElementQueue, TransElement, encompass_filter,
+                       enumerate_elements, weight_group_block)
 from .errors import ConfigError, InfeasibleError, PlanError
 from .focus import Focus, FocusMode
 from .model import PlannedModel, TransformerModel
@@ -129,8 +131,10 @@ class GreedyAnalyzer:
         self.epochs = epochs_per_candidate
         self.lr = lr
         self.batch_size = batch_size
-        if sign_match_k is None:
-            sign_match_k = max(1, model.config.context_len // 4)
+        n = model.config.context_len
+        sign_match_k = max(1, n // 4) if sign_match_k is None else sign_match_k
+        if not 1 <= sign_match_k <= n:
+            raise ConfigError(f"sign_match_k must be in [1, context_len={n}], got {sign_match_k}")
         self.sign_match_k = sign_match_k
         self.quant_bits = quant_bits
         self.encompass_enabled = encompass_enabled
@@ -211,8 +215,10 @@ class GreedyAnalyzer:
     def run(self, queue: ElementQueue) -> ApproxPlan:
         while queue.has_next():
             el = queue.pop()
-            if self.focus.focus == Focus.SPEED and el.kind in (FFN_GROUP, QKV_GROUP):
-                self._shrink_family(el, queue)
+            block = weight_group_block(el)
+            if self.focus.focus == Focus.SPEED and block is not None:
+                queue.extract_family(el.kind, el.layer, "shrink_scan")
+                self.shrink(block)
             else:
                 self._decide(el, queue)
         return self.plan
@@ -248,61 +254,45 @@ class GreedyAnalyzer:
             params = Quantize(self.quant_bits)
         if params is None:
             return "keep", None
-        self.plan = self.plan.with_approx(el, params)
+        # redundant when the element (for a weight group: its block) carries it
+        if params not in self.plan.entries(weight_group_block(el) or el):
+            self.plan = self.plan.with_approx(el, params)
         return "approximate", params_to_doc(params)
 
     # -- contiguous shrinking ---------------------------------------------------
 
-    def _shrink_family(self, first: TransElement, queue: ElementQueue):
-        block = ffn_block(first.layer) if first.kind == FFN_GROUP else attn_block(first.layer)
-        family = [first] + queue.extract_family(first.kind, first.layer, "shrink_scan")
-        indices = sorted(e.index for e in family)
-        lo, hi = self.shrink(block, indices)
-        # consolidate the kept interval on the block unless the scan was
-        # partial or the block itself is already gone
-        full_range = indices == list(range(self.model.config.num_weight_groups))
-        if full_range and block not in self.plan.skiplist:
-            self.plan = self.plan.with_approx(block, GroupShrink(lo, hi))
-
-    def shrink(self, block: TransElement, indices: list[int] | None = None) -> tuple[int, int]:
+    def shrink(self, block: TransElement) -> tuple[int, int]:
         """Two-phase contiguous shrinking of one FFN block's weight groups
         (or the QKV first stage of an attention block) under speed focus.
 
-        Groups (all of them unless `indices` narrows the scan) are pruned
-        from the bottom up, then from the top down, so the survivors form
-        one contiguous dense band. Accepted prunes join the working plan.
-        Returns the kept interval [lo, hi) in group units; a block where
-        nothing is removable keeps the full range."""
+        Groups are tried as skips from the bottom up, then from the top down,
+        each phase until a trial fails, so the survivors form one band
+        [lo, hi); every trial is logged. The plan keeps its pre-scan state
+        plus one GroupShrink(lo, hi) on the block, written only when the band
+        narrowed and the block is not skipped. Returns (lo, hi)."""
         if self.focus.focus != Focus.SPEED:
             raise ConfigError("contiguous shrinking applies under speed focus only; "
                               "other focuses prune groups individually")
         if block.kind not in (FFN_BLOCK, ATTN_BLOCK):
             raise ConfigError("shrink target must be an FFN or ATTN block")
         kind = FFN_GROUP if block.kind == FFN_BLOCK else QKV_GROUP
-        layer = block.layer
-        if indices is None:
-            indices = list(range(self.model.config.num_weight_groups))
+        before = self.plan
 
         def attempt(g: int, phase: str) -> bool:
-            rec = self._try_skip(TransElement(kind, layer, g), f"shrink_prune_{phase}")
+            rec = self._try_skip(TransElement(kind, block.layer, g), f"shrink_prune_{phase}")
             self._log(rec)
             return rec["decision"] == "skip"
 
-        n_bottom = 0
-        for g in indices:
-            if not attempt(g, "bottom"):
-                break
-            n_bottom += 1
-        n_top = 0
-        for g in reversed(indices[n_bottom:]):
-            if not attempt(g, "top"):
-                break
-            n_top += 1
-        kept = indices[n_bottom:len(indices) - n_top]
-        if kept:
-            return kept[0], kept[-1] + 1
-        hi = indices[n_bottom - 1] + 1 if n_bottom else (indices[0] if indices else 0)
-        return hi, hi
+        full = self.model.config.num_weight_groups
+        lo, hi = 0, full
+        while lo < hi and attempt(lo, "bottom"):
+            lo += 1
+        while lo < hi and attempt(hi - 1, "top"):
+            hi -= 1
+        self.plan = before
+        if (lo, hi) != (0, full) and block not in before.skiplist:
+            self.plan = before.with_approx(block, GroupShrink(lo, hi))
+        return lo, hi
 
 
 # -- comparison baselines -------------------------------------------------------

@@ -158,6 +158,19 @@ class TestCompareBaselines:
         assert (rows["greedy_heuristic"]["candidates_evaluated"]
                 <= rows["greedy_plain"]["candidates_evaluated"])
 
+    def test_speed_scan_prunes_count_as_removed(self, speed_run):
+        """small_config's speed scan prunes both groups of one FFN block,
+        which the plan holds as one GroupShrink; the greedy row still counts
+        them, so the oracle is matched at the same removal count."""
+        _, out = speed_run
+        records = [json.loads(line)
+                   for line in (out / "decisions.jsonl").read_text().splitlines()]
+        accepted = sum(rec["decision"] == "skip" for rec in records)
+        plan = json.loads((out / "plan.json").read_text())
+        assert (accepted, len(plan["skip"])) == (5, 3)
+        result = compare_baselines(small_config(comparators=("greedy_heuristic", "oracle")))
+        assert [r["elements_removed"] for r in result["rows"]] == [5, 5]
+
     def test_size_guard(self):
         config = small_config(max_oracle_elements=3)
         with pytest.raises(InfeasibleError, match="guard"):

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from slimformer import (ApproxPlan, ConfigError, ElementQueue, Focus,
-                        FocusMode, GreedyAnalyzer, InfeasibleError,
-                        PlannedModel, SignMatch, SplitThresholds, TaskSpec,
+                        FocusMode, GreedyAnalyzer, GroupShrink, InfeasibleError,
+                        PlannedModel, Quantize, SignMatch, SplitThresholds, TaskSpec,
                         Thresholds, TransElement, TransformerConfig,
                         build_model, compute_thresholds,
                         evaluate_candidate, final_finetune, generate_task,
                         oracle_significance, order_queue, taylor_significance)
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
-                                 attn_block, enumerate_elements, ffn_block)
+                                 QKV_GROUP, attn_block, enumerate_elements,
+                                 ffn_block)
 from slimformer.significance import taylor_signed_scores
 from slimformer.tasks import TaskData
 from slimformer.tensor import spawn_rng
@@ -40,6 +41,14 @@ def kill_attn(model, layer):
 def kill_ffn(model, layer):
     model.layers[layer].w2.data[:] = 0.0
     model.layers[layer].b2.data[:] = 0.0
+
+
+def view_state(view):
+    """A resolved LayerView as plain, comparable values."""
+    return {name: (value.tolist() if isinstance(value, np.ndarray)
+                   else {m: bits.tolist() for m, bits in value.items()}
+                   if isinstance(value, dict) else value)
+            for name, value in vars(view).items()}
 
 
 @pytest.fixture
@@ -206,6 +215,33 @@ class TestGreedyLoop:
         elements_seen = [r["element"] for r in analyzer.records]
         assert len(elements_seen) == len(set(elements_seen))
 
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_sign_match_k_outside_context_rejected(self, trained, majority_data, k):
+        with pytest.raises(ConfigError, match="sign_match_k"):
+            GreedyAnalyzer(trained, majority_data, exact_thresholds(1.0, 1.0), SPEED,
+                           0, sign_match_k=k)
+
+    def test_group_quantize_not_repeated_under_quantized_block(self, trained,
+                                                              majority_data):
+        """Size focus with every trial in the band: the blocks of layer 0
+        carry Quantize(8) and their groups' in-band records write nothing
+        more; a group whose block was not quantized gets its own entry."""
+        tl = evaluate_loss(trained, None, majority_data.train)
+        vl = evaluate_loss(trained, None, majority_data.val)
+        thresholds = SplitThresholds(Thresholds(tl * 0.5, tl * 1e6),
+                                     Thresholds(vl * 0.5, vl * 1e6))
+        analyzer = GreedyAnalyzer(trained, majority_data, thresholds, SIZE,
+                                  seed=9, epochs_per_candidate=0)
+        queue = ElementQueue([attn_block(0), ffn_block(0), TransElement(QKV_GROUP, 0, 1),
+                              TransElement(FFN_GROUP, 0, 0), TransElement(FFN_GROUP, 1, 0)])
+        plan = analyzer.run(queue)
+        assert [r["decision"] for r in analyzer.records] == ["approximate"] * 5
+        assert all(r["approx"] == {"variant": "quantize", "params": {"bits": 8}}
+                   for r in analyzer.records)
+        assert plan.approxlist == {attn_block(0): (Quantize(8),),
+                                   ffn_block(0): (Quantize(8),),
+                                   TransElement(FFN_GROUP, 1, 0): (Quantize(8),)}
+
     def test_determinism(self, trained, tiny_config, majority_data):
         def run():
             tl = evaluate_loss(trained, None, majority_data.train)
@@ -297,7 +333,7 @@ class TestShrink:
             GreedyAnalyzer(trained, majority_data, exact_thresholds(1.0, 1.0), SIZE,
                            0).shrink(ffn_block(0))
 
-    def test_full_greedy_records_shrink_entry(self):
+    def test_full_band_scan_writes_no_entry(self):
         data, cfg = self.make_data(), self.make_config()
         model = build_model(cfg, 47)
         kill_ffn(model, 0)
@@ -311,10 +347,44 @@ class TestShrink:
         analyzer = GreedyAnalyzer(model, data, thresholds, SPEED, seed=8,
                                   epochs_per_candidate=0)
         plan = analyzer.run(queue)
-        entries = plan.entries(ffn_block(0))
-        from slimformer import GroupShrink
-        shrinks = [p for p in entries if isinstance(p, GroupShrink)]
-        assert len(shrinks) == 1
+        last = cfg.num_weight_groups - 1
+        trials = {(r["element"], r["tentative_action"], r["decision"])
+                  for r in analyzer.records}
+        assert ("ffn_weight_group:0:0", "shrink_prune_bottom", "keep") in trials
+        assert (f"ffn_weight_group:0:{last}", "shrink_prune_top", "keep") in trials
+        assert not any(isinstance(p, GroupShrink) for p in plan.entries(ffn_block(0)))
+        assert not any(e.kind == FFN_GROUP for e in plan.skiplist)
+
+    def test_narrowed_band_resolves_like_its_skips(self):
+        """The one GroupShrink a narrowed scan writes executes the same
+        model as the group skips its records accepted."""
+        data, cfg = self.make_data(), self.make_config()
+        model = build_model(cfg, 41)
+        model.layers[0].w1.data[cfg.weight_group_width:] = 0.0  # only group 0 matters
+        tl = evaluate_loss(model, None, data.train)
+        vl = evaluate_loss(model, None, data.val)
+        analyzer = GreedyAnalyzer(model, data, exact_thresholds(tl, vl), SPEED, 0,
+                                  epochs_per_candidate=0)
+        assert analyzer.shrink(ffn_block(0)) == (0, 1)
+        assert analyzer.plan == ApproxPlan().with_approx(ffn_block(0), GroupShrink(0, 1))
+        skips = ApproxPlan(TransElement.from_key(r["element"])
+                           for r in analyzer.records if r["decision"] == "skip")
+        assert len(skips.skiplist) == cfg.num_weight_groups - 1
+        assert ([view_state(v) for v in analyzer.plan.resolve(cfg)]
+                == [view_state(v) for v in skips.resolve(cfg)])
+
+    def test_scan_of_skipped_block_leaves_plan_unchanged(self):
+        data, cfg = self.make_data(), self.make_config()
+        model = build_model(cfg, 53)
+        kill_ffn(model, 0)
+        tl = evaluate_loss(model, None, data.train)
+        vl = evaluate_loss(model, None, data.val)
+        analyzer = GreedyAnalyzer(model, data, exact_thresholds(tl, vl), SPEED, 0,
+                                  epochs_per_candidate=0, encompass_enabled=False)
+        groups = [TransElement(FFN_GROUP, 0, g) for g in range(cfg.num_weight_groups)]
+        plan = analyzer.run(ElementQueue([ffn_block(0)] + groups))
+        assert plan == ApproxPlan([ffn_block(0)])
+        assert [r["decision"] for r in analyzer.records] == ["skip"] * (1 + len(groups))
 
 
 class TestTaylor:

@@ -4,7 +4,10 @@
 
 Runs ``run_experiment`` on five fixed configs, each into a temporary
 directory, and prints one line per fixture and artifact:
-``<fixture> <artifact> <sha256>``. The fixtures are
+``<fixture> <artifact> <sha256>``, then ``<fixture> views <sha256>``: a hash
+over the per-layer ``LayerView`` that ``plan.json`` resolves to (skip flags,
+liveness masks, sign-match k, quantization bits), so a change that rewrites
+the plan's form can show that it executes the same model. The fixtures are
 ``tests/test_experiment.py::small_config`` under speed, size and accuracy
 focus (``small_speed``, ``small_size``, ``small_accuracy``) and
 ``perfbench/scenarios.optimize_config("speed")`` and ``("size")``
@@ -20,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ARTIFACTS = ("plan.json", "decisions.jsonl", "model.bin")
@@ -41,6 +46,21 @@ def fixtures(root: Path) -> list:
             + [(f"bench_{focus}", optimize_config(focus)) for focus in ("speed", "size")])
 
 
+def views_digest(plan_json: str, config) -> str:
+    """sha256 over what the resolved views of a plan execute."""
+    from slimformer import ApproxPlan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # plan warnings are not part of the views
+        views = ApproxPlan.from_json(plan_json).resolve(config.transformer_config())
+    doc = [{"attn_skipped": v.attn_skipped, "ffn_skipped": v.ffn_skipped,
+            "head_live": v.head_live.tolist(), "kv_live": v.kv_live.tolist(),
+            "qkv_live": v.qkv_live.tolist(), "ffn_live": v.ffn_live.tolist(),
+            "signmatch_k": v.signmatch_k,
+            "quant_bits": {m: bits.tolist() for m, bits in v.quant_bits.items()}}
+           for v in views]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -57,6 +77,8 @@ def main(argv=None) -> int:
             for artifact in ARTIFACTS:
                 digest = hashlib.sha256((Path(tmp) / artifact).read_bytes()).hexdigest()
                 print(f"{name} {artifact} {digest}", flush=True)
+            views = views_digest((Path(tmp) / "plan.json").read_text(), config)
+            print(f"{name} views {views}", flush=True)
     return 0
 
 
