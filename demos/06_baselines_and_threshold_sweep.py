@@ -33,7 +33,7 @@ for row in result["rows"]:
 print("\nsweeping skip/approx thresholds (speed focus)...")
 sweep_config = sf.ExperimentConfig(
     task=config.task, shape=config.shape,
-    focus=sf.FocusMode(sf.Focus.SPEED, 0.1),
+    focus=sf.FocusMode(sf.Focus.SPEED),
     seed=2, epochs_baseline=3, epochs_candidate=1, epochs_final=2, lr=0.01)
 rows = sf.sweep_thresholds(sweep_config, [0.0, 0.1, 0.3, (0.5, 1.0)],
                            "demo_runs/sweep")

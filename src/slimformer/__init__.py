@@ -23,10 +23,8 @@ from .model import (PlannedModel, TransformerModel, build_model, load_checkpoint
 from .optim import Adam
 from .plan import (ApproxPlan, GroupShrink, Quantize, QuantizedGroup, SignMatch,
                    quantize_dequantize, quantize_group)
-from .significance import (GreedyAnalyzer, SplitThresholds, Thresholds,
-                           compute_thresholds, evaluate_candidate,
-                           final_finetune, oracle_significance,
-                           taylor_significance)
+from .significance import (GreedyAnalyzer, evaluate_candidate, final_finetune,
+                           oracle_significance, taylor_significance)
 from .signmatch import (OpCounter, causal_select, full_attention,
                         representative_sign, score_keys, select_topk,
                         sign_match_attention)
@@ -43,11 +41,10 @@ __all__ = [
     "FFN_GROUP", "Focus", "FocusMode", "GreedyAnalyzer", "GroupShrink", "HEAD",
     "InfeasibleError", "KV_GROUP", "MetricsBundle", "ModelShape",
     "OpCounter", "PlanError", "PlannedModel", "QKV_GROUP", "Quantize",
-    "QuantizedGroup", "RunReport", "SignMatch",
-    "SplitThresholds", "StageError", "TaskData", "TaskSpec", "Tensor",
-    "Thresholds", "TransElement", "TransformerConfig", "TransformerModel",
-    "build_model", "causal_select", "compare_baselines",
-    "compute_thresholds", "cross_entropy", "encompass_filter",
+    "QuantizedGroup", "RunReport", "SignMatch", "StageError", "TaskData",
+    "TaskSpec", "Tensor", "TransElement", "TransformerConfig", "TransformerModel",
+    "build_model", "causal_select", "compare_baselines", "cross_entropy",
+    "encompass_filter",
     "enumerate_elements", "evaluate_accuracy", "evaluate_candidate",
     "evaluate_loss", "final_finetune", "full_attention", "generate_task",
     "layer_norm", "load_checkpoint", "make_rng",

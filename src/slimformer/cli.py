@@ -34,6 +34,8 @@ def _load_config(args) -> ExperimentConfig:
         doc = json.loads(_read_text(args.config, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
     for override in getattr(args, "set", None) or []:
         if "=" not in override:
             raise ConfigError(f"--set expects path=value, got '{override}'")
@@ -41,8 +43,8 @@ def _load_config(args) -> ExperimentConfig:
         _set_path(doc, path.strip(), _parse_value(raw.strip()))
     if getattr(args, "focus", None):
         doc["focus"] = args.focus
-    if getattr(args, "max_degradation", None) is not None:
-        doc["max_degradation"] = args.max_degradation
+    if getattr(args, "eps_skip", None) is not None:
+        doc["eps_skip"] = args.eps_skip
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
     return ExperimentConfig.from_doc(doc)
@@ -154,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="full analyze-and-approximate pipeline")
     common(p_opt)
     p_opt.add_argument("--focus", choices=["speed", "size", "accuracy"])
-    p_opt.add_argument("--max-degradation", type=float, dest="max_degradation")
+    p_opt.add_argument("--eps-skip", type=float, dest="eps_skip",
+                       help="relative loss increase a skip may cost")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint, optionally under a plan")

@@ -1,7 +1,7 @@
 """Experiment orchestration: train, analyze, optimize, report.
 
-Pipeline: baseline fine-tune -> thresholds -> ordered queue -> greedy
-significance analysis -> final fine-tune -> metrics. All artifacts (report,
+Pipeline: baseline fine-tune -> ordered queue -> greedy significance
+analysis -> final fine-tune -> metrics. All artifacts (report,
 plan, decision log, element queue audit, checkpoints) are JSON or JSONL and
 deterministic except for wall-time fields.
 """
@@ -14,7 +14,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .config import TransformerConfig
@@ -24,7 +24,7 @@ from .focus import Focus, FocusMode
 from .model import (PlannedModel, TransformerModel, build_model,
                     measure_latency, save_checkpoint)
 from .plan import QUANT_BITS, ApproxPlan
-from .significance import (GreedyAnalyzer, SplitThresholds, final_finetune,
+from .significance import (GreedyAnalyzer, eps_pair, final_finetune,
                            oracle_significance, taylor_significance)
 from .tasks import TaskData, TaskSpec, generate_task
 from .tensor import spawn_rng
@@ -45,12 +45,13 @@ class ModelShape:
 
 
 # Fields the config doc does not store flat under their own name: "shape"
-# is the "model" section, "focus" is "focus" plus "max_degradation", and the
-# epoch budgets form the "epochs" section.
+# is the "model" section, "focus" is the focus name, and the epoch budgets
+# form the "epochs" section.
 _EPOCHS = {"epochs_baseline": "baseline", "epochs_candidate": "candidate",
            "epochs_final": "final"}
 _STRUCTURED = ("task", "shape", "focus", *_EPOCHS)
 COMPARATORS = ("greedy_heuristic", "greedy_plain", "oracle", "taylor")
+_NUMBER_TYPES = {"int": (int,), "float": (int, float)}
 
 
 def _section(doc: dict, name: str, keys) -> dict:
@@ -75,7 +76,7 @@ class ExperimentConfig:
     epochs_final: int = 5
     lr: float = DEFAULT_LR
     batch_size: int = DEFAULT_BATCH
-    eps_skip: float | None = None
+    eps_skip: float = 0.005
     eps_approx: float | None = None
     sign_match_k: int | None = None
     quant_bits: int = 8
@@ -83,6 +84,14 @@ class ExperimentConfig:
     comparators: tuple[str, ...] = COMPARATORS
 
     def __post_init__(self):
+        for f in fields(self):  # config docs can carry any JSON value
+            base, _, optional = f.type.partition(" | ")
+            kinds, value = _NUMBER_TYPES.get(base), getattr(self, f.name)
+            if kinds is None or (optional and value is None):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{f.name} must be of type {base}, got {value!r}")
+        eps_pair(self.eps_skip, self.eps_approx)
         n, k = self.task.context_len, self.sign_match_k
         if self.quant_bits not in QUANT_BITS:
             raise ConfigError(f"quant_bits must be one of {QUANT_BITS}, got {self.quant_bits}")
@@ -117,7 +126,6 @@ class ExperimentConfig:
     def to_doc(self) -> dict:
         doc = {"task": self.task.to_dict(), "model": asdict(self.shape),
                "focus": self.focus.focus.value,
-               "max_degradation": self.focus.acceptable_degradation,
                "epochs": {key: getattr(self, name) for name, key in _EPOCHS.items()}}
         for f in fields(self):
             if f.name not in _STRUCTURED:
@@ -129,13 +137,14 @@ class ExperimentConfig:
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
         """Inverse of to_doc; absent keys take the dataclass defaults.
         Unknown top-level keys are ignored, unknown section keys rejected."""
+        if "max_degradation" in doc:  # would otherwise be ignored silently
+            raise ConfigError("config key 'max_degradation' is now 'eps_skip'")
         try:
             task = TaskSpec.from_dict(doc["task"])
         except KeyError as exc:
             raise ConfigError("config needs a 'task' section") from exc
         shape = ModelShape(**_section(doc, "model", [f.name for f in fields(ModelShape)]))
-        focus = FocusMode.parse(doc.get("focus", cls.focus.focus.value),
-                                doc.get("max_degradation", cls.focus.acceptable_degradation))
+        focus = FocusMode.parse(doc.get("focus", cls.focus.focus.value))
         epochs = _section(doc, "epochs", _EPOCHS.values())
         kwargs = {name: epochs[key] for name, key in _EPOCHS.items() if key in epochs}
         kwargs.update((f.name, doc[f.name]) for f in fields(cls)
@@ -260,14 +269,11 @@ def train_baseline(config: ExperimentConfig) -> tuple[TaskData, TransformerModel
 
 
 def _analyzer(config: ExperimentConfig, model: TransformerModel, data: TaskData,
-              baseline_train: float, baseline_val: float, **kwargs) -> GreedyAnalyzer:
-    """The greedy analyzer a config asks for, with fresh thresholds from the
-    baseline losses; a bad eps pair fails as stage 'thresholds'."""
-    with _stage("thresholds"):
-        thresholds = SplitThresholds.from_baselines(
-            baseline_train, baseline_val, config.focus,
-            config.eps_skip, config.eps_approx)
-    return GreedyAnalyzer(model, data, thresholds, config.focus, config.seed,
+              baseline: tuple[float, float], **kwargs) -> GreedyAnalyzer:
+    """The greedy analyzer a config asks for, its bars set from the baseline
+    (train, val) losses."""
+    return GreedyAnalyzer(model, data, baseline, config.focus, config.seed,
+                          eps_skip=config.eps_skip, eps_approx=config.eps_approx,
                           epochs_per_candidate=config.epochs_candidate, lr=config.lr,
                           batch_size=config.batch_size, sign_match_k=config.sign_match_k,
                           quant_bits=config.quant_bits, **kwargs)
@@ -288,7 +294,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunReport:
     with _stage("order_queue"):
         queue = order_queue(enumerate_elements(tcfg), config.focus, tcfg)
     with _stage("significance"):
-        analyzer = _analyzer(config, model, data, baseline_train, baseline_val,
+        analyzer = _analyzer(config, model, data, (baseline_train, baseline_val),
                              log_path=out / "decisions.jsonl")
         plan = analyzer.run(queue)
         (out / "plan.json").write_text(plan.to_json())
@@ -337,7 +343,7 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
             queue = order_queue(elements, config.focus, tcfg)
         else:
             queue = ElementQueue(list(elements))
-        analyzer = _analyzer(config, model, data, baseline_train, baseline_val,
+        analyzer = _analyzer(config, model, data, (baseline_train, baseline_val),
                              encompass_enabled=encompass)
         t0 = time.perf_counter()
         plan = analyzer.run(queue)
@@ -416,14 +422,11 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
     return result
 
 
-def _sweep_one(doc: dict, eps_skip: float, eps_approx: float, run_dir: str) -> dict:
-    config = ExperimentConfig.from_doc(doc)
-    config.eps_skip = eps_skip
-    config.eps_approx = eps_approx
+def _sweep_one(config: ExperimentConfig, run_dir: str) -> dict:
     report = run_experiment(config, run_dir)
     return {
-        "eps_skip": eps_skip,
-        "eps_approx": eps_approx,
+        "eps_skip": config.eps_skip,
+        "eps_approx": config.eps_approx,
         "accuracy": report.optimized.accuracy,
         "mac_ratio": report.ratios["mac"],
         "bytes_ratio": report.ratios["bytes"],
@@ -433,24 +436,24 @@ def _sweep_one(doc: dict, eps_skip: float, eps_approx: float, run_dir: str) -> d
 def sweep_thresholds(config: ExperimentConfig, epsilon_list, out_dir: str | Path,
                      workers: int = 1) -> list[dict]:
     """One experiment per (eps_skip, eps_approx) pair; bare floats f expand
-    to (f, 2f). Writes sweep.csv plus one run directory per pair."""
+    to (f, 2f). Every pair is validated before the first run. Writes
+    sweep.csv plus one run directory per pair."""
     if not epsilon_list:
         raise ConfigError("epsilon list must be nonempty")
-    pairs = []
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    configs = []
     for item in epsilon_list:
-        if isinstance(item, (tuple, list)):
-            pairs.append((float(item[0]), float(item[1])))
-        else:
-            pairs.append((float(item), 2.0 * float(item)))
+        es, ea = item if isinstance(item, (tuple, list)) else (item, 2.0 * float(item))
+        configs.append(replace(config, eps_skip=float(es), eps_approx=float(ea)))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    doc = config.to_doc()
-    jobs = [(doc, es, ea, str(out / f"run_{i:03d}")) for i, (es, ea) in enumerate(pairs)]
+    run_dirs = [str(out / f"run_{i:03d}") for i in range(len(configs))]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, *zip(*jobs)))
+            rows = list(pool.map(_sweep_one, configs, run_dirs))
     else:
-        rows = [_sweep_one(*job) for job in jobs]
+        rows = list(map(_sweep_one, configs, run_dirs))
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["eps_skip", "eps_approx", "accuracy",
                                                 "mac_ratio", "bytes_ratio"])

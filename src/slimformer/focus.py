@@ -16,22 +16,14 @@ class Focus(str, Enum):
 
 @dataclass(frozen=True)
 class FocusMode:
-    """Optimization goal plus the acceptable relative loss degradation.
-
-    The degradation knob is ignored under ACCURACY focus, where acceptance
-    is governed by the running minimum loss instead.
-    """
+    """Optimization goal. The loss epsilons that gate its decisions are
+    GreedyAnalyzer's (and ExperimentConfig's) eps_skip and eps_approx."""
 
     focus: Focus
-    acceptable_degradation: float = 0.005
-
-    def __post_init__(self):
-        if self.acceptable_degradation < 0:
-            raise ConfigError("acceptable_degradation must be >= 0")
 
     @classmethod
-    def parse(cls, name: str, degradation: float) -> "FocusMode":
+    def parse(cls, name: str) -> "FocusMode":
         try:
-            return cls(Focus(name.lower()), degradation)
+            return cls(Focus(str(name).lower()))
         except ValueError as exc:
             raise ConfigError(f"unknown focus '{name}'") from exc

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,58 +32,13 @@ from .training import (DEFAULT_BATCH, DEFAULT_LR, evaluate_loss, iter_batches,
                        train_epochs)
 
 
-@dataclass
-class Thresholds:
-    """Loss bounds gating pruning (skip) and approximation decisions.
-
-    Under accuracy focus both bounds are the running minimum: they start at
-    the baseline loss and drop to the loss of each accepted skip.
-    """
-
-    skip_threshold: float
-    approx_threshold: float
-
-    def __post_init__(self):
-        if self.skip_threshold > self.approx_threshold:
-            raise ConfigError("skip_threshold must be <= approx_threshold")
-
-
-def compute_thresholds(baseline_loss: float, focus: FocusMode,
-                       eps_skip: float | None = None,
-                       eps_approx: float | None = None) -> Thresholds:
-    """Thresholds from the fine-tuned baseline loss.
-
-    Speed/size focus: relative multipliers on the baseline, by default
-    eps_skip = acceptable degradation and eps_approx = twice that. Accuracy
-    focus: both bounds start at the baseline loss itself.
-    """
-    if not math.isfinite(baseline_loss) or baseline_loss <= 0:
-        raise ConfigError(f"baseline loss must be positive and finite, got {baseline_loss}")
-    if focus.focus == Focus.ACCURACY:
-        return Thresholds(baseline_loss, baseline_loss)
-    if eps_skip is None:
-        eps_skip = focus.acceptable_degradation
-    if eps_approx is None:
-        eps_approx = 2.0 * eps_skip
-    if eps_skip < 0 or eps_approx < eps_skip:
-        raise ConfigError("need 0 <= eps_skip <= eps_approx")
-    return Thresholds(baseline_loss * (1.0 + eps_skip),
-                      baseline_loss * (1.0 + eps_approx))
-
-
-@dataclass
-class SplitThresholds:
-    """Per-split thresholds; a decision must clear both splits."""
-
-    train: Thresholds
-    val: Thresholds
-
-    @classmethod
-    def from_baselines(cls, train_loss: float, val_loss: float, focus: FocusMode,
-                       eps_skip: float | None = None,
-                       eps_approx: float | None = None) -> "SplitThresholds":
-        return cls(compute_thresholds(train_loss, focus, eps_skip, eps_approx),
-                   compute_thresholds(val_loss, focus, eps_skip, eps_approx))
+def eps_pair(eps_skip: float, eps_approx: float | None) -> tuple[float, float]:
+    """The (skip, approximation) loss epsilons, approximation defaulting to
+    twice skip; raises ConfigError unless 0 <= eps_skip <= eps_approx."""
+    eps_approx = 2.0 * eps_skip if eps_approx is None else eps_approx
+    if not 0 <= eps_skip <= eps_approx:
+        raise ConfigError(f"need 0 <= eps_skip <= eps_approx, got {eps_skip} and {eps_approx}")
+    return eps_skip, eps_approx
 
 
 def evaluate_candidate(model: TransformerModel, plan: ApproxPlan, data: TaskData,
@@ -114,18 +68,28 @@ def evaluate_candidate(model: TransformerModel, plan: ApproxPlan, data: TaskData
 class GreedyAnalyzer:
     """Stateful driver of the greedy loop; see module docstring.
 
+    The decision bars come from the baseline (train, val) losses: the skip
+    bar at ``loss * (1 + eps_skip)`` and the approximation bar at
+    ``loss * (1 + eps_approx)`` per split, eps_skip defaulting to 0 and
+    eps_approx to twice eps_skip. Under accuracy focus both bars start at
+    the baseline and drop to the losses of each accepted skip.
+
     Exposes the working model, the growing plan and the decision records so
     the harness can persist the audit trail.
     """
 
     def __init__(self, model: TransformerModel, data: TaskData,
-                 thresholds: SplitThresholds, focus: FocusMode, seed: int,
+                 baseline: tuple[float, float], focus: FocusMode, seed: int,
+                 eps_skip: float = 0.0, eps_approx: float | None = None,
                  epochs_per_candidate: int = 1, lr: float = DEFAULT_LR,
                  batch_size: int = DEFAULT_BATCH, sign_match_k: int | None = None,
                  quant_bits: int = 8, encompass_enabled: bool = True, log_path=None):
+        for loss in baseline:
+            if not math.isfinite(loss) or loss <= 0:
+                raise ConfigError(f"baseline loss must be positive and finite, got {loss}")
+        eps_skip, eps_approx = eps_pair(eps_skip, eps_approx)
         self.model = model
         self.data = data
-        self.thresholds = thresholds
         self.focus = focus
         self.seed = seed
         self.epochs = epochs_per_candidate
@@ -147,21 +111,25 @@ class GreedyAnalyzer:
         self.plan = ApproxPlan()
         self.records: list[dict] = []
         self._step = 0
-        # the accuracy-focus baseline: the bars before any skip lowers them
-        self.baseline_train = thresholds.train.skip_threshold
-        self.baseline_val = thresholds.val.skip_threshold
+        # (train, val) pairs; only an accepted accuracy-focus skip lowers the bars
+        self._baseline = tuple(baseline)
+        if focus.focus == Focus.ACCURACY:
+            self._skip = self._approx = self._baseline
+        else:
+            self._skip = tuple(loss * (1.0 + eps_skip) for loss in self._baseline)
+            self._approx = tuple(loss * (1.0 + eps_approx) for loss in self._baseline)
 
     # -- acceptance rules ---------------------------------------------------
 
     def _accept_skip(self, tl: float, vl: float) -> bool:
-        t, v = self.thresholds.train, self.thresholds.val
+        t, v = self._skip
         if self.focus.focus == Focus.ACCURACY:  # strict improvement
-            return tl < t.skip_threshold and vl < v.skip_threshold
-        return tl <= t.skip_threshold and vl <= v.skip_threshold
+            return tl < t and vl < v
+        return tl <= t and vl <= v
 
     def _accept_approx(self, tl: float, vl: float) -> bool:
-        t, v = self.thresholds.train, self.thresholds.val
-        return tl <= t.approx_threshold and vl <= v.approx_threshold
+        t, v = self._approx
+        return tl <= t and vl <= v
 
     def _high_importance(self, tl: float, vl: float) -> bool:
         """Whether a kept block should drop its inner elements.
@@ -170,13 +138,12 @@ class GreedyAnalyzer:
         only blocks whose removal pushed loss above the original baseline
         (anything milder leaves its groups worth examining)."""
         if self.focus.focus == Focus.ACCURACY:
-            return not (tl <= self.baseline_train and vl <= self.baseline_val)
+            return not (tl <= self._baseline[0] and vl <= self._baseline[1])
         return True
 
     def _thresholds_doc(self) -> dict:
-        return {split: {"skip": t.skip_threshold, "approx": t.approx_threshold}
-                for split, t in (("train", self.thresholds.train),
-                                 ("val", self.thresholds.val))}
+        return {split: {"skip": self._skip[i], "approx": self._approx[i]}
+                for i, split in enumerate(("train", "val"))}
 
     def _try_skip(self, el: TransElement, action: str) -> dict:
         """The one trial every candidate takes: fine-tune under the plan
@@ -200,8 +167,7 @@ class GreedyAnalyzer:
             rec["decision"] = "skip"
             self.plan, self.work = candidate, tuned
             if self.focus.focus == Focus.ACCURACY:
-                for t, loss in ((self.thresholds.train, tl), (self.thresholds.val, vl)):
-                    t.skip_threshold = t.approx_threshold = loss
+                self._skip = self._approx = (tl, vl)
         return rec
 
     def _log(self, rec: dict):

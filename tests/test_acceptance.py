@@ -14,8 +14,7 @@ import pytest
 
 from slimformer import (ApproxPlan, ElementQueue, ExperimentConfig, Focus,
                         FocusMode, GreedyAnalyzer, ModelShape, OpCounter,
-                        PlanError, PlannedModel,
-                        SplitThresholds, TaskSpec, Tensor, Thresholds,
+                        PlanError, PlannedModel, TaskSpec, Tensor,
                         TransElement, TransformerConfig,
                         build_model, compare_baselines, full_attention,
                         generate_task, quantize_group,
@@ -284,12 +283,8 @@ def test_criterion_06_shrinking_contiguity():
         eps = float(gen.uniform(0.02, 0.6))
         tl = evaluate_loss(model, None, data.train)
         vl = evaluate_loss(model, None, data.val)
-        thresholds = SplitThresholds(
-            Thresholds(tl * (1 + eps), tl * (1 + eps)),
-            Thresholds(vl * (1 + eps), vl * (1 + eps)))
-        analyzer = GreedyAnalyzer(model, data, thresholds,
-                                  FocusMode(Focus.SPEED, eps), seed=run,
-                                  epochs_per_candidate=0)
+        analyzer = GreedyAnalyzer(model, data, (tl, vl), FocusMode(Focus.SPEED),
+                                  seed=run, eps_skip=eps, epochs_per_candidate=0)
         queue = ElementQueue([TransElement(kind, 0, g) for g in range(4)])
         plan = analyzer.run(queue)
         # one GroupShrink holds the band; a full band writes nothing
@@ -328,14 +323,11 @@ def test_criterion_07_greedy_vs_exhaustive_oracle():
     tl = evaluate_loss(model, None, data.train)
     vl = evaluate_loss(model, None, data.val)
     eps = 0.3
-    thresholds = SplitThresholds(
-        Thresholds(tl * (1 + eps), tl * (1 + eps)),
-        Thresholds(vl * (1 + eps), vl * (1 + eps)))
-
-    focus = FocusMode(Focus.SPEED, eps)
+    focus = FocusMode(Focus.SPEED)
     queue = order_queue(elements, focus, cfg)
-    analyzer = GreedyAnalyzer(model, data, thresholds, focus, seed=3,
-                              epochs_per_candidate=0)
+    # a zero-width band: every decision is a skip or a keep
+    analyzer = GreedyAnalyzer(model, data, (tl, vl), focus, seed=3, eps_skip=eps,
+                              eps_approx=eps, epochs_per_candidate=0)
     plan = analyzer.run(queue)
 
     def feasible(p):
@@ -359,10 +351,8 @@ def test_criterion_07_greedy_vs_exhaustive_oracle():
     assert PlannedModel(model, plan).cost().mac_count in feasible_macs
 
     # accuracy focus clause
-    acc_thresholds = SplitThresholds(Thresholds(tl, tl), Thresholds(vl, vl))
-    acc_analyzer = GreedyAnalyzer(model, data, acc_thresholds,
-                                  FocusMode(Focus.ACCURACY), seed=5,
-                                  epochs_per_candidate=1, lr=0.005)
+    acc_analyzer = GreedyAnalyzer(model, data, (tl, vl), FocusMode(Focus.ACCURACY),
+                                  seed=5, epochs_per_candidate=1, lr=0.005)
     acc_plan = acc_analyzer.run(order_queue(elements, FocusMode(Focus.ACCURACY), cfg))
     final_train = evaluate_loss(acc_analyzer.work, acc_plan, data.train)
     final_val = evaluate_loss(acc_analyzer.work, acc_plan, data.val)
@@ -380,24 +370,22 @@ FIXTURE_SHAPE = ModelShape(num_layers=4, hidden_dim=32, num_heads=4, ffn_dim=64,
                            weight_group_width=8, kv_group_width=8)
 
 
-def _fixture_config(focus):
-    return ExperimentConfig(task=FIXTURE_TASK, shape=FIXTURE_SHAPE, focus=focus,
-                            seed=0, epochs_baseline=4, epochs_candidate=3,
-                            epochs_final=4, lr=0.01)
+def _fixture_config(focus: Focus):
+    return ExperimentConfig(task=FIXTURE_TASK, shape=FIXTURE_SHAPE,
+                            focus=FocusMode(focus), seed=0, epochs_baseline=4,
+                            epochs_candidate=3, epochs_final=4, lr=0.01, eps_skip=0.25)
 
 
 def test_criterion_08_desk_scale_trends(tmp_path):
     """Over-parameterized majority fixture (L=4, d=32, h=4, n=32): speed
     focus cuts MACs >= 1.5x and size focus cuts bytes >= 2x, both with
     relative accuracy within 0.5% of baseline."""
-    speed = run_experiment(_fixture_config(FocusMode(Focus.SPEED, 0.25)),
-                           tmp_path / "speed")
+    speed = run_experiment(_fixture_config(Focus.SPEED), tmp_path / "speed")
     assert speed.baseline.accuracy >= 0.95, "fixture baseline must be learned"
     assert speed.ratios["mac"] >= 1.5
     assert speed.optimized.accuracy >= 0.995 * speed.baseline.accuracy
 
-    size = run_experiment(_fixture_config(FocusMode(Focus.SIZE, 0.25)),
-                          tmp_path / "size")
+    size = run_experiment(_fixture_config(Focus.SIZE), tmp_path / "size")
     assert size.ratios["bytes"] >= 2.0
     assert size.optimized.accuracy >= 0.995 * size.baseline.accuracy
     report(8, f"speed {speed.ratios['mac']:.1f}x macs, size {size.ratios['bytes']:.1f}x "
@@ -455,7 +443,7 @@ def test_criterion_11_determinism(tmp_path):
                       train_size=80, seed=5),
         shape=ModelShape(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
                          weight_group_width=4, kv_group_width=4),
-        focus=FocusMode(Focus.SPEED, 0.3),
+        focus=FocusMode(Focus.SPEED), eps_skip=0.3,
         seed=9, epochs_baseline=3, epochs_candidate=1, epochs_final=2, lr=0.01)
     run_experiment(config, tmp_path / "one")
     run_experiment(config, tmp_path / "two")

@@ -12,13 +12,13 @@ from slimformer import (ExperimentConfig, Focus, FocusMode, InfeasibleError,
 from slimformer.cli import main
 
 
-def small_config(focus=Focus.SPEED, degradation=0.3, **kw):
+def small_config(focus=Focus.SPEED, **kw):
     defaults = dict(
         task=TaskSpec("majority_classification", vocab_size=4, context_len=8,
                       train_size=96, seed=17),
         shape=ModelShape(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
                          weight_group_width=4, kv_group_width=4),
-        focus=FocusMode(focus, degradation),
+        focus=FocusMode(focus), eps_skip=0.3,
         seed=2, epochs_baseline=4, epochs_candidate=1, epochs_final=4, lr=0.01)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -198,6 +198,18 @@ class TestSweep:
         # logged, not hard-asserted: mac_ratio trend in eps_skip
         assert rows[1]["mac_ratio"] >= zero["mac_ratio"] - 0.25
 
+    def test_parallel_matches_serial(self, tmp_path):
+        config = small_config(epochs_baseline=2, epochs_candidate=1, epochs_final=1)
+        pairs = [0.1, (0.3, 0.5)]
+        for workers in (1, 2):
+            sweep_thresholds(config, pairs, tmp_path / f"w{workers}", workers=workers)
+        assert ((tmp_path / "w1" / "sweep.csv").read_bytes()
+                == (tmp_path / "w2" / "sweep.csv").read_bytes())
+        for run in ("run_000", "run_001"):
+            for name in ("plan.json", "decisions.jsonl"):
+                assert ((tmp_path / "w1" / run / name).read_bytes()
+                        == (tmp_path / "w2" / run / name).read_bytes()), (run, name)
+
     def test_empty_list_rejected(self, tmp_path):
         from slimformer import ConfigError
         with pytest.raises(ConfigError, match="nonempty"):
@@ -245,10 +257,14 @@ class TestCli:
                                 epochs_final=0)
         out = tmp_path / "opt_out"
         code = main(["optimize", "--config", str(cfg), "--out", str(out),
-                     "--focus", "speed", "--max-degradation", "0.4"])
+                     "--focus", "speed", "--eps-skip", "0.4"])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert "baseline" in report and "optimized" in report
+        first = json.loads((out / "decisions.jsonl").read_text().splitlines()[0])
+        assert first["thresholds"]["val"] == {  # --eps-skip sets the bars
+            "skip": report["baseline"]["val_loss"] * (1.0 + 0.4),
+            "approx": report["baseline"]["val_loss"] * (1.0 + 0.8)}
         capsys.readouterr()
         # evaluate the optimized checkpoint under the produced plan
         code = main(["evaluate", "--config", str(cfg),
@@ -271,6 +287,8 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"task\": {\"kind\": \"nonsense\", \"vocab_size\": 4, "
                        "\"context_len\": 8, \"train_size\": 10}}")
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        bad.write_text("[]")  # valid JSON, not an object
         assert main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("section, key", [("model", "num_layer"),
@@ -330,25 +348,43 @@ class TestCli:
                      "--out", str(tmp_path / "cmp")])
         assert code == 3
 
-    @pytest.mark.parametrize("override", [
-        "quant_bits=3", "sign_match_k=-1", "sign_match_k=0", "sign_match_k=9",
-        "epochs.baseline=-1", "lr=-1", "lr=0", "batch_size=0",
-        'comparators=["oracel","taylor"]'])
-    def test_bad_config_value_fails_at_load(self, tmp_path, capsys, override):
+    BAD_VALUES = [  # (override, what the error names)
+        ("quant_bits=3", "quant_bits"), ("sign_match_k=-1", "sign_match_k"),
+        ("sign_match_k=0", "sign_match_k"), ("sign_match_k=9", "sign_match_k"),
+        ("epochs.baseline=-1", "epoch budgets"), ("lr=-1", "lr"), ("lr=0", "lr"),
+        ("batch_size=0", "batch_size"), ('comparators=["oracel","taylor"]', "comparator"),
+        # small_config sets eps_skip=0.3
+        ("eps_approx=0.1", "eps_skip <= eps_approx"), ("eps_skip=-1", "eps_skip <= eps_approx"),
+        ("max_degradation=-1", "eps_skip"), ("max_degradation=0.1", "eps_skip"),
+        ('seed="0"', "seed"), ('epochs.baseline="abc"', "epochs_baseline"),
+        ("epochs.final=1.5", "epochs_final"), ('lr="x"', "lr"), ("lr=null", "lr"),
+        ("batch_size=true", "batch_size"), ('eps_skip="0.1"', "eps_skip"),
+        ("eps_approx=[1]", "eps_approx"), ("sign_match_k=2.0", "sign_match_k"),
+        ('quant_bits="8"', "quant_bits"), ("max_oracle_elements={}", "max_oracle_elements")]
+
+    @pytest.mark.parametrize("override, named", BAD_VALUES, ids=[o for o, _ in BAD_VALUES])
+    def test_bad_config_value_fails_at_load(self, tmp_path, capsys, override, named):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "opt_out"
         code = main(["optimize", "--config", str(cfg), "--out", str(out),
                      "--set", override])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
         assert not out.exists()  # rejected before the baseline trains
 
     def test_sweep_bad_epsilon_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
-        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep_out"),
-                     "--epsilons", "0.1,abc"])
-        assert code == 2
-        assert "config error: bad --epsilons entry 'abc'" in capsys.readouterr().err
+        out = tmp_path / "sweep_out"
+        for args, message in ((["--epsilons", "0.1,abc"], "bad --epsilons entry 'abc'"),
+                              (["--epsilons", "0.1,0.3:0.1"],
+                               "need 0 <= eps_skip <= eps_approx, got 0.3 and 0.1"),
+                              (["--epsilons", "0.1", "--workers", "0"],
+                               "workers must be >= 1")):
+            code = main(["sweep", "--config", str(cfg), "--out", str(out), *args])
+            assert code == 2
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not (out / "run_000").exists()  # rejected before the first run
 
     def test_sweep_cli(self, tmp_path):
         cfg = self.write_config(tmp_path, epochs_baseline=1, epochs_candidate=0,

@@ -1,4 +1,4 @@
-"""Greedy significance analysis: thresholds, candidate evaluation, the
+"""Greedy significance analysis: decision bars, candidate evaluation, the
 skip/approximate/keep loop, contiguous shrinking, comparison scorers, and
 the final fine-tune."""
 
@@ -7,9 +7,8 @@ import pytest
 
 from slimformer import (ApproxPlan, ConfigError, ElementQueue, Focus,
                         FocusMode, GreedyAnalyzer, GroupShrink, InfeasibleError,
-                        PlannedModel, Quantize, SignMatch, SplitThresholds, TaskSpec,
-                        Thresholds, TransElement, TransformerConfig,
-                        build_model, compute_thresholds,
+                        PlannedModel, Quantize, SignMatch, TaskSpec,
+                        TransElement, TransformerConfig, build_model,
                         evaluate_candidate, final_finetune, generate_task,
                         oracle_significance, order_queue, taylor_significance)
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
@@ -20,16 +19,9 @@ from slimformer.tasks import TaskData
 from slimformer.tensor import spawn_rng
 from slimformer.training import evaluate_loss, train_epochs
 
-SPEED = FocusMode(Focus.SPEED, 0.25)
-SIZE = FocusMode(Focus.SIZE, 0.25)
+SPEED = FocusMode(Focus.SPEED)
+SIZE = FocusMode(Focus.SIZE)
 ACCURACY = FocusMode(Focus.ACCURACY)
-
-
-def exact_thresholds(train_loss, val_loss, eps=0.0):
-    """Thresholds pinned at (1 + eps) times the given baselines."""
-    return SplitThresholds(
-        Thresholds(train_loss * (1 + eps), train_loss * (1 + eps)),
-        Thresholds(val_loss * (1 + eps), val_loss * (1 + eps)))
 
 
 def kill_attn(model, layer):
@@ -59,30 +51,60 @@ def trained(tiny_config, majority_data):
 
 
 class TestComputeThresholds:
-    def test_formula_instantiation(self):
-        t = compute_thresholds(1.0, FocusMode(Focus.SPEED, 0.005))
-        assert t.skip_threshold == pytest.approx(1.005)
-        assert t.approx_threshold == pytest.approx(1.010)
+    """The analyzer computes its four decision bars from the baseline
+    (train, val) losses and the eps pair."""
 
-    def test_accuracy_focus_starts_at_baseline(self):
-        t = compute_thresholds(0.8, ACCURACY)
-        assert t.skip_threshold == t.approx_threshold == 0.8
+    def bars(self, trained, data, baseline, focus, **eps):
+        return GreedyAnalyzer(trained, data, baseline, focus, 0, **eps)._thresholds_doc()
 
-    def test_zero_degradation_collapses_band(self):
-        t = compute_thresholds(2.0, FocusMode(Focus.SIZE, 0.0))
-        assert t.skip_threshold == t.approx_threshold == 2.0
+    def test_formula_instantiation(self, trained, majority_data):
+        bars = self.bars(trained, majority_data, (1.0, 0.7), SPEED, eps_skip=0.005)
+        assert bars == {"train": {"skip": 1.0 * (1.0 + 0.005), "approx": 1.0 * (1.0 + 0.01)},
+                        "val": {"skip": 0.7 * (1.0 + 0.005), "approx": 0.7 * (1.0 + 0.01)}}
+        bars = self.bars(trained, majority_data, (1.0, 0.7), SIZE, eps_skip=0.1,
+                         eps_approx=0.5)
+        assert bars["val"] == {"skip": 0.7 * (1.0 + 0.1), "approx": 0.7 * (1.0 + 0.5)}
 
-    def test_nonpositive_baseline_rejected(self):
-        with pytest.raises(ConfigError):
-            compute_thresholds(0.0, SPEED)
-        with pytest.raises(ConfigError):
-            compute_thresholds(float("nan"), SPEED)
+    def test_accuracy_focus_starts_at_baseline(self, trained, majority_data):
+        bars = self.bars(trained, majority_data, (0.8, 0.9), ACCURACY, eps_skip=0.3)
+        assert bars == {"train": {"skip": 0.8, "approx": 0.8},
+                        "val": {"skip": 0.9, "approx": 0.9}}
 
-    def test_eps_ordering_enforced(self):
-        with pytest.raises(ConfigError):
-            compute_thresholds(1.0, SPEED, eps_skip=0.2, eps_approx=0.1)
-        with pytest.raises(ConfigError):
-            Thresholds(2.0, 1.0)
+    def test_zero_degradation_collapses_band(self, trained, majority_data):
+        bars = self.bars(trained, majority_data, (2.0, 3.0), SIZE, eps_skip=0.0)
+        assert bars == {"train": {"skip": 2.0, "approx": 2.0},
+                        "val": {"skip": 3.0, "approx": 3.0}}
+
+    def test_nonpositive_baseline_rejected(self, trained, majority_data):
+        for focus in (SPEED, ACCURACY):
+            for baseline in ((0.0, 1.0), (1.0, float("nan")), (1.0, -1.0)):
+                with pytest.raises(ConfigError, match="baseline loss"):
+                    self.bars(trained, majority_data, baseline, focus)
+
+    def test_eps_ordering_enforced(self, trained, majority_data):
+        for eps in (dict(eps_skip=0.2, eps_approx=0.1), dict(eps_skip=-0.1),
+                    dict(eps_skip=float("nan"))):
+            with pytest.raises(ConfigError, match="eps_skip <= eps_approx"):
+                self.bars(trained, majority_data, (1.0, 1.0), SPEED, **eps)
+
+    def test_accuracy_focus_leaves_arguments_unchanged(self, tiny_config, majority_data):
+        """Accepted skips lower the analyzer's own bars, never the baseline
+        losses, model or data it was given."""
+        model = build_model(tiny_config, 13)  # untrained: tuning beats the baseline
+        baseline = [evaluate_loss(model, None, majority_data.train),
+                    evaluate_loss(model, None, majority_data.val)]
+        given = (list(baseline), [p.data.copy() for _, p in model.named_parameters()],
+                 majority_data.train.tokens.copy(), majority_data.val.labels.copy())
+        analyzer = GreedyAnalyzer(model, majority_data, baseline, ACCURACY, seed=5,
+                                  eps_skip=0.3, epochs_per_candidate=1, lr=0.01)
+        analyzer.run(order_queue(enumerate_elements(tiny_config), ACCURACY, tiny_config))
+        assert sum(r["decision"] == "skip" for r in analyzer.records) >= 2
+        assert analyzer._thresholds_doc()["val"]["skip"] < baseline[1]  # bars lowered
+        assert baseline == given[0]
+        for (_, p), before in zip(model.named_parameters(), given[1]):
+            np.testing.assert_array_equal(p.data, before)
+        np.testing.assert_array_equal(majority_data.train.tokens, given[2])
+        np.testing.assert_array_equal(majority_data.val.labels, given[3])
 
 
 class TestEvaluateCandidate:
@@ -135,21 +157,19 @@ class TestGreedyLoop:
         kill_attn(work, 0)
         tl = evaluate_loss(work, None, majority_data.train)
         vl = evaluate_loss(work, None, majority_data.val)
-        analyzer = GreedyAnalyzer(work, majority_data, exact_thresholds(tl, vl),
-                                  SPEED, seed=1, epochs_per_candidate=0)
+        analyzer = GreedyAnalyzer(work, majority_data, (tl, vl), SPEED, seed=1,
+                                  epochs_per_candidate=0)
         plan = analyzer.run(ElementQueue([attn_block(0)]))
         assert attn_block(0) in plan.skiplist
         assert analyzer.records[0]["decision"] == "skip"
 
     def test_band_element_lands_in_approxlist(self, trained, majority_data):
-        """Thresholds pinned at baseline with a huge approximation band: a
+        """Skip bar pinned at baseline with a huge approximation band: a
         harmful block is reverted and approximated."""
         tl = evaluate_loss(trained, None, majority_data.train)
         vl = evaluate_loss(trained, None, majority_data.val)
-        thresholds = SplitThresholds(Thresholds(tl, tl * 1e6),
-                                     Thresholds(vl, vl * 1e6))
-        analyzer = GreedyAnalyzer(trained, majority_data, thresholds, SPEED,
-                                  seed=2, epochs_per_candidate=0)
+        analyzer = GreedyAnalyzer(trained, majority_data, (tl, vl), SPEED, seed=2,
+                                  eps_approx=1e6, epochs_per_candidate=0)
         plan = analyzer.run(ElementQueue([attn_block(0)]))
         assert attn_block(0) not in plan.skiplist
         assert any(isinstance(p, SignMatch) for p in plan.entries(attn_block(0)))
@@ -159,11 +179,10 @@ class TestGreedyLoop:
                                                      majority_data):
         tl = evaluate_loss(trained, None, majority_data.train)
         vl = evaluate_loss(trained, None, majority_data.val)
-        # zero-width band: whatever fails the skip rule is high importance
-        thresholds = SplitThresholds(Thresholds(tl * 0.5, tl * 0.5),
-                                     Thresholds(vl * 0.5, vl * 0.5))
+        # bars at half the baseline with a zero-width band: whatever fails
+        # the skip rule is high importance
         queue = order_queue(enumerate_elements(tiny_config), SPEED, tiny_config)
-        analyzer = GreedyAnalyzer(trained, majority_data, thresholds, SPEED,
+        analyzer = GreedyAnalyzer(trained, majority_data, (tl * 0.5, vl * 0.5), SPEED,
                                   seed=3, epochs_per_candidate=0)
         plan = analyzer.run(queue)
         assert plan.is_empty()
@@ -181,8 +200,8 @@ class TestGreedyLoop:
         tl = evaluate_loss(model, None, majority_data.train)
         vl = evaluate_loss(model, None, majority_data.val)
         queue = order_queue(enumerate_elements(tiny_config), SPEED, tiny_config)
-        analyzer = GreedyAnalyzer(model, majority_data, exact_thresholds(tl, vl),
-                                  SPEED, seed=4, epochs_per_candidate=0)
+        analyzer = GreedyAnalyzer(model, majority_data, (tl, vl), SPEED, seed=4,
+                                  epochs_per_candidate=0)
         plan = analyzer.run(queue)
         assert {e for e in plan.skiplist} == set(
             el for el in enumerate_elements(tiny_config) if el.granularity == 0)
@@ -193,11 +212,10 @@ class TestGreedyLoop:
     def test_accuracy_focus_requires_strict_improvement(self, trained, majority_data):
         tl = evaluate_loss(trained, None, majority_data.train)
         vl = evaluate_loss(trained, None, majority_data.val)
-        thresholds = SplitThresholds(Thresholds(tl, tl), Thresholds(vl, vl))
         work = trained.clone()
         kill_attn(work, 0)  # dead block: removal is exactly neutral, not better
-        analyzer = GreedyAnalyzer(work, majority_data, thresholds, ACCURACY,
-                                  seed=5, epochs_per_candidate=0)
+        analyzer = GreedyAnalyzer(work, majority_data, (tl, vl), ACCURACY, seed=5,
+                                  epochs_per_candidate=0)
         plan = analyzer.run(ElementQueue([attn_block(0)]))
         assert plan.is_empty()  # equal loss does not beat the running minimum
 
@@ -207,8 +225,9 @@ class TestGreedyLoop:
         tl = evaluate_loss(model, None, majority_data.train)
         vl = evaluate_loss(model, None, majority_data.val)
         queue = order_queue(enumerate_elements(tiny_config), SPEED, tiny_config)
-        analyzer = GreedyAnalyzer(model, majority_data, exact_thresholds(tl, vl, 0.5),
-                                  SPEED, seed=6, epochs_per_candidate=1, lr=0.005)
+        analyzer = GreedyAnalyzer(model, majority_data, (tl, vl), SPEED, seed=6,
+                                  eps_skip=0.5, eps_approx=0.5, epochs_per_candidate=1,
+                                  lr=0.005)
         plan = analyzer.run(queue)
         accepted = {r["element"] for r in analyzer.records if r["decision"] == "skip"}
         assert {e.key for e in plan.skiplist} == accepted
@@ -218,8 +237,7 @@ class TestGreedyLoop:
     @pytest.mark.parametrize("k", [0, 9])
     def test_sign_match_k_outside_context_rejected(self, trained, majority_data, k):
         with pytest.raises(ConfigError, match="sign_match_k"):
-            GreedyAnalyzer(trained, majority_data, exact_thresholds(1.0, 1.0), SPEED,
-                           0, sign_match_k=k)
+            GreedyAnalyzer(trained, majority_data, (1.0, 1.0), SPEED, 0, sign_match_k=k)
 
     def test_group_quantize_not_repeated_under_quantized_block(self, trained,
                                                               majority_data):
@@ -228,10 +246,8 @@ class TestGreedyLoop:
         more; a group whose block was not quantized gets its own entry."""
         tl = evaluate_loss(trained, None, majority_data.train)
         vl = evaluate_loss(trained, None, majority_data.val)
-        thresholds = SplitThresholds(Thresholds(tl * 0.5, tl * 1e6),
-                                     Thresholds(vl * 0.5, vl * 1e6))
-        analyzer = GreedyAnalyzer(trained, majority_data, thresholds, SIZE,
-                                  seed=9, epochs_per_candidate=0)
+        analyzer = GreedyAnalyzer(trained, majority_data, (tl * 0.5, vl * 0.5), SIZE,
+                                  seed=9, eps_approx=2e6, epochs_per_candidate=0)
         queue = ElementQueue([attn_block(0), ffn_block(0), TransElement(QKV_GROUP, 0, 1),
                               TransElement(FFN_GROUP, 0, 0), TransElement(FFN_GROUP, 1, 0)])
         plan = analyzer.run(queue)
@@ -247,9 +263,9 @@ class TestGreedyLoop:
             tl = evaluate_loss(trained, None, majority_data.train)
             vl = evaluate_loss(trained, None, majority_data.val)
             queue = order_queue(enumerate_elements(tiny_config), SPEED, tiny_config)
-            analyzer = GreedyAnalyzer(trained, majority_data,
-                                      exact_thresholds(tl, vl, 0.3), SPEED,
-                                      seed=7, epochs_per_candidate=1)
+            analyzer = GreedyAnalyzer(trained, majority_data, (tl, vl), SPEED, seed=7,
+                                      eps_skip=0.3, eps_approx=0.3,
+                                      epochs_per_candidate=1)
             analyzer.run(queue)
             return analyzer.plan.to_json(), analyzer.records
 
@@ -274,7 +290,7 @@ class TestShrink:
         kill_ffn(model, 0)
         tl = evaluate_loss(model, None, data.train)
         vl = evaluate_loss(model, None, data.val)
-        lo, hi = GreedyAnalyzer(model, data, exact_thresholds(tl, vl), SPEED, 0,
+        lo, hi = GreedyAnalyzer(model, data, (tl, vl), SPEED, 0,
                                 epochs_per_candidate=0).shrink(ffn_block(0))
         assert lo == hi  # empty kept interval
 
@@ -288,7 +304,7 @@ class TestShrink:
         model.layers[0].w1.data[cfg.weight_group_width:] = 0.0  # make pruning physical
         tl = evaluate_loss(model, None, data.train)
         vl = evaluate_loss(model, None, data.val)
-        lo, hi = GreedyAnalyzer(model, data, exact_thresholds(tl, vl), SPEED, 0,
+        lo, hi = GreedyAnalyzer(model, data, (tl, vl), SPEED, 0,
                                 epochs_per_candidate=0).shrink(ffn_block(0))
         assert (lo, hi) == (0, 1)
 
@@ -301,8 +317,7 @@ class TestShrink:
         tl = evaluate_loss(model, None, data.train)
         vl = evaluate_loss(model, None, data.val)
         eps = 0.05
-        thresholds = exact_thresholds(tl, vl, eps)
-        lo, hi = GreedyAnalyzer(model, data, thresholds, SPEED, 0,
+        lo, hi = GreedyAnalyzer(model, data, (tl, vl), SPEED, 0, eps_skip=eps,
                                 epochs_per_candidate=0).shrink(ffn_block(0))
         G = cfg.num_weight_groups
 
@@ -330,8 +345,7 @@ class TestShrink:
 
     def test_requires_speed_focus(self, trained, majority_data):
         with pytest.raises(ConfigError, match="speed focus"):
-            GreedyAnalyzer(trained, majority_data, exact_thresholds(1.0, 1.0), SIZE,
-                           0).shrink(ffn_block(0))
+            GreedyAnalyzer(trained, majority_data, (1.0, 1.0), SIZE, 0).shrink(ffn_block(0))
 
     def test_full_band_scan_writes_no_entry(self):
         data, cfg = self.make_data(), self.make_config()
@@ -341,11 +355,9 @@ class TestShrink:
         vl = evaluate_loss(model, None, data.val)
         # FFN block harmful to skip is impossible here (it is dead), so force
         # the band by pinning skip below any reachable loss
-        thresholds = SplitThresholds(Thresholds(tl * 0.5, tl * 2.0),
-                                     Thresholds(vl * 0.5, vl * 2.0))
         queue = order_queue(enumerate_elements(cfg), SPEED, cfg)
-        analyzer = GreedyAnalyzer(model, data, thresholds, SPEED, seed=8,
-                                  epochs_per_candidate=0)
+        analyzer = GreedyAnalyzer(model, data, (tl * 0.5, vl * 0.5), SPEED, seed=8,
+                                  eps_approx=3.0, epochs_per_candidate=0)
         plan = analyzer.run(queue)
         last = cfg.num_weight_groups - 1
         trials = {(r["element"], r["tentative_action"], r["decision"])
@@ -363,8 +375,7 @@ class TestShrink:
         model.layers[0].w1.data[cfg.weight_group_width:] = 0.0  # only group 0 matters
         tl = evaluate_loss(model, None, data.train)
         vl = evaluate_loss(model, None, data.val)
-        analyzer = GreedyAnalyzer(model, data, exact_thresholds(tl, vl), SPEED, 0,
-                                  epochs_per_candidate=0)
+        analyzer = GreedyAnalyzer(model, data, (tl, vl), SPEED, 0, epochs_per_candidate=0)
         assert analyzer.shrink(ffn_block(0)) == (0, 1)
         assert analyzer.plan == ApproxPlan().with_approx(ffn_block(0), GroupShrink(0, 1))
         skips = ApproxPlan(TransElement.from_key(r["element"])
@@ -379,8 +390,8 @@ class TestShrink:
         kill_ffn(model, 0)
         tl = evaluate_loss(model, None, data.train)
         vl = evaluate_loss(model, None, data.val)
-        analyzer = GreedyAnalyzer(model, data, exact_thresholds(tl, vl), SPEED, 0,
-                                  epochs_per_candidate=0, encompass_enabled=False)
+        analyzer = GreedyAnalyzer(model, data, (tl, vl), SPEED, 0, epochs_per_candidate=0,
+                                  encompass_enabled=False)
         groups = [TransElement(FFN_GROUP, 0, g) for g in range(cfg.num_weight_groups)]
         plan = analyzer.run(ElementQueue([ffn_block(0)] + groups))
         assert plan == ApproxPlan([ffn_block(0)])

@@ -3,7 +3,9 @@
     python3 tools/fixture_hashes.py [--root CHECKOUT]
 
 Runs ``run_experiment`` on five fixed configs, each into a temporary
-directory, and prints one line per fixture and artifact:
+directory, and prints one line per fixture and artifact
+(``plan.json``, ``decisions.jsonl``, ``model.bin`` and ``elements.json``, the
+final queue and the encompass-filter removal log):
 ``<fixture> <artifact> <sha256>``, then ``<fixture> views <sha256>``: a hash
 over the per-layer ``LayerView`` that ``plan.json`` resolves to (skip flags,
 liveness masks, sign-match k, quantization bits), so a change that rewrites
@@ -30,7 +32,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-ARTIFACTS = ("plan.json", "decisions.jsonl", "model.bin")
+ARTIFACTS = ("plan.json", "decisions.jsonl", "model.bin", "elements.json")
 
 
 def fixtures(root: Path) -> list:
