@@ -17,7 +17,7 @@ config = sf.ExperimentConfig(
                      train_size=768, seed=3),
     shape=sf.ModelShape(num_layers=4, hidden_dim=32, num_heads=4, ffn_dim=64,
                         weight_group_width=8, kv_group_width=8),
-    focus=sf.FocusMode(sf.Focus.SPEED), eps_skip=0.25,
+    focus=sf.Focus.SPEED, eps_skip=0.25,
     seed=0, epochs_baseline=4, epochs_candidate=3, epochs_final=4, lr=0.01)
 
 print("running optimize pipeline (about half a minute)...")

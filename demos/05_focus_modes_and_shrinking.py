@@ -18,7 +18,7 @@ shape = sf.ModelShape(num_layers=2, hidden_dim=32, num_heads=4, ffn_dim=64,
 
 print("focus modes on one copy task (about half a minute)...")
 for focus in sf.Focus:
-    config = sf.ExperimentConfig(task=task, shape=shape, focus=sf.FocusMode(focus),
+    config = sf.ExperimentConfig(task=task, shape=shape, focus=focus,
                                  seed=1, epochs_baseline=4, epochs_candidate=2,
                                  epochs_final=4, lr=0.01, eps_skip=0.1, eps_approx=2.0,
                                  sign_match_k=8)
@@ -52,7 +52,7 @@ model = sf.build_model(cfg, 3)
 sf.train_epochs(model, None, data.train, 6, sf.spawn_rng(3, 0), lr=0.01)
 tl = sf.evaluate_loss(model, None, data.train)
 vl = sf.evaluate_loss(model, None, data.val)
-analyzer = sf.GreedyAnalyzer(model, data, (tl, vl), sf.FocusMode(sf.Focus.SPEED),
+analyzer = sf.GreedyAnalyzer(model, data, (tl, vl), sf.Focus.SPEED,
                              seed=0, eps_skip=0.2, epochs_per_candidate=1)
 lo, hi = analyzer.shrink(ffn_block(0))
 print(f"  baseline train loss {tl:.4f}, "

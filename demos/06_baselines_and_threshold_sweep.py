@@ -16,7 +16,7 @@ config = sf.ExperimentConfig(
                      train_size=96, seed=17),
     shape=sf.ModelShape(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
                         weight_group_width=4, kv_group_width=4),
-    focus=sf.FocusMode(sf.Focus.ACCURACY),
+    focus=sf.Focus.ACCURACY,
     seed=2, epochs_baseline=2, epochs_candidate=2, epochs_final=0, lr=0.01)
 
 print("comparing analysis strategies on a shared baseline...")
@@ -33,7 +33,7 @@ for row in result["rows"]:
 print("\nsweeping skip/approx thresholds (speed focus)...")
 sweep_config = sf.ExperimentConfig(
     task=config.task, shape=config.shape,
-    focus=sf.FocusMode(sf.Focus.SPEED),
+    focus=sf.Focus.SPEED,
     seed=2, epochs_baseline=3, epochs_candidate=1, epochs_final=2, lr=0.01)
 rows = sf.sweep_thresholds(sweep_config, [0.0, 0.1, 0.3, (0.5, 1.0)],
                            "demo_runs/sweep")

@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 
 TASK_KINDS = ("classification", "language_model", "copy")
+_NUMBER_TYPES = {"int": (int,), "float": (int, float)}
+
+
+def check_number_fields(obj) -> None:
+    """Raise ConfigError if a dataclass field annotated int or float (or
+    either `| None`) holds another type; bools and fractions for ints do
+    not pass. Config docs and manifests can carry any JSON value."""
+    for f in fields(obj):
+        base, _, optional = f.type.partition(" | ")
+        kinds, value = _NUMBER_TYPES.get(base), getattr(obj, f.name)
+        if kinds is None or (optional and value is None):
+            continue
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ConfigError(f"{f.name} must be of type {base}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,10 +46,13 @@ class TransformerConfig:
     num_classes: int = 0  # 0 means "use vocab_size"
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.num_layers < 1:
             raise ConfigError("num_layers must be >= 1")
-        if self.hidden_dim < 1 or self.ffn_dim < 1 or self.context_len < 1:
-            raise ConfigError("hidden_dim, ffn_dim and context_len must be >= 1")
+        if min(self.hidden_dim, self.num_heads, self.ffn_dim, self.context_len,
+               self.weight_group_width, self.kv_group_width) < 1:
+            raise ConfigError("hidden_dim, num_heads, ffn_dim, context_len and the "
+                              "group widths must be >= 1")
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must be >= 2")
         if self.hidden_dim % self.num_heads != 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import costs
 from .config import TransformerConfig
 from .errors import ConfigError, PlanError
-from .focus import Focus, FocusMode
+from .focus import Focus
 
 FFN_BLOCK = "ffn_block"
 ATTN_BLOCK = "attn_block"
@@ -186,7 +186,7 @@ class ElementQueue:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def order_queue(elements: list[TransElement], focus: FocusMode,
+def order_queue(elements: list[TransElement], focus: Focus,
                 config: TransformerConfig,
                 layer_order: list[int] | None = None) -> ElementQueue:
     """Build the analysis queue: blocks, then heads, then groups.
@@ -204,7 +204,7 @@ def order_queue(elements: list[TransElement], focus: FocusMode,
     if sorted(layer_order) != list(range(L)):
         raise ConfigError("layer_order must be a permutation of range(num_layers)")
 
-    if focus.focus == Focus.SIZE:
+    if focus == Focus.SIZE:
         attn_first = costs.attn_params(config) >= costs.ffn_params(config)
     else:
         attn_first = costs.attn_macs(config) >= costs.ffn_macs(config)

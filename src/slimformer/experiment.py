@@ -17,10 +17,10 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .config import TransformerConfig
+from .config import TransformerConfig, check_number_fields
 from .elements import ElementQueue, enumerate_elements, order_queue
 from .errors import ConfigError, InfeasibleError, PlanError, StageError
-from .focus import Focus, FocusMode
+from .focus import Focus
 from .model import (PlannedModel, TransformerModel, build_model,
                     measure_latency, save_checkpoint)
 from .plan import QUANT_BITS, ApproxPlan
@@ -51,7 +51,6 @@ _EPOCHS = {"epochs_baseline": "baseline", "epochs_candidate": "candidate",
            "epochs_final": "final"}
 _STRUCTURED = ("task", "shape", "focus", *_EPOCHS)
 COMPARATORS = ("greedy_heuristic", "greedy_plain", "oracle", "taylor")
-_NUMBER_TYPES = {"int": (int,), "float": (int, float)}
 
 
 def _section(doc: dict, name: str, keys) -> dict:
@@ -69,7 +68,7 @@ def _section(doc: dict, name: str, keys) -> dict:
 class ExperimentConfig:
     task: TaskSpec
     shape: ModelShape = ModelShape()
-    focus: FocusMode = FocusMode(Focus.SPEED)
+    focus: Focus = Focus.SPEED
     seed: int = 0
     epochs_baseline: int = 5
     epochs_candidate: int = 1
@@ -84,13 +83,8 @@ class ExperimentConfig:
     comparators: tuple[str, ...] = COMPARATORS
 
     def __post_init__(self):
-        for f in fields(self):  # config docs can carry any JSON value
-            base, _, optional = f.type.partition(" | ")
-            kinds, value = _NUMBER_TYPES.get(base), getattr(self, f.name)
-            if kinds is None or (optional and value is None):
-                continue
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigError(f"{f.name} must be of type {base}, got {value!r}")
+        check_number_fields(self)
+        self.transformer_config()  # range-checks the shape against the task
         eps_pair(self.eps_skip, self.eps_approx)
         n, k = self.task.context_len, self.sign_match_k
         if self.quant_bits not in QUANT_BITS:
@@ -99,10 +93,16 @@ class ExperimentConfig:
             raise ConfigError(f"sign_match_k must be in [1, context_len={n}], got {k}")
         if min(self.epochs_baseline, self.epochs_candidate, self.epochs_final) < 0:
             raise ConfigError("epoch budgets must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
+        if (not isinstance(self.comparators, (list, tuple))
+                or not all(isinstance(c, str) for c in self.comparators)):
+            raise ConfigError(f"comparators must be a list of names, got {self.comparators!r}")
+        self.comparators = tuple(self.comparators)
         unknown = sorted(set(self.comparators) - set(COMPARATORS))
         if unknown:
             raise ConfigError(f"unknown comparator(s) {unknown}; known: {list(COMPARATORS)}")
@@ -125,7 +125,7 @@ class ExperimentConfig:
 
     def to_doc(self) -> dict:
         doc = {"task": self.task.to_dict(), "model": asdict(self.shape),
-               "focus": self.focus.focus.value,
+               "focus": self.focus.value,
                "epochs": {key: getattr(self, name) for name, key in _EPOCHS.items()}}
         for f in fields(self):
             if f.name not in _STRUCTURED:
@@ -144,13 +144,11 @@ class ExperimentConfig:
         except KeyError as exc:
             raise ConfigError("config needs a 'task' section") from exc
         shape = ModelShape(**_section(doc, "model", [f.name for f in fields(ModelShape)]))
-        focus = FocusMode.parse(doc.get("focus", cls.focus.focus.value))
+        focus = Focus.parse(doc.get("focus", cls.focus.value))
         epochs = _section(doc, "epochs", _EPOCHS.values())
         kwargs = {name: epochs[key] for name, key in _EPOCHS.items() if key in epochs}
         kwargs.update((f.name, doc[f.name]) for f in fields(cls)
                       if f.name not in _STRUCTURED and f.name in doc)
-        if "comparators" in kwargs:
-            kwargs["comparators"] = tuple(kwargs["comparators"])
         return cls(task=task, shape=shape, focus=focus, **kwargs)
 
 
@@ -338,34 +336,49 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
     data, model, baseline_train, baseline_val = train_baseline(config)
     baseline_cost = PlannedModel(model).cost()
 
-    def greedy_row(method: str, ordered: bool, encompass: bool) -> dict:
-        if ordered:
-            queue = order_queue(elements, config.focus, tcfg)
-        else:
-            queue = ElementQueue(list(elements))
+    def row(method: str, weights: TransformerModel, plan: ApproxPlan, removed: int,
+            evaluated: int, seconds: float) -> dict:
+        cost = PlannedModel(weights, plan).cost()
+        return {
+            "method": method,
+            "train_loss": evaluate_loss(weights, plan, data.train),
+            "val_loss": evaluate_loss(weights, plan, data.val),
+            "mac_count": cost.mac_count,
+            "param_count": cost.param_count,
+            "elements_removed": removed,
+            "candidates_evaluated": evaluated,
+            "analysis_seconds": seconds,
+        }
+
+    def greedy(method: str, queue: ElementQueue, encompass: bool) -> dict:
         analyzer = _analyzer(config, model, data, (baseline_train, baseline_val),
                              encompass_enabled=encompass)
         t0 = time.perf_counter()
         plan = analyzer.run(queue)
         seconds = time.perf_counter() - t0
-        cost = PlannedModel(analyzer.work, plan).cost()
-        return {
-            "method": method,
-            "train_loss": evaluate_loss(analyzer.work, plan, data.train),
-            "val_loss": evaluate_loss(analyzer.work, plan, data.val),
-            "mac_count": cost.mac_count,
-            "param_count": cost.param_count,
-            # counts a shrink scan's prunes, which the plan holds as one GroupShrink
-            "elements_removed": sum(r["decision"] == "skip" for r in analyzer.records),
-            "candidates_evaluated": len(analyzer.records),
-            "analysis_seconds": seconds,
-        }
+        # counts a shrink scan's prunes, which the plan holds as one GroupShrink
+        removed = sum(r["decision"] == "skip" for r in analyzer.records)
+        return row(method, analyzer.work, plan, removed, len(analyzer.records), seconds)
 
-    def scored_row(method: str, scores: dict, k: int, seconds: float) -> dict:
-        ranked = sorted(scores, key=lambda el: (scores[el], el.key))
-        plan = ApproxPlan()
-        taken = 0
-        for el in ranked:
+    enabled = set(config.comparators)
+    # the heuristic run anchors the matched element-removal count even when
+    # its row is not requested
+    heuristic = greedy("greedy_heuristic", order_queue(elements, config.focus, tcfg), True)
+    k = heuristic["elements_removed"]
+    rows = [heuristic] if "greedy_heuristic" in enabled else []
+    if "greedy_plain" in enabled:
+        rows.append(greedy("greedy_plain", ElementQueue(list(elements)), False))
+
+    scorers = {"oracle": lambda: oracle_significance(
+                   model, data, elements, max_elements=config.max_oracle_elements),
+               "taylor": lambda: taylor_significance(model, data, elements)}
+    for method in (m for m in scorers if m in enabled):
+        t0 = time.perf_counter()
+        scores = scorers[method]()
+        seconds = time.perf_counter() - t0
+        # one shot: skip the k lowest-scoring elements whose plan still resolves
+        plan, taken = ApproxPlan(), 0
+        for el in sorted(scores, key=lambda el: (scores[el], el.key)):
             if taken == k:
                 break
             candidate = plan.with_skip(el)
@@ -373,41 +386,8 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
                 candidate.resolve(tcfg)
             except PlanError:
                 continue  # lowest-score set may be structurally invalid
-            plan = candidate
-            taken += 1
-        cost = PlannedModel(model, plan).cost()
-        return {
-            "method": method,
-            "train_loss": evaluate_loss(model, plan, data.train),
-            "val_loss": evaluate_loss(model, plan, data.val),
-            "mac_count": cost.mac_count,
-            "param_count": cost.param_count,
-            "elements_removed": taken,
-            "candidates_evaluated": len(scores),
-            "analysis_seconds": seconds,
-        }
-
-    enabled = set(config.comparators)
-    rows = []
-    # the heuristic run anchors the matched element-removal count even when
-    # its row is not requested
-    heuristic = greedy_row("greedy_heuristic", ordered=True, encompass=True)
-    if "greedy_heuristic" in enabled:
-        rows.append(heuristic)
-    if "greedy_plain" in enabled:
-        rows.append(greedy_row("greedy_plain", ordered=False, encompass=False))
-    k = heuristic["elements_removed"]
-
-    if "oracle" in enabled:
-        t0 = time.perf_counter()
-        oracle_scores = oracle_significance(model, data, elements,
-                                            max_elements=config.max_oracle_elements)
-        rows.append(scored_row("oracle", oracle_scores, k, time.perf_counter() - t0))
-
-    if "taylor" in enabled:
-        t0 = time.perf_counter()
-        taylor_scores = taylor_significance(model, data, elements)
-        rows.append(scored_row("taylor", taylor_scores, k, time.perf_counter() - t0))
+            plan, taken = candidate, taken + 1
+        rows.append(row(method, model, plan, taken, len(scores), seconds))
 
     result = {
         "baseline": {"train_loss": baseline_train, "val_loss": baseline_val,

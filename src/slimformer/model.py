@@ -19,7 +19,7 @@ import numpy as np
 
 from . import costs
 from .config import TransformerConfig
-from .errors import PlanError
+from .errors import ConfigError, PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
 from .signmatch import (OpCounter, causal_mask, full_attention,
                         sign_match_attention)
@@ -308,9 +308,9 @@ def save_checkpoint(model: TransformerModel, prefix: str | Path) -> tuple[Path, 
 
 
 def load_checkpoint(prefix: str | Path) -> TransformerModel:
-    """Read a checkpoint pair. The manifest must list every parameter of
-    the configured model, and nothing else, as "<f8" data inside the
-    `.bin`; anything else raises PlanError."""
+    """Read a checkpoint pair. The manifest must hold a valid model config
+    and list every parameter of that model, and nothing else, as "<f8" data
+    inside the `.bin`; anything else raises PlanError."""
     prefix = Path(prefix)
     try:
         manifest = json.loads(prefix.with_suffix(".json").read_text())
@@ -324,7 +324,10 @@ def load_checkpoint(prefix: str | Path) -> TransformerModel:
         raise PlanError("every checkpoint tensor entry needs a name, shape and offset")
     if manifest.get("dtype") != "<f8":
         raise PlanError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
-    config = TransformerConfig.from_dict(manifest["config"])
+    try:
+        config = TransformerConfig.from_dict(manifest["config"])
+    except ConfigError as exc:
+        raise PlanError(f"checkpoint config is invalid: {exc}") from exc
     model = TransformerModel(config, manifest.get("seed", -1))
     blob = prefix.with_suffix(".bin").read_bytes()
     params = dict(model.named_parameters())

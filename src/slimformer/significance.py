@@ -23,8 +23,8 @@ from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, QKV_GROUP,
                        ElementQueue, TransElement, encompass_filter,
                        enumerate_elements, weight_group_block)
 from .errors import ConfigError, InfeasibleError, PlanError
-from .focus import Focus, FocusMode
-from .model import PlannedModel, TransformerModel
+from .focus import Focus
+from .model import LayerParams, PlannedModel, TransformerModel
 from .plan import ApproxPlan, GroupShrink, Quantize, SignMatch, params_to_doc
 from .tasks import TaskData
 from .tensor import spawn_rng
@@ -79,7 +79,7 @@ class GreedyAnalyzer:
     """
 
     def __init__(self, model: TransformerModel, data: TaskData,
-                 baseline: tuple[float, float], focus: FocusMode, seed: int,
+                 baseline: tuple[float, float], focus: Focus, seed: int,
                  eps_skip: float = 0.0, eps_approx: float | None = None,
                  epochs_per_candidate: int = 1, lr: float = DEFAULT_LR,
                  batch_size: int = DEFAULT_BATCH, sign_match_k: int | None = None,
@@ -113,7 +113,7 @@ class GreedyAnalyzer:
         self._step = 0
         # (train, val) pairs; only an accepted accuracy-focus skip lowers the bars
         self._baseline = tuple(baseline)
-        if focus.focus == Focus.ACCURACY:
+        if focus == Focus.ACCURACY:
             self._skip = self._approx = self._baseline
         else:
             self._skip = tuple(loss * (1.0 + eps_skip) for loss in self._baseline)
@@ -123,7 +123,7 @@ class GreedyAnalyzer:
 
     def _accept_skip(self, tl: float, vl: float) -> bool:
         t, v = self._skip
-        if self.focus.focus == Focus.ACCURACY:  # strict improvement
+        if self.focus == Focus.ACCURACY:  # strict improvement
             return tl < t and vl < v
         return tl <= t and vl <= v
 
@@ -137,7 +137,7 @@ class GreedyAnalyzer:
         Speed/size: any block that failed the approximation band. Accuracy:
         only blocks whose removal pushed loss above the original baseline
         (anything milder leaves its groups worth examining)."""
-        if self.focus.focus == Focus.ACCURACY:
+        if self.focus == Focus.ACCURACY:
             return not (tl <= self._baseline[0] and vl <= self._baseline[1])
         return True
 
@@ -166,7 +166,7 @@ class GreedyAnalyzer:
         if self._accept_skip(tl, vl):
             rec["decision"] = "skip"
             self.plan, self.work = candidate, tuned
-            if self.focus.focus == Focus.ACCURACY:
+            if self.focus == Focus.ACCURACY:
                 self._skip = self._approx = (tl, vl)
         return rec
 
@@ -182,7 +182,7 @@ class GreedyAnalyzer:
         while queue.has_next():
             el = queue.pop()
             block = weight_group_block(el)
-            if self.focus.focus == Focus.SPEED and block is not None:
+            if self.focus == Focus.SPEED and block is not None:
                 queue.extract_family(el.kind, el.layer, "shrink_scan")
                 self.shrink(block)
             else:
@@ -210,12 +210,12 @@ class GreedyAnalyzer:
         """Approximate an element inside the band, if its kind has an
         approximation under the focus; returns the decision and approx doc."""
         params = None
-        if self.focus.focus == Focus.SPEED:
+        if self.focus == Focus.SPEED:
             if el.kind == FFN_BLOCK:
                 return "approximate", {"variant": "group_shrink", "status": "scheduled"}
             if el.kind == ATTN_BLOCK:
                 params = SignMatch(self.sign_match_k)
-        elif self.focus.focus == Focus.SIZE and el.kind in (ATTN_BLOCK, FFN_BLOCK,
+        elif self.focus == Focus.SIZE and el.kind in (ATTN_BLOCK, FFN_BLOCK,
                                                               FFN_GROUP, QKV_GROUP):
             params = Quantize(self.quant_bits)
         if params is None:
@@ -236,7 +236,7 @@ class GreedyAnalyzer:
         [lo, hi); every trial is logged. The plan keeps its pre-scan state
         plus one GroupShrink(lo, hi) on the block, written only when the band
         narrowed and the block is not skipped. Returns (lo, hi)."""
-        if self.focus.focus != Focus.SPEED:
+        if self.focus != Focus.SPEED:
             raise ConfigError("contiguous shrinking applies under speed focus only; "
                               "other focuses prune groups individually")
         if block.kind not in (FFN_BLOCK, ATTN_BLOCK):
@@ -263,71 +263,54 @@ class GreedyAnalyzer:
 
 # -- comparison baselines -------------------------------------------------------
 
+TAYLOR_BATCH = 64  # training examples behind the one gradient Taylor scores use
+
+# element kind -> (config attribute giving its slice width, owned parameters
+# as (name, axis) pairs): axis None owns the whole tensor, else the element's
+# index-th slice along that axis. Key/value position groups own no
+# parameters (they select activations), so they score zero.
+_OWNED_PARAMS = {
+    FFN_BLOCK: (None, tuple((name, None) for name in LayerParams.FFN_NAMES)),
+    ATTN_BLOCK: (None, tuple((name, None) for name in LayerParams.ATTN_NAMES)),
+    HEAD: ("head_dim", (("wq", 1), ("wk", 1), ("wv", 1),
+                        ("bq", 0), ("bk", 0), ("bv", 0), ("wo", 0))),
+    FFN_GROUP: ("weight_group_width", (("w1", 0),)),
+    QKV_GROUP: ("weight_group_width", (("wq", 0), ("wk", 0), ("wv", 0))),
+}
+
+
 def taylor_signed_scores(model: TransformerModel, data: TaskData,
-                         elements: list[TransElement] | None = None,
-                         batch_size: int = 64) -> dict[TransElement, float]:
+                         elements: list[TransElement] | None = None
+                         ) -> dict[TransElement, float]:
     """Signed first-order scores sum(w * dL/dw) over each element's
     parameters, from one training iteration's gradients. Signed sums are
     additive over disjoint parameter partitions; rankings use |score|."""
     elements = elements if elements is not None else enumerate_elements(model.config)
     work = model.clone()
-    tokens, labels = next(iter_batches(data.train, batch_size))
+    tokens, labels = next(iter_batches(data.train, TAYLOR_BATCH))
     _, loss = PlannedModel(work).forward(tokens, labels)
     loss.backward()
     scores = {}
     for el in elements:
+        attr, owned = _OWNED_PARAMS.get(el.kind, (None, ()))
+        width = getattr(model.config, attr) if attr else 0
+        band = slice(el.index * width, (el.index + 1) * width)
         total = 0.0
-        for w, g in _element_param_slices(work, el):
-            if g is None:
+        for name, axis in owned:
+            t = getattr(work.layers[el.layer], name)
+            if t.grad is None:
                 raise RuntimeError(f"missing gradient for parameters of {el.key}")
-            total += float((w * g).sum())
+            index = ... if axis is None else (slice(None),) * axis + (band,)
+            total += float((t.data[index] * t.grad[index]).sum())
         scores[el] = total
     return scores
 
 
 def taylor_significance(model: TransformerModel, data: TaskData,
-                        elements: list[TransElement] | None = None,
-                        batch_size: int = 64) -> dict[TransElement, float]:
+                        elements: list[TransElement] | None = None
+                        ) -> dict[TransElement, float]:
     """|sum(w * grad)| per element; the cheap stand-in for removal loss."""
-    return {el: abs(s)
-            for el, s in taylor_signed_scores(model, data, elements, batch_size).items()}
-
-
-def _element_param_slices(model: TransformerModel, el: TransElement):
-    """(weight slice, grad slice) pairs making up one element's parameters.
-
-    Key/value position groups own no parameters (they select activations),
-    so they yield nothing and score zero."""
-    layer = model.layers[el.layer]
-    dh = model.config.head_dim
-    w = model.config.weight_group_width
-    pairs = []
-    if el.kind == FFN_BLOCK:
-        names = layer.FFN_NAMES
-        pairs = [(getattr(layer, n).data, getattr(layer, n).grad) for n in names]
-    elif el.kind == ATTN_BLOCK:
-        names = layer.ATTN_NAMES
-        pairs = [(getattr(layer, n).data, getattr(layer, n).grad) for n in names]
-    elif el.kind == HEAD:
-        lo, hi = el.index * dh, (el.index + 1) * dh
-        for name in ("wq", "wk", "wv"):
-            t = getattr(layer, name)
-            pairs.append((t.data[:, lo:hi], None if t.grad is None else t.grad[:, lo:hi]))
-        for name in ("bq", "bk", "bv"):
-            t = getattr(layer, name)
-            pairs.append((t.data[lo:hi], None if t.grad is None else t.grad[lo:hi]))
-        pairs.append((layer.wo.data[lo:hi, :],
-                      None if layer.wo.grad is None else layer.wo.grad[lo:hi, :]))
-    elif el.kind == FFN_GROUP:
-        lo, hi = el.index * w, (el.index + 1) * w
-        pairs.append((layer.w1.data[lo:hi, :],
-                      None if layer.w1.grad is None else layer.w1.grad[lo:hi, :]))
-    elif el.kind == QKV_GROUP:
-        lo, hi = el.index * w, (el.index + 1) * w
-        for name in ("wq", "wk", "wv"):
-            t = getattr(layer, name)
-            pairs.append((t.data[lo:hi, :], None if t.grad is None else t.grad[lo:hi, :]))
-    return pairs
+    return {el: abs(s) for el, s in taylor_signed_scores(model, data, elements).items()}
 
 
 def oracle_significance(model: TransformerModel, data: TaskData,

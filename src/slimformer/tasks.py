@@ -13,6 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .config import check_number_fields
 from .errors import ConfigError
 from .tensor import spawn_rng
 
@@ -31,6 +32,7 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.kind not in TASK_NAMES:
             raise ConfigError(f"task kind must be one of {TASK_NAMES}")
         if self.vocab_size < 2:
@@ -39,6 +41,8 @@ class TaskSpec:
             raise ConfigError("context_len must be >= 2")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"task seed must be >= 0, got {self.seed}")
         if self.kind == "copy":
             if self.context_len % 2 == 0:
                 raise ConfigError("copy task needs an odd context_len (pattern, "

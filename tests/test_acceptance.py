@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from slimformer import (ApproxPlan, ElementQueue, ExperimentConfig, Focus,
-                        FocusMode, GreedyAnalyzer, ModelShape, OpCounter,
+                        GreedyAnalyzer, ModelShape, OpCounter,
                         PlanError, PlannedModel, TaskSpec, Tensor,
                         TransElement, TransformerConfig,
                         build_model, compare_baselines, full_attention,
@@ -283,7 +283,7 @@ def test_criterion_06_shrinking_contiguity():
         eps = float(gen.uniform(0.02, 0.6))
         tl = evaluate_loss(model, None, data.train)
         vl = evaluate_loss(model, None, data.val)
-        analyzer = GreedyAnalyzer(model, data, (tl, vl), FocusMode(Focus.SPEED),
+        analyzer = GreedyAnalyzer(model, data, (tl, vl), Focus.SPEED,
                                   seed=run, eps_skip=eps, epochs_per_candidate=0)
         queue = ElementQueue([TransElement(kind, 0, g) for g in range(4)])
         plan = analyzer.run(queue)
@@ -323,7 +323,7 @@ def test_criterion_07_greedy_vs_exhaustive_oracle():
     tl = evaluate_loss(model, None, data.train)
     vl = evaluate_loss(model, None, data.val)
     eps = 0.3
-    focus = FocusMode(Focus.SPEED)
+    focus = Focus.SPEED
     queue = order_queue(elements, focus, cfg)
     # a zero-width band: every decision is a skip or a keep
     analyzer = GreedyAnalyzer(model, data, (tl, vl), focus, seed=3, eps_skip=eps,
@@ -351,9 +351,9 @@ def test_criterion_07_greedy_vs_exhaustive_oracle():
     assert PlannedModel(model, plan).cost().mac_count in feasible_macs
 
     # accuracy focus clause
-    acc_analyzer = GreedyAnalyzer(model, data, (tl, vl), FocusMode(Focus.ACCURACY),
+    acc_analyzer = GreedyAnalyzer(model, data, (tl, vl), Focus.ACCURACY,
                                   seed=5, epochs_per_candidate=1, lr=0.005)
-    acc_plan = acc_analyzer.run(order_queue(elements, FocusMode(Focus.ACCURACY), cfg))
+    acc_plan = acc_analyzer.run(order_queue(elements, Focus.ACCURACY, cfg))
     final_train = evaluate_loss(acc_analyzer.work, acc_plan, data.train)
     final_val = evaluate_loss(acc_analyzer.work, acc_plan, data.val)
     assert final_val <= vl + 1e-12
@@ -372,7 +372,7 @@ FIXTURE_SHAPE = ModelShape(num_layers=4, hidden_dim=32, num_heads=4, ffn_dim=64,
 
 def _fixture_config(focus: Focus):
     return ExperimentConfig(task=FIXTURE_TASK, shape=FIXTURE_SHAPE,
-                            focus=FocusMode(focus), seed=0, epochs_baseline=4,
+                            focus=focus, seed=0, epochs_baseline=4,
                             epochs_candidate=3, epochs_final=4, lr=0.01, eps_skip=0.25)
 
 
@@ -419,7 +419,7 @@ def test_criterion_10_baseline_comparison(tmp_path):
                       train_size=96, seed=17),
         shape=ModelShape(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
                          weight_group_width=4, kv_group_width=4),
-        focus=FocusMode(Focus.ACCURACY),
+        focus=Focus.ACCURACY,
         seed=2, epochs_baseline=2, epochs_candidate=2, epochs_final=0, lr=0.01)
     result = compare_baselines(config, tmp_path / "cmp")
     rows = {r["method"]: r for r in result["rows"]}
@@ -443,7 +443,7 @@ def test_criterion_11_determinism(tmp_path):
                       train_size=80, seed=5),
         shape=ModelShape(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
                          weight_group_width=4, kv_group_width=4),
-        focus=FocusMode(Focus.SPEED), eps_skip=0.3,
+        focus=Focus.SPEED, eps_skip=0.3,
         seed=9, epochs_baseline=3, epochs_candidate=1, epochs_final=2, lr=0.01)
     run_experiment(config, tmp_path / "one")
     run_experiment(config, tmp_path / "two")

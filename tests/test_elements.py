@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from slimformer import (ConfigError, ElementQueue, Focus, FocusMode,
+from slimformer import (ConfigError, ElementQueue, Focus,
                         TransElement, TransformerConfig, encompass_filter,
                         enumerate_elements, order_queue)
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
@@ -56,14 +56,14 @@ class TestEnumerate:
 class TestOrderQueue:
     def test_small_context_ffn_blocks_first_final_layer_first(self):
         cfg = make_config(context_len=4, kv_group_width=4, ffn_dim=64)
-        q = order_queue(enumerate_elements(cfg), FocusMode(Focus.SPEED), cfg)
+        q = order_queue(enumerate_elements(cfg), Focus.SPEED, cfg)
         first, second = q.pop(), q.pop()
         assert first == TransElement(FFN_BLOCK, 1)
         assert second == TransElement(FFN_BLOCK, 0)
 
     def test_large_context_attn_blocks_first(self):
         cfg = make_config(context_len=64, kv_group_width=4)
-        q = order_queue(enumerate_elements(cfg), FocusMode(Focus.SPEED), cfg)
+        q = order_queue(enumerate_elements(cfg), Focus.SPEED, cfg)
         first = q.pop()
         assert first == TransElement(ATTN_BLOCK, 1)
 
@@ -73,24 +73,24 @@ class TestOrderQueue:
             L = int(rng.integers(1, 4))
             n = int(rng.choice([4, 8, 32, 64]))
             cfg = make_config(num_layers=L, context_len=n)
-            focus = FocusMode(Focus(rng.choice(["speed", "size", "accuracy"])))
+            focus = Focus(rng.choice(["speed", "size", "accuracy"]))
             q = order_queue(enumerate_elements(cfg), focus, cfg)
             grans = [e.granularity for e in q.pending()]
             assert grans == sorted(grans)
 
     def test_deterministic_replay(self):
         cfg = make_config()
-        a = order_queue(enumerate_elements(cfg), FocusMode(Focus.SIZE), cfg)
-        b = order_queue(enumerate_elements(cfg), FocusMode(Focus.SIZE), cfg)
+        a = order_queue(enumerate_elements(cfg), Focus.SIZE, cfg)
+        b = order_queue(enumerate_elements(cfg), Focus.SIZE, cfg)
         assert a.pending() == b.pending()
 
     def test_custom_layer_order(self):
         cfg = make_config(context_len=4, ffn_dim=64)
-        q = order_queue(enumerate_elements(cfg), FocusMode(Focus.SPEED), cfg,
+        q = order_queue(enumerate_elements(cfg), Focus.SPEED, cfg,
                         layer_order=[0, 1])
         assert q.pop() == TransElement(FFN_BLOCK, 0)
         with pytest.raises(ConfigError, match="permutation"):
-            order_queue(enumerate_elements(cfg), FocusMode(Focus.SPEED), cfg,
+            order_queue(enumerate_elements(cfg), Focus.SPEED, cfg,
                         layer_order=[0, 0])
 
 
@@ -105,7 +105,7 @@ class TestQueue:
     def test_partition_invariant_after_filters(self):
         cfg = make_config()
         els = enumerate_elements(cfg)
-        q = order_queue(els, FocusMode(Focus.SPEED), cfg)
+        q = order_queue(els, Focus.SPEED, cfg)
         q.pop()
         encompass_filter(q, TransElement(ATTN_BLOCK, 1), "kept")
         q.pop()
@@ -116,7 +116,7 @@ class TestQueue:
 
     def test_to_json(self):
         cfg = make_config()
-        q = order_queue(enumerate_elements(cfg), FocusMode(Focus.SPEED), cfg)
+        q = order_queue(enumerate_elements(cfg), Focus.SPEED, cfg)
         encompass_filter(q, TransElement(FFN_BLOCK, 0), "kept")
         doc = json.loads(q.to_json())
         assert set(doc) == {"queue", "removed"}
@@ -126,7 +126,7 @@ class TestQueue:
 class TestEncompassFilter:
     def test_kept_attn_block_removes_heads_and_attn_groups(self):
         cfg = make_config()
-        q = order_queue(enumerate_elements(cfg), FocusMode(Focus.SPEED), cfg)
+        q = order_queue(enumerate_elements(cfg), Focus.SPEED, cfg)
         removed = encompass_filter(q, TransElement(ATTN_BLOCK, 1), "kept")
         kinds = {e.kind for e in removed}
         assert kinds == {HEAD, QKV_GROUP, KV_GROUP}
@@ -135,7 +135,7 @@ class TestEncompassFilter:
 
     def test_kept_ffn_block_removes_only_its_groups(self):
         cfg = make_config()
-        q = order_queue(enumerate_elements(cfg), FocusMode(Focus.SPEED), cfg)
+        q = order_queue(enumerate_elements(cfg), Focus.SPEED, cfg)
         removed = encompass_filter(q, TransElement(FFN_BLOCK, 0), "kept")
         assert {e.kind for e in removed} == {FFN_GROUP}
         assert all(e.layer == 0 for e in removed)
@@ -143,7 +143,7 @@ class TestEncompassFilter:
 
     def test_skipped_block_children_removed_with_reason(self):
         cfg = make_config()
-        q = order_queue(enumerate_elements(cfg), FocusMode(Focus.SPEED), cfg)
+        q = order_queue(enumerate_elements(cfg), Focus.SPEED, cfg)
         removed = encompass_filter(q, TransElement(ATTN_BLOCK, 0), "skipped")
         assert removed
         reasons = {r for e, r in q.removal_log if e in removed}
@@ -151,5 +151,5 @@ class TestEncompassFilter:
 
     def test_heads_have_no_children(self):
         cfg = make_config()
-        q = order_queue(enumerate_elements(cfg), FocusMode(Focus.SPEED), cfg)
+        q = order_queue(enumerate_elements(cfg), Focus.SPEED, cfg)
         assert encompass_filter(q, TransElement(HEAD, 0, 0), "kept") == []

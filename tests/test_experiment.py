@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slimformer import (ExperimentConfig, Focus, FocusMode, InfeasibleError,
+from slimformer import (ExperimentConfig, Focus, InfeasibleError,
                         ModelShape, TaskSpec, compare_baselines, run_experiment,
                         sweep_thresholds)
 from slimformer.cli import main
@@ -18,7 +18,7 @@ def small_config(focus=Focus.SPEED, **kw):
                       train_size=96, seed=17),
         shape=ModelShape(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
                          weight_group_width=4, kv_group_width=4),
-        focus=FocusMode(focus), eps_skip=0.3,
+        focus=focus, eps_skip=0.3,
         seed=2, epochs_baseline=4, epochs_candidate=1, epochs_final=4, lr=0.01)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -222,6 +222,13 @@ class TestConfigRoundtrip:
         again = ExperimentConfig.from_doc(config.to_doc())
         assert again.to_doc() == config.to_doc()
 
+    def test_focus_parse_takes_names_and_members(self):
+        from slimformer import ConfigError
+        assert Focus.parse("SIZE") is Focus.parse(Focus.SIZE) is Focus.SIZE
+        for bad in ("fast", 5):
+            with pytest.raises(ConfigError, match="unknown focus"):
+                Focus.parse(bad)
+
     def test_missing_task_rejected(self):
         from slimformer import ConfigError
         with pytest.raises(ConfigError, match="task"):
@@ -327,9 +334,14 @@ class TestCli:
         cfg = self.write_config(tmp_path, epochs_baseline=1)
         out = tmp_path / "train_out"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        (out / "baseline.json").write_text('{"dtype": "<f8"}')
-        assert main(["evaluate", "--config", str(cfg),
-                     "--checkpoint", str(out / "baseline")]) == 3
+        manifest = json.loads((out / "baseline.json").read_text())
+        bad_configs = [{"bogus": 1}, {"hidden_dim": "x"}, {"context_len": 8.0}]
+        docs = [{"dtype": "<f8"}] + [
+            {**manifest, "config": {**manifest["config"], **bad}} for bad in bad_configs]
+        for doc in docs:
+            (out / "baseline.json").write_text(json.dumps(doc))
+            assert main(["evaluate", "--config", str(cfg),
+                         "--checkpoint", str(out / "baseline")]) == 3, doc.get("config")
 
     def test_malformed_plan_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, epochs_baseline=1)
@@ -360,7 +372,10 @@ class TestCli:
         ("epochs.final=1.5", "epochs_final"), ('lr="x"', "lr"), ("lr=null", "lr"),
         ("batch_size=true", "batch_size"), ('eps_skip="0.1"', "eps_skip"),
         ("eps_approx=[1]", "eps_approx"), ("sign_match_k=2.0", "sign_match_k"),
-        ('quant_bits="8"', "quant_bits"), ("max_oracle_elements={}", "max_oracle_elements")]
+        ('quant_bits="8"', "quant_bits"), ("max_oracle_elements={}", "max_oracle_elements"),
+        ("comparators=5", "comparators"), ('model.hidden_dim="x"', "hidden_dim"),
+        ("seed=-1", "seed"), ("task.train_size=40.5", "train_size"),
+        ("task.seed=-3", "seed"), ("model.num_heads=0", "num_heads")]
 
     @pytest.mark.parametrize("override, named", BAD_VALUES, ids=[o for o, _ in BAD_VALUES])
     def test_bad_config_value_fails_at_load(self, tmp_path, capsys, override, named):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slimformer import (ApproxPlan, ConfigError, ElementQueue, Focus,
-                        FocusMode, GreedyAnalyzer, GroupShrink, InfeasibleError,
+                        GreedyAnalyzer, GroupShrink, InfeasibleError,
                         PlannedModel, Quantize, SignMatch, TaskSpec,
                         TransElement, TransformerConfig, build_model,
                         evaluate_candidate, final_finetune, generate_task,
@@ -14,14 +14,14 @@ from slimformer import (ApproxPlan, ConfigError, ElementQueue, Focus,
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
                                  QKV_GROUP, attn_block, enumerate_elements,
                                  ffn_block)
-from slimformer.significance import taylor_signed_scores
+from slimformer.significance import TAYLOR_BATCH, taylor_signed_scores
 from slimformer.tasks import TaskData
 from slimformer.tensor import spawn_rng
 from slimformer.training import evaluate_loss, train_epochs
 
-SPEED = FocusMode(Focus.SPEED)
-SIZE = FocusMode(Focus.SIZE)
-ACCURACY = FocusMode(Focus.ACCURACY)
+SPEED = Focus.SPEED
+SIZE = Focus.SIZE
+ACCURACY = Focus.ACCURACY
 
 
 def kill_attn(model, layer):
@@ -412,22 +412,27 @@ class TestTaylor:
         assert scores[attn_block(1)] == 0.0
         assert scores[attn_block(1)] <= min(scores.values())
 
+    # (block, the kind partitioning part of it, how many parts, the block's
+    # parameters no part owns)
+    @pytest.mark.parametrize("block, part, count, rest", [
+        pytest.param(FFN_BLOCK, FFN_GROUP, "num_weight_groups",
+                     ("ln2_g", "ln2_b", "b1", "w2", "b2"), id="ffn_groups"),
+        pytest.param(ATTN_BLOCK, HEAD, "num_heads", ("ln1_g", "ln1_b", "bo"), id="heads"),
+        pytest.param(ATTN_BLOCK, QKV_GROUP, "num_weight_groups",
+                     ("ln1_g", "ln1_b", "bq", "bk", "bv", "wo", "bo"), id="qkv_groups")])
     def test_signed_scores_additive_over_partition(self, trained, majority_data,
-                                                   tiny_config):
+                                                   tiny_config, block, part, count, rest):
         signed = taylor_signed_scores(trained, majority_data)
-        block = signed[ffn_block(0)]
-        groups = sum(signed[TransElement(FFN_GROUP, 0, g)]
-                     for g in range(tiny_config.num_weight_groups))
-        # remainder: parameters of the block outside w1 (biases, w2, norm)
+        parts = sum(signed[TransElement(part, 0, i)]
+                    for i in range(getattr(tiny_config, count)))
         work = trained.clone()
-        tokens = majority_data.train.tokens[:64]
-        labels = majority_data.train.labels[:64]
+        tokens = majority_data.train.tokens[:TAYLOR_BATCH]
+        labels = majority_data.train.labels[:TAYLOR_BATCH]
         _, loss = PlannedModel(work).forward(tokens, labels)
         loss.backward()
         p = work.layers[0]
-        rest = sum(float((getattr(p, n).data * getattr(p, n).grad).sum())
-                   for n in ("ln2_g", "ln2_b", "b1", "w2", "b2"))
-        assert block == pytest.approx(groups + rest, rel=1e-9)
+        remainder = sum(float((getattr(p, n).data * getattr(p, n).grad).sum()) for n in rest)
+        assert signed[TransElement(block, 0)] == pytest.approx(parts + remainder, rel=1e-9)
 
 
 class TestOracle:

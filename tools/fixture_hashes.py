@@ -13,7 +13,10 @@ the plan's form can show that it executes the same model. The fixtures are
 ``tests/test_experiment.py::small_config`` under speed, size and accuracy
 focus (``small_speed``, ``small_size``, ``small_accuracy``) and
 ``perfbench/scenarios.optimize_config("speed")`` and ``("size")``
-(``bench_speed``, ``bench_size``). A change that claims the same behaviour
+(``bench_speed``, ``bench_size``). Each small fixture also prints
+``<fixture> comparison <sha256>``: a hash over the ``compare_baselines``
+result (baseline and all four comparator rows) with each row's wall-time
+``analysis_seconds`` removed. A change that claims the same behaviour
 must print the same lines as its parent: run the script in both checkouts
 (or point ``--root`` at the other one) and diff the output. The package,
 the tests and the benchmark scenarios are all imported from ``--root``
@@ -63,6 +66,15 @@ def views_digest(plan_json: str, config) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def comparison_digest(config) -> str:
+    """sha256 over compare_baselines' result without its wall times."""
+    from slimformer import compare_baselines
+    result = compare_baselines(config)
+    for row in result["rows"]:
+        del row["analysis_seconds"]
+    return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -81,6 +93,8 @@ def main(argv=None) -> int:
                 print(f"{name} {artifact} {digest}", flush=True)
             views = views_digest((Path(tmp) / "plan.json").read_text(), config)
             print(f"{name} views {views}", flush=True)
+        if name.startswith("small_"):
+            print(f"{name} comparison {comparison_digest(config)}", flush=True)
     return 0
 
 
