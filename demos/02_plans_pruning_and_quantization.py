@@ -33,10 +33,10 @@ show("no plan", None)
 show("skip FFN block, layer 1", ApproxPlan().with_skip(ffn_block(1)))
 show("skip ATTN block, layer 0", ApproxPlan().with_skip(attn_block(0)))
 
-# A pruned head's output slice is zero-padded; shapes never change.
+# A pruned head is not computed; the sublayer's output keeps its shape.
 show("prune head 1 of layer 0", ApproxPlan().with_skip(TransElement(HEAD, 0, 1)))
 
-# Weight-group pruning zeroes a band of rows of the first FFN matrix.
+# Weight-group pruning drops a band of input rows of the first FFN matrix.
 show("prune FFN weight group 2, layer 0",
      ApproxPlan().with_skip(TransElement(FFN_GROUP, 0, 2)))
 

@@ -3,7 +3,7 @@
 Train a small transformer on a synthetic task, walk a heuristically ordered
 queue of its elements (blocks, heads, weight groups, key/value position
 groups), and prune or approximate whatever the loss thresholds allow:
-residual block skipping, head zero-padding, contiguous weight-group
+residual block skipping, head pruning, contiguous weight-group
 shrinking, group quantization, key/value position-group pruning and
 linear-time sign-matching attention.
 """

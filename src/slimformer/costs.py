@@ -58,8 +58,12 @@ def attn_macs(config: TransformerConfig, *, live_heads: int | None = None,
 
 
 def ffn_macs(config: TransformerConfig, *, live_rows: int | None = None) -> int:
+    """MACs of one FFN block; without live input rows its output is the
+    constant gelu(b1) @ w2 + b2, computed once."""
     n = config.context_len
     d_in = config.hidden_dim if live_rows is None else live_rows
+    if d_in == 0:
+        return config.ffn_dim * config.hidden_dim
     return n * d_in * config.ffn_dim + n * config.ffn_dim * config.hidden_dim
 
 

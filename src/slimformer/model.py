@@ -25,7 +25,7 @@ from .signmatch import (OpCounter, causal_mask, full_attention,
                         sign_match_attention)
 from .tensor import (Tensor, add, cross_entropy, embedding_lookup, gather_rows,
                      gelu, layer_norm, make_rng, matmul, mean_rows, merge_heads,
-                     mul, reshape, split_heads)
+                     mul, reshape, split_heads, take)
 
 
 @dataclass
@@ -126,29 +126,28 @@ def build_model(config: TransformerConfig, rng: np.random.Generator | int) -> Tr
 class PlannedModel:
     """A model bound to a resolved plan: the forward-ready execution view.
 
-    Construction validates the plan against the model's config; the view is
-    read-only with respect to the model and can be reused across forward
-    passes while the underlying weights train.
+    Construction validates the plan against the model's config and binds
+    it: each layer gets the index arrays of its live heads, QKV input rows
+    and FFN input rows, and the images of its quantized row bands, so a
+    forward computes only live work. The view reads the model's weights
+    and can be reused across forward passes while they train in place;
+    the cached bands stay valid because quantized rows get zero gradient.
     """
 
     def __init__(self, model: TransformerModel, plan: ApproxPlan | None = None):
         self.model = model
         self.plan = plan or ApproxPlan()
         self.views: list[LayerView] = self.plan.resolve(model.config)
+        self._bound = [_BoundLayer(p, view, model.config)
+                       for p, view in zip(model.layers, self.views)]
 
     def parameters(self) -> list[Tensor]:
-        """Parameters of the blocks the plan keeps alive, in
+        """Parameters that enter the graph under the plan, in
         named_parameters order."""
         m = self.model
         out = [m.embedding, m.positional]
-        for layer, view in zip(m.layers, self.views):
-            if not view.attn_skipped:
-                # every head pruned: nothing upstream of the zero-padded
-                # output can influence the loss
-                names = LayerParams.ATTN_NAMES if view.head_live.any() else ("wo", "bo")
-                out.extend(getattr(layer, name) for name in names)
-            if not view.ffn_skipped:
-                out.extend(getattr(layer, name) for name in LayerParams.FFN_NAMES)
+        for bound in self._bound:
+            out.extend(bound.params)
         out.extend([m.lnf_g, m.lnf_b, m.head_w, m.head_b])
         return out
 
@@ -167,43 +166,40 @@ class PlannedModel:
         if kv_positions.size == 0:
             raise PlanError(f"layer {layer}: no live key/value positions for "
                             f"sequence length {n_x}")
-        h = layer_norm(x, p.ln1_g, p.ln1_b)
-        wq, wk, wv = (_effective(getattr(p, m), view.qkv_live, view.quant_bits[m], cfg)
-                      for m in ("wq", "wk", "wv"))
-        wo = _effective(p.wo, None, view.quant_bits["wo"], cfg)
+        b = self._bound[layer]
+        if not b.live_heads:
+            return add(x, p.bo)
+        w, cols = b.weights, b.head_cols
+        h = _take(layer_norm(x, p.ln1_g, p.ln1_b), b.qkv_rows, -1)
+        q = add(matmul(h, w["wq"]()), _take(p.bq, cols, 0))
+        h_kv = gather_rows(h, kv_positions) if len(kv_positions) < n_x else h
+        k = add(matmul(h_kv, w["wk"]()), _take(p.bk, cols, 0))
+        v = add(matmul(h_kv, w["wv"]()), _take(p.bv, cols, 0))
 
-        q = add(matmul(h, wq), p.bq)
-        pruned_kv = len(kv_positions) < n_x
-        h_kv = gather_rows(h, kv_positions) if pruned_kv else h
-        k = add(matmul(h_kv, wk), p.bk)
-        v = add(matmul(h_kv, wv), p.bv)
-
-        # heads folded into the batch axis: [B*h, n, dh]
-        heads = cfg.num_heads
-        q, k, v = (split_heads(t, heads) for t in (q, k, v))
+        # live heads folded into the batch axis: [B*h, n, dh]
+        q, k, v = (split_heads(t, b.live_heads) for t in (q, k, v))
         if view.signmatch_k is None:
             mask = causal_mask(n_x, kv_positions) if cfg.autoregressive else None
             out = full_attention(q, k, v, mask)
         else:
             out = sign_match_attention(q, k, v, view.signmatch_k, cfg.autoregressive,
                                        key_positions=kv_positions, counter=counter)
-        merged = merge_heads(out, heads, squeeze=x.data.ndim == 2)
-        if not view.head_live.all():
-            merged = mul(merged, np.repeat(view.head_live, cfg.head_dim))
-        attn = add(matmul(merged, wo), p.bo)
-        return add(x, attn)
+        merged = merge_heads(out, b.live_heads, squeeze=x.data.ndim == 2)
+        return add(x, add(matmul(merged, w["wo"]()), p.bo))
 
     def ffn_sublayer(self, layer: int, x: Tensor) -> Tensor:
-        cfg = self.model.config
         view = self.views[layer]
         if view.ffn_skipped:
             return x
         p = self.model.layers[layer]
-        h = layer_norm(x, p.ln2_g, p.ln2_b)
-        w1 = _effective(p.w1, view.ffn_live, view.quant_bits["w1"], cfg)
-        w2 = _effective(p.w2, None, view.quant_bits["w2"], cfg)
-        z = gelu(add(matmul(h, w1), p.b1))
-        return add(x, add(matmul(z, w2), p.b2))
+        b = self._bound[layer]
+        if b.ffn_empty:
+            # no live input row: every position gets gelu(b1) @ w2 + b2
+            z = gelu(reshape(p.b1, (1, -1)))
+        else:
+            h = _take(layer_norm(x, p.ln2_g, p.ln2_b), b.ffn_rows, -1)
+            z = gelu(add(matmul(h, b.weights["w1"]()), p.b1))
+        return add(x, add(matmul(z, b.weights["w2"]()), p.b2))
 
     # -- end to end ----------------------------------------------------------
 
@@ -248,19 +244,83 @@ class PlannedModel:
         return costs.cost_from_views(self.model.config, self.views)
 
 
-def _effective(w: Tensor, live: np.ndarray | None, bits: np.ndarray,
-               cfg: TransformerConfig) -> Tensor:
-    """Weight matrix as the plan sees it: pruned rows zeroed and quantized
-    row bands replaced by their round-trip images; neither receives
-    gradient."""
-    out = w
-    if live is not None and not live.all():
-        out = mul(out, live.astype(np.float64)[:, None])
-    if bits.any():
-        g = cfg.weight_group_width
-        out = quantized_rows(out, [(i * g, min((i + 1) * g, w.data.shape[0]), int(b))
-                                   for i, b in enumerate(bits) if b])
-    return out
+def _live_index(mask: np.ndarray):
+    """How the live entries of a liveness mask are selected: None when all
+    are live, a basic slice when they form one contiguous run (a
+    GroupShrink band), else their indices."""
+    live = np.flatnonzero(mask)
+    if live.size == mask.size:
+        return None
+    lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+    return slice(lo, hi) if hi - lo == live.size else live
+
+
+def _take(a: Tensor, index, axis: int) -> Tensor:
+    return a if index is None else take(a, index, axis)
+
+
+class _BoundWeight:
+    """One weight matrix as a bound layer reads it: its live rows and
+    columns, with quantized row bands replaced by images computed once.
+    When every live row is quantized the matrix is a constant."""
+
+    def __init__(self, w: Tensor, rows, cols, bits: np.ndarray, group_width: int):
+        self.w, self.rows, self.cols = w, rows, cols
+        self.keep = self.frozen = None
+        if bits.any():
+            g, n = group_width, w.data.shape[0]
+            image = quantized_rows(w, [(i * g, min((i + 1) * g, n), int(b))
+                                       for i, b in enumerate(bits) if b]).data
+            image = _select(image, rows, cols)
+            keep = _select(np.repeat(bits == 0, g)[:n, None], rows, None)
+            if keep.any():
+                self.keep = keep.astype(np.float64)
+                image = np.where(keep, 0.0, image)
+            self.frozen = Tensor(image)
+
+    @property
+    def constant(self) -> bool:
+        return self.frozen is not None and self.keep is None
+
+    def __call__(self) -> Tensor:
+        if self.constant:
+            return self.frozen
+        w = _take(_take(self.w, self.rows, 0), self.cols, 1)
+        if self.keep is not None:
+            w = add(mul(w, self.keep), self.frozen)
+        return w
+
+
+def _select(a: np.ndarray, rows, cols) -> np.ndarray:
+    a = a if rows is None else a[rows]
+    return a if cols is None else a[:, cols]
+
+
+class _BoundLayer:
+    """One layer of a bound plan: the live head columns, QKV rows and FFN
+    rows, the weight matrices it reads through them, and ``params``, the
+    parameters that enter the graph. A block without live heads adds only
+    wo's bias; an FFN without live input rows only a constant vector."""
+
+    def __init__(self, p: LayerParams, view: LayerView, cfg: TransformerConfig):
+        self.live_heads = int(view.head_live.sum())
+        self.head_cols = _live_index(np.repeat(view.head_live, cfg.head_dim))
+        self.qkv_rows = _live_index(view.qkv_live)
+        self.ffn_rows = _live_index(view.ffn_live)
+        self.ffn_empty = not view.ffn_live.any()
+        qkv = (self.qkv_rows, self.head_cols)
+        index = {"wq": qkv, "wk": qkv, "wv": qkv, "wo": (self.head_cols, None),
+                 "w1": (self.ffn_rows, None), "w2": (None, None)}
+        names = ()
+        if not view.attn_skipped:
+            names += LayerParams.ATTN_NAMES if self.live_heads else ("bo",)
+        if not view.ffn_skipped:
+            names += ("b1", "w2", "b2") if self.ffn_empty else LayerParams.FFN_NAMES
+        self.weights = {name: _BoundWeight(getattr(p, name), *index[name],
+                                           view.quant_bits[name], cfg.weight_group_width)
+                        for name in names if name in index}
+        self.params = [getattr(p, name) for name in names
+                       if name not in self.weights or not self.weights[name].constant]
 
 
 def measure_latency(model: TransformerModel, plan: ApproxPlan | None,

@@ -2,7 +2,7 @@
 approximated.
 
 Pruning is the skiplist: blocks bypassed through their residual connection,
-heads zero-padded, weight groups and key/value position groups dropped.
+heads, weight groups and key/value position groups dropped.
 Approximation is one dataclass per variant (group quantization, contiguous
 group shrinking, sign-matching attention), attached to a surviving element
 only through ``ApproxPlan.with_approx``, which checks that the variant

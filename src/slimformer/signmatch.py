@@ -40,9 +40,8 @@ class OpCounter:
     score_stage counts the key-side work (sign extraction + Hamming
     comparisons); rep_sign counts building the query-side representative.
     starved_queries counts causal rows left with no visible key. Every
-    sequence handed to sign_match_attention is counted, including the rows
-    of pruned heads in a sign-matched block, which are scored and then
-    masked like the dense path does.
+    sequence handed to sign_match_attention is counted; a model hands it
+    only its live heads, so pruned heads are not scored.
     """
 
     rep_sign: int = 0

@@ -43,12 +43,19 @@ class TaskSpec:
             raise ConfigError("val_fraction must be in (0, 1)")
         if self.seed < 0:
             raise ConfigError(f"task seed must be >= 0, got {self.seed}")
+        if self.train_size < 2 or self.val_count >= self.train_size:
+            raise ConfigError(f"train_size {self.train_size} too small to split at "
+                              f"val_fraction {self.val_fraction}")
         if self.kind == "copy":
             if self.context_len % 2 == 0:
                 raise ConfigError("copy task needs an odd context_len (pattern, "
                                   "separator, pattern)")
             if self.vocab_size < 3:
                 raise ConfigError("copy task needs vocab_size >= 3 (one id is the separator)")
+
+    @property
+    def val_count(self) -> int:
+        return max(1, round(self.train_size * self.val_fraction))
 
     @property
     def autoregressive(self) -> bool:
@@ -104,10 +111,6 @@ def generate_task(spec: TaskSpec) -> TaskData:
     """Deterministic dataset for a task spec, split train/validation."""
     rng = spawn_rng(spec.seed, 1)
     n, v, size = spec.context_len, spec.vocab_size, spec.train_size
-    val_count = max(1, round(size * spec.val_fraction))
-    if size < 2 or val_count >= size:
-        raise ConfigError(f"train_size {size} too small to split at "
-                          f"val_fraction {spec.val_fraction}")
 
     if spec.kind == "majority_classification":
         # boost one token per sequence so the modal class has a clear margin
@@ -139,6 +142,6 @@ def generate_task(spec: TaskSpec) -> TaskData:
     tokens = tokens.astype(np.int64)
     labels = labels.astype(np.int64)
     perm = rng.permutation(size)
-    val_idx, train_idx = perm[:val_count], perm[val_count:]
+    val_idx, train_idx = perm[:spec.val_count], perm[spec.val_count:]
     full = Dataset(tokens, labels)
     return TaskData(spec, train=full.subset(train_idx), val=full.subset(val_idx))

@@ -227,6 +227,22 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(data, (a,), grad_fn)
 
 
+def take(a: Tensor, index, axis: int) -> Tensor:
+    """Entries at ``index`` along ``axis``: an array of distinct indices,
+    or a slice, which selects a view without copying. The gradient is
+    scattered into zeros of the full shape, so left-out entries get
+    exactly zero."""
+    key = (slice(None),) * (axis % a.data.ndim) + (index,)
+    data = a.data[key]
+
+    def grad_fn(g):
+        ga = np.zeros_like(a.data)
+        ga[key] = g
+        return (ga,)
+
+    return _result(data, (a,), grad_fn)
+
+
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows along axis -2. For rank 3, indices may be per-batch [B, K]."""
     idx = np.asarray(indices, dtype=np.int64)

@@ -114,12 +114,16 @@ class TestRunExperiment:
         assert report.baseline.perplexity == pytest.approx(
             np.exp(report.baseline.val_loss))
 
-    def test_stage_error_carries_stage_name(self, tmp_path):
-        from slimformer import StageError
-        config = small_config(task=TaskSpec("majority_classification", vocab_size=4,
-                                            context_len=8, train_size=1, seed=1))
+    def test_stage_error_carries_stage_name(self, tmp_path, monkeypatch):
+        import slimformer.experiment
+        from slimformer import ConfigError, StageError
+
+        def fail(spec):
+            raise ConfigError("no data")
+
+        monkeypatch.setattr(slimformer.experiment, "generate_task", fail)
         with pytest.raises(StageError, match="generate_task"):
-            run_experiment(config, tmp_path / "boom")
+            run_experiment(small_config(), tmp_path / "boom")
 
 
 class TestDeterminism:
@@ -375,7 +379,8 @@ class TestCli:
         ('quant_bits="8"', "quant_bits"), ("max_oracle_elements={}", "max_oracle_elements"),
         ("comparators=5", "comparators"), ('model.hidden_dim="x"', "hidden_dim"),
         ("seed=-1", "seed"), ("task.train_size=40.5", "train_size"),
-        ("task.seed=-3", "seed"), ("model.num_heads=0", "num_heads")]
+        ("task.seed=-3", "seed"), ("model.num_heads=0", "num_heads"),
+        ("task.train_size=0", "train_size"), ("task.train_size=-5", "train_size")]
 
     @pytest.mark.parametrize("override, named", BAD_VALUES, ids=[o for o, _ in BAD_VALUES])
     def test_bad_config_value_fails_at_load(self, tmp_path, capsys, override, named):

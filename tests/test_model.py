@@ -14,7 +14,8 @@ from slimformer import (ApproxPlan, ConfigError, GroupShrink, PlanError,
                         sign_match_attention)
 from slimformer.costs import attn_macs, cost_from_views, ffn_macs, quantized_bytes
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
-                                 KV_GROUP, QKV_GROUP, attn_block, ffn_block)
+                                 KV_GROUP, QKV_GROUP, attn_block, enumerate_elements,
+                                 ffn_block)
 from slimformer.signmatch import causal_mask
 from slimformer.tensor import layer_norm, make_rng
 
@@ -337,6 +338,153 @@ class TestCost:
         pruned = PlannedModel(tiny_model, plan).cost()
         assert pruned.mac_count < full.mac_count
         assert pruned.param_count == full.param_count
+
+
+class TestCostOracle:
+    """Closed-form MACs against the multiply-accumulates the executor
+    performs, counted at every matmul of the model and the attention code.
+    Sign-matched layers also pay an n*width linear scoring stage, which is
+    not a matmul."""
+
+    SHAPES = {
+        "lm": dict(autoregressive=True, task_kind="language_model"),
+        "classification": dict(task_kind="classification", num_classes=3),
+    }
+
+    @staticmethod
+    def random_plan(cfg, gen) -> ApproxPlan:
+        groups = cfg.num_weight_groups
+        plan = ApproxPlan()
+        for el in enumerate_elements(cfg):
+            rate = {ATTN_BLOCK: 0.15, FFN_BLOCK: 0.15, HEAD: 0.4}.get(el.kind, 0.25)
+            # key/value group 0 stays live: no layer loses every key, and
+            # causal queries keep the keys of the first quarter
+            if gen.random() < rate and not (el.kind == KV_GROUP and el.index == 0):
+                plan = plan.with_skip(el)
+        for el in enumerate_elements(cfg):
+            if el in plan.skiplist or el.kind in (HEAD, KV_GROUP):
+                continue
+            if el.kind == ATTN_BLOCK and gen.random() < 0.4:
+                plan = plan.with_approx(el, SignMatch(int(gen.integers(1, cfg.context_len + 1))))
+            if el.kind in (ATTN_BLOCK, FFN_BLOCK) and gen.random() < 0.4:
+                lo = int(gen.integers(0, groups + 1))
+                plan = plan.with_approx(el, GroupShrink(lo, int(gen.integers(lo, groups + 1))))
+            if gen.random() < 0.3:
+                plan = plan.with_approx(el, Quantize(int(gen.choice([2, 4, 8]))))
+        return plan
+
+    @staticmethod
+    def executed(view) -> set:
+        """The approximations a resolved layer's live blocks execute."""
+        out = {"skip"} if view.attn_skipped or view.ffn_skipped else set()
+        checks = []
+        if not view.attn_skipped:
+            checks += [("heads", not view.head_live.all()), ("qkv", not view.qkv_live.all()),
+                       ("kv", not view.kv_live.all()), ("signmatch", view.signmatch_k is not None),
+                       ("quant", any(view.quant_bits[m].any() for m in ("wq", "wk", "wv", "wo")))]
+        if not view.ffn_skipped:
+            checks += [("ffn", not view.ffn_live.all()), ("empty_ffn", not view.ffn_live.any()),
+                       ("quant", any(view.quant_bits[m].any() for m in ("w1", "w2")))]
+        return out | {name for name, hit in checks if hit}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_counted_macs_match_cost_model(self, monkeypatch, shape):
+        import slimformer.model
+        import slimformer.signmatch
+        from slimformer import tensor
+
+        counted = [0]
+
+        def counting_matmul(a, b):
+            out = tensor.matmul(a, b)
+            counted[0] += a.data.size * b.data.shape[-1]
+            return out
+
+        for module in (slimformer.model, slimformer.signmatch):
+            monkeypatch.setattr(module, "matmul", counting_matmul)
+        cfg = TransformerConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=12,
+                                context_len=8, vocab_size=6, weight_group_width=2,
+                                kv_group_width=2, **self.SHAPES[shape])
+        model = build_model(cfg, 3)
+        gen = np.random.default_rng(91)
+        seen = set()
+        for _ in range(24):
+            planned = PlannedModel(model, self.random_plan(cfg, gen))
+            counted[0] = 0
+            planned.forward(gen.integers(0, cfg.vocab_size, size=(1, cfg.context_len)))
+            scoring = sum(cfg.context_len * cfg.head_dim * int(v.head_live.sum())
+                          for v in planned.views
+                          if not v.attn_skipped and v.signmatch_k is not None)
+            assert counted[0] == planned.cost().mac_count - scoring
+            seen.update(*map(self.executed, planned.views))
+        assert seen == {"heads", "qkv", "ffn", "empty_ffn", "kv", "signmatch", "quant",
+                        "skip"}
+
+
+class TestBoundPlan:
+    """A PlannedModel binds its plan once: live index arrays and cached
+    images of quantized bands."""
+
+    @staticmethod
+    def plan():
+        # wq of layer 0 and w1 of layer 1 each have one quantized and one
+        # trainable row band
+        return (ApproxPlan([TransElement(HEAD, 0, 1), TransElement(FFN_GROUP, 0, 1)])
+                .with_approx(TransElement(QKV_GROUP, 0, 1), Quantize(4))
+                .with_approx(TransElement(FFN_GROUP, 1, 0), Quantize(2)))
+
+    def test_cached_bands_survive_training(self, tiny_config, majority_data):
+        from slimformer import train_epochs
+        model = build_model(tiny_config, 5)
+        plan = self.plan()
+        bound = PlannedModel(model, plan)
+        g = tiny_config.weight_group_width
+        bands = [(model.layers[0].wq, slice(g, 2 * g)), (model.layers[1].w1, slice(0, g))]
+        before = [w.data[rows].copy() for w, rows in bands]
+        others = model.layers[1].w1.data[g:].copy()
+        train_epochs(model, plan, majority_data.train, 2, make_rng(0))
+        for (w, rows), old in zip(bands, before):
+            assert w.data[rows].tobytes() == old.tobytes()
+        assert not np.array_equal(model.layers[1].w1.data[g:], others)  # trained
+        tokens = majority_data.val.tokens[:4]
+        stale = bound.forward(tokens)[0].data
+        fresh = PlannedModel(model, plan).forward(tokens)[0].data
+        assert stale.tobytes() == fresh.tobytes()
+
+    def test_fully_quantized_matrix_is_not_a_parameter(self, tiny_config, tiny_model):
+        plan = ApproxPlan().with_approx(ffn_block(1), Quantize(8))
+        params = {id(t) for t in PlannedModel(tiny_model, plan).parameters()}
+        layer = tiny_model.layers[1]
+        assert id(layer.w1) not in params and id(layer.w2) not in params
+        assert id(layer.b1) in params and id(layer.ln2_g) in params
+
+    def test_live_gradients_match_finite_differences(self, tiny_config, majority_data):
+        model = build_model(tiny_config, 13)
+        plan = (ApproxPlan([TransElement(HEAD, 0, 1), TransElement(QKV_GROUP, 0, 0),
+                            TransElement(FFN_GROUP, 0, 1)])
+                .with_approx(ffn_block(1), GroupShrink(1, 2)))
+        planned = PlannedModel(model, plan)
+        tokens = majority_data.train.tokens[:3]
+        labels = majority_data.train.labels[:3]
+        g, dh = tiny_config.weight_group_width, tiny_config.head_dim
+        d, y = tiny_config.hidden_dim, tiny_config.ffn_dim
+        rows, cols = np.arange(d) >= g, np.arange(d) < dh
+        cases = [(model.layers[0].wq, np.outer(rows, cols)),
+                 (model.layers[0].w1, np.outer(np.arange(d) < g, np.ones(y, bool))),
+                 (model.layers[1].w1, np.outer(np.arange(d) >= g, np.ones(y, bool)))]
+        for param, live in cases:
+            for t in planned.parameters():
+                t.grad = None
+            planned.forward(tokens, labels)[1].backward()
+            analytic = param.grad.copy()
+            assert np.all(analytic[~live] == 0.0)
+            numeric = finite_difference_grad(
+                lambda: planned.forward(tokens, labels)[1].item(), param.data)
+            big = np.abs(numeric) > 1e-7
+            assert (big & live).any()
+            rel = np.abs(analytic - numeric)[big & live] / np.abs(numeric)[big & live]
+            assert rel.max() < 1e-5
+            assert np.abs(analytic - numeric)[live & ~big].max(initial=0.0) < 1e-6
 
 
 class TestLatency:

@@ -7,7 +7,7 @@ from slimformer.tensor import (Tensor, add, cross_entropy, embedding_lookup,
                                gather_rows, gelu, layer_norm, make_rng, matmul,
                                mean_rows, merge_heads, mul, no_grad, reshape,
                                softmax_rows, split_heads, spawn_rng, sum_all,
-                               transpose_last)
+                               take, transpose_last)
 
 from reference import finite_difference_grad, ref_cross_entropy, ref_softmax
 
@@ -214,6 +214,22 @@ class TestGradients:
         a = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         idx = np.array([[0, 1], [4, 4]])
         check_grad(lambda: sum_all(mul(gather_rows(a, idx), rng_const((2, 2, 3)))), [a])
+
+    @pytest.mark.parametrize("index, axis", [(slice(1, 3), -1), (np.array([0, 3]), -1),
+                                             (np.array([2, 0]), 1)],
+                             ids=["slice", "indices", "rows"])
+    def test_take(self, rng, index, axis):
+        a = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+        weight = rng_const(take(a, index, axis).shape)
+        check_grad(lambda: sum_all(mul(take(a, index, axis), weight)), [a])
+        sum_all(take(a, index, axis)).backward()
+        expected = np.zeros_like(a.data)
+        expected[(slice(None),) * (axis % 3) + (index,)] = 1.0
+        assert np.array_equal(a.grad, expected)  # left-out entries get exactly zero
+
+    def test_take_slice_is_a_view(self, rng):
+        a = Tensor(rng.normal(size=(3, 4)))
+        assert np.shares_memory(take(a, slice(0, 2), 0).data, a.data)
 
     def test_embedding_lookup(self, rng):
         table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)

@@ -9,7 +9,11 @@ final queue and the encompass-filter removal log):
 ``<fixture> <artifact> <sha256>``, then ``<fixture> views <sha256>``: a hash
 over the per-layer ``LayerView`` that ``plan.json`` resolves to (skip flags,
 liveness masks, sign-match k, quantization bits), so a change that rewrites
-the plan's form can show that it executes the same model. The fixtures are
+the plan's form can show that it executes the same model, and
+``<fixture> choices <sha256>``: a hash over ``decisions.jsonl`` with each
+record's ``train_loss``, ``val_loss`` and ``thresholds`` removed, so a change
+that moves losses in the last bits can show that every element, decision,
+action and approximation held. The fixtures are
 ``tests/test_experiment.py::small_config`` under speed, size and accuracy
 focus (``small_speed``, ``small_size``, ``small_accuracy``) and
 ``perfbench/scenarios.optimize_config("speed")`` and ``("size")``
@@ -66,6 +70,15 @@ def views_digest(plan_json: str, config) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def choices_digest(decisions: str) -> str:
+    """sha256 over decisions.jsonl without its losses and loss bars."""
+    records = [json.loads(line) for line in decisions.splitlines()]
+    for rec in records:
+        for key in ("train_loss", "val_loss", "thresholds"):
+            del rec[key]
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
 def comparison_digest(config) -> str:
     """sha256 over compare_baselines' result without its wall times."""
     from slimformer import compare_baselines
@@ -93,6 +106,8 @@ def main(argv=None) -> int:
                 print(f"{name} {artifact} {digest}", flush=True)
             views = views_digest((Path(tmp) / "plan.json").read_text(), config)
             print(f"{name} views {views}", flush=True)
+            choices = choices_digest((Path(tmp) / "decisions.jsonl").read_text())
+            print(f"{name} choices {choices}", flush=True)
         if name.startswith("small_"):
             print(f"{name} comparison {comparison_digest(config)}", flush=True)
     return 0
