@@ -25,12 +25,11 @@ from .plan import (ApproxPlan, GroupShrink, Quantize, QuantizedGroup, SignMatch,
                    quantize_dequantize, quantize_group)
 from .significance import (GreedyAnalyzer, evaluate_candidate, final_finetune,
                            oracle_significance, taylor_significance)
-from .signmatch import (OpCounter, causal_select, full_attention,
-                        representative_sign, score_keys, select_topk,
-                        sign_match_attention)
+from .signmatch import (OpCounter, causal_select, representative_sign,
+                        score_keys, select_topk, sign_match_attention)
 from .tasks import Dataset, TaskData, TaskSpec, generate_task
-from .tensor import (Tensor, cross_entropy, layer_norm, make_rng, matmul,
-                     no_grad, softmax_rows, spawn_rng)
+from .tensor import (Tensor, cross_entropy, full_attention, layer_norm, make_rng,
+                     matmul, no_grad, softmax_rows, spawn_rng)
 from .training import evaluate_accuracy, evaluate_loss, train_epochs
 
 __version__ = "0.1.0"

@@ -21,10 +21,9 @@ from . import costs
 from .config import TransformerConfig
 from .errors import ConfigError, PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
-from .signmatch import (OpCounter, causal_mask, full_attention,
-                        sign_match_attention)
-from .tensor import (Tensor, add, cross_entropy, embedding_lookup, gather_rows,
-                     gelu, layer_norm, make_rng, matmul, mean_rows, merge_heads,
+from .signmatch import OpCounter, causal_mask, sign_match_attention
+from .tensor import (Tensor, add, cross_entropy, embedding_lookup, full_attention,
+                     gelu, layer_norm, linear, make_rng, mean_rows, merge_heads,
                      mul, reshape, split_heads, take)
 
 
@@ -171,10 +170,10 @@ class PlannedModel:
             return add(x, p.bo)
         w, cols = b.weights, b.head_cols
         h = _take(layer_norm(x, p.ln1_g, p.ln1_b), b.qkv_rows, -1)
-        q = add(matmul(h, w["wq"]()), _take(p.bq, cols, 0))
-        h_kv = gather_rows(h, kv_positions) if len(kv_positions) < n_x else h
-        k = add(matmul(h_kv, w["wk"]()), _take(p.bk, cols, 0))
-        v = add(matmul(h_kv, w["wv"]()), _take(p.bv, cols, 0))
+        q = linear(h, w["wq"](), _take(p.bq, cols, 0))
+        h_kv = take(h, kv_positions, -2) if len(kv_positions) < n_x else h
+        k = linear(h_kv, w["wk"](), _take(p.bk, cols, 0))
+        v = linear(h_kv, w["wv"](), _take(p.bv, cols, 0))
 
         # live heads folded into the batch axis: [B*h, n, dh]
         q, k, v = (split_heads(t, b.live_heads) for t in (q, k, v))
@@ -185,7 +184,7 @@ class PlannedModel:
             out = sign_match_attention(q, k, v, view.signmatch_k, cfg.autoregressive,
                                        key_positions=kv_positions, counter=counter)
         merged = merge_heads(out, b.live_heads, squeeze=x.data.ndim == 2)
-        return add(x, add(matmul(merged, w["wo"]()), p.bo))
+        return add(x, linear(merged, w["wo"](), p.bo))
 
     def ffn_sublayer(self, layer: int, x: Tensor) -> Tensor:
         view = self.views[layer]
@@ -198,8 +197,8 @@ class PlannedModel:
             z = gelu(reshape(p.b1, (1, -1)))
         else:
             h = _take(layer_norm(x, p.ln2_g, p.ln2_b), b.ffn_rows, -1)
-            z = gelu(add(matmul(h, b.weights["w1"]()), p.b1))
-        return add(x, add(matmul(z, b.weights["w2"]()), p.b2))
+            z = gelu(linear(h, b.weights["w1"](), p.b1))
+        return add(x, linear(z, b.weights["w2"](), p.b2))
 
     # -- end to end ----------------------------------------------------------
 
@@ -225,10 +224,10 @@ class PlannedModel:
         x = layer_norm(x, self.model.lnf_g, self.model.lnf_b)
 
         if cfg.task_kind == "classification":
-            logits = add(matmul(mean_rows(x), self.model.head_w), self.model.head_b)
+            logits = linear(mean_rows(x), self.model.head_w, self.model.head_b)
             loss = None if labels is None else cross_entropy(logits, labels)
             return logits, loss
-        logits = add(matmul(x, self.model.head_w), self.model.head_b)
+        logits = linear(x, self.model.head_w, self.model.head_b)
         if labels is None:
             return logits, None
         labels = np.asarray(labels, dtype=np.int64)
@@ -237,7 +236,7 @@ class PlannedModel:
         valid = np.nonzero(flat_labels >= 0)[0]
         if valid.size == 0:
             raise ValueError("no labeled positions in batch")
-        loss = cross_entropy(gather_rows(flat, valid), flat_labels[valid])
+        loss = cross_entropy(take(flat, valid, 0), flat_labels[valid])
         return logits, loss
 
     def cost(self) -> costs.CostModel:

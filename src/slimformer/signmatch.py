@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlanError
-from .tensor import (Tensor, add, gather_rows, matmul, mul, softmax_rows,
-                     transpose_last)
+from .tensor import Tensor, full_attention, gather_rows, mul
 
 MASK_NEG = -1e9
 
@@ -114,15 +113,6 @@ def causal_select(distances, n: int, k: int) -> list:
     return np.concatenate([early, rest], axis=-1).tolist()
 
 
-def full_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(Q K^T / sqrt(d) + mask) V on whatever keys are given."""
-    dh = q.data.shape[-1]
-    scores = mul(matmul(q, transpose_last(k)), dh ** -0.5)
-    if mask is not None:
-        scores = add(scores, Tensor(mask))
-    return matmul(softmax_rows(scores), v)
-
-
 def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
                          causal: bool = False,
                          key_positions: np.ndarray | None = None,
@@ -147,8 +137,8 @@ def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
     dist = score_keys(k.data, representative_sign(q.data, counter), counter)
     rows = causal_select(dist, n_k, kk) if causal else select_topk(dist, kk)
     sel = np.sort(np.asarray(rows, dtype=np.int64), axis=-1)   # [..., kk]
-    k_sel = gather_rows(k, sel)
-    v_sel = gather_rows(v, sel)
+    k_sel = gather_rows(k, sel, distinct=True)
+    v_sel = gather_rows(v, sel, distinct=True)
 
     mask = starve = None
     if causal:

@@ -133,9 +133,13 @@ class Tensor:
             for parent, pgrad in zip(node._parents, parent_grads):
                 if pgrad is None or not parent.requires_grad:
                     continue
+                # A first gradient may be another node's gradient or a view
+                # of one, so it is stored as is (copied only into C order)
+                # and later ones are added out of place.
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += pgrad
+                    parent.grad = np.ascontiguousarray(pgrad)
+                else:
+                    parent.grad = np.add(parent.grad, pgrad, order="C")
 
 
 def _as_tensor(x) -> Tensor:
@@ -143,6 +147,8 @@ def _as_tensor(x) -> Tensor:
 
 
 def _result(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
+    """Wrap an op's output. ``grad_fn(g)`` returns one parent-shaped
+    gradient per parent, or None for a parent that needs none."""
     out = Tensor(data)
     if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -167,7 +173,8 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _result(data, (a, b), grad_fn)
 
@@ -177,8 +184,8 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def grad_fn(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _result(data, (a, b), grad_fn)
 
@@ -192,21 +199,67 @@ def matmul(a, b) -> Tensor:
         data = a.data @ b.data
 
         def grad_fn(g):
-            ga = g @ b.data.T
-            gb = np.tensordot(a.data, g, axes=([0, 1], [0, 1]))
-            return ga, gb
+            gb = np.tensordot(a.data, g, axes=([0, 1], [0, 1])) if b.requires_grad else None
+            return (g @ b.data.T if a.requires_grad else None), gb
 
         return _result(data, (a, b), grad_fn)
     if a.data.ndim == b.data.ndim and a.data.ndim in (2, 3):
         data = a.data @ b.data
 
         def grad_fn(g):
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            return ga, gb
+            return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
+                    np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
 
         return _result(data, (a, b), grad_fn)
     raise ValueError(f"matmul rank combination not supported: {a.data.shape} @ {b.data.shape}")
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` as one node, for [.., n, d] activations and a [d, o]
+    weight: the arithmetic of ``add(matmul(x, w), b)``, bit for bit."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if w.data.ndim != 2 or x.data.ndim not in (2, 3) or x.data.shape[-1] != w.data.shape[0]:
+        raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
+    data = x.data @ w.data + b.data
+
+    def grad_fn(g):
+        gw = None
+        if w.requires_grad:
+            if x.data.ndim == 2:
+                gw = x.data.T @ g
+            else:
+                # the product np.tensordot(x, g, axes=([0, 1], [0, 1])) forms
+                rows = x.data.shape[0] * x.data.shape[1]
+                gw = np.dot(x.data.reshape(rows, -1).T, g.reshape(rows, -1))
+        return (g @ w.data.T if x.requires_grad else None, gw,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+
+    return _result(data, (x, w, b), grad_fn)
+
+
+def full_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """softmax(Q K^T / sqrt(d) + mask) V on whatever keys are given, as one
+    node over [.., n, d] queries, keys and values. Forward and backward
+    keep the operation order of the unfused composition
+    ``matmul(softmax_rows(add(mul(matmul(q, transpose_last(k)), d ** -0.5),
+    mask)), v)``, so both give the same bits."""
+    scale = q.data.shape[-1] ** -0.5
+    scores = (q.data @ np.swapaxes(k.data, -1, -2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    p = _softmax(scores)
+    data = p @ v.data
+
+    def grad_fn(g):
+        gv = np.swapaxes(p, -1, -2) @ g if v.requires_grad else None
+        gp = g @ np.swapaxes(v.data, -1, -2)
+        gscores = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        gq = gscores @ k.data if q.requires_grad else None
+        gk = (np.swapaxes(np.swapaxes(q.data, -1, -2) @ gscores, -1, -2)
+              if k.requires_grad else None)
+        return gq, gk, gv
+
+    return _result(data, (q, k, v), grad_fn)
 
 
 def transpose_last(a: Tensor) -> Tensor:
@@ -243,26 +296,26 @@ def take(a: Tensor, index, axis: int) -> Tensor:
     return _result(data, (a,), grad_fn)
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows along axis -2. For rank 3, indices may be per-batch [B, K]."""
+def gather_rows(a: Tensor, indices, distinct: bool = False) -> Tensor:
+    """Select rows along axis -2. For rank 3, indices may be per-batch [B, K].
+    Gradients of repeated rows accumulate; ``distinct`` promises that no
+    row repeats within a batch entry, so the gradient is scattered by
+    assignment."""
     idx = np.asarray(indices, dtype=np.int64)
     if a.data.ndim == 2:
-        data = a.data[idx]
-
-        def grad_fn(g):
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
-            return (ga,)
-
-        return _result(data, (a,), grad_fn)
-    if idx.ndim == 1:
-        idx = np.broadcast_to(idx, (a.data.shape[0], idx.shape[0]))
-    batch = np.arange(a.data.shape[0])[:, None]
-    data = a.data[batch, idx]
+        key = idx
+    else:
+        if idx.ndim == 1:
+            idx = np.broadcast_to(idx, (a.data.shape[0], idx.shape[0]))
+        key = (np.arange(a.data.shape[0])[:, None], idx)
+    data = a.data[key]
 
     def grad_fn(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, (batch, idx), g)
+        if distinct:
+            ga[key] = g
+        else:
+            np.add.at(ga, key, g)
         return (ga,)
 
     return _result(data, (a,), grad_fn)
@@ -299,13 +352,17 @@ def merge_heads(a: Tensor, heads: int, squeeze: bool = False) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
+    """Rows of ``table`` at ``ids``. Gradients of repeated ids accumulate in
+    the order np.add.at would add them: np.bincount adds its weights in
+    input order, one bin per (id, column)."""
     ids = np.asarray(ids, dtype=np.int64)
     data = table.data[ids]
 
     def grad_fn(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        return (gt,)
+        vocab, d = table.data.shape
+        bins = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        gt = np.bincount(bins, weights=g.reshape(-1), minlength=vocab * d)
+        return (gt.reshape(vocab, d),)
 
     return _result(data, (table,), grad_fn)
 
@@ -343,11 +400,15 @@ def gelu(a: Tensor) -> Tensor:
     return _result(data, (a,), grad_fn)
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax along the last axis, max-subtracted for stability."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(a.data)
 
     def grad_fn(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
@@ -361,22 +422,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     then scale by gamma and shift by beta."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gamma.data + beta.data
     d = x.data.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    # the arithmetic of x.var(axis=-1), with x - mu computed once
+    var = np.square(centered).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    data = xhat * gamma.data + beta.data
 
     def grad_fn(g):
         lead = tuple(range(g.ndim - 1))
-        gbeta = g.sum(axis=lead)
-        ggamma = (g * xhat).sum(axis=lead)
-        gx_hat = g * gamma.data
-        gx = inv * (gx_hat
-                    - gx_hat.mean(axis=-1, keepdims=True)
-                    - xhat * (gx_hat * xhat).sum(axis=-1, keepdims=True) / d)
-        return gx, ggamma, gbeta
+        gx = None
+        if x.requires_grad:
+            gx_hat = g * gamma.data
+            gx = inv * (gx_hat
+                        - gx_hat.mean(axis=-1, keepdims=True)
+                        - xhat * (gx_hat * xhat).sum(axis=-1, keepdims=True) / d)
+        return (gx, (g * xhat).sum(axis=lead) if gamma.requires_grad else None,
+                g.sum(axis=lead) if beta.requires_grad else None)
 
     return _result(data, (x, gamma, beta), grad_fn)
 

@@ -342,9 +342,10 @@ class TestCost:
 
 class TestCostOracle:
     """Closed-form MACs against the multiply-accumulates the executor
-    performs, counted at every matmul of the model and the attention code.
-    Sign-matched layers also pay an n*width linear scoring stage, which is
-    not a matmul."""
+    performs, counted at every projection (``linear``) and attention core
+    (``full_attention``: Q K^T plus P V) of the model and the attention
+    code. Sign-matched layers also pay an n*width linear scoring stage,
+    which is not a matmul."""
 
     SHAPES = {
         "lm": dict(autoregressive=True, task_kind="language_model"),
@@ -395,13 +396,18 @@ class TestCostOracle:
 
         counted = [0]
 
-        def counting_matmul(a, b):
-            out = tensor.matmul(a, b)
-            counted[0] += a.data.size * b.data.shape[-1]
-            return out
+        def counting_linear(x, w, b):
+            counted[0] += x.data.size * w.data.shape[-1]
+            return tensor.linear(x, w, b)
 
+        def counting_attention(q, k, v, mask=None):
+            rows, n_k = q.data.size // q.data.shape[-1], k.data.shape[-2]
+            counted[0] += rows * n_k * (q.data.shape[-1] + v.data.shape[-1])
+            return tensor.full_attention(q, k, v, mask)
+
+        monkeypatch.setattr(slimformer.model, "linear", counting_linear)
         for module in (slimformer.model, slimformer.signmatch):
-            monkeypatch.setattr(module, "matmul", counting_matmul)
+            monkeypatch.setattr(module, "full_attention", counting_attention)
         cfg = TransformerConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=12,
                                 context_len=8, vocab_size=6, weight_group_width=2,
                                 kv_group_width=2, **self.SHAPES[shape])

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from slimformer.tensor import (Tensor, add, cross_entropy, embedding_lookup,
-                               gather_rows, gelu, layer_norm, make_rng, matmul,
-                               mean_rows, merge_heads, mul, no_grad, reshape,
-                               softmax_rows, split_heads, spawn_rng, sum_all,
-                               take, transpose_last)
+                               full_attention, gather_rows, gelu, layer_norm,
+                               linear, make_rng, matmul, mean_rows, merge_heads,
+                               mul, no_grad, reshape, softmax_rows, split_heads,
+                               spawn_rng, sum_all, take, transpose_last)
 
 from reference import finite_difference_grad, ref_cross_entropy, ref_softmax
 
@@ -100,6 +100,14 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-3)
 
+    def test_bit_identical_to_numpy_var(self, rng):
+        x = rng.normal(loc=3.0, scale=2.5, size=(2, 5, 32))
+        gamma, beta = rng.normal(size=32), rng.normal(size=32)
+        mu = x.mean(axis=-1, keepdims=True)
+        expected = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)) * gamma + beta
+        out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        np.testing.assert_array_equal(out, expected)
+
     def test_rejects_bad_eps(self):
         x = Tensor(np.zeros((1, 4)))
         with pytest.raises(ValueError):
@@ -155,6 +163,50 @@ class TestBackward:
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
             mul(w, 2.0).backward()
+
+    @staticmethod
+    def assert_accumulated(t, contributions):
+        """t.grad holds what zeros plus in-place += of each contribution
+        gives, in C order and t's shape."""
+        expected = np.zeros_like(t.data)
+        for c in contributions:
+            expected += c
+        np.testing.assert_array_equal(t.grad, expected)
+        assert t.grad.shape == t.data.shape and t.grad.flags.c_contiguous
+
+    def test_operand_used_twice_in_one_op(self, rng):
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        c = rng_const((3, 4))
+        sum_all(mul(add(a, a), c)).backward()
+        self.assert_accumulated(a, [c, c])
+
+    def test_tensor_with_two_consumers(self, rng):
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        c1, c2 = rng_const((2, 3, 4)), rng.normal(size=(2, 3, 4))
+        sum_all(add(mul(a, c1), mul(a, c2))).backward()
+        self.assert_accumulated(a, [c1, c2])
+
+    def test_non_contiguous_first_gradient(self, rng):
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        c = rng_const((4, 3))
+        sum_all(mul(transpose_last(a), c)).backward()
+        self.assert_accumulated(a, [c.T])
+
+    def test_shared_first_gradient_stays_unaliased(self, rng):
+        # add hands one gradient array to both operands; a's second
+        # contribution must not leak into b's gradient
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        c = rng_const((3, 4))
+        sum_all(mul(add(add(a, b), a), c)).backward()
+        self.assert_accumulated(a, [c, c])
+        self.assert_accumulated(b, [c])
+
+    def test_constant_operands_get_no_gradient(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w, b = Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=5))
+        sum_all(add(mul(linear(x, w, b), 2.0), Tensor(np.ones(5)))).backward()
+        assert x.grad is not None and w.grad is None and b.grad is None
 
 
 class TestGradients:
@@ -231,11 +283,42 @@ class TestGradients:
         a = Tensor(rng.normal(size=(3, 4)))
         assert np.shares_memory(take(a, slice(0, 2), 0).data, a.data)
 
+    def test_gather_rows_distinct(self, rng):
+        a = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        idx = np.array([[0, 3], [1, 4]])
+        weight = rng_const((2, 2, 3))
+        check_grad(lambda: sum_all(mul(gather_rows(a, idx, distinct=True), weight)), [a])
+        sum_all(mul(gather_rows(a, idx), weight)).backward()
+        accumulated, a.grad = a.grad, None
+        sum_all(mul(gather_rows(a, idx, distinct=True), weight)).backward()
+        np.testing.assert_array_equal(a.grad, accumulated)
+
     def test_embedding_lookup(self, rng):
         table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         ids = np.array([[0, 5, 5], [2, 1, 0]])
         check_grad(lambda: sum_all(mul(embedding_lookup(table, ids),
                                        rng_const((2, 3, 4)))), [table])
+
+    def test_embedding_lookup_sums_like_add_at(self, rng):
+        table = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        ids = rng.integers(0, 4, size=(16, 12))
+        weight = rng.normal(size=(16, 12, 8))
+        sum_all(mul(embedding_lookup(table, ids), weight)).backward()
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, ids.reshape(-1), weight.reshape(-1, 8))
+        np.testing.assert_array_equal(table.grad, expected)
+
+    def test_linear(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        check_grad(lambda: sum_all(mul(linear(x, w, b), rng_const((2, 3, 2)))), [x, w, b])
+
+    def test_full_attention(self, rng):
+        q, k, v = (Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True) for _ in range(3))
+        mask = np.triu(np.full((4, 4), -1e9), 1)
+        check_grad(lambda: sum_all(mul(full_attention(q, k, v, mask), rng_const((2, 4, 3)))),
+                   [q, k, v])
 
     def test_mean_rows(self, rng):
         a = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
@@ -253,6 +336,57 @@ class TestGradients:
         x = rng.normal(size=(2, 3, 8))
         out = merge_heads(split_heads(Tensor(x), 2), 2)
         np.testing.assert_array_equal(out.data, x)
+
+
+class TestFusedNodes:
+    """The fused nodes give the bits of the unfused compositions they
+    replace, forward and backward, including with constant operands."""
+
+    @staticmethod
+    def run(build, arrays, const, weight):
+        """Output and input gradients of sum(build(*inputs) * weight); the
+        inputs named in const take no gradient."""
+        inputs = [Tensor(a, requires_grad=i not in const) for i, a in enumerate(arrays)]
+        out = build(*inputs)
+        sum_all(mul(out, weight)).backward()
+        return out.data, [t.grad for t in inputs]
+
+    def assert_same_bits(self, fused, unfused, arrays, const, rng):
+        weight = rng.normal(size=fused(*map(Tensor, arrays)).shape)
+        out, grads = self.run(fused, arrays, const, weight)
+        ref_out, ref_grads = self.run(unfused, arrays, const, weight)
+        np.testing.assert_array_equal(out, ref_out)
+        for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+            if i in const:
+                assert g is None and ref is None
+            else:
+                np.testing.assert_array_equal(g, ref)
+
+    @pytest.mark.parametrize("lead", [(5,), (3, 5)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("const", [(), (1,), (0, 2)], ids=["none", "w", "x_b"])
+    @pytest.mark.parametrize("width", [4, 0])
+    def test_linear(self, rng, lead, const, width):
+        arrays = [rng.normal(size=lead + (width,)), rng.normal(size=(width, 6)),
+                  rng.normal(size=6)]
+        self.assert_same_bits(linear, lambda x, w, b: add(matmul(x, w), b), arrays,
+                              const, rng)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
+    @pytest.mark.parametrize("const", [(), (2,), (0, 1)], ids=["none", "v", "q_k"])
+    def test_full_attention(self, rng, lead, masked, const):
+        n_q, n_k, dh = 5, 4, 3
+        arrays = [rng.normal(size=lead + (n, dh)) for n in (n_q, n_k, n_k)]
+        mask = np.where(rng.random((n_q, n_k)) < 0.3, -1e9, 0.0) if masked else None
+
+        def unfused(q, k, v):
+            scores = mul(matmul(q, transpose_last(k)), dh ** -0.5)
+            if mask is not None:
+                scores = add(scores, Tensor(mask))
+            return matmul(softmax_rows(scores), v)
+
+        self.assert_same_bits(lambda q, k, v: full_attention(q, k, v, mask), unfused,
+                              arrays, const, rng)
 
 
 def rng_const(shape):

@@ -1,6 +1,6 @@
 """Print the sha256 of the determinism fixtures' audit artifacts.
 
-    python3 tools/fixture_hashes.py [--root CHECKOUT]
+    python3 tools/fixture_hashes.py [--root CHECKOUT] [--against CHECKOUT]
 
 Runs ``run_experiment`` on five fixed configs, each into a temporary
 directory, and prints one line per fixture and artifact
@@ -21,10 +21,13 @@ focus (``small_speed``, ``small_size``, ``small_accuracy``) and
 ``<fixture> comparison <sha256>``: a hash over the ``compare_baselines``
 result (baseline and all four comparator rows) with each row's wall-time
 ``analysis_seconds`` removed. A change that claims the same behaviour
-must print the same lines as its parent: run the script in both checkouts
-(or point ``--root`` at the other one) and diff the output. The package,
-the tests and the benchmark scenarios are all imported from ``--root``
-(default: the checkout that holds this script); nothing is written there.
+must print the same lines as its parent: ``--against PARENT`` runs the
+script on both checkouts, side by side in two processes, prints only the
+lines that differ (``-`` PARENT's, ``+`` the ``--root`` checkout's) and
+exits 1 on any difference, 0 when every line is equal (2 when a run
+fails). The package, the tests and the benchmark scenarios are all
+imported from ``--root`` (default: the checkout that holds this script);
+nothing is written there.
 BLAS runs on one thread, as in the benchmark. Takes about a minute.
 """
 
@@ -34,6 +37,7 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -88,11 +92,37 @@ def comparison_digest(config) -> str:
     return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
 
 
+def compare(root: Path, against: Path) -> int:
+    """Print the lines of the two checkouts' outputs that differ; 1 if any do."""
+    procs = [subprocess.Popen([sys.executable, __file__, "--root", str(checkout)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for checkout in (against, root)]
+    outputs = [proc.communicate() for proc in procs]
+    for checkout, proc, (_, err) in zip((against, root), procs, outputs):
+        if proc.returncode:
+            print(f"{checkout}: exit {proc.returncode}\n{err}", file=sys.stderr)
+            return 2
+    old, new = ({line.rsplit(" ", 1)[0]: line for line in out.splitlines()}
+                for out, _ in outputs)
+    keys = list(dict.fromkeys([*old, *new]))
+    differ = [key for key in keys if old.get(key) != new.get(key)]
+    for key in differ:
+        for sign, lines in (("-", old), ("+", new)):
+            if key in lines:
+                print(f"{sign} {lines[key]}")
+    print(f"{len(differ)} of {len(keys)} lines differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout whose src/, tests/ and perfbench/ are used")
+    parser.add_argument("--against", type=Path, metavar="CHECKOUT",
+                        help="run CHECKOUT too; print only the lines that differ")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return compare(args.root.resolve(), args.against.resolve())
     # before numpy is first imported, which fixes the BLAS thread count
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
