@@ -29,7 +29,7 @@ from .signmatch import (OpCounter, causal_select, representative_sign,
                         score_keys, select_topk, sign_match_attention)
 from .tasks import Dataset, TaskData, TaskSpec, generate_task
 from .tensor import (Tensor, cross_entropy, full_attention, layer_norm, make_rng,
-                     matmul, no_grad, softmax_rows, spawn_rng)
+                     no_grad, spawn_rng)
 from .training import evaluate_accuracy, evaluate_loss, train_epochs
 
 __version__ = "0.1.0"
@@ -43,14 +43,11 @@ __all__ = [
     "QuantizedGroup", "RunReport", "SignMatch", "StageError", "TaskData",
     "TaskSpec", "Tensor", "TransElement", "TransformerConfig", "TransformerModel",
     "build_model", "causal_select", "compare_baselines", "cross_entropy",
-    "encompass_filter",
-    "enumerate_elements", "evaluate_accuracy", "evaluate_candidate",
+    "encompass_filter", "enumerate_elements", "evaluate_accuracy", "evaluate_candidate",
     "evaluate_loss", "final_finetune", "full_attention", "generate_task",
-    "layer_norm", "load_checkpoint", "make_rng",
-    "matmul", "measure_latency", "no_grad", "oracle_significance",
-    "order_queue", "quantize_dequantize",
-    "quantize_group", "representative_sign", "run_experiment",
-    "save_checkpoint", "score_keys", "select_topk",
-    "sign_match_attention", "softmax_rows", "spawn_rng", "sweep_thresholds",
+    "layer_norm", "load_checkpoint", "make_rng", "measure_latency", "no_grad",
+    "oracle_significance", "order_queue", "quantize_dequantize", "quantize_group",
+    "representative_sign", "run_experiment", "save_checkpoint", "score_keys",
+    "select_topk", "sign_match_attention", "spawn_rng", "sweep_thresholds",
     "taylor_significance", "train_baseline", "train_epochs",
 ]

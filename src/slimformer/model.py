@@ -21,7 +21,7 @@ from . import costs
 from .config import TransformerConfig
 from .errors import ConfigError, PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
-from .signmatch import OpCounter, causal_mask, sign_match_attention
+from .signmatch import OpCounter, causal_attention, sign_match_attention
 from .tensor import (Tensor, add, cross_entropy, embedding_lookup, full_attention,
                      gelu, layer_norm, linear, make_rng, mean_rows, merge_heads,
                      mul, reshape, split_heads, take)
@@ -177,12 +177,13 @@ class PlannedModel:
 
         # live heads folded into the batch axis: [B*h, n, dh]
         q, k, v = (split_heads(t, b.live_heads) for t in (q, k, v))
-        if view.signmatch_k is None:
-            mask = causal_mask(n_x, kv_positions) if cfg.autoregressive else None
-            out = full_attention(q, k, v, mask)
-        else:
+        if view.signmatch_k is not None:
             out = sign_match_attention(q, k, v, view.signmatch_k, cfg.autoregressive,
                                        key_positions=kv_positions, counter=counter)
+        elif cfg.autoregressive:
+            out = causal_attention(q, k, v, kv_positions, counter)
+        else:
+            out = full_attention(q, k, v)
         merged = merge_heads(out, b.live_heads, squeeze=x.data.ndim == 2)
         return add(x, linear(merged, w["wo"](), p.bo))
 
@@ -260,16 +261,17 @@ def _take(a: Tensor, index, axis: int) -> Tensor:
 
 class _BoundWeight:
     """One weight matrix as a bound layer reads it: its live rows and
-    columns, with quantized row bands replaced by images computed once.
-    When every live row is quantized the matrix is a constant."""
+    columns, with quantized row bands replaced by constant images computed
+    once, so quantized rows get zero gradient. When every live row is
+    quantized the matrix is a constant."""
 
     def __init__(self, w: Tensor, rows, cols, bits: np.ndarray, group_width: int):
         self.w, self.rows, self.cols = w, rows, cols
         self.keep = self.frozen = None
         if bits.any():
             g, n = group_width, w.data.shape[0]
-            image = quantized_rows(w, [(i * g, min((i + 1) * g, n), int(b))
-                                       for i, b in enumerate(bits) if b]).data
+            image = quantized_rows(w.data, [(i * g, min((i + 1) * g, n), int(b))
+                                            for i, b in enumerate(bits) if b])
             image = _select(image, rows, cols)
             keep = _select(np.repeat(bits == 0, g)[:n, None], rows, None)
             if keep.any():

@@ -27,7 +27,6 @@ from .costs import quantized_bytes
 from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KV_GROUP,
                        QKV_GROUP, TransElement, element_bounds)
 from .errors import ConfigError, PlanError
-from .tensor import Tensor, _result
 
 QUANT_BITS = (2, 4, 8)
 
@@ -137,9 +136,6 @@ class ApproxPlan:
         new = ApproxPlan(self.skiplist)
         new.approxlist = dict(self.approxlist)
         return new
-
-    def is_empty(self) -> bool:
-        return not self.skiplist and not self.approxlist
 
     def with_skip(self, el: TransElement) -> "ApproxPlan":
         if el in self.approxlist:
@@ -327,21 +323,12 @@ def quantize_dequantize(weights: np.ndarray, bits: int) -> np.ndarray:
     return quantize_group(weights, bits).dequantize()
 
 
-def quantized_rows(w: Tensor, bands: list[tuple[int, int, int]]) -> Tensor:
-    """Replace row bands [lo, hi) of a weight matrix by their
-    quantize-dequantize images.
-
-    Quantized rows are frozen (zero gradient); untouched rows keep theirs.
-    """
-    data = w.data.copy()
-    passthrough = np.ones(w.data.shape[0], dtype=bool)
+def quantized_rows(w: np.ndarray, bands: list[tuple[int, int, int]]) -> np.ndarray:
+    """A copy of a weight matrix with row bands [lo, hi) replaced by their
+    quantize-dequantize images."""
+    data = w.copy()
     for lo, hi, bits in bands:
-        if hi > w.data.shape[0]:
-            raise PlanError(f"quantization band [{lo}, {hi}) exceeds {w.data.shape[0]} rows")
-        data[lo:hi] = quantize_dequantize(w.data[lo:hi], bits)
-        passthrough[lo:hi] = False
-
-    def grad_fn(g):
-        return (g * passthrough[:, None],)
-
-    return _result(data, (w,), grad_fn)
+        if hi > w.shape[0]:
+            raise PlanError(f"quantization band [{lo}, {hi}) exceeds {w.shape[0]} rows")
+        data[lo:hi] = quantize_dequantize(w[lo:hi], bits)
+    return data

@@ -32,15 +32,33 @@ def causal_mask(n: int, key_positions: np.ndarray) -> np.ndarray:
     return np.where(pos[..., None, :] <= np.arange(n)[:, None], 0.0, MASK_NEG)
 
 
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, key_positions: np.ndarray,
+                     counter: OpCounter | None = None) -> Tensor:
+    """full_attention under the causal mask of [..., n_k] key positions
+    (shared by all sequences or per sequence). A query that sees none of
+    the keys gets a zero output row and counts as starved in each sequence:
+    its mask row is MASK_NEG throughout, which the softmax would cancel
+    into attention to later keys."""
+    mask = causal_mask(q.data.shape[-2], key_positions)   # [..., n_q, n_k]
+    starved = (mask == MASK_NEG).all(axis=-1)             # [..., n_q]
+    if counter is not None:
+        counter.starved_queries += int(np.broadcast_to(starved, q.data.shape[:-1]).sum())
+    out = full_attention(q, k, v, mask)
+    if starved.any():
+        out = mul(out, np.where(starved, 0.0, 1.0)[..., None])
+    return out
+
+
 @dataclass
 class OpCounter:
     """Instrumentation for the linear-scoring contract.
 
     score_stage counts the key-side work (sign extraction + Hamming
     comparisons); rep_sign counts building the query-side representative.
-    starved_queries counts causal rows left with no visible key. Every
-    sequence handed to sign_match_attention is counted; a model hands it
-    only its live heads, so pruned heads are not scored.
+    starved_queries counts causal rows left with no visible key, in
+    either attention path. Every sequence handed to sign_match_attention
+    is counted; a model hands it only its live heads, so pruned heads are
+    not scored.
     """
 
     rep_sign: int = 0
@@ -128,7 +146,6 @@ def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
     """
     if top_k < 1:
         raise PlanError("sign-match k must be >= 1")
-    n_q = q.data.shape[-2]
     n_k = k.data.shape[-2]
     kk = min(top_k, n_k)
     if key_positions is None:
@@ -137,19 +154,7 @@ def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
     dist = score_keys(k.data, representative_sign(q.data, counter), counter)
     rows = causal_select(dist, n_k, kk) if causal else select_topk(dist, kk)
     sel = np.sort(np.asarray(rows, dtype=np.int64), axis=-1)   # [..., kk]
-    k_sel = gather_rows(k, sel, distinct=True)
-    v_sel = gather_rows(v, sel, distinct=True)
-
-    mask = starve = None
+    k_sel, v_sel = gather_rows(k, sel), gather_rows(v, sel)
     if causal:
-        mask = causal_mask(n_q, key_positions[sel])            # [..., n_q, kk]
-        starved = (mask == MASK_NEG).all(axis=-1)              # [..., n_q]
-        if counter is not None:
-            counter.starved_queries += int(starved.sum())
-        if starved.any():
-            starve = np.where(starved, 0.0, 1.0)[..., None]
-
-    out = full_attention(q, k_sel, v_sel, mask)
-    if starve is not None:
-        out = mul(out, starve)
-    return out
+        return causal_attention(q, k_sel, v_sel, key_positions[sel], counter)
+    return full_attention(q, k_sel, v_sel)

@@ -70,32 +70,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def backward(self):
         """Populate .grad on every reachable requires_grad tensor.
@@ -191,7 +167,7 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product: 2D@2D, batched 3D@3D, or 3D activations @ 2D weights."""
+    """2D@2D, 3D@3D or 3D@2D product; kept only as a benchmark tracer target."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
@@ -262,15 +238,6 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = No
     return _result(data, (q, k, v), grad_fn)
 
 
-def transpose_last(a: Tensor) -> Tensor:
-    data = np.swapaxes(a.data, -1, -2)
-
-    def grad_fn(g):
-        return (np.swapaxes(g, -1, -2),)
-
-    return _result(data, (a,), grad_fn)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
@@ -296,10 +263,9 @@ def take(a: Tensor, index, axis: int) -> Tensor:
     return _result(data, (a,), grad_fn)
 
 
-def gather_rows(a: Tensor, indices, distinct: bool = False) -> Tensor:
+def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows along axis -2. For rank 3, indices may be per-batch [B, K].
-    Gradients of repeated rows accumulate; ``distinct`` promises that no
-    row repeats within a batch entry, so the gradient is scattered by
+    No row may repeat within a batch entry: the gradient is scattered by
     assignment."""
     idx = np.asarray(indices, dtype=np.int64)
     if a.data.ndim == 2:
@@ -312,10 +278,7 @@ def gather_rows(a: Tensor, indices, distinct: bool = False) -> Tensor:
 
     def grad_fn(g):
         ga = np.zeros_like(a.data)
-        if distinct:
-            ga[key] = g
-        else:
-            np.add.at(ga, key, g)
+        ga[key] = g
         return (ga,)
 
     return _result(data, (a,), grad_fn)
@@ -353,8 +316,8 @@ def merge_heads(a: Tensor, heads: int, squeeze: bool = False) -> Tensor:
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     """Rows of ``table`` at ``ids``. Gradients of repeated ids accumulate in
-    the order np.add.at would add them: np.bincount adds its weights in
-    input order, one bin per (id, column)."""
+    input order: np.bincount adds its weights in that order, one bin per
+    (id, column)."""
     ids = np.asarray(ids, dtype=np.int64)
     data = table.data[ids]
 
@@ -374,15 +337,6 @@ def mean_rows(a: Tensor) -> Tensor:
 
     def grad_fn(g):
         return (np.repeat(np.expand_dims(g / n, -2), n, axis=-2),)
-
-    return _result(data, (a,), grad_fn)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    data = np.array([a.data.sum()])
-
-    def grad_fn(g):
-        return (np.full_like(a.data, g.reshape(-1)[0]),)
 
     return _result(data, (a,), grad_fn)
 
@@ -407,7 +361,7 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax along the last axis, max-subtracted for stability."""
+    """Row-wise softmax; kept only as a benchmark tracer target."""
     p = _softmax(a.data)
 
     def grad_fn(g):

@@ -12,6 +12,7 @@ from .tensor import no_grad
 
 DEFAULT_LR = 3e-3
 DEFAULT_BATCH = 32
+EVAL_BATCH = 64
 
 
 def iter_batches(dataset: Dataset, batch_size: int,
@@ -46,13 +47,12 @@ def train_epochs(model: TransformerModel, plan: ApproxPlan | None, dataset: Data
     return means
 
 
-def evaluate_loss(model: TransformerModel, plan: ApproxPlan | None, dataset: Dataset,
-                  batch_size: int = 64) -> float:
+def evaluate_loss(model: TransformerModel, plan: ApproxPlan | None, dataset: Dataset) -> float:
     """Mean loss over a split, weighted by labeled positions."""
     planned = PlannedModel(model, plan)
     total, count = 0.0, 0
     with no_grad():
-        for tokens, labels in iter_batches(dataset, batch_size):
+        for tokens, labels in iter_batches(dataset, EVAL_BATCH):
             _, loss = planned.forward(tokens, labels)
             rows = labels.shape[0] if labels.ndim == 1 else int((labels >= 0).sum())
             total += loss.item() * rows
@@ -61,13 +61,13 @@ def evaluate_loss(model: TransformerModel, plan: ApproxPlan | None, dataset: Dat
 
 
 def evaluate_accuracy(model: TransformerModel, plan: ApproxPlan | None,
-                      dataset: Dataset, batch_size: int = 64) -> float:
+                      dataset: Dataset) -> float:
     """Exact-match rate: per sequence for classification, per labeled token
     otherwise."""
     planned = PlannedModel(model, plan)
     hits, count = 0, 0
     with no_grad():
-        for tokens, labels in iter_batches(dataset, batch_size):
+        for tokens, labels in iter_batches(dataset, EVAL_BATCH):
             logits, _ = planned.forward(tokens)
             pred = logits.data.argmax(axis=-1)
             if labels.ndim == 1:

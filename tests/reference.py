@@ -1,15 +1,39 @@
-"""Independent plain-numpy reference implementations used as test oracles.
+"""Independent plain-numpy reference implementations used as test oracles,
+and the test-only tensor ops.
 
-These deliberately mirror nothing of the library's internals: attention is
-computed one head at a time, layer norm and softmax are written from their
-formulas, and the model forward takes explicit include/exclude flags so a
-"physically rebuilt" model without a block is just a different flag set.
+The references deliberately mirror nothing of the library's internals:
+attention is computed one head at a time, layer norm and softmax are written
+from their formulas, and the model forward takes explicit include/exclude
+flags so a "physically rebuilt" model without a block is just a different
+flag set. The tensor ops (``sum_all``, ``transpose_last``) have no caller in
+the package; tests use them to reduce outputs to a scalar loss and to build
+the unfused compositions the fused nodes must reproduce.
 """
 
 import math
 
 import numpy as np
 from scipy.special import erf
+
+from slimformer.tensor import Tensor, _result
+
+
+def sum_all(a: Tensor) -> Tensor:
+    data = np.array([a.data.sum()])
+
+    def grad_fn(g):
+        return (np.full_like(a.data, g.reshape(-1)[0]),)
+
+    return _result(data, (a,), grad_fn)
+
+
+def transpose_last(a: Tensor) -> Tensor:
+    data = np.swapaxes(a.data, -1, -2)
+
+    def grad_fn(g):
+        return (np.swapaxes(g, -1, -2),)
+
+    return _result(data, (a,), grad_fn)
 
 
 def ref_softmax(x):

@@ -23,10 +23,10 @@ from slimformer.costs import quantized_bytes
 from slimformer.elements import (FFN_GROUP, HEAD, KV_GROUP, attn_block,
                                  enumerate_elements, ffn_block, order_queue)
 from slimformer.tensor import (cross_entropy, gelu, layer_norm, make_rng, matmul,
-                               mean_rows, mul, softmax_rows, spawn_rng, sum_all)
+                               mean_rows, mul, softmax_rows, spawn_rng)
 from slimformer.training import evaluate_accuracy, evaluate_loss, train_epochs
 
-from reference import finite_difference_grad, ref_attention_per_head, layer_dict
+from reference import finite_difference_grad, ref_attention_per_head, layer_dict, sum_all
 
 
 def report(criterion: int, message: str):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from slimformer import (ApproxPlan, ConfigError, GroupShrink, PlanError,
+from slimformer import (ApproxPlan, ConfigError, GroupShrink, OpCounter, PlanError,
                         PlannedModel, Quantize, SignMatch, Tensor,
                         TransElement, TransformerConfig, build_model,
                         load_checkpoint, measure_latency, save_checkpoint,
@@ -262,6 +262,22 @@ class TestForward:
             lb, _ = PlannedModel(causal_model).forward(variant[None, :])
             np.testing.assert_array_equal(la.data[0, :t + 1], lb.data[0, :t + 1])
             assert not np.array_equal(la.data[0, t + 1:], lb.data[0, t + 1:])
+
+    @pytest.mark.filterwarnings("ignore:.*first quarter of a causal context")
+    def test_starved_queries_do_not_read_the_future(self, causal_model, rng):
+        """With the first key/value group pruned, queries 0-3 of layer 0 see
+        no key; they get a zero attention row, not a softmax over later keys,
+        and are counted as starved in each head."""
+        planned = PlannedModel(causal_model, ApproxPlan([TransElement(KV_GROUP, 0, 0)]))
+        base = rng.integers(0, 5, size=causal_model.config.context_len)
+        variant = base.copy()
+        variant[5] = (variant[5] + 1) % 5
+        counter = OpCounter()
+        la = planned.forward(base[None, :], counter=counter)[0].data
+        lb = planned.forward(variant[None, :])[0].data
+        np.testing.assert_array_equal(la[0, :5], lb[0, :5])
+        assert not np.array_equal(la[0, 5:], lb[0, 5:])
+        assert counter.starved_queries == 4 * causal_model.config.num_heads
 
 
 class TestCost:

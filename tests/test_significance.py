@@ -185,7 +185,7 @@ class TestGreedyLoop:
         analyzer = GreedyAnalyzer(trained, majority_data, (tl * 0.5, vl * 0.5), SPEED,
                                   seed=3, epochs_per_candidate=0)
         plan = analyzer.run(queue)
-        assert plan.is_empty()
+        assert plan == ApproxPlan()
         reasons = {r for _, r in queue.removal_log}
         assert reasons == {"encompassed"}
         # children of kept blocks never got decided
@@ -217,7 +217,7 @@ class TestGreedyLoop:
         analyzer = GreedyAnalyzer(work, majority_data, (tl, vl), ACCURACY, seed=5,
                                   epochs_per_candidate=0)
         plan = analyzer.run(ElementQueue([attn_block(0)]))
-        assert plan.is_empty()  # equal loss does not beat the running minimum
+        assert plan == ApproxPlan()  # equal loss does not beat the running minimum
 
     def test_plan_growth_is_monotone_and_logged(self, tiny_config, majority_data):
         model = build_model(tiny_config, 23)
