@@ -26,6 +26,7 @@ from .model import (PlannedModel, TransformerModel, build_model,
 from .plan import QUANT_BITS, ApproxPlan
 from .significance import (GreedyAnalyzer, eps_pair, final_finetune,
                            oracle_significance, taylor_significance)
+from .speculate import available_cpus
 from .tasks import TaskData, TaskSpec, generate_task
 from .tensor import spawn_rng
 from .training import (DEFAULT_BATCH, DEFAULT_LR, evaluate_accuracy,
@@ -416,8 +417,9 @@ def _sweep_one(config: ExperimentConfig, run_dir: str) -> dict:
 def sweep_thresholds(config: ExperimentConfig, epsilon_list, out_dir: str | Path,
                      workers: int = 1) -> list[dict]:
     """One experiment per (eps_skip, eps_approx) pair; bare floats f expand
-    to (f, 2f). Every pair is validated before the first run. Writes
-    sweep.csv plus one run directory per pair."""
+    to (f, 2f). Every pair is validated before the first run. Runs in a
+    pool of at most ``workers`` processes, capped at the CPUs available.
+    Writes sweep.csv plus one run directory per pair."""
     if not epsilon_list:
         raise ConfigError("epsilon list must be nonempty")
     if workers < 1:
@@ -429,6 +431,7 @@ def sweep_thresholds(config: ExperimentConfig, epsilon_list, out_dir: str | Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_dirs = [str(out / f"run_{i:03d}") for i in range(len(configs))]
+    workers = min(workers, available_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, configs, run_dirs))

@@ -204,8 +204,9 @@ class ApproxPlan:
 
     # -- resolution --------------------------------------------------------
 
-    def resolve(self, config: TransformerConfig) -> list["LayerView"]:
-        """Validate against a config and expand into per-layer views."""
+    def resolve(self, config: TransformerConfig, warn: bool = True) -> list["LayerView"]:
+        """Validate against a config and expand into per-layer views; with
+        ``warn`` a causal plan that prunes early key/value positions warns."""
         views = [LayerView(config) for _ in range(config.num_layers)]
         w, kv = config.weight_group_width, config.kv_group_width
         for el in self.skiplist:
@@ -231,7 +232,8 @@ class ApproxPlan:
                 continue
             if not view.kv_live.any():
                 raise PlanError(f"layer {layer}: all key/value positions pruned")
-            if config.autoregressive and not view.kv_live[:(config.context_len + 3) // 4].all():
+            early = view.kv_live[:(config.context_len + 3) // 4]
+            if warn and config.autoregressive and not early.all():
                 warnings.warn(
                     f"layer {layer}: pruned key/value positions in the first quarter of a "
                     f"causal context; early queries may have no visible keys", stacklevel=2)

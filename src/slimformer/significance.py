@@ -10,15 +10,25 @@ dropped from the queue. Under accuracy focus both bars are the best
 accepted loss so far, and only pruning is applied.
 Under speed focus `shrink` scans a block's weight groups from both ends and
 leaves one GroupShrink for the band that survives (none for the full band).
+
+While `run` decides one trial, it may fine-tune the trial the loop would
+ask for next in a helper process (see `speculate`). The prediction replays
+the committed trial results on a throwaway twin of the analyzer, through
+the same decision code, taking the current trial as rejected; a result is
+used only for a request equal to the predicted one, so the audit trail
+cannot change.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+from functools import partial
 
 import numpy as np
 
+from . import speculate
 from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, QKV_GROUP,
                        ElementQueue, TransElement, encompass_filter,
                        enumerate_elements, weight_group_block)
@@ -78,6 +88,8 @@ class GreedyAnalyzer:
     the harness can persist the audit trail.
     """
 
+    _warns = True  # whether candidate plans warn as they resolve
+
     def __init__(self, model: TransformerModel, data: TaskData,
                  baseline: tuple[float, float], focus: Focus, seed: int,
                  eps_skip: float = 0.0, eps_approx: float | None = None,
@@ -111,6 +123,9 @@ class GreedyAnalyzer:
         self.plan = ApproxPlan()
         self.records: list[dict] = []
         self._step = 0
+        self._generation = 0  # accepted skips: each replaces the working weights
+        self._spec: _Speculation | None = None
+        self.speculated = self.speculation_hits = 0  # helper trials started / used
         # (train, val) pairs; only an accepted accuracy-focus skip lowers the bars
         self._baseline = tuple(baseline)
         if focus == Focus.ACCURACY:
@@ -154,21 +169,47 @@ class GreedyAnalyzer:
         rec = {"element": el.key, "tentative_action": action, "train_loss": None,
                "val_loss": None, "thresholds": self._thresholds_doc(), "decision": "keep"}
         try:
-            candidate.resolve(self.model.config)
+            candidate.resolve(self.model.config, warn=self._warns)
         except PlanError:
             rec["approx"] = {"reason": "plan would be invalid"}
             return rec
-        rng = spawn_rng(self.seed, 2, self._step)
+        step = self._step
         self._step += 1
-        tl, vl, tuned = evaluate_candidate(self.work, candidate, self.data, self.epochs,
-                                           rng, lr=self.lr, batch_size=self.batch_size)
+        tl, vl, tuned = self._trial(el, candidate, step)
         rec.update(train_loss=tl, val_loss=vl)
         if self._accept_skip(tl, vl):
             rec["decision"] = "skip"
             self.plan, self.work = candidate, tuned
+            self._generation += 1
             if self.focus == Focus.ACCURACY:
                 self._skip = self._approx = (tl, vl)
         return rec
+
+    def _train(self, work: TransformerModel, candidate: ApproxPlan, step: int):
+        return evaluate_candidate(work, candidate, self.data, self.epochs,
+                                  spawn_rng(self.seed, 2, step), lr=self.lr,
+                                  batch_size=self.batch_size)
+
+    def _trial(self, el: TransElement, candidate: ApproxPlan, step: int):
+        """(train loss, val loss, tuned model) of one trial. Inside a
+        speculating run: the helper's result if it ran this very request,
+        else computed here, while the helper starts on the predicted next
+        request if the prediction made at the previous trial held."""
+        spec = self._spec
+        if spec is None:
+            return self._train(self.work, candidate, step)
+        key = _trial_key(el, candidate, step, self._generation)
+        result = spec.helper.take(key)
+        predicted = spec.next_request(key)
+        if result is None:
+            if predicted is not None:
+                spec.helper.submit(_trial_key(*predicted),
+                                   partial(self._train, self.work, *predicted[1:3]))
+            else:
+                spec.helper.cancel()
+            result = self._train(self.work, candidate, step)
+        spec.results.append(result[:2])
+        return result
 
     def _log(self, rec: dict):
         self.records.append(rec)
@@ -179,7 +220,25 @@ class GreedyAnalyzer:
     # -- main loop -------------------------------------------------------------
 
     def run(self, queue: ElementQueue) -> ApproxPlan:
+        """Decide every queue element; returns the plan. Speculates one
+        trial ahead in a helper process when ``speculate.helper_allowed``
+        and candidates are fine-tuned; the helper is gone on return."""
+        if self.epochs == 0 or not speculate.helper_allowed():
+            return self._run(queue)
+        self._spec = _Speculation()
+        try:
+            return self._run(queue)
+        finally:
+            helper = self._spec.helper
+            helper.cancel()
+            self.speculated += helper.speculated
+            self.speculation_hits += helper.hits
+            self._spec = None
+
+    def _run(self, queue: ElementQueue) -> ApproxPlan:
         while queue.has_next():
+            if self._spec is not None:
+                self._spec.restart(self, queue)
             el = queue.pop()
             block = weight_group_block(el)
             if self.focus == Focus.SPEED and block is not None:
@@ -259,6 +318,77 @@ class GreedyAnalyzer:
         if (lo, hi) != (0, full) and block not in before.skiplist:
             self.plan = before.with_approx(block, GroupShrink(lo, hi))
         return lo, hi
+
+
+def _trial_key(el: TransElement, candidate: ApproxPlan, step: int, generation: int):
+    """What a trial's result is a function of, beyond the analyzer's fixed
+    data and settings: weights (by generation), plan (entries in order), RNG step."""
+    return (el, step, generation, frozenset(candidate.skiplist),
+            tuple(candidate.approxlist.items()))
+
+
+class _Predicted(Exception):
+    """Raised by a replay at its first trial past the one being decided."""
+
+
+class _Replay(GreedyAnalyzer):
+    """A throwaway twin of an analyzer as it stood before its latest pop.
+
+    It replays the committed trial results in order, takes the trial being
+    decided as rejected above both bars, and stops at the next trial
+    request by raising ``_Predicted(element, candidate, step, generation)``.
+    It trains nothing, logs nothing and resolves plans without warnings."""
+
+    _warns = False
+
+    def __init__(self, start: GreedyAnalyzer, results: list):
+        vars(self).update(vars(start))
+        self.records, self.log_path, self._spec = [], None, None
+        rejected = (math.inf, math.inf)
+        self._results = iter([(tl, vl, None) for tl, vl in [*results, rejected]])
+
+    def _trial(self, el: TransElement, candidate: ApproxPlan, step: int):
+        result = next(self._results, None)
+        if result is None:
+            raise _Predicted(el, candidate, step, self._generation)
+        return result
+
+
+class _Speculation:
+    """Per-run state of a speculating analyzer: the helper, the key the
+    last prediction named, and what a replay starts from: a snapshot of
+    analyzer and queue taken before the latest pop, and the (train, val)
+    losses of the trials committed since."""
+
+    def __init__(self):
+        self.helper = speculate.Helper()
+        self.expected = None
+
+    def restart(self, analyzer: GreedyAnalyzer, queue: ElementQueue):
+        self.start, self.queue = copy.copy(analyzer), copy.deepcopy(queue)
+        self.results: list[tuple[float, float]] = []
+
+    def next_request(self, key):
+        """The request to speculate on while the trial with ``key`` runs:
+        the predicted next one, but only while predictions hold, i.e. when
+        the prediction made at the previous trial named ``key``. Plain
+        keeps come in runs, accepted skips too, so past an accepted skip
+        the helper would mostly train for nothing; on the benchmark
+        scenarios, speculating on every trial instead made the pipeline
+        6-10% slower."""
+        held = self.expected == key
+        predicted = self.predict()
+        self.expected = predicted and _trial_key(*predicted)
+        return predicted if held else None
+
+    def predict(self):
+        """(element, candidate, step, generation) of the request the loop
+        makes after the current trial if that is rejected; None if none."""
+        try:
+            _Replay(self.start, self.results)._run(copy.deepcopy(self.queue))
+        except _Predicted as request:
+            return request.args
+        return None
 
 
 # -- comparison baselines -------------------------------------------------------

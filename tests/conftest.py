@@ -1,5 +1,13 @@
+import os
 import sys
 from pathlib import Path
+
+# Pin BLAS to one thread before numpy loads, as the benchmark does: the
+# models are a few dozen wide, and with one BLAS thread per process the
+# greedy loop may run its speculative helper on the second CPU.
+NUMPY_LOADED_BEFORE_PIN = "numpy" in sys.modules
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

@@ -1,0 +1,322 @@
+"""Speculative greedy trials: the helper process may change when a trial
+result is computed, never what it is."""
+
+import ctypes
+import multiprocessing
+import os
+import signal
+import threading
+import time
+import warnings
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+from test_experiment import small_config
+
+import conftest
+from slimformer import (ElementQueue, Focus, GreedyAnalyzer, TaskSpec, TransElement,
+                        build_model, compare_baselines, experiment, generate_task,
+                        run_experiment, significance, speculate, sweep_thresholds)
+from slimformer.elements import FFN_GROUP, KV_GROUP, ffn_block
+from slimformer.tensor import spawn_rng
+from slimformer.training import evaluate_loss, train_epochs
+
+ARTIFACTS = ("plan.json", "decisions.jsonl", "elements.json", "model.bin")
+# small_config with a loss bar low enough for runs of plain keeps: its speed
+# run speculates three trials, takes two and drops one
+KEEPS = {"eps_skip": 0.05}
+
+
+def set_helper(monkeypatch, on: bool):
+    monkeypatch.setattr(speculate, "helper_allowed", lambda: on)
+
+
+def speculate_always(monkeypatch):
+    """Submit every prediction, not only those made while predictions hold."""
+    monkeypatch.setattr(significance._Speculation, "next_request",
+                        lambda self, key: self.predict())
+
+
+@pytest.fixture
+def analyzers(monkeypatch):
+    """Every GreedyAnalyzer the experiment module builds, in order."""
+    made = []
+
+    class Recording(GreedyAnalyzer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(experiment, "GreedyAnalyzer", Recording)
+    return made
+
+
+@pytest.fixture
+def one_helper(monkeypatch):
+    """Fail if a submit ever leaves more than one child process alive."""
+    submit = speculate.Helper.submit
+
+    def checked(self, key, compute):
+        submit(self, key, compute)
+        assert len(multiprocessing.active_children()) <= 1
+
+    monkeypatch.setattr(speculate.Helper, "submit", checked)
+
+
+def artifacts(config, out: Path) -> dict:
+    run_experiment(config, out)
+    assert multiprocessing.active_children() == []
+    return {name: (out / name).read_bytes() for name in ARTIFACTS}
+
+
+def off_then_on(monkeypatch, tmp_path, config) -> tuple[dict, dict]:
+    set_helper(monkeypatch, False)
+    off = artifacts(config, tmp_path / "off")
+    set_helper(monkeypatch, True)
+    return off, artifacts(config, tmp_path / "on")
+
+
+@pytest.mark.parametrize("focus", list(Focus))
+def test_artifacts_identical_with_helper_off_and_on(monkeypatch, tmp_path, one_helper,
+                                                     focus):
+    off, on = off_then_on(monkeypatch, tmp_path, small_config(focus))
+    assert on == off
+
+
+def test_speed_run_takes_and_drops_speculations(monkeypatch, tmp_path, analyzers,
+                                                one_helper):
+    off, on = off_then_on(monkeypatch, tmp_path, small_config(**KEEPS))
+    assert on == off
+    unaided, aided = analyzers
+    assert unaided.speculated == 0
+    assert aided.speculation_hits >= 1
+    assert aided.speculated > aided.speculation_hits  # one prediction failed
+
+
+def test_comparison_rows_identical(monkeypatch):
+    def rows():
+        result = compare_baselines(small_config(**KEEPS))
+        for row in result["rows"]:
+            del row["analysis_seconds"]
+        return result
+
+    set_helper(monkeypatch, False)
+    off = rows()
+    set_helper(monkeypatch, True)
+    assert rows() == off
+    assert multiprocessing.active_children() == []
+
+
+def test_forced_misprediction_is_dropped(monkeypatch, tmp_path, analyzers, one_helper):
+    """Every helper runs a request one RNG step off the one that comes next."""
+    def wrong(self, key):
+        predicted = self.predict()
+        if predicted is not None:
+            el, candidate, step, generation = predicted
+            return el, candidate, step + 1, generation
+        return None
+
+    set_helper(monkeypatch, False)
+    off = artifacts(small_config(**KEEPS), tmp_path / "off")
+    set_helper(monkeypatch, True)
+    monkeypatch.setattr(significance._Speculation, "next_request", wrong)
+    assert artifacts(small_config(**KEEPS), tmp_path / "on") == off
+    assert analyzers[1].speculated > 0 and analyzers[1].speculation_hits == 0
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed"])
+def test_failed_helper_falls_back_in_process(monkeypatch, tmp_path, analyzers, failure):
+    train = GreedyAnalyzer._train
+
+    def failing(self, work, candidate, step):
+        if multiprocessing.parent_process() is None:  # this process: train
+            return train(self, work, candidate, step)
+        if failure == "raises":
+            raise RuntimeError("helper failure")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    set_helper(monkeypatch, False)
+    off = artifacts(small_config(**KEEPS), tmp_path / "off")
+    set_helper(monkeypatch, True)
+    speculate_always(monkeypatch)
+    monkeypatch.setattr(GreedyAnalyzer, "_train", failing)
+    assert artifacts(small_config(**KEEPS), tmp_path / "on") == off
+    assert analyzers[1].speculated > 0 and analyzers[1].speculation_hits == 0
+
+
+def test_weights_generation_guards_a_restored_plan(monkeypatch, tiny_config,
+                                                  majority_data):
+    """A shrink scan of a skipped block ends with the plan it started
+    from, whether its last trial is accepted or not; only the weights tell
+    the two outcomes apart. The helper, started on the next element while
+    that last trial runs, assumes it rejected, so its result must be
+    dropped when the trial is accepted."""
+    kv = TransElement(KV_GROUP, 1, 0)
+    g0, g1 = (TransElement(FFN_GROUP, 0, g) for g in (0, 1))
+
+    def fake(self, work, candidate, step):
+        accepted = work.layers[1].wq.data[0, 0]  # trials whose weights were adopted
+        tuned = work.clone()
+        tuned.layers[1].wq.data[0, 0] += 1.0
+        if kv in candidate.skiplist:  # passes only on the weights of 3 accepts
+            loss = 0.5 if accepted == 3 else 2.0
+        else:  # the bottom scan stops at once, the top scan empties the block
+            loss = 2.0 if g0 in candidate.skiplist and g1 not in candidate.skiplist else 0.5
+        return loss, loss, tuned
+
+    def run(on: bool):
+        set_helper(monkeypatch, on)
+        queue = ElementQueue([ffn_block(0), g0, kv])
+        analyzer = GreedyAnalyzer(model, majority_data, (1.0, 1.0), Focus.SPEED, 0,
+                                  encompass_enabled=False)
+        analyzer.run(queue)
+        return analyzer
+
+    model = build_model(tiny_config, 3)
+    model.layers[1].wq.data[0, 0] = 0.0
+    monkeypatch.setattr(GreedyAnalyzer, "_train", fake)
+    speculate_always(monkeypatch)
+    off, on = run(False), run(True)
+    assert [r["decision"] for r in off.records] == ["skip", "keep", "skip", "skip", "skip"]
+    assert on.records == off.records
+    assert on.speculated > on.speculation_hits
+
+
+def test_no_helper_outlives_run(monkeypatch, tiny_config, majority_data, one_helper):
+    """A scan whose last trial is accepted ends the run while the helper
+    still trains the top-down trial a rejection would have led to."""
+    def fake(self, work, candidate, step):
+        if multiprocessing.parent_process() is not None:
+            time.sleep(60)
+        return 0.5, 0.5, work
+
+    set_helper(monkeypatch, True)
+    speculate_always(monkeypatch)
+    monkeypatch.setattr(GreedyAnalyzer, "_train", fake)
+    analyzer = GreedyAnalyzer(build_model(tiny_config, 3), majority_data, (1.0, 1.0),
+                              Focus.SPEED, 0)
+    analyzer.run(ElementQueue([TransElement(FFN_GROUP, 0, 0)]))
+    assert [r["decision"] for r in analyzer.records] == ["skip", "skip"]
+    assert analyzer.speculated == 2 and analyzer.speculation_hits == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_direct_shrink_stays_serial(monkeypatch, tiny_config, majority_data):
+    set_helper(monkeypatch, True)
+    monkeypatch.setattr(speculate, "Helper", None)  # a speculating run would fail
+    model = build_model(tiny_config, 3)
+    tl = evaluate_loss(model, None, majority_data.train)
+    vl = evaluate_loss(model, None, majority_data.val)
+    analyzer = GreedyAnalyzer(model, majority_data, (tl * 0.5, vl * 0.5), Focus.SPEED, 0)
+    assert analyzer.shrink(ffn_block(0)) == (0, 2)  # both scan phases fail at once
+    assert len(analyzer.records) == 2
+
+
+def test_warnings_unchanged_by_helper(monkeypatch, causal_config):
+    """Trials that prune early key/value positions of a causal model warn
+    once per request from the analyzer's own plan check, helper or not; the
+    helper and the prediction replay add none."""
+    data = generate_task(TaskSpec("toy_lm", vocab_size=5, context_len=8,
+                                  train_size=64, seed=5))
+    model = build_model(causal_config, 5)
+    train_epochs(model, None, data.train, 2, spawn_rng(5, 0), lr=0.01)
+    tl = evaluate_loss(model, None, data.train)
+    vl = evaluate_loss(model, None, data.val)
+
+    def run(on: bool):
+        set_helper(monkeypatch, on)
+        queue = ElementQueue([TransElement(KV_GROUP, layer, g)
+                              for g in (0, 1) for layer in (1, 0)])
+        # bars at half the baseline: every trial is a plain keep
+        analyzer = GreedyAnalyzer(model, data, (tl * 0.5, vl * 0.5), Focus.SPEED, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            analyzer.run(queue)
+        own = Counter(str(w.message) for w in caught
+                      if Path(w.filename).name == "significance.py")
+        return {str(w.message) for w in caught}, own, analyzer
+
+    speculate_always(monkeypatch)
+    off_messages, off_own, _ = run(False)
+    on_messages, on_own, analyzer = run(True)
+    assert analyzer.speculation_hits >= 1
+    assert off_messages and on_messages == off_messages
+    assert on_own == off_own and sum(off_own.values()) == 2
+
+
+def test_sweep_pool_capped_at_available_cpus(monkeypatch, tmp_path):
+    """A huge worker request asks the pool for the CPUs there are; a
+    recording stand-in runs the pool's work in this process."""
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    config, pairs = small_config(), [0.1, 0.3]
+    sweep_thresholds(config, pairs, tmp_path / "serial")
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment, "available_cpus", lambda: 3)
+    sweep_thresholds(config, pairs, tmp_path / "pool", workers=10 ** 6)
+    assert requested == [3]
+    assert ((tmp_path / "pool" / "sweep.csv").read_bytes()
+            == (tmp_path / "serial" / "sweep.csv").read_bytes())
+
+
+def openblas_threads() -> int | None:
+    """Threads of the OpenBLAS that numpy's wheel bundles, if found."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(handle, name):
+                return getattr(handle, name)()
+    return None
+
+
+def test_blas_pinned_before_numpy_loaded():
+    assert not conftest.NUMPY_LOADED_BEFORE_PIN
+    assert speculate.blas_threads(speculate.available_cpus()) == 1
+    assert openblas_threads() in (None, 1)
+
+
+@pytest.mark.parametrize("env, cpus, allowed", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
+    ({"OMP_NUM_THREADS": "2"}, 4, True),
+    ({}, 2, False),            # unset: BLAS on every CPU
+    ({"OMP_NUM_THREADS": "x"}, 8, False),
+])
+def test_gate_needs_twice_the_blas_threads(monkeypatch, env, cpus, allowed):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(speculate, "available_cpus", lambda: cpus)
+    assert speculate.helper_allowed() is allowed
+
+
+def test_gate_closed_in_pool_workers(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(speculate, "available_cpus", lambda: 64)
+    assert speculate.helper_allowed()
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+    assert not speculate.helper_allowed()
+
+
+def test_gate_closed_beside_other_threads(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(speculate, "available_cpus", lambda: 64)
+    monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert not speculate.helper_allowed()

@@ -22,7 +22,9 @@ focus (``small_speed``, ``small_size``, ``small_accuracy``) and
 result (baseline and all four comparator rows) with each row's wall-time
 ``analysis_seconds`` removed. A change that claims the same behaviour
 must print the same lines as its parent: ``--against PARENT`` runs the
-script on both checkouts, side by side in two processes, prints only the
+script on both checkouts, side by side in two processes when at least
+four CPUs are available and one after the other otherwise (each run may
+use two: its own and a speculative greedy trial's), prints only the
 lines that differ (``-`` PARENT's, ``+`` the ``--root`` checkout's) and
 exits 1 on any difference, 0 when every line is equal (2 when a run
 fails). The package, the tests and the benchmark scenarios are all
@@ -41,6 +43,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ARTIFACTS = ("plan.json", "decisions.jsonl", "model.bin", "elements.json")
@@ -94,16 +97,22 @@ def comparison_digest(config) -> str:
 
 def compare(root: Path, against: Path) -> int:
     """Print the lines of the two checkouts' outputs that differ; 1 if any do."""
-    procs = [subprocess.Popen([sys.executable, __file__, "--root", str(checkout)],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-             for checkout in (against, root)]
-    outputs = [proc.communicate() for proc in procs]
-    for checkout, proc, (_, err) in zip((against, root), procs, outputs):
+    def run(checkout: Path) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, __file__, "--root", str(checkout)],
+                              capture_output=True, text=True)
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(2 if cpus >= 4 else 1) as pool:
+        runs = list(pool.map(run, (against, root)))
+    for checkout, proc in zip((against, root), runs):
         if proc.returncode:
-            print(f"{checkout}: exit {proc.returncode}\n{err}", file=sys.stderr)
+            print(f"{checkout}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
             return 2
-    old, new = ({line.rsplit(" ", 1)[0]: line for line in out.splitlines()}
-                for out, _ in outputs)
+    old, new = ({line.rsplit(" ", 1)[0]: line for line in proc.stdout.splitlines()}
+                for proc in runs)
     keys = list(dict.fromkeys([*old, *new]))
     differ = [key for key in keys if old.get(key) != new.get(key)]
     for key in differ:
