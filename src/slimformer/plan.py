@@ -223,9 +223,10 @@ class ApproxPlan:
             else:
                 live = view.ffn_live if el.kind == FFN_GROUP else view.qkv_live
                 live[el.index * w:(el.index + 1) * w] = False
-        for el, entries in self.approxlist.items():
+        # in sorted element order, plan.json's, whatever order they came in
+        for el in sorted(self.approxlist):
             element_bounds(config, el)
-            for params in entries:
+            for params in self.approxlist[el]:
                 views[el.layer].apply_approx(el, params, config)
         for layer, view in enumerate(views):
             if view.attn_skipped:
@@ -276,7 +277,8 @@ class LayerView:
             else:
                 self.qkv_live &= mask
         elif isinstance(params, Quantize):
-            # the entry applied last wins on the bands it covers
+            # a block sorts before its weight groups, so a group's own
+            # entry overrides its block's on the bands it covers
             bands = el.index if el.kind in (FFN_GROUP, QKV_GROUP) else slice(None)
             for m in _QUANT_MATRICES[el.kind]:
                 self.quant_bits[m][bands] = params.bits

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlanError
-from .tensor import Tensor, full_attention, gather_rows, mul
+from .tensor import Tensor, full_attention, gather_rows
 
 MASK_NEG = -1e9
 
@@ -36,17 +36,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, key_positions: np.ndarray,
                      counter: OpCounter | None = None) -> Tensor:
     """full_attention under the causal mask of [..., n_k] key positions
     (shared by all sequences or per sequence). A query that sees none of
-    the keys gets a zero output row and counts as starved in each sequence:
-    its mask row is MASK_NEG throughout, which the softmax would cancel
-    into attention to later keys."""
-    mask = causal_mask(q.data.shape[-2], key_positions)   # [..., n_q, n_k]
-    starved = (mask == MASK_NEG).all(axis=-1)             # [..., n_q]
+    the keys (one before the earliest key position) gets full_attention's
+    zero output row and counts as starved in each sequence."""
+    pos = np.asarray(key_positions)
+    n = q.data.shape[-2]
     if counter is not None:
-        counter.starved_queries += int(np.broadcast_to(starved, q.data.shape[:-1]).sum())
-    out = full_attention(q, k, v, mask)
-    if starved.any():
-        out = mul(out, np.where(starved, 0.0, 1.0)[..., None])
-    return out
+        starved = pos.min(axis=-1, initial=n)                  # [...] queries per sequence
+        counter.starved_queries += int(np.broadcast_to(starved, q.data.shape[:-2]).sum())
+    return full_attention(q, k, v, causal_mask(n, pos))
 
 
 @dataclass
@@ -82,7 +79,7 @@ def representative_sign(query: np.ndarray, counter: OpCounter | None = None) -> 
     """Majority sign of each query column: +1 when at least half the rows
     are strictly positive (ties resolve to +1), else -1. [..., n, d] -> [..., d]."""
     q = np.asarray(query, dtype=np.float64)
-    counts = (q > 0).sum(axis=-2)
+    counts = np.ones(q.shape[-2]) @ (q > 0)
     if counter is not None:
         counter.rep_sign += q.size
     return np.where(counts >= q.shape[-2] / 2, 1, -1).astype(np.int64)
@@ -94,11 +91,10 @@ def score_keys(key: np.ndarray, val: np.ndarray, counter: OpCounter | None = Non
     k = np.asarray(key, dtype=np.float64)
     if val.shape != k.shape[:-2] + k.shape[-1:]:
         raise ValueError(f"sign vector shape {val.shape} does not match keys {k.shape}")
-    signs = np.where(k > 0, 1, -1)
     if counter is not None:
         counter.sign_extract += k.size
         counter.hamming += k.size
-    return (signs != val[..., None, :]).sum(axis=-1).astype(np.int64)
+    return ((k > 0) != (val > 0)[..., None, :]).sum(axis=-1, dtype=np.int64)
 
 
 def select_topk(distances, k: int) -> list:

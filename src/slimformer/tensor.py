@@ -215,15 +215,20 @@ def linear(x, w, b) -> Tensor:
 
 def full_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """softmax(Q K^T / sqrt(d) + mask) V on whatever keys are given, as one
-    node over [.., n, d] queries, keys and values. Forward and backward
-    keep the operation order of the unfused composition
-    ``matmul(softmax_rows(add(mul(matmul(q, transpose_last(k)), d ** -0.5),
-    mask)), v)``, so both give the same bits."""
+    node over [.., n, d] queries, keys and values. ``mask`` is additive:
+    0 for a visible key, a large negative number (``MASK_NEG``) for a
+    hidden one. A hidden key never reaches ``exp`` and gets weight exactly
+    0; a query with no visible key gets zero weights, so its output row is
+    zero. Forward and backward keep the operation order of the unfused
+    composition ``matmul(softmax_rows(add(mul(matmul(q, transpose_last(k)),
+    d ** -0.5), mask)), v)`` with those rows zeroed after it, so both give
+    the same bits."""
     scale = q.data.shape[-1] ** -0.5
-    scores = (q.data @ np.swapaxes(k.data, -1, -2)) * scale
+    scores = q.data @ np.swapaxes(k.data, -1, -2)
+    scores *= scale
     if mask is not None:
-        scores = scores + mask
-    p = _softmax(scores)
+        scores += mask
+    p = _softmax(scores, None if mask is None else mask == 0)
     data = p @ v.data
 
     def grad_fn(g):
@@ -344,7 +349,10 @@ def mean_rows(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = x * cdf
 
     def grad_fn(g):
@@ -354,15 +362,41 @@ def gelu(a: Tensor) -> Tensor:
     return _result(data, (a,), grad_fn)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True), the same bits at a fraction of the
+    cost on short rows: an even row above 16 entries is folded in half,
+    then 16 or fewer columns are compared one by one."""
+    while x.shape[-1] > 16 and x.shape[-1] % 2 == 0:
+        half = x.shape[-1] // 2
+        x = np.maximum(x[..., :half], x[..., half:])
+    if x.shape[-1] > 16:
+        return x.max(axis=-1, keepdims=True)
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j:j + 1], out=m)
+    return m
+
+
+def _softmax(x: np.ndarray, visible: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, computed in place in ``x``. Entries where
+    ``visible`` is False are zeroed before ``exp`` (so a huge negative score
+    never takes its slow underflow path) and get weight 0 after it. A row
+    with a visible entry sums to at least 1 (its max gives exp(0)); a row
+    with none sums to 0 and keeps zero weights."""
+    x -= _row_max(x)
+    if visible is not None:
+        x *= visible
+    np.exp(x, out=x)
+    if visible is not None:
+        x *= visible
+    total = x.sum(axis=-1, keepdims=True)
+    total[total == 0.0] = 1.0
+    return np.divide(x, total, out=x)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax; kept only as a benchmark tracer target."""
-    p = _softmax(a.data)
+    p = _softmax(a.data.copy())
 
     def grad_fn(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
@@ -382,8 +416,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     # the arithmetic of x.var(axis=-1), with x - mu computed once
     var = np.square(centered).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = xhat * gamma.data + beta.data
+    xhat = centered
+    xhat *= inv
+    data = xhat * gamma.data
+    data += beta.data
 
     def grad_fn(g):
         lead = tuple(range(g.ndim - 1))

@@ -8,6 +8,9 @@ flags so a "physically rebuilt" model without a block is just a different
 flag set. The tensor ops (``sum_all``, ``transpose_last``) have no caller in
 the package; tests use them to reduce outputs to a scalar loss and to build
 the unfused compositions the fused nodes must reproduce.
+``ref_masked_attention``, ``ref_score_keys`` and ``ref_representative_sign``
+are the plain formulations that the package's attention and sign-scoring
+kernels replace; those kernels must give the same bits.
 """
 
 import math
@@ -15,6 +18,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
+from slimformer.signmatch import MASK_NEG
 from slimformer.tensor import Tensor, _result
 
 
@@ -39,6 +43,39 @@ def transpose_last(a: Tensor) -> Tensor:
 def ref_softmax(x):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_masked_attention(q, k, v, mask, g):
+    """The unfused masked attention arithmetic over [.., n, d] arrays and its
+    gradients for an upstream gradient g: additive mask, ``x.max``,
+    ``exp``, ``sum``, divide, then the rows of queries whose keys are all
+    masked zeroed by a multiply. Returns (out, gq, gk, gv)."""
+    scale = q.shape[-1] ** -0.5
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    keep = 1.0
+    if mask is not None:
+        scores = scores + mask
+        keep = np.where((mask == MASK_NEG).all(axis=-1), 0.0, 1.0)[..., None]
+    p = ref_softmax(scores)
+    out = (p @ v) * keep
+    g = g * keep
+    gv = np.swapaxes(p, -1, -2) @ g
+    gp = g @ np.swapaxes(v, -1, -2)
+    gscores = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    gk = np.swapaxes(np.swapaxes(q, -1, -2) @ gscores, -1, -2)
+    return out, gscores @ k, gk, gv
+
+
+def ref_representative_sign(q):
+    """Majority sign per column, counted as a sum of booleans over rows."""
+    counts = (q > 0).sum(axis=-2)
+    return np.where(counts >= q.shape[-2] / 2, 1, -1).astype(np.int64)
+
+
+def ref_score_keys(k, val):
+    """Hamming distance through explicit +-1 sign arrays."""
+    signs = np.where(k > 0, 1, -1)
+    return (signs != val[..., None, :]).sum(axis=-1).astype(np.int64)
 
 
 def ref_layer_norm(x, gamma, beta, eps=1e-5):

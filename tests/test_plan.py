@@ -80,6 +80,22 @@ class TestPlanStructure:
         variants = {e["variant"] for e in doc["approx"]}
         assert variants == {"sign_match", "group_shrink", "quantize"}
 
+    def test_group_quantize_overrides_block_in_any_order(self, tiny_config):
+        """A plan resolves like its own plan.json, whatever order its
+        entries were added in: a weight group's Quantize overrides its
+        block's on the bands the group covers."""
+        group, block = TransElement(QKV_GROUP, 0, 1), attn_block(0)
+        group_first = (ApproxPlan().with_approx(group, Quantize(4))
+                       .with_approx(block, Quantize(8)))
+        block_first = (ApproxPlan().with_approx(block, Quantize(8))
+                       .with_approx(group, Quantize(4)))
+        for plan in (group_first, block_first, ApproxPlan.from_json(group_first.to_json())):
+            assert plan == group_first
+            bits = plan.resolve(tiny_config)[0].quant_bits
+            for m in ("wq", "wk", "wv"):
+                np.testing.assert_array_equal(bits[m], [8, 4])
+            np.testing.assert_array_equal(bits["wo"], [8, 8])
+
     def test_duplicate_variant_rejected(self):
         plan = ApproxPlan().with_approx(attn_block(0), SignMatch(4))
         with pytest.raises(PlanError, match="already has"):

@@ -20,7 +20,11 @@ focus (``small_speed``, ``small_size``, ``small_accuracy``) and
 (``bench_speed``, ``bench_size``). Each small fixture also prints
 ``<fixture> comparison <sha256>``: a hash over the ``compare_baselines``
 result (baseline and all four comparator rows) with each row's wall-time
-``analysis_seconds`` removed. A change that claims the same behaviour
+``analysis_seconds`` removed. Last come ``serve <plan> logits <sha256>``
+lines, one per plan in ``perfbench/scenarios.PLAN_NAMES``: a hash over the
+logits of the no-grad ``PlannedModel.forward`` on ``serve_inputs(1)``, so a
+change to the forward kernels can show that it serves the same bits. A
+change that claims the same behaviour
 must print the same lines as its parent: ``--against PARENT`` runs the
 script on both checkouts, side by side in two processes when at least
 four CPUs are available and one after the other otherwise (each run may
@@ -95,6 +99,17 @@ def comparison_digest(config) -> str:
     return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
 
 
+def serve_digests() -> dict:
+    """sha256 over each serve plan's no-grad logits on serve_inputs(1)."""
+    from scenarios import PLAN_NAMES, serve_inputs
+
+    from slimformer import no_grad
+    tokens, planned = serve_inputs(1)
+    with no_grad():
+        return {name: hashlib.sha256(planned[name].forward(tokens)[0].data.tobytes()).hexdigest()
+                for name in PLAN_NAMES}
+
+
 def compare(root: Path, against: Path) -> int:
     """Print the lines of the two checkouts' outputs that differ; 1 if any do."""
     def run(checkout: Path) -> subprocess.CompletedProcess:
@@ -149,6 +164,8 @@ def main(argv=None) -> int:
             print(f"{name} choices {choices}", flush=True)
         if name.startswith("small_"):
             print(f"{name} comparison {comparison_digest(config)}", flush=True)
+    for name, digest in serve_digests().items():
+        print(f"serve {name} logits {digest}", flush=True)
     return 0
 
 
