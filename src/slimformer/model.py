@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import json
 import statistics
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import costs
+from . import costs, speculate
 from .config import TransformerConfig
 from .errors import ConfigError, PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
 from .signmatch import OpCounter, causal_attention, sign_match_attention
 from .tensor import (Tensor, add, cross_entropy, embedding_lookup, full_attention,
                      gelu, layer_norm, linear, make_rng, mean_rows, merge_heads,
-                     mul, reshape, split_heads, take)
+                     mul, no_grad, reshape, split_heads, take)
 
 
 @dataclass
@@ -205,7 +206,17 @@ class PlannedModel:
 
     def forward(self, tokens, labels=None, counter: OpCounter | None = None):
         """Run the model under the plan. Returns (logits, loss); loss is None
-        when labels are not given."""
+        when labels are not given.
+
+        When ``speculate.split_allowed`` holds (grad off, a residual
+        stream of at least ``speculate.SPLIT_MIN_VALUES`` values, a free
+        spare CPU), a worker thread runs the second half of the batch
+        while this thread runs the first. Every op up to the logits works
+        on each sequence alone and the loss is taken on the joined logits,
+        so logits, loss and ``counter`` are bit-identical to one pass over
+        the whole batch. The worker ends before this returns, also when
+        either half raises.
+        """
         cfg = self.model.config
         tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
         if tokens.max(initial=0) >= cfg.vocab_size or tokens.min(initial=0) < 0:
@@ -218,19 +229,14 @@ class PlannedModel:
                           cfg.pad_token, dtype=np.int64)
             tokens = np.concatenate([tokens, pad], axis=1)
 
-        x = add(embedding_lookup(self.model.embedding, tokens), self.model.positional)
-        for layer in range(cfg.num_layers):
-            x = self.attention_sublayer(layer, x, counter=counter)
-            x = self.ffn_sublayer(layer, x)
-        x = layer_norm(x, self.model.lnf_g, self.model.lnf_b)
-
-        if cfg.task_kind == "classification":
-            logits = linear(mean_rows(x), self.model.head_w, self.model.head_b)
-            loss = None if labels is None else cross_entropy(logits, labels)
-            return logits, loss
-        logits = linear(x, self.model.head_w, self.model.head_b)
+        if speculate.split_allowed(tokens.shape[0], tokens.shape[1] * cfg.hidden_dim):
+            logits = self._split_logits(tokens, counter)
+        else:
+            logits = self._logits(tokens, counter)
         if labels is None:
             return logits, None
+        if cfg.task_kind == "classification":
+            return logits, cross_entropy(logits, labels)
         labels = np.asarray(labels, dtype=np.int64)
         flat = reshape(logits, (tokens.shape[0] * cfg.context_len, cfg.output_classes))
         flat_labels = labels.reshape(-1)
@@ -239,6 +245,49 @@ class PlannedModel:
             raise ValueError("no labeled positions in batch")
         loss = cross_entropy(take(flat, valid, 0), flat_labels[valid])
         return logits, loss
+
+    def _logits(self, tokens: np.ndarray, counter: OpCounter | None) -> Tensor:
+        """The layer stack on padded tokens, from embedding to logits."""
+        m = self.model
+        x = add(embedding_lookup(m.embedding, tokens), m.positional)
+        for layer in range(m.config.num_layers):
+            x = self.attention_sublayer(layer, x, counter=counter)
+            x = self.ffn_sublayer(layer, x)
+        x = layer_norm(x, m.lnf_g, m.lnf_b)
+        if m.config.task_kind == "classification":
+            x = mean_rows(x)
+        return linear(x, m.head_w, m.head_b)
+
+    def _split_logits(self, tokens: np.ndarray, counter: OpCounter | None) -> Tensor:
+        """``_logits`` of the first half of the batch in this thread and of
+        the second half in a worker thread kept off this thread's CPU,
+        joined in order. The worker counts into its own OpCounter, added to
+        ``counter`` after the join; its error, if this thread's half raised
+        none, is raised here."""
+        half = (tokens.shape[0] + 1) // 2
+        part = None if counter is None else OpCounter()
+        out = {}
+        caller = threading.get_native_id()
+
+        def second_half():
+            try:
+                speculate.keep_off(caller)
+                with no_grad():  # grad mode is per thread
+                    out["logits"] = self._logits(tokens[half:], part)
+            except BaseException as exc:  # raised in the caller after the join
+                out["error"] = exc
+
+        worker = threading.Thread(target=second_half)
+        worker.start()
+        try:
+            first = self._logits(tokens[:half], counter)
+        finally:
+            worker.join()
+        if "error" in out:
+            raise out["error"]
+        if counter is not None:
+            counter.add(part)
+        return Tensor(np.concatenate([first.data, out["logits"].data]))
 
     def cost(self) -> costs.CostModel:
         return costs.cost_from_views(self.model.config, self.views)
@@ -333,7 +382,6 @@ def measure_latency(model: TransformerModel, plan: ApproxPlan | None,
     tokens = batch[0] if isinstance(batch, tuple) else batch
     planned = PlannedModel(model, plan)
     times = []
-    from .tensor import no_grad
     for _ in range(repeats):
         t0 = time.perf_counter()
         with no_grad():

@@ -15,7 +15,7 @@ sign(0) = -1 throughout (zero weights occur in test fixtures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,6 +73,11 @@ class OpCounter:
 
     def reset(self):
         self.rep_sign = self.sign_extract = self.hamming = self.starved_queries = 0
+
+    def add(self, other: "OpCounter"):
+        """Add another counter's counts into this one."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def representative_sign(query: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:

@@ -20,14 +20,15 @@ _INV_SQRT2PI = 0.3989422804014327
 _state = threading.local()
 
 
-def _grad_enabled() -> bool:
+def grad_enabled() -> bool:
+    """Whether ops in this thread record the graph (off inside no_grad)."""
     return getattr(_state, "grad_enabled", True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph construction inside the block (evaluation passes)."""
-    prev = _grad_enabled()
+    prev = grad_enabled()
     _state.grad_enabled = False
     try:
         yield
@@ -126,7 +127,7 @@ def _result(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     """Wrap an op's output. ``grad_fn(g)`` returns one parent-shaped
     gradient per parent, or None for a parent that needs none."""
     out = Tensor(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._grad_fn = grad_fn

@@ -16,17 +16,23 @@ import pytest
 from test_experiment import small_config
 
 import conftest
-from slimformer import (ElementQueue, Focus, GreedyAnalyzer, TaskSpec, TransElement,
-                        build_model, compare_baselines, experiment, generate_task,
+from slimformer import (ElementQueue, Focus, GreedyAnalyzer, PlannedModel, TaskSpec,
+                        TransElement, build_model, compare_baselines, experiment, generate_task,
                         run_experiment, significance, speculate, sweep_thresholds)
 from slimformer.elements import FFN_GROUP, KV_GROUP, ffn_block
-from slimformer.tensor import spawn_rng
+from slimformer.tensor import no_grad, spawn_rng
 from slimformer.training import evaluate_loss, train_epochs
 
 ARTIFACTS = ("plan.json", "decisions.jsonl", "elements.json", "model.bin")
 # small_config with a loss bar low enough for runs of plain keeps: its speed
 # run speculates three trials, takes two and drops one
 KEEPS = {"eps_skip": 0.05}
+
+
+def split_allowed() -> bool:
+    """The forward's gate for two sequences at the split threshold, grad off."""
+    with no_grad():
+        return speculate.split_allowed(2, speculate.SPLIT_MIN_VALUES // 2)
 
 
 def set_helper(monkeypatch, on: bool):
@@ -305,14 +311,37 @@ def test_gate_needs_twice_the_blas_threads(monkeypatch, env, cpus, allowed):
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(speculate, "available_cpus", lambda: cpus)
     assert speculate.helper_allowed() is allowed
+    assert split_allowed() is allowed
 
 
 def test_gate_closed_in_pool_workers(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(speculate, "available_cpus", lambda: 64)
-    assert speculate.helper_allowed()
+    assert speculate.helper_allowed() and split_allowed()
     monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
     assert not speculate.helper_allowed()
+    assert not split_allowed()
+
+
+def test_gate_closed_while_a_child_lives(monkeypatch):
+    """A live helper holds the spare CPU: neither a second helper nor a
+    split forward may use it."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(speculate, "available_cpus", lambda: 64)
+    monkeypatch.setattr(multiprocessing, "active_children", lambda: [object()])
+    assert not speculate.helper_allowed()
+    assert not split_allowed()
+
+
+def test_split_gate_needs_no_grad_two_sequences_and_the_threshold(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(speculate, "available_cpus", lambda: 64)
+    least = speculate.SPLIT_MIN_VALUES
+    assert split_allowed()
+    assert not speculate.split_allowed(2, least)  # grad on
+    with no_grad():
+        assert not speculate.split_allowed(2, least // 2 - 1)
+        assert not speculate.split_allowed(1, least)
 
 
 def test_gate_closed_beside_other_threads(monkeypatch):
@@ -320,3 +349,31 @@ def test_gate_closed_beside_other_threads(monkeypatch):
     monkeypatch.setattr(speculate, "available_cpus", lambda: 64)
     monkeypatch.setattr(threading, "active_count", lambda: 2)
     assert not speculate.helper_allowed()
+    assert split_allowed()  # the worker thread is the split's own
+
+
+def test_speculation_unchanged_by_split_forward(monkeypatch, tmp_path, analyzers):
+    """Split forwards in the baseline's evaluations end their worker before
+    the greedy loop asks the real gate, which forks only from a process
+    running one thread; the loop's speculations are the same with the
+    split on or off."""
+    splits = []
+    split = PlannedModel._split_logits
+
+    def recording(self, tokens, counter):
+        splits.append(tokens.shape[0])
+        return split(self, tokens, counter)
+
+    monkeypatch.setattr(speculate, "available_cpus", lambda: 2)
+    monkeypatch.setattr(speculate, "SPLIT_MIN_VALUES", 1)  # a toy model's batches too
+    monkeypatch.setattr(PlannedModel, "_split_logits", recording)
+    config = small_config(**KEEPS)
+    with monkeypatch.context() as m:
+        m.setattr(speculate, "split_allowed", lambda batch, values: False)
+        off = artifacts(config, tmp_path / "off")
+    assert splits == []
+    on = artifacts(config, tmp_path / "on")
+    assert splits and on == off
+    serial, split_on = analyzers
+    assert split_on.speculated == serial.speculated > 0
+    assert split_on.speculation_hits == serial.speculation_hits > 0
