@@ -416,6 +416,10 @@ def save_checkpoint(model: TransformerModel, prefix: str | Path) -> tuple[Path, 
     return json_path, bin_path
 
 
+def _count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_checkpoint(prefix: str | Path) -> TransformerModel:
     """Read a checkpoint pair. The manifest must hold a valid model config
     and list every parameter of that model, and nothing else, as "<f8" data
@@ -429,8 +433,11 @@ def load_checkpoint(prefix: str | Path) -> TransformerModel:
     if not isinstance(tensors, list) or "config" not in manifest:
         raise PlanError("checkpoint manifest needs a 'config' and a 'tensors' list")
     if not all(isinstance(spec, dict) and {"name", "shape", "offset"} <= spec.keys()
+               and isinstance(spec["name"], str) and _count(spec["offset"])
+               and isinstance(spec["shape"], list) and all(map(_count, spec["shape"]))
                for spec in tensors):
-        raise PlanError("every checkpoint tensor entry needs a name, shape and offset")
+        raise PlanError("every checkpoint tensor entry needs a name, shape and offset: "
+                        "a string, a list of non-negative ints and a non-negative int")
     if manifest.get("dtype") != "<f8":
         raise PlanError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
     try:
@@ -452,7 +459,7 @@ def load_checkpoint(prefix: str | Path) -> TransformerModel:
             raise PlanError(f"checkpoint tensor {spec['name']} has shape {spec['shape']}, "
                             f"expected {t.data.shape}")
         end = spec["offset"] + 8 * t.data.size
-        if spec["offset"] < 0 or end > len(blob):
+        if end > len(blob):
             raise PlanError(f"checkpoint tensor {spec['name']} needs bytes "
                             f"[{spec['offset']}, {end}) of a {len(blob)}-byte .bin")
         arr = np.frombuffer(blob, dtype="<f8", count=t.data.size, offset=spec["offset"])

@@ -24,8 +24,8 @@ import numpy as np
 
 from .config import TransformerConfig
 from .costs import quantized_bytes
-from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KV_GROUP,
-                       QKV_GROUP, TransElement, element_bounds)
+from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, KIND_TABLE, QKV_GROUP,
+                       WEIGHT_GROUPS, TransElement, element_bounds)
 from .errors import ConfigError, PlanError
 
 QUANT_BITS = (2, 4, 8)
@@ -100,11 +100,9 @@ def params_from_doc(entry: dict) -> ApproxParams:
     values = entry.get("params")
     if not isinstance(values, dict) or sorted(values) != names:
         raise PlanError(f"{cls.name} entry needs params {names}, got {values!r}")
-    try:
-        ints = {name: int(values[name]) for name in names}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise PlanError(f"{cls.name} params must be integers, got {values!r}") from exc
-    return cls(**ints)
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in values.values()):
+        raise PlanError(f"{cls.name} params must be integers, got {values!r}")
+    return cls(**values)
 
 
 def _element(key) -> TransElement:
@@ -208,21 +206,13 @@ class ApproxPlan:
         """Validate against a config and expand into per-layer views; with
         ``warn`` a causal plan that prunes early key/value positions warns."""
         views = [LayerView(config) for _ in range(config.num_layers)]
-        w, kv = config.weight_group_width, config.kv_group_width
         for el in self.skiplist:
             element_bounds(config, el)
-            view = views[el.layer]
-            if el.kind == ATTN_BLOCK:
-                view.attn_skipped = True
-            elif el.kind == FFN_BLOCK:
-                view.ffn_skipped = True
-            elif el.kind == HEAD:
-                view.head_live[el.index] = False
-            elif el.kind == KV_GROUP:
-                view.kv_live[el.index * kv:(el.index + 1) * kv] = False
+            spec, view = KIND_TABLE[el.kind], views[el.layer]
+            if spec.tier == 0:  # a block is bypassed through its residual
+                setattr(view, spec.mask, True)
             else:
-                live = view.ffn_live if el.kind == FFN_GROUP else view.qkv_live
-                live[el.index * w:(el.index + 1) * w] = False
+                getattr(view, spec.mask)[spec.span(config, el.index, el.index + 1)] = False
         # in sorted element order, plan.json's, whatever order they came in
         for el in sorted(self.approxlist):
             element_bounds(config, el)
@@ -267,19 +257,16 @@ class LayerView:
                 raise PlanError(f"sign-match k {params.k} exceeds context length")
             self.signmatch_k = params.k
         elif isinstance(params, GroupShrink):
-            if params.hi > config.num_weight_groups:
+            spec = KIND_TABLE[WEIGHT_GROUPS[el.kind]]
+            if params.hi > spec.per_layer(config):
                 raise PlanError(f"kept interval {params.lo, params.hi} out of range")
-            w = config.weight_group_width
-            mask = np.zeros(config.hidden_dim, dtype=bool)
-            mask[params.lo * w:params.hi * w] = True
-            if el.kind == FFN_BLOCK:
-                self.ffn_live &= mask
-            else:
-                self.qkv_live &= mask
+            kept, live = spec.span(config, params.lo, params.hi), getattr(self, spec.mask)
+            live[:kept.start] = False
+            live[kept.stop:] = False
         elif isinstance(params, Quantize):
             # a block sorts before its weight groups, so a group's own
             # entry overrides its block's on the bands it covers
-            bands = el.index if el.kind in (FFN_GROUP, QKV_GROUP) else slice(None)
+            bands = slice(None) if el.granularity == 0 else el.index
             for m in _QUANT_MATRICES[el.kind]:
                 self.quant_bits[m][bands] = params.bits
 

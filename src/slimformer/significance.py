@@ -29,8 +29,8 @@ from functools import partial
 import numpy as np
 
 from . import speculate
-from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, QKV_GROUP,
-                       ElementQueue, TransElement, encompass_filter,
+from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KIND_TABLE, QKV_GROUP,
+                       WEIGHT_GROUPS, ElementQueue, TransElement, encompass_filter,
                        enumerate_elements, weight_group_block)
 from .errors import ConfigError, InfeasibleError, PlanError
 from .focus import Focus
@@ -274,8 +274,7 @@ class GreedyAnalyzer:
                 return "approximate", {"variant": "group_shrink", "status": "scheduled"}
             if el.kind == ATTN_BLOCK:
                 params = SignMatch(self.sign_match_k)
-        elif self.focus == Focus.SIZE and el.kind in (ATTN_BLOCK, FFN_BLOCK,
-                                                              FFN_GROUP, QKV_GROUP):
+        elif self.focus == Focus.SIZE and (el.granularity == 0 or weight_group_block(el)):
             params = Quantize(self.quant_bits)
         if params is None:
             return "keep", None
@@ -298,9 +297,9 @@ class GreedyAnalyzer:
         if self.focus != Focus.SPEED:
             raise ConfigError("contiguous shrinking applies under speed focus only; "
                               "other focuses prune groups individually")
-        if block.kind not in (FFN_BLOCK, ATTN_BLOCK):
+        kind = WEIGHT_GROUPS.get(block.kind)
+        if kind is None:
             raise ConfigError("shrink target must be an FFN or ATTN block")
-        kind = FFN_GROUP if block.kind == FFN_BLOCK else QKV_GROUP
         before = self.plan
 
         def attempt(g: int, phase: str) -> bool:
@@ -308,7 +307,7 @@ class GreedyAnalyzer:
             self._log(rec)
             return rec["decision"] == "skip"
 
-        full = self.model.config.num_weight_groups
+        full = KIND_TABLE[kind].per_layer(self.model.config)
         lo, hi = 0, full
         while lo < hi and attempt(lo, "bottom"):
             lo += 1

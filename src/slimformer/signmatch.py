@@ -71,9 +71,6 @@ class OpCounter:
     def total(self) -> int:
         return self.rep_sign + self.score_stage
 
-    def reset(self):
-        self.rep_sign = self.sign_extract = self.hamming = self.starved_queries = 0
-
     def add(self, other: "OpCounter"):
         """Add another counter's counts into this one."""
         for f in fields(self):

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from slimformer import (ConfigError, ElementQueue, Focus,
+from slimformer import (ConfigError, ElementQueue, Focus, PlanError,
                         TransElement, TransformerConfig, encompass_filter,
                         enumerate_elements, order_queue)
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
-                                 KV_GROUP, QKV_GROUP)
+                                 KV_GROUP, QKV_GROUP, element_bounds)
 
 
 def make_config(**kw):
@@ -20,7 +20,60 @@ def make_config(**kw):
     return TransformerConfig(**base)
 
 
+# Pinned key orders of make_config() variants; each line is one run of
+# (kind, layer) in queue order.
+CANONICAL = """
+    attn_block:0:0 ffn_block:0:0 attn_block:1:0 ffn_block:1:0
+    head:0:0 head:0:1 head:1:0 head:1:1
+    qkv_weight_group:0:0 qkv_weight_group:0:1
+    kv_position_group:0:0 kv_position_group:0:1 kv_position_group:0:2 kv_position_group:0:3
+    ffn_weight_group:0:0 ffn_weight_group:0:1
+    qkv_weight_group:1:0 qkv_weight_group:1:1
+    kv_position_group:1:0 kv_position_group:1:1 kv_position_group:1:2 kv_position_group:1:3
+    ffn_weight_group:1:0 ffn_weight_group:1:1
+""".split()
+
+ATTN_FIRST = """
+    attn_block:1:0 attn_block:0:0 ffn_block:1:0 ffn_block:0:0
+    head:1:0 head:1:1 head:0:0 head:0:1
+    qkv_weight_group:1:0 qkv_weight_group:1:1 qkv_weight_group:0:0 qkv_weight_group:0:1
+    kv_position_group:1:0 kv_position_group:1:1 kv_position_group:1:2 kv_position_group:1:3
+    kv_position_group:0:0 kv_position_group:0:1 kv_position_group:0:2 kv_position_group:0:3
+    ffn_weight_group:1:0 ffn_weight_group:1:1 ffn_weight_group:0:0 ffn_weight_group:0:1
+""".split()
+
+FFN_FIRST = """
+    ffn_block:1:0 ffn_block:0:0 attn_block:1:0 attn_block:0:0
+    head:1:0 head:1:1 head:0:0 head:0:1
+    ffn_weight_group:1:0 ffn_weight_group:1:1 ffn_weight_group:0:0 ffn_weight_group:0:1
+    qkv_weight_group:1:0 qkv_weight_group:1:1 qkv_weight_group:0:0 qkv_weight_group:0:1
+    kv_position_group:1:0 kv_position_group:0:0
+""".split()
+
+
+def attn_first_config():
+    return make_config(context_len=64, kv_group_width=16)
+
+
+def ffn_first_config():
+    return make_config(context_len=4, ffn_dim=64)
+
+
+def queue_keys(cfg, focus, layer_order=None):
+    q = order_queue(enumerate_elements(cfg), focus, cfg, layer_order=layer_order)
+    return [e.key for e in q.pending()]
+
+
+def swap_layers(keys):
+    """The same keys with layers 0 and 1 exchanged (2-layer configs)."""
+    return [k.replace(":0:", ":x:").replace(":1:", ":0:").replace(":x:", ":1:")
+            for k in keys]
+
+
 class TestEnumerate:
+    def test_canonical_key_order(self):
+        assert [e.key for e in enumerate_elements(make_config())] == CANONICAL
+
     def test_counts_closed_form(self):
         cfg = make_config()
         els = enumerate_elements(cfg)
@@ -92,6 +145,53 @@ class TestOrderQueue:
         with pytest.raises(ConfigError, match="permutation"):
             order_queue(enumerate_elements(cfg), Focus.SPEED, cfg,
                         layer_order=[0, 0])
+
+
+    @pytest.mark.parametrize("focus", list(Focus), ids=lambda f: f.value)
+    def test_full_order_attention_first(self, focus):
+        assert queue_keys(attn_first_config(), focus) == ATTN_FIRST
+
+    @pytest.mark.parametrize("focus", list(Focus), ids=lambda f: f.value)
+    def test_full_order_ffn_first(self, focus):
+        assert queue_keys(ffn_first_config(), focus) == FFN_FIRST
+
+    def test_full_order_layer_order_ascending(self):
+        assert queue_keys(attn_first_config(), Focus.SPEED, [0, 1]) == swap_layers(ATTN_FIRST)
+        assert queue_keys(ffn_first_config(), Focus.SPEED, [0, 1]) == swap_layers(FFN_FIRST)
+
+    @pytest.mark.parametrize("el", [TransElement(HEAD, 0, 2), TransElement(KV_GROUP, 1, 4),
+                                    TransElement(FFN_BLOCK, 2), TransElement(QKV_GROUP, 2, 0)],
+                             ids=["head_past_count", "kv_group_past_count",
+                                  "block_past_layers", "group_past_layers"])
+    def test_unplaceable_element_rejected(self, el):
+        cfg = make_config()
+        with pytest.raises(ConfigError, match=f"not placeable in queue: \\['{el.key}'\\]"):
+            order_queue(enumerate_elements(cfg) + [el], Focus.SPEED, cfg)
+
+
+# per-layer element counts of make_config()
+PER_LAYER = {ATTN_BLOCK: 1, FFN_BLOCK: 1, HEAD: 2, QKV_GROUP: 2, KV_GROUP: 4, FFN_GROUP: 2}
+
+
+class TestElementBounds:
+    @pytest.mark.parametrize("kind", [HEAD, QKV_GROUP, KV_GROUP, FFN_GROUP])
+    def test_index_at_count_rejected(self, kind):
+        cfg = make_config()
+        element_bounds(cfg, TransElement(kind, 1, PER_LAYER[kind] - 1))
+        with pytest.raises(PlanError, match="out of range"):
+            element_bounds(cfg, TransElement(kind, 1, PER_LAYER[kind]))
+
+    @pytest.mark.parametrize("kind", list(PER_LAYER))
+    def test_layer_at_num_layers_rejected(self, kind):
+        cfg = make_config()
+        element_bounds(cfg, TransElement(kind, 1))
+        with pytest.raises(PlanError, match="out of range"):
+            element_bounds(cfg, TransElement(kind, 2))
+
+    @pytest.mark.parametrize("kind", [ATTN_BLOCK, FFN_BLOCK])
+    def test_block_index_beyond_zero_rejected(self, kind):
+        with pytest.raises(ConfigError, match="index 0"):
+            TransElement(kind, 0, 1)
 
 
 class TestQueue:

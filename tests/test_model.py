@@ -530,6 +530,11 @@ class TestLatency:
         assert statistics.median([5, 7, 100]) == 7
 
 
+# one tensor entry's field set to a JSON value of the wrong type
+ILL_TYPED_ENTRIES = {"string_offset": ("offset", "0"), "fractional_offset": ("offset", 0.5),
+                     "int_shape": ("shape", 5), "list_name": ("name", ["x"])}
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tiny_model, tmp_path):
         json_path, bin_path = save_checkpoint(tiny_model, tmp_path / "model")
@@ -561,7 +566,11 @@ class TestCheckpoint:
             ("no_tensors", "'tensors' list"),
             ("no_config", "'config'"),
             ("tensors_not_list", "'tensors' list"),
-            ("tensor_without_shape", "name, shape and offset"))])
+            ("tensor_without_shape", "name, shape and offset"),
+            ("string_offset", "name, shape and offset"),
+            ("fractional_offset", "name, shape and offset"),
+            ("int_shape", "name, shape and offset"),
+            ("list_name", "name, shape and offset"))])
     def test_corrupt_checkpoint_rejected(self, tiny_model, tmp_path, case, match):
         json_path, bin_path = save_checkpoint(tiny_model, tmp_path / "model")
         manifest = json.loads(json_path.read_text())
@@ -573,6 +582,9 @@ class TestCheckpoint:
             manifest["tensors"] = {t["name"]: t for t in manifest["tensors"]}
         elif case == "tensor_without_shape":
             del manifest["tensors"][3]["shape"]
+        elif case in ILL_TYPED_ENTRIES:
+            field, value = ILL_TYPED_ENTRIES[case]
+            manifest["tensors"][3][field] = value
         elif case == "missing_tensor":
             manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] != "head_w"]
         elif case == "unknown_tensor":

@@ -127,6 +127,9 @@ MALFORMED_PLANS = {
     "not_object": [],
     "no_params": {"approx": [{**SIGN_MATCH, "params": {}}]},
     "non_int_param": {"approx": [{**SIGN_MATCH, "params": {"k": "x"}}]},
+    "float_param": {"approx": [{**SIGN_MATCH, "params": {"k": 4.7}}]},
+    "bool_param": {"approx": [{**SIGN_MATCH, "params": {"k": True}}]},
+    "string_param": {"approx": [{**SIGN_MATCH, "params": {"k": "4"}}]},
     "extra_param": {"approx": [{**SIGN_MATCH, "params": {"k": 4, "bits": 8}}]},
     "no_element": {"approx": [{"variant": "sign_match", "params": {"k": 4}}]},
     "unknown_variant": {"approx": [{**SIGN_MATCH, "variant": "no_such_variant"}]},
