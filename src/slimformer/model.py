@@ -22,7 +22,7 @@ from . import costs, speculate
 from .config import TransformerConfig
 from .errors import ConfigError, PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
-from .signmatch import OpCounter, causal_attention, sign_match_attention
+from .signmatch import OpCounter, causal_attention, causal_mask, sign_match_attention
 from .tensor import (Tensor, add, cross_entropy, embedding_lookup, full_attention,
                      gelu, layer_norm, linear, make_rng, mean_rows, merge_heads,
                      mul, no_grad, reshape, split_heads, take)
@@ -182,7 +182,7 @@ class PlannedModel:
             out = sign_match_attention(q, k, v, view.signmatch_k, cfg.autoregressive,
                                        key_positions=kv_positions, counter=counter)
         elif cfg.autoregressive:
-            out = causal_attention(q, k, v, kv_positions, counter)
+            out = causal_attention(q, k, v, b.causal[:n_x, :kv_positions.size], counter)
         else:
             out = full_attention(q, k, v)
         merged = merge_heads(out, b.live_heads, squeeze=x.data.ndim == 2)
@@ -348,11 +348,17 @@ def _select(a: np.ndarray, rows, cols) -> np.ndarray:
 
 class _BoundLayer:
     """One layer of a bound plan: the live head columns, QKV rows and FFN
-    rows, the weight matrices it reads through them, and ``params``, the
-    parameters that enter the graph. A block without live heads adds only
-    wo's bias; an FFN without live input rows only a constant vector."""
+    rows, the causal visibility of the live key/value positions that all
+    sequences share (unless the layer sign-matches, which selects keys per
+    sequence; a shorter sequence reads its top-left corner), the weight
+    matrices it reads through them, and ``params``, the parameters that
+    enter the graph. A block without live heads adds only wo's bias; an FFN
+    without live input rows only a constant vector."""
 
     def __init__(self, p: LayerParams, view: LayerView, cfg: TransformerConfig):
+        self.causal = None
+        if cfg.autoregressive and view.signmatch_k is None:
+            self.causal = causal_mask(cfg.context_len, np.flatnonzero(view.kv_live))
         self.live_heads = int(view.head_live.sum())
         self.head_cols = _live_index(np.repeat(view.head_live, cfg.head_dim))
         self.qkv_rows = _live_index(view.qkv_live)
@@ -416,14 +422,15 @@ def save_checkpoint(model: TransformerModel, prefix: str | Path) -> tuple[Path, 
     return json_path, bin_path
 
 
-def _count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _count(value, least: int = 0) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def load_checkpoint(prefix: str | Path) -> TransformerModel:
-    """Read a checkpoint pair. The manifest must hold a valid model config
-    and list every parameter of that model, and nothing else, as "<f8" data
-    inside the `.bin`; anything else raises PlanError."""
+    """Read a checkpoint pair. The manifest must hold a valid model config,
+    an int seed of at least -1 (-1: weights drawn from a Generator) if any,
+    and list every parameter of that model, and nothing else, as "<f8"
+    data inside the `.bin`; anything else raises PlanError."""
     prefix = Path(prefix)
     try:
         manifest = json.loads(prefix.with_suffix(".json").read_text())
@@ -440,11 +447,14 @@ def load_checkpoint(prefix: str | Path) -> TransformerModel:
                         "a string, a list of non-negative ints and a non-negative int")
     if manifest.get("dtype") != "<f8":
         raise PlanError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
+    seed = manifest.get("seed", -1)
+    if not _count(seed, -1):
+        raise PlanError(f"checkpoint seed {seed!r} is not an int >= -1")
     try:
         config = TransformerConfig.from_dict(manifest["config"])
     except ConfigError as exc:
         raise PlanError(f"checkpoint config is invalid: {exc}") from exc
-    model = TransformerModel(config, manifest.get("seed", -1))
+    model = TransformerModel(config, seed)
     blob = prefix.with_suffix(".bin").read_bytes()
     params = dict(model.named_parameters())
     listed = [spec["name"] for spec in tensors]

@@ -14,8 +14,9 @@ leaves one GroupShrink for the band that survives (none for the full band).
 While `run` decides one trial, it may fine-tune the trial the loop would
 ask for next in a helper process (see `speculate`). The prediction replays
 the committed trial results on a throwaway twin of the analyzer, through
-the same decision code, taking the current trial as rejected; a result is
-used only for a request equal to the predicted one, so the audit trail
+the same decision code, taking the current trial as landing in the
+approximation band when there is one and as rejected otherwise; a result
+is used only for a request equal to the predicted one, so the audit trail
 cannot change.
 """
 
@@ -202,7 +203,8 @@ class GreedyAnalyzer:
         result = spec.helper.take(key)
         predicted = spec.next_request(key)
         if result is None:
-            if predicted is not None:
+            # the helper inherits self.work: only a request on these weights may go to it
+            if predicted is not None and predicted[3] == self._generation:
                 spec.helper.submit(_trial_key(*predicted),
                                    partial(self._train, self.work, *predicted[1:3]))
             else:
@@ -333,24 +335,34 @@ class _Predicted(Exception):
 class _Replay(GreedyAnalyzer):
     """A throwaway twin of an analyzer as it stood before its latest pop.
 
-    It replays the committed trial results in order, takes the trial being
-    decided as rejected above both bars, and stops at the next trial
-    request by raising ``_Predicted(element, candidate, step, generation)``.
-    It trains nothing, logs nothing and resolves plans without warnings."""
+    It replays the committed trial results in order and takes the trial
+    being decided as landing in the band, with losses on the approximation
+    bars, when both of those lie strictly above the skip bars (in the
+    benchmark's speed scenario every block trial lands there); otherwise
+    as rejected above both bars. Neither is an accepted skip, so the
+    working weights stay those a helper inherits. Under speed and size
+    focus the bars never move; under accuracy focus they are equal. The
+    replay stops at the next trial request by raising
+    ``_Predicted(element, candidate, step, generation)``. It trains
+    nothing, logs nothing and resolves plans without warnings."""
 
     _warns = False
 
     def __init__(self, start: GreedyAnalyzer, results: list):
         vars(self).update(vars(start))
         self.records, self.log_path, self._spec = [], None, None
-        rejected = (math.inf, math.inf)
-        self._results = iter([(tl, vl, None) for tl, vl in [*results, rejected]])
+        in_band = all(a > s for a, s in zip(self._approx, self._skip))
+        assumed = self._approx if in_band else (math.inf, math.inf)
+        self._results = iter([(tl, vl, None) for tl, vl in [*results, assumed]])
 
     def _trial(self, el: TransElement, candidate: ApproxPlan, step: int):
         result = next(self._results, None)
         if result is None:
             raise _Predicted(el, candidate, step, self._generation)
         return result
+
+
+_FIRST = object()  # what _Speculation expects before a run's first trial
 
 
 class _Speculation:
@@ -361,7 +373,7 @@ class _Speculation:
 
     def __init__(self):
         self.helper = speculate.Helper()
-        self.expected = None
+        self.expected = _FIRST
 
     def restart(self, analyzer: GreedyAnalyzer, queue: ElementQueue):
         self.start, self.queue = copy.copy(analyzer), copy.deepcopy(queue)
@@ -369,20 +381,21 @@ class _Speculation:
 
     def next_request(self, key):
         """The request to speculate on while the trial with ``key`` runs:
-        the predicted next one, but only while predictions hold, i.e. when
-        the prediction made at the previous trial named ``key``. Plain
-        keeps come in runs, accepted skips too, so past an accepted skip
-        the helper would mostly train for nothing; on the benchmark
-        scenarios, speculating on every trial instead made the pipeline
-        6-10% slower."""
-        held = self.expected == key
+        the predicted next one, but only while predictions hold, i.e. at
+        the run's first trial or when the prediction made at the previous
+        trial named ``key``. Plain keeps come in runs, accepted skips too,
+        so past an accepted skip the helper would mostly train for nothing;
+        on the benchmark scenarios, speculating on every trial instead made
+        the pipeline 6-10% slower."""
+        held = self.expected is _FIRST or self.expected == key
         predicted = self.predict()
         self.expected = predicted and _trial_key(*predicted)
         return predicted if held else None
 
     def predict(self):
         """(element, candidate, step, generation) of the request the loop
-        makes after the current trial if that is rejected; None if none."""
+        makes after the current trial if that has the outcome ``_Replay``
+        assumes; None if none."""
         try:
             _Replay(self.start, self.results)._run(copy.deepcopy(self.queue))
         except _Predicted as request:

@@ -22,28 +22,23 @@ import numpy as np
 from .errors import PlanError
 from .tensor import Tensor, full_attention, gather_rows
 
-MASK_NEG = -1e9
-
 
 def causal_mask(n: int, key_positions: np.ndarray) -> np.ndarray:
-    """[..., n, n_k] additive mask for [..., n_k] key positions: entry
-    (i, j) is MASK_NEG iff key j sits at a position after query i."""
-    pos = np.asarray(key_positions)
-    return np.where(pos[..., None, :] <= np.arange(n)[:, None], 0.0, MASK_NEG)
+    """[..., n, n_k] visibility for [..., n_k] key positions: entry (i, j)
+    is True iff key j sits at or before query i's position."""
+    return np.asarray(key_positions)[..., None, :] <= np.arange(n)[:, None]
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, key_positions: np.ndarray,
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
                      counter: OpCounter | None = None) -> Tensor:
-    """full_attention under the causal mask of [..., n_k] key positions
-    (shared by all sequences or per sequence). A query that sees none of
-    the keys (one before the earliest key position) gets full_attention's
-    zero output row and counts as starved in each sequence."""
-    pos = np.asarray(key_positions)
-    n = q.data.shape[-2]
+    """full_attention under a causal visibility ``mask`` (see causal_mask),
+    shared by all sequences or per sequence. A query that sees none of the
+    keys (one before the earliest key position) gets full_attention's zero
+    output row and counts as starved in each sequence."""
     if counter is not None:
-        starved = pos.min(axis=-1, initial=n)                  # [...] queries per sequence
-        counter.starved_queries += int(np.broadcast_to(starved, q.data.shape[:-2]).sum())
-    return full_attention(q, k, v, causal_mask(n, pos))
+        starved = ~mask.any(axis=-1)                           # [..., n]
+        counter.starved_queries += int(np.broadcast_to(starved, q.data.shape[:-1]).sum())
+    return full_attention(q, k, v, mask)
 
 
 @dataclass
@@ -129,6 +124,35 @@ def causal_select(distances, n: int, k: int) -> list:
     return np.concatenate([early, rest], axis=-1).tolist()
 
 
+def select_keys(distances, k: int, causal: bool = False) -> np.ndarray:
+    """The keys select_topk picks (causal_select with ``causal``) from
+    [..., n] integer distances, as one [..., k] array of ascending
+    indices. Key j of n is ranked by the unique integer ``dist * n + j``,
+    whose order is the stable sort's, so a phase takes the keys ranked at
+    or below the phase's k-th smallest rank, which ``np.partition`` finds
+    without sorting."""
+    dist = np.asarray(distances, dtype=np.int64)
+    n = dist.shape[-1]
+    if k > n:
+        raise PlanError(f"cannot select {k} keys from {n}")
+    rank = dist * n + np.arange(n)
+    if not causal:
+        taken = _lowest(rank, k)
+    else:  # causal_select's two phases
+        quarter = max(1, -(-n // 4))
+        k_early = min(-(-k // 4), quarter)
+        taken = np.zeros(dist.shape, dtype=bool)
+        taken[..., :quarter] = _lowest(rank[..., :quarter], k_early)
+        if k > k_early:
+            taken |= _lowest(np.where(taken, np.iinfo(np.int64).max, rank), k - k_early)
+    return np.nonzero(taken)[-1].reshape(dist.shape[:-1] + (k,))
+
+
+def _lowest(rank: np.ndarray, k: int) -> np.ndarray:
+    """Where the k smallest of distinct ranks lie along the last axis."""
+    return rank <= np.partition(rank, k - 1, axis=-1)[..., k - 1:k]
+
+
 def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
                          causal: bool = False,
                          key_positions: np.ndarray | None = None,
@@ -150,9 +174,9 @@ def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
         key_positions = np.arange(n_k, dtype=np.int64)
 
     dist = score_keys(k.data, representative_sign(q.data, counter), counter)
-    rows = causal_select(dist, n_k, kk) if causal else select_topk(dist, kk)
-    sel = np.sort(np.asarray(rows, dtype=np.int64), axis=-1)   # [..., kk]
+    sel = select_keys(dist, kk, causal)                        # [..., kk]
     k_sel, v_sel = gather_rows(k, sel), gather_rows(v, sel)
     if causal:
-        return causal_attention(q, k_sel, v_sel, key_positions[sel], counter)
+        mask = causal_mask(q.data.shape[-2], key_positions[sel])
+        return causal_attention(q, k_sel, v_sel, mask, counter)
     return full_attention(q, k_sel, v_sel)

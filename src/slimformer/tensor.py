@@ -15,6 +15,7 @@ from scipy.special import erf
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+MASK_NEG = -1e9  # added to the score of a key its query does not see
 
 # thread-local so models training in parallel threads stay independent
 _state = threading.local()
@@ -215,21 +216,22 @@ def linear(x, w, b) -> Tensor:
 
 
 def full_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(Q K^T / sqrt(d) + mask) V on whatever keys are given, as one
-    node over [.., n, d] queries, keys and values. ``mask`` is additive:
-    0 for a visible key, a large negative number (``MASK_NEG``) for a
-    hidden one. A hidden key never reaches ``exp`` and gets weight exactly
-    0; a query with no visible key gets zero weights, so its output row is
-    zero. Forward and backward keep the operation order of the unfused
+    """softmax(Q K^T / sqrt(d) + additive mask) V on whatever keys are
+    given, as one node over [.., n, d] queries, keys and values. ``mask``
+    is a boolean visibility array, broadcast against the [.., n, n_k]
+    scores: True where the query sees the key. A hidden key's score gets
+    ``MASK_NEG`` added, never reaches ``exp`` and gets weight exactly 0; a
+    query with no visible key gets zero weights, so its output row is zero.
+    Forward and backward keep the operation order of the unfused
     composition ``matmul(softmax_rows(add(mul(matmul(q, transpose_last(k)),
-    d ** -0.5), mask)), v)`` with those rows zeroed after it, so both give
-    the same bits."""
+    d ** -0.5), where(mask, 0, MASK_NEG))), v)`` with those rows zeroed
+    after it, so both give the same bits."""
     scale = q.data.shape[-1] ** -0.5
     scores = q.data @ np.swapaxes(k.data, -1, -2)
     scores *= scale
     if mask is not None:
-        scores += mask
-    p = _softmax(scores, None if mask is None else mask == 0)
+        scores += np.where(mask, 0.0, MASK_NEG)
+    p = _softmax(scores, mask)
     data = p @ v.data
 
     def grad_fn(g):

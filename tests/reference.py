@@ -18,8 +18,9 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from slimformer.signmatch import MASK_NEG
 from slimformer.tensor import Tensor, _result
+
+MASK_NEG = -1e9  # added to hidden scores; any huge negative gives the same bits
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -47,15 +48,16 @@ def ref_softmax(x):
 
 def ref_masked_attention(q, k, v, mask, g):
     """The unfused masked attention arithmetic over [.., n, d] arrays and its
-    gradients for an upstream gradient g: additive mask, ``x.max``,
-    ``exp``, ``sum``, divide, then the rows of queries whose keys are all
-    masked zeroed by a multiply. Returns (out, gq, gk, gv)."""
+    gradients for an upstream gradient g: ``MASK_NEG`` added where the
+    boolean visibility ``mask`` is False, ``x.max``, ``exp``, ``sum``,
+    divide, then the rows of queries that see no key zeroed by a multiply.
+    Returns (out, gq, gk, gv)."""
     scale = q.shape[-1] ** -0.5
     scores = (q @ np.swapaxes(k, -1, -2)) * scale
     keep = 1.0
     if mask is not None:
-        scores = scores + mask
-        keep = np.where((mask == MASK_NEG).all(axis=-1), 0.0, 1.0)[..., None]
+        scores = scores + np.where(mask, 0.0, MASK_NEG)
+        keep = np.where(mask.any(axis=-1), 1.0, 0.0)[..., None]
     p = ref_softmax(scores)
     out = (p @ v) * keep
     g = g * keep

@@ -156,9 +156,7 @@ def test_criterion_03_sign_matching_exact_at_full_k():
         q = Tensor(gen.normal(size=(n, d)))
         k = Tensor(gen.normal(size=(n, d)))
         v = Tensor(gen.normal(size=(n, d)))
-        mask = None
-        if causal:
-            mask = np.where(np.arange(n)[None, :] <= np.arange(n)[:, None], 0.0, -1e9)
+        mask = np.tril(np.ones((n, n), dtype=bool)) if causal else None
         out = sign_match_attention(q, k, v, n, causal)
         full = full_attention(q, k, v, mask)
         assert np.array_equal(out.data, full.data), f"trial {trial}"

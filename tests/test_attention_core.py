@@ -7,8 +7,8 @@ and on queries that see no key."""
 import numpy as np
 import pytest
 
-from slimformer.signmatch import (MASK_NEG, OpCounter, causal_attention, causal_mask,
-                                  representative_sign, score_keys)
+from slimformer.signmatch import (OpCounter, causal_attention, causal_mask, causal_select,
+                                  representative_sign, score_keys, sign_match_attention)
 from slimformer.tensor import Tensor, full_attention, mul, softmax_rows
 
 from reference import (ref_masked_attention, ref_representative_sign, ref_score_keys,
@@ -61,11 +61,41 @@ def test_causal_attention_matches_reference(rng, n_k, shared, starved):
     pos = draw_positions(rng, n_q, n_k, starved, () if shared else (BATCH,))
     mask = causal_mask(n_q, pos)
     counter = OpCounter()
-    assert_matches_reference(lambda q, k, v: causal_attention(q, k, v, pos, counter),
+    assert_matches_reference(lambda q, k, v: causal_attention(q, k, v, mask, counter),
                              arrays, mask, rng)
     assert_matches_reference(lambda q, k, v: full_attention(q, k, v, mask), arrays, mask, rng)
-    starved_rows = np.broadcast_to((mask == MASK_NEG).all(axis=-1), (BATCH, n_q))
+    starved_rows = np.broadcast_to(~mask.any(axis=-1), (BATCH, n_q))
     assert counter.starved_queries == int(starved_rows.sum()) == (2 * BATCH if starved else 0)
+
+
+@pytest.mark.parametrize("n_k", KEY_COUNTS)
+def test_sign_matched_causal_attention_matches_reference(rng, n_k):
+    """Sign matching's per-sequence visibility of the selected keys, with
+    the earliest key position at 2, so the first queries of every sequence
+    see no key: the bits of the reference on the gathered keys, and its
+    gradients scattered back to the keys' rows."""
+    n_q, top_k = n_k + 4, max(1, n_k // 2)
+    arrays = [rng.normal(size=(BATCH, n, DH)) for n in (n_q, n_k, n_k)]
+    pos = draw_positions(rng, n_q, n_k, True)
+    weight = rng.normal(size=(BATCH, n_q, DH))
+    counter = OpCounter()
+    out, (gq, gk, gv) = run_node(
+        lambda q, k, v: sign_match_attention(q, k, v, top_k, True, pos, counter),
+        arrays, weight)
+    q, k, v = arrays
+    sel = np.sort(causal_select(score_keys(k, representative_sign(q)), n_k, top_k), axis=-1)
+    rows = np.arange(BATCH)[:, None], sel
+    mask = pos[sel][..., None, :] <= np.arange(n_q)[:, None]
+    ref_out, ref_gq, ref_gk, ref_gv = ref_masked_attention(q, k[rows], v[rows], mask, weight)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(gq, ref_gq)
+    for got, ref in ((gk, ref_gk), (gv, ref_gv)):
+        np.testing.assert_array_equal(got[rows], ref)
+        got[rows] = 0.0
+        np.testing.assert_array_equal(got, 0.0)
+    starved = (~mask.any(axis=-1)).sum()
+    assert counter.starved_queries == starved >= 2 * BATCH
+    np.testing.assert_array_equal(out[~mask.any(axis=-1)], 0.0)
 
 
 @pytest.mark.parametrize("n_k", KEY_COUNTS)
@@ -74,9 +104,9 @@ def test_full_attention_matches_reference(rng, n_k):
     arrays = [rng.normal(size=(BATCH, n, DH)) for n in (n_q, n_k, n_k)]
     assert_matches_reference(full_attention, arrays, None, rng)
     # a random mask with every other query of the first sequence seeing no key
-    mask = np.where(rng.random((BATCH, n_q, n_k)) < 0.5, MASK_NEG, 0.0)
-    mask[:, :, 0] = 0.0
-    mask[0, ::2] = MASK_NEG
+    mask = rng.random((BATCH, n_q, n_k)) >= 0.5
+    mask[:, :, 0] = True
+    mask[0, ::2] = False
     assert_matches_reference(lambda q, k, v: full_attention(q, k, v, mask), arrays, mask, rng)
     out = full_attention(*map(Tensor, arrays), mask).data
     np.testing.assert_array_equal(out[0, ::2], 0.0)

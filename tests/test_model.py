@@ -51,10 +51,10 @@ class TestBuildModel:
         m = causal_mask(4, np.arange(4))
         for i in range(4):
             for j in range(4):
-                assert m[i, j] == (0.0 if j <= i else -1e9)
+                assert m[i, j] == (j <= i)
         sliced = causal_mask(4, np.array([1, 3]))
-        np.testing.assert_array_equal(sliced, [[-1e9, -1e9], [0.0, -1e9],
-                                               [0.0, -1e9], [0.0, 0.0]])
+        np.testing.assert_array_equal(sliced, [[False, False], [True, False],
+                                               [True, False], [True, True]])
 
     def test_parallel_training_of_independent_models(self, tiny_config, majority_data):
         """Independent model instances may train in parallel threads."""
@@ -533,6 +533,8 @@ class TestLatency:
 # one tensor entry's field set to a JSON value of the wrong type
 ILL_TYPED_ENTRIES = {"string_offset": ("offset", "0"), "fractional_offset": ("offset", 0.5),
                      "int_shape": ("shape", 5), "list_name": ("name", ["x"])}
+ILL_TYPED_SEEDS = {"string_seed": "x", "fractional_seed": 0.5, "bool_seed": True,
+                   "seed_below_generator": -2}
 
 
 class TestCheckpoint:
@@ -570,7 +572,11 @@ class TestCheckpoint:
             ("string_offset", "name, shape and offset"),
             ("fractional_offset", "name, shape and offset"),
             ("int_shape", "name, shape and offset"),
-            ("list_name", "name, shape and offset"))])
+            ("list_name", "name, shape and offset"),
+            ("string_seed", "seed 'x'"),
+            ("fractional_seed", "seed 0.5"),
+            ("bool_seed", "seed True"),
+            ("seed_below_generator", "seed -2"))])
     def test_corrupt_checkpoint_rejected(self, tiny_model, tmp_path, case, match):
         json_path, bin_path = save_checkpoint(tiny_model, tmp_path / "model")
         manifest = json.loads(json_path.read_text())
@@ -591,6 +597,8 @@ class TestCheckpoint:
             manifest["tensors"][0]["name"] = "bogus"
         elif case == "foreign_dtype":
             manifest["dtype"] = "<f4"
+        elif case in ILL_TYPED_SEEDS:
+            manifest["seed"] = ILL_TYPED_SEEDS[case]
         else:
             bin_path.write_bytes(bin_path.read_bytes()[:-8])
         json_path.write_text("{not json" if manifest is None else json.dumps(manifest))

@@ -6,7 +6,7 @@ import pytest
 
 from slimformer import (OpCounter, PlanError, Tensor,
                         causal_select, full_attention, representative_sign,
-                        score_keys, select_topk, sign_match_attention)
+                        score_keys, select_topk, sign_match_attention, signmatch)
 
 
 class TestRepresentativeSign:
@@ -174,6 +174,38 @@ class TestSignMatchAttention:
         for b in range(3):
             single = sign_match_attention(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), 4)
             np.testing.assert_allclose(batched.data[b], single.data, atol=1e-12)
+
+
+class TestGatheredKeys:
+    """The keys sign_match_attention gathers are, in ascending order, the
+    ones select_topk / causal_select rank first, ties included."""
+
+    @staticmethod
+    def gathered(monkeypatch, dist, k, causal):
+        seen = []
+        gather = signmatch.gather_rows
+
+        def recording(a, indices):
+            seen.append(np.asarray(indices))
+            return gather(a, indices)
+
+        monkeypatch.setattr(signmatch, "score_keys", lambda *args: dist)
+        monkeypatch.setattr(signmatch, "gather_rows", recording)
+        qkv = [Tensor(np.zeros(dist.shape + (2,))) for _ in range(3)]
+        sign_match_attention(*qkv, k, causal)
+        assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
+        return seen[0]
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["topk", "causal"])
+    def test_every_n_and_k_matches_ranked_lists(self, monkeypatch, causal):
+        gen = np.random.default_rng(5)
+        for n in range(1, 41):
+            dist = gen.integers(0, 4, size=(3, n))  # few values: many ties
+            dist[0] = 1                             # all tied
+            for k in range(1, n + 1):
+                ranked = causal_select(dist, n, k) if causal else select_topk(dist, k)
+                np.testing.assert_array_equal(self.gathered(monkeypatch, dist, k, causal),
+                                              np.sort(ranked, axis=-1))
 
 
 class TestLinearContract:

@@ -25,8 +25,12 @@ from slimformer.training import evaluate_loss, train_epochs
 
 ARTIFACTS = ("plan.json", "decisions.jsonl", "elements.json", "model.bin")
 # small_config with a loss bar low enough for runs of plain keeps: its speed
-# run speculates three trials, takes two and drops one
-KEEPS = {"eps_skip": 0.05}
+# run speculates two trials, takes one and drops one
+KEEPS = {"eps_skip": 0.02}
+# small_config with an approximation band every block trial lands in: its
+# speed run keeps the working weights throughout, and the helper takes every
+# second trial from the second on
+BAND = {"eps_skip": 0.05, "eps_approx": 0.3}
 
 
 def split_allowed() -> bool:
@@ -99,6 +103,49 @@ def test_speed_run_takes_and_drops_speculations(monkeypatch, tmp_path, analyzers
     assert unaided.speculated == 0
     assert aided.speculation_hits >= 1
     assert aided.speculated > aided.speculation_hits  # one prediction failed
+
+
+def test_in_band_block_trials_speculated_from_the_first(monkeypatch, tmp_path, analyzers,
+                                                        one_helper):
+    """While the first block trial runs, the helper trains the second one on
+    the plan the first one's landing in the band yields; the loop takes it."""
+    taken = []
+    take = speculate.Helper.take
+
+    def recording(self, key):
+        result = take(self, key)
+        if result is not None:
+            taken.append(key)
+        return result
+
+    monkeypatch.setattr(speculate.Helper, "take", recording)
+    off, on = off_then_on(monkeypatch, tmp_path, small_config(**BAND))
+    assert on == off
+    records = [r for r in analyzers[1].records if r["train_loss"] is not None]
+    blocks = [r for r in records if r["element"].startswith(("attn_block", "ffn_block"))]
+    assert len(blocks) == 4 and all(r["decision"] == "approximate" for r in blocks)
+    el, step, generation = taken[0][:3]
+    assert (el.key, step, generation) == (blocks[1]["element"], 1, 0)
+    assert [key[1] for key in taken] == list(range(1, len(records), 2))
+
+
+def test_other_generation_never_submitted(monkeypatch, tmp_path, analyzers):
+    """A prediction made for weights the helper would not inherit is not
+    handed to it."""
+    def other_weights(self, key):
+        predicted = self.predict()
+        if predicted is not None:
+            el, candidate, step, generation = predicted
+            return el, candidate, step, generation + 1
+        return None
+
+    set_helper(monkeypatch, False)
+    off = artifacts(small_config(**BAND), tmp_path / "off")
+    set_helper(monkeypatch, True)
+    monkeypatch.setattr(significance._Speculation, "next_request", other_weights)
+    monkeypatch.setattr(speculate.Helper, "submit", None)  # a submit would fail the run
+    assert artifacts(small_config(**BAND), tmp_path / "on") == off
+    assert analyzers[1].speculated == 0
 
 
 def test_comparison_rows_identical(monkeypatch):

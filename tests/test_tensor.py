@@ -15,7 +15,7 @@ from slimformer.tensor import (Tensor, add, cross_entropy, embedding_lookup,
                                mul, no_grad, reshape, softmax_rows, split_heads,
                                spawn_rng, take)
 
-from reference import (finite_difference_grad, ref_cross_entropy, ref_softmax,
+from reference import (MASK_NEG, finite_difference_grad, ref_cross_entropy, ref_softmax,
                        sum_all, transpose_last)
 
 
@@ -307,7 +307,7 @@ class TestGradients:
 
     def test_full_attention(self, rng):
         q, k, v = (Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True) for _ in range(3))
-        mask = np.triu(np.full((4, 4), -1e9), 1)
+        mask = np.tril(np.ones((4, 4), dtype=bool))
         check_grad(lambda: sum_all(mul(full_attention(q, k, v, mask), rng_const((2, 4, 3)))),
                    [q, k, v])
 
@@ -368,12 +368,12 @@ class TestFusedNodes:
     def test_full_attention(self, rng, lead, masked, const):
         n_q, n_k, dh = 5, 4, 3
         arrays = [rng.normal(size=lead + (n, dh)) for n in (n_q, n_k, n_k)]
-        mask = np.where(rng.random((n_q, n_k)) < 0.3, -1e9, 0.0) if masked else None
+        mask = rng.random((n_q, n_k)) >= 0.3 if masked else None
 
         def unfused(q, k, v):
             scores = mul(matmul(q, transpose_last(k)), dh ** -0.5)
             if mask is not None:
-                scores = add(scores, Tensor(mask))
+                scores = add(scores, Tensor(np.where(mask, 0.0, MASK_NEG)))
             return matmul(softmax_rows(scores), v)
 
         self.assert_same_bits(lambda q, k, v: full_attention(q, k, v, mask), unfused,
