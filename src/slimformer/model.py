@@ -23,6 +23,7 @@ from .config import TransformerConfig
 from .errors import ConfigError, PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
 from .signmatch import OpCounter, causal_attention, causal_mask, sign_match_attention
+from .tasks import IGNORE_LABEL
 from .tensor import (Tensor, add, cross_entropy, embedding_lookup, full_attention,
                      gelu, layer_norm, linear, make_rng, mean_rows, merge_heads,
                      mul, no_grad, reshape, split_heads, take)
@@ -176,7 +177,7 @@ class PlannedModel:
         k = linear(h_kv, w["wk"](), _take(p.bk, cols, 0))
         v = linear(h_kv, w["wv"](), _take(p.bv, cols, 0))
 
-        # live heads folded into the batch axis: [B*h, n, dh]
+        # live heads as strided views of the projections: [B, h, n, dh]
         q, k, v = (split_heads(t, b.live_heads) for t in (q, k, v))
         if view.signmatch_k is not None:
             out = sign_match_attention(q, k, v, view.signmatch_k, cfg.autoregressive,
@@ -185,8 +186,7 @@ class PlannedModel:
             out = causal_attention(q, k, v, b.causal[:n_x, :kv_positions.size], counter)
         else:
             out = full_attention(q, k, v)
-        merged = merge_heads(out, b.live_heads, squeeze=x.data.ndim == 2)
-        return add(x, linear(merged, w["wo"](), p.bo))
+        return add(x, linear(merge_heads(out), w["wo"](), p.bo))
 
     def ffn_sublayer(self, layer: int, x: Tensor) -> Tensor:
         view = self.views[layer]
@@ -206,7 +206,9 @@ class PlannedModel:
 
     def forward(self, tokens, labels=None, counter: OpCounter | None = None):
         """Run the model under the plan. Returns (logits, loss); loss is None
-        when labels are not given.
+        when labels are not given. Sequences shorter than the context are
+        padded with ``pad_token``, and per-token labels, which must have the
+        tokens' shape, with ``IGNORE_LABEL``.
 
         When ``speculate.split_allowed`` holds (grad off, a residual
         stream of at least ``speculate.SPLIT_MIN_VALUES`` values, a free
@@ -218,16 +220,20 @@ class PlannedModel:
         either half raises.
         """
         cfg = self.model.config
-        tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if labels is not None and cfg.task_kind != "classification":
+            labels = np.asarray(labels, dtype=np.int64)
+            if labels.shape != tokens.shape:
+                raise ValueError(f"labels shape {labels.shape} does not match tokens "
+                                 f"{tokens.shape}")
+            labels = np.atleast_2d(labels)
+        tokens = np.atleast_2d(tokens)
         if tokens.max(initial=0) >= cfg.vocab_size or tokens.min(initial=0) < 0:
             raise ValueError(f"token id out of range [0, {cfg.vocab_size})")
         if tokens.shape[1] > cfg.context_len:
             raise ValueError(f"sequence length {tokens.shape[1]} exceeds context "
                              f"{cfg.context_len}")
-        if tokens.shape[1] < cfg.context_len:
-            pad = np.full((tokens.shape[0], cfg.context_len - tokens.shape[1]),
-                          cfg.pad_token, dtype=np.int64)
-            tokens = np.concatenate([tokens, pad], axis=1)
+        tokens = _pad_columns(tokens, cfg.context_len, cfg.pad_token)
 
         if speculate.split_allowed(tokens.shape[0], tokens.shape[1] * cfg.hidden_dim):
             logits = self._split_logits(tokens, counter)
@@ -237,9 +243,8 @@ class PlannedModel:
             return logits, None
         if cfg.task_kind == "classification":
             return logits, cross_entropy(logits, labels)
-        labels = np.asarray(labels, dtype=np.int64)
         flat = reshape(logits, (tokens.shape[0] * cfg.context_len, cfg.output_classes))
-        flat_labels = labels.reshape(-1)
+        flat_labels = _pad_columns(labels, cfg.context_len, IGNORE_LABEL).reshape(-1)
         valid = np.nonzero(flat_labels >= 0)[0]
         if valid.size == 0:
             raise ValueError("no labeled positions in batch")
@@ -291,6 +296,13 @@ class PlannedModel:
 
     def cost(self) -> costs.CostModel:
         return costs.cost_from_views(self.model.config, self.views)
+
+
+def _pad_columns(a: np.ndarray, width: int, value: int) -> np.ndarray:
+    """[B, n] integers filled with ``value`` on the right to [B, width]."""
+    if a.shape[1] == width:
+        return a
+    return np.concatenate([a, np.full((a.shape[0], width - a.shape[1]), value, a.dtype)], axis=1)
 
 
 def _live_index(mask: np.ndarray):

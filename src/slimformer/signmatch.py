@@ -7,7 +7,7 @@ the score stage is linear in sequence length instead of quadratic.
 
 Every function takes leading batch axes (``[..., n, d]`` matrices,
 ``[..., n]`` distances); each leading index is an independent sequence, so
-a model calls them once on its ``[B*h, n, dh]`` head-folded tensors.
+a model calls them once on its ``[B, h, n, dh]`` head views.
 
 Sign convention: an entry counts as positive only when strictly > 0, so
 sign(0) = -1 throughout (zero weights occur in test fixtures).

@@ -48,7 +48,8 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 class Tensor:
-    """Rank-1..3 float64 array, optionally tracked by the autodiff graph."""
+    """Rank-1..4 float64 array, optionally tracked by the autodiff graph
+    (rank 4: attention heads, ``[B, h, n, dh]``)."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_backward_done")
 
@@ -56,8 +57,8 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        if arr.ndim > 3:
-            raise ValueError(f"rank {arr.ndim} tensor not supported (max rank 3)")
+        if arr.ndim > 4:
+            raise ValueError(f"rank {arr.ndim} tensor not supported (max rank 4)")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
@@ -112,10 +113,12 @@ class Tensor:
                 if pgrad is None or not parent.requires_grad:
                     continue
                 # A first gradient may be another node's gradient or a view
-                # of one, so it is stored as is (copied only into C order)
-                # and later ones are added out of place.
+                # of one, so it is stored as is (only a leaf's is copied, into
+                # C order; an inner node's keeps its layout, such as a head
+                # view's) and later ones are added out of place. No grad_fn
+                # writes into its g.
                 if parent.grad is None:
-                    parent.grad = np.ascontiguousarray(pgrad)
+                    parent.grad = np.ascontiguousarray(pgrad) if parent._grad_fn is None else pgrad
                 else:
                     parent.grad = np.add(parent.grad, pgrad, order="C")
 
@@ -198,7 +201,8 @@ def linear(x, w, b) -> Tensor:
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.data.ndim != 2 or x.data.ndim not in (2, 3) or x.data.shape[-1] != w.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
-    data = x.data @ w.data + b.data
+    data = x.data @ w.data
+    data += b.data
 
     def grad_fn(g):
         gw = None
@@ -225,22 +229,33 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = No
     Forward and backward keep the operation order of the unfused
     composition ``matmul(softmax_rows(add(mul(matmul(q, transpose_last(k)),
     d ** -0.5), where(mask, 0, MASK_NEG))), v)`` with those rows zeroed
-    after it, so both give the same bits."""
+    after it, so both give the same bits.
+
+    The output is laid out in memory like ``q`` and each gradient like its
+    operand (``np.empty_like`` keeps a strided view's axis order), so the
+    head views of ``split_heads`` come back as views too."""
     scale = q.data.shape[-1] ** -0.5
     scores = q.data @ np.swapaxes(k.data, -1, -2)
     scores *= scale
     if mask is not None:
         scores += np.where(mask, 0.0, MASK_NEG)
     p = _softmax(scores, mask)
-    data = p @ v.data
+    data = np.matmul(p, v.data, out=np.empty_like(q.data, shape=p.shape[:-1]
+                                                   + v.data.shape[-1:]))
 
     def grad_fn(g):
-        gv = np.swapaxes(p, -1, -2) @ g if v.requires_grad else None
-        gp = g @ np.swapaxes(v.data, -1, -2)
-        gscores = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-        gq = gscores @ k.data if q.requires_grad else None
-        gk = (np.swapaxes(np.swapaxes(q.data, -1, -2) @ gscores, -1, -2)
-              if k.requires_grad else None)
+        gv = (np.matmul(np.swapaxes(p, -1, -2), g, out=np.empty_like(v.data))
+              if v.requires_grad else None)
+        gscores = g @ np.swapaxes(v.data, -1, -2)
+        dot = np.multiply(gscores, p).sum(axis=-1, keepdims=True)
+        gscores -= dot
+        gscores *= p
+        gscores *= scale
+        gq = np.matmul(gscores, k.data, out=np.empty_like(q.data)) if q.requires_grad else None
+        gk = None
+        if k.requires_grad:
+            gk = np.empty_like(k.data)
+            gk[...] = np.swapaxes(np.swapaxes(q.data, -1, -2) @ gscores, -1, -2)
         return gq, gk, gv
 
     return _result(data, (q, k, v), grad_fn)
@@ -272,16 +287,15 @@ def take(a: Tensor, index, axis: int) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows along axis -2. For rank 3, indices may be per-batch [B, K].
-    No row may repeat within a batch entry: the gradient is scattered by
+    """Select rows along axis -2 of a [..., n, d] tensor: [K] indices shared
+    by every leading index, or [..., K] indices, one row list per leading
+    index. No row may repeat within a list: the gradient is scattered by
     assignment."""
+    lead = a.data.shape[:-2]
     idx = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim == 2:
-        key = idx
-    else:
-        if idx.ndim == 1:
-            idx = np.broadcast_to(idx, (a.data.shape[0], idx.shape[0]))
-        key = (np.arange(a.data.shape[0])[:, None], idx)
+    idx = np.broadcast_to(idx, lead + idx.shape[-1:])
+    key = tuple(np.arange(size).reshape((-1,) + (1,) * (len(lead) - axis))
+                for axis, size in enumerate(lead)) + (idx,)
     data = a.data[key]
 
     def grad_fn(g):
@@ -293,31 +307,26 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 
 def split_heads(a: Tensor, heads: int) -> Tensor:
-    """[B, n, h*dh] -> [B*h, n, dh] (rank-2 input becomes [h, n, dh]),
-    folding heads into the batch axis so attention stays rank-3."""
-    x = a.data if a.data.ndim == 3 else a.data[None]
-    b, n, d = x.shape
-    dh = d // heads
-    data = x.reshape(b, n, heads, dh).transpose(0, 2, 1, 3).reshape(b * heads, n, dh)
+    """[.., n, h*dh] -> [.., h, n, dh], as a strided view of ``a``: head i
+    reads columns i*dh to (i+1)*dh. A gradient laid out in memory like
+    the view (as ``full_attention`` writes it) comes back without a copy."""
+    *lead, n, d = a.data.shape
+    data = np.swapaxes(a.data.reshape(*lead, n, heads, d // heads), -2, -3)
 
     def grad_fn(g):
-        ga = g.reshape(b, heads, n, dh).transpose(0, 2, 1, 3).reshape(b, n, d)
-        return (ga if a.data.ndim == 3 else ga[0],)
+        return (np.swapaxes(g, -2, -3).reshape(a.data.shape),)
 
     return _result(data, (a,), grad_fn)
 
 
-def merge_heads(a: Tensor, heads: int, squeeze: bool = False) -> Tensor:
-    """[B*h, n, dh] -> [B, n, h*dh]; squeeze drops a singleton batch."""
-    bh, n, dh = a.data.shape
-    b = bh // heads
-    data = a.data.reshape(b, heads, n, dh).transpose(0, 2, 1, 3).reshape(b, n, heads * dh)
-    if squeeze:
-        data = data[0]
+def merge_heads(a: Tensor) -> Tensor:
+    """[.., h, n, dh] -> [.., n, h*dh], the inverse of ``split_heads``;
+    a view when ``a`` is laid out like a split_heads view."""
+    *lead, h, n, dh = a.data.shape
+    data = np.swapaxes(a.data, -2, -3).reshape(*lead, n, h * dh)
 
     def grad_fn(g):
-        gg = g[None] if squeeze else g
-        return (gg.reshape(b, n, heads, dh).transpose(0, 2, 1, 3).reshape(bh, n, dh),)
+        return (np.swapaxes(g.reshape(*lead, n, h, dh), -2, -3),)
 
     return _result(data, (a,), grad_fn)
 
@@ -350,17 +359,29 @@ def mean_rows(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU. ``erf`` is handed |x|/sqrt(2) and the sign
+    is put back with ``np.copysign``: scipy evaluates erf(-y) as -erf(y),
+    so every bit but a NaN's sign is that of erf(x/sqrt(2)), and the sign
+    branch inside erf, which random signs mispredict, is never taken."""
     x = a.data
-    cdf = x * _INV_SQRT2
+    cdf = np.multiply(x, _INV_SQRT2)
+    np.abs(cdf, out=cdf)
     erf(cdf, out=cdf)
+    np.copysign(cdf, x, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     data = x * cdf
 
     def grad_fn(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return (g * (cdf + x * pdf),)
+        # g * (cdf + x * pdf), pdf = _INV_SQRT2PI * exp(-0.5 * x * x)
+        grad = np.multiply(x, -0.5)
+        grad *= x
+        np.exp(grad, out=grad)
+        grad *= _INV_SQRT2PI
+        grad *= x
+        grad += cdf
+        grad *= g
+        return (grad,)
 
     return _result(data, (a,), grad_fn)
 
@@ -417,23 +438,31 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     # the arithmetic of x.var(axis=-1), with x - mu computed once
-    var = np.square(centered).sum(axis=-1, keepdims=True) / d
+    square = np.square(centered)
+    var = square.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered
     xhat *= inv
-    data = xhat * gamma.data
+    data = np.multiply(xhat, gamma.data, out=square)
     data += beta.data
 
     def grad_fn(g):
         lead = tuple(range(g.ndim - 1))
+        buf = np.multiply(g, xhat)
+        ggamma = buf.sum(axis=lead) if gamma.requires_grad else None
         gx = None
         if x.requires_grad:
-            gx_hat = g * gamma.data
-            gx = inv * (gx_hat
-                        - gx_hat.mean(axis=-1, keepdims=True)
-                        - xhat * (gx_hat * xhat).sum(axis=-1, keepdims=True) / d)
-        return (gx, (g * xhat).sum(axis=lead) if gamma.requires_grad else None,
-                g.sum(axis=lead) if beta.requires_grad else None)
+            # inv * (gx_hat - mean(gx_hat) - xhat * sum(gx_hat * xhat) / d)
+            gx = np.multiply(g, gamma.data)
+            mean = gx.mean(axis=-1, keepdims=True)
+            np.multiply(gx, xhat, out=buf)
+            dot = buf.sum(axis=-1, keepdims=True)
+            np.multiply(xhat, dot, out=buf)
+            buf /= d
+            gx -= mean
+            gx -= buf
+            gx *= inv
+        return gx, ggamma, g.sum(axis=lead) if beta.requires_grad else None
 
     return _result(data, (x, gamma, beta), grad_fn)
 

@@ -74,10 +74,7 @@ def evaluate_accuracy(model: TransformerModel, plan: ApproxPlan | None,
                 hits += int((pred == labels).sum())
                 count += labels.shape[0]
             else:
-                pad = planned.model.config.context_len - labels.shape[1]
-                if pad:
-                    labels = np.concatenate(
-                        [labels, np.full((labels.shape[0], pad), -1, dtype=np.int64)], axis=1)
+                pred = pred[:, :labels.shape[1]]  # forward pads to the context
                 valid = labels >= 0
                 hits += int((pred[valid] == labels[valid]).sum())
                 count += int(valid.sum())

@@ -8,9 +8,11 @@ flags so a "physically rebuilt" model without a block is just a different
 flag set. The tensor ops (``sum_all``, ``transpose_last``) have no caller in
 the package; tests use them to reduce outputs to a scalar loss and to build
 the unfused compositions the fused nodes must reproduce.
-``ref_masked_attention``, ``ref_score_keys`` and ``ref_representative_sign``
-are the plain formulations that the package's attention and sign-scoring
-kernels replace; those kernels must give the same bits.
+``ref_masked_attention``, ``ref_score_keys``, ``ref_representative_sign``
+and ``ref_gelu_bits`` are the plain formulations that the package's
+attention, sign-scoring and GELU kernels replace, and ``FoldedHeads`` the
+copying head layout that the strided head views replace; those kernels
+must give the same bits.
 """
 
 import math
@@ -39,6 +41,39 @@ def transpose_last(a: Tensor) -> Tensor:
         return (np.swapaxes(g, -1, -2),)
 
     return _result(data, (a,), grad_fn)
+
+
+class FoldedHeads:
+    """The copying head layout: ``split`` copies [B, n, h*dh] projections
+    into [B*h, n, dh] (rank-2 input into [h, n, dh]) with heads folded into
+    the batch axis, and ``merge`` copies the core's output back, for the
+    head count and input rank of the last ``split``. Drop-in replacements
+    for ``split_heads`` and ``merge_heads`` in one attention sublayer."""
+
+    def split(self, a: Tensor, heads: int) -> Tensor:
+        self.heads, self.squeeze = heads, a.data.ndim == 2
+        x = a.data[None] if self.squeeze else a.data
+        b, n, d = x.shape
+        dh = d // heads
+        data = x.reshape(b, n, heads, dh).transpose(0, 2, 1, 3).reshape(b * heads, n, dh)
+
+        def grad_fn(g):
+            ga = g.reshape(b, heads, n, dh).transpose(0, 2, 1, 3).reshape(b, n, d)
+            return (ga[0] if self.squeeze else ga,)
+
+        return _result(data, (a,), grad_fn)
+
+    def merge(self, a: Tensor) -> Tensor:
+        heads, squeeze = self.heads, self.squeeze
+        bh, n, dh = a.data.shape
+        b = bh // heads
+        data = a.data.reshape(b, heads, n, dh).transpose(0, 2, 1, 3).reshape(b, n, heads * dh)
+
+        def grad_fn(g):
+            gg = g[None] if squeeze else g
+            return (gg.reshape(b, n, heads, dh).transpose(0, 2, 1, 3).reshape(bh, n, dh),)
+
+        return _result(data[0] if squeeze else data, (a,), grad_fn)
 
 
 def ref_softmax(x):
@@ -88,6 +123,19 @@ def ref_layer_norm(x, gamma, beta, eps=1e-5):
 
 def ref_gelu(x):
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+INV_SQRT2, INV_SQRT2PI = math.sqrt(0.5), 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def ref_gelu_bits(x, g):
+    """GELU and its gradient for an upstream gradient g, with erf taking the
+    signed argument and the constants the package multiplies by:
+    ``x * 0.5 * (1 + erf(x / sqrt(2)))`` and
+    ``g * (cdf + x * exp(-x * x / 2) / sqrt(2 * pi))``."""
+    cdf = 0.5 * (1.0 + erf(x * INV_SQRT2))
+    pdf = INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return x * 0.5 * (1.0 + erf(x * INV_SQRT2)), g * (cdf + x * pdf)
 
 
 def ref_attention_per_head(x, layer, num_heads, mask=None, live_heads=None,

@@ -2,17 +2,25 @@
 plain formulations in ``reference``: forward, gradients and op counts, on
 row lengths that take every branch of the row-max kernel (column loop up
 to 16 keys, halving folds for even rows above that, a reduction otherwise)
-and on queries that see no key."""
+and on queries that see no key. The attention sublayer's strided head views
+give the bits of the copying head layout, without a copy between the
+projections, the core and ``wo``, and the rewritten kernels write only into
+buffers they allocated."""
 
 import numpy as np
 import pytest
 
+import slimformer.model
+from slimformer import (ApproxPlan, PlannedModel, SignMatch, TransElement, TransformerConfig,
+                        build_model, tensor)
+from slimformer.elements import HEAD, KV_GROUP, attn_block
 from slimformer.signmatch import (OpCounter, causal_attention, causal_mask, causal_select,
                                   representative_sign, score_keys, sign_match_attention)
-from slimformer.tensor import Tensor, full_attention, mul, softmax_rows
+from slimformer.tensor import (Tensor, full_attention, gelu, layer_norm, linear, mul,
+                               softmax_rows, split_heads)
 
-from reference import (ref_masked_attention, ref_representative_sign, ref_score_keys,
-                       ref_softmax, sum_all)
+from reference import (FoldedHeads, ref_masked_attention, ref_representative_sign,
+                       ref_score_keys, ref_softmax, sum_all)
 
 KEY_COUNTS = (1, 5, 8, 15, 16, 17, 32)
 BATCH, DH = 3, 4
@@ -151,3 +159,115 @@ def test_score_keys_matches_reference(rng):
     assert dist.dtype == np.int64
     np.testing.assert_array_equal(dist, ref_score_keys(k, val))
     assert (counter.sign_extract, counter.hamming, counter.rep_sign) == (k.size, k.size, 0)
+
+
+def head_model(causal: bool, live: int, variant: str):
+    """A one-layer, four-head model (head width 4, context 12) and a plan
+    that keeps ``live`` heads, prunes key/value group 1 (``kvprune``) or
+    sign-matches 5 keys (``signmatch``)."""
+    cfg = TransformerConfig(num_layers=1, hidden_dim=16, num_heads=4, ffn_dim=8,
+                            context_len=12, vocab_size=6, autoregressive=causal,
+                            task_kind="language_model" if causal else "classification",
+                            weight_group_width=4, kv_group_width=4)
+    plan = ApproxPlan()
+    for head in range(cfg.num_heads - live):
+        plan = plan.with_skip(TransElement(HEAD, 0, head))
+    if variant == "kvprune":
+        plan = plan.with_skip(TransElement(KV_GROUP, 0, 1))
+    elif variant == "signmatch":
+        plan = plan.with_approx(attn_block(0), SignMatch(5))
+    return PlannedModel(build_model(cfg, 3), plan)
+
+
+def sublayer_bits(planned, x, weight):
+    """Output, input gradient and every parameter gradient of
+    sum(attention_sublayer(0, x) * weight)."""
+    params = planned.parameters()
+    for p in params:
+        p.grad = None
+    xt = Tensor(x, requires_grad=True)
+    out = planned.attention_sublayer(0, xt)
+    sum_all(mul(out, weight)).backward()
+    return [out.data, xt.grad] + [p.grad for p in params]
+
+
+@pytest.mark.parametrize("shape", [(3, 12, 16), (2, 9, 16), (12, 16)],
+                         ids=["batched", "short", "rank2"])
+@pytest.mark.parametrize("variant", ["dense", "kvprune", "signmatch"])
+@pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+@pytest.mark.parametrize("live", [1, 3, 4])
+def test_head_views_match_folded_copies(monkeypatch, rng, shape, variant, causal, live):
+    planned = head_model(causal, live, variant)
+    x, weight = rng.normal(size=shape), rng.normal(size=shape)
+    views = {"split": [], "merge": []}
+
+    def recording(name, op):
+        def record(a, *args):
+            out = op(a, *args)
+            views[name].append((a, out))
+            return out
+        return record
+
+    monkeypatch.setattr(slimformer.model, "split_heads", recording("split", tensor.split_heads))
+    monkeypatch.setattr(slimformer.model, "merge_heads", recording("merge", tensor.merge_heads))
+    got = sublayer_bits(planned, x, weight)
+    folded = FoldedHeads()
+    monkeypatch.setattr(slimformer.model, "split_heads", folded.split)
+    monkeypatch.setattr(slimformer.model, "merge_heads", folded.merge)
+    expected = sublayer_bits(planned, x, weight)
+
+    assert got[1] is not None and sum(g is not None for g in got[2:]) == 10
+    for a, b in zip(got, expected):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a, b)
+    # no copy between the projections, the core and wo, in either direction
+    assert len(views["split"]) == 3 and len(views["merge"]) == 1
+    for projection, heads in views["split"]:
+        assert heads.data.shape[-3] == live and heads.data.shape[-1] == 4
+        assert np.shares_memory(heads.data, projection.data)
+        assert np.shares_memory(projection.grad, heads.grad)
+    core_out, merged = views["merge"][0]
+    assert np.shares_memory(merged.data, core_out.data)
+
+
+def strided_heads(rng, lead, n, heads=3, dh=4):
+    """[*lead, heads, n, dh] head views of a random [*lead, n, heads*dh] array."""
+    return split_heads(Tensor(rng.normal(size=lead + (n, heads * dh))), heads).data
+
+
+KERNELS = {
+    "layer_norm": lambda rng: (layer_norm, [rng.normal(size=(3, 5, 8)), rng.normal(size=8),
+                                            rng.normal(size=8)]),
+    "gelu": lambda rng: (gelu, [rng.normal(size=(3, 5, 8))]),
+    "linear": lambda rng: (linear, [rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 6)),
+                                    rng.normal(size=6)]),
+    "attention": lambda rng: (full_attention, [rng.normal(size=(2, n, 4)) for n in (5, 7, 7)]),
+    "attention_masked": lambda rng: (
+        lambda q, k, v: full_attention(q, k, v, np.tril(np.ones((5, 7), dtype=bool))),
+        [rng.normal(size=(2, n, 4)) for n in (5, 7, 7)]),
+    "attention_head_views": lambda rng: (
+        full_attention, [strided_heads(rng, (2,), n) for n in (5, 7, 7)]),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernels_write_only_their_own_buffers(rng, kernel):
+    """Forward and backward leave the operands, the output and the incoming
+    gradient g unchanged (Tensor.backward stores a first gradient as is, so
+    g may be another node's .grad), and a second backward over the same
+    graph gives the same gradients."""
+    build, arrays = KERNELS[kernel](rng)
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    before = [a.copy() for a in arrays]
+    out = build(*inputs)
+    out_before = out.data.copy()
+    g = rng.normal(size=out.data.shape)
+    g_before = g.copy()
+    first = out._grad_fn(g)
+    second = out._grad_fn(g)
+    for a, b in zip(arrays + [out.data, g], before + [out_before, g_before]):
+        assert np.array_equal(a, b)
+    assert len(first) == len(arrays)
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)

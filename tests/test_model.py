@@ -17,6 +17,7 @@ from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
                                  KV_GROUP, QKV_GROUP, attn_block, enumerate_elements,
                                  ffn_block)
 from slimformer.signmatch import causal_mask
+from slimformer.tasks import IGNORE_LABEL
 from slimformer.tensor import layer_norm, make_rng
 
 from reference import (finite_difference_grad, layer_dict,
@@ -246,6 +247,25 @@ class TestForward:
         tok = majority_data.train.tokens[:2, :5]
         logits, _ = PlannedModel(tiny_model).forward(tok)
         assert logits.data.shape[0] == 2
+
+    def test_short_sequences_pad_their_labels(self, causal_model, rng):
+        """Per-token labels of sequences shorter than the context are padded
+        with IGNORE_LABEL like the tokens are with pad_token, so the loss
+        equals the loss of the same batch padded by hand; labels shaped
+        unlike the tokens are rejected."""
+        cfg = causal_model.config
+        tokens = rng.integers(0, cfg.vocab_size, size=(3, 5))
+        labels = rng.integers(0, cfg.output_classes, size=(3, 5))
+        labels[0, 1] = IGNORE_LABEL
+        planned = PlannedModel(causal_model)
+        _, loss = planned.forward(tokens, labels)
+        pad = ((0, 0), (0, cfg.context_len - 5))
+        _, expected = planned.forward(np.pad(tokens, pad, constant_values=cfg.pad_token),
+                                      np.pad(labels, pad, constant_values=IGNORE_LABEL))
+        assert loss.item() == expected.item()
+        for bad in (labels[:, :4], labels[:2], labels.reshape(-1)):
+            with pytest.raises(ValueError, match="labels shape"):
+                planned.forward(tokens, bad)
 
     def test_token_out_of_range(self, tiny_model):
         with pytest.raises(ValueError, match="token id out of range"):

@@ -15,8 +15,8 @@ from slimformer.tensor import (Tensor, add, cross_entropy, embedding_lookup,
                                mul, no_grad, reshape, softmax_rows, split_heads,
                                spawn_rng, take)
 
-from reference import (MASK_NEG, finite_difference_grad, ref_cross_entropy, ref_softmax,
-                       sum_all, transpose_last)
+from reference import (MASK_NEG, finite_difference_grad, ref_cross_entropy, ref_gelu_bits,
+                       ref_softmax, sum_all, transpose_last)
 
 
 def check_grad(build_loss, params, rel_tol=1e-5, h=1e-5):
@@ -119,6 +119,36 @@ class TestLayerNorm:
         x = Tensor(np.zeros((1, 4)))
         with pytest.raises(ValueError):
             layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=0.0)
+
+
+class TestGelu:
+    @staticmethod
+    def inputs(rng):
+        """Signed zeros, infinities, NaN, subnormals, the ulps around
+        |x| = sqrt(2) (where erf's argument crosses 1, its branch point),
+        |x| > 8 (erf is +-1) and normal draws."""
+        near = np.sqrt(2.0) + np.arange(-4, 5) * np.spacing(np.sqrt(2.0))
+        special = [0.0, np.inf, np.nan, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                   *near, 8.0, 8.5, 30.0, 1e3, 1e154, 1.5e154, 1e300]
+        return np.concatenate([special, np.negative(special), rng.normal(size=10 ** 5)])
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        """Equal bits everywhere but a NaN's sign bit."""
+        nan = np.isnan(expected)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+    def test_forward_and_backward_bits_match_plain_formula(self, rng):
+        x = self.inputs(rng)
+        g = rng.normal(size=x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at |x| = inf
+            out = gelu(Tensor(x, requires_grad=True))
+            (grad,) = out._grad_fn(g)
+            ref_out, ref_grad = ref_gelu_bits(x, g)
+        self.assert_same_bits(out.data, ref_out)
+        self.assert_same_bits(grad, ref_grad)
+        assert np.signbit(out.data[x == 0.0]).tolist() == np.signbit(x[x == 0.0]).tolist()
 
 
 class TestCrossEntropy:
@@ -319,13 +349,13 @@ class TestGradients:
         a = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
 
         def loss():
-            return sum_all(mul(merge_heads(split_heads(a, 4), 4), rng_const((2, 3, 8))))
+            return sum_all(mul(merge_heads(split_heads(a, 4)), rng_const((2, 3, 8))))
 
         check_grad(loss, [a])
 
     def test_split_merge_roundtrip_exact(self, rng):
         x = rng.normal(size=(2, 3, 8))
-        out = merge_heads(split_heads(Tensor(x), 2), 2)
+        out = merge_heads(split_heads(Tensor(x), 2))
         np.testing.assert_array_equal(out.data, x)
 
 
@@ -407,8 +437,9 @@ class TestNoGrad:
         assert out.requires_grad is False and out._parents == ()
 
     def test_rank_guard(self):
+        # rank 4 is the attention-head view [B, h, n, dh]
         with pytest.raises(ValueError, match="rank"):
-            Tensor(np.zeros((2, 2, 2, 2)))
+            Tensor(np.zeros((2, 2, 2, 2, 2)))
 
     def test_finite_outputs_on_finite_inputs(self, rng):
         x = Tensor(rng.normal(scale=50.0, size=(4, 6)))
