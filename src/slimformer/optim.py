@@ -12,9 +12,8 @@ class Adam:
 
     The parameters' data become views into ``flat``, in registration
     order, and their moments live in flat buffers of the same layout, so a
-    step is a few whole-buffer operations, run in place on the moments and
-    on the step's own gradient buffer. The update is elementwise, so it
-    gives the bits of a per-parameter loop."""
+    step is a few whole-buffer operations. The update is elementwise, so
+    it gives the bits of a per-parameter loop."""
 
     def __init__(self, params: list[Tensor], lr: float = 3e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -45,23 +44,11 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         g = np.concatenate([p.grad.reshape(-1) for p in self.params])
-        # v = beta2 * v + (1 - beta2) * (g * g)
-        sq = np.multiply(g, g)
-        sq *= 1 - self.beta2
-        self.v *= self.beta2
-        self.v += sq
-        # m = beta1 * m + (1 - beta1) * g
-        g *= 1 - self.beta1
-        self.m *= self.beta1
-        self.m += g
-        # flat -= lr * m_hat / (sqrt(v_hat) + eps)
-        step = np.divide(self.m, 1 - self.beta1 ** t, out=g)
-        denom = np.divide(self.v, 1 - self.beta2 ** t, out=sq)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        step *= self.lr
-        step /= denom
-        self.flat -= step
+        self.m = self.beta1 * self.m + (1 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1 - self.beta2) * (g * g)
+        m_hat = self.m / (1 - self.beta1 ** t)
+        v_hat = self.v / (1 - self.beta2 ** t)
+        self.flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self):
         for p in self.params:

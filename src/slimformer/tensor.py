@@ -364,7 +364,7 @@ def gelu(a: Tensor) -> Tensor:
     so every bit but a NaN's sign is that of erf(x/sqrt(2)), and the sign
     branch inside erf, which random signs mispredict, is never taken."""
     x = a.data
-    cdf = np.multiply(x, _INV_SQRT2)
+    cdf = x * _INV_SQRT2
     np.abs(cdf, out=cdf)
     erf(cdf, out=cdf)
     np.copysign(cdf, x, out=cdf)
@@ -438,12 +438,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     # the arithmetic of x.var(axis=-1), with x - mu computed once
-    square = np.square(centered)
-    var = square.sum(axis=-1, keepdims=True) / d
+    var = np.square(centered).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered
     xhat *= inv
-    data = np.multiply(xhat, gamma.data, out=square)
+    data = xhat * gamma.data
     data += beta.data
 
     def grad_fn(g):

@@ -27,24 +27,39 @@ BATCH, DH = 3, 4
 
 
 def run_node(build, arrays, weight):
-    """Output and q/k/v gradients of sum(build(q, k, v) * weight)."""
+    """Output node and q/k/v gradients of sum(build(q, k, v) * weight)."""
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     out = build(*inputs)
     sum_all(mul(out, weight)).backward()
-    return out.data, [t.grad for t in inputs]
+    return out, [t.grad for t in inputs]
+
+
+def backward_twice(node, g):
+    """The gradients ``node`` hands its parents for the incoming gradient
+    g. A second call must give the same and g must be left unchanged:
+    Tensor.backward stores a first gradient as is, so g may be another
+    node's .grad."""
+    g_before = g.copy()
+    first, second = node._grad_fn(g), node._grad_fn(g)
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(g, g_before)
+    return first
 
 
 def assert_matches_reference(build, arrays, mask, rng):
-    """build(q, k, v) under ``mask`` equals the reference bit for bit and
-    writes into none of its operands."""
+    """build(q, k, v) under ``mask`` equals the reference bit for bit,
+    through Tensor.backward and through the node's own backward run twice,
+    and writes into none of its operands nor into the incoming gradient."""
     operands = arrays + ([mask] if mask is not None else [])
     before = [a.copy() for a in operands]
     weight = rng.normal(size=arrays[0].shape[:-1] + (arrays[2].shape[-1],))
-    out, grads = run_node(build, arrays, weight)
+    node, grads = run_node(build, arrays, weight)
     ref_out, *ref_grads = ref_masked_attention(*arrays, mask, weight)
-    np.testing.assert_array_equal(out, ref_out)
-    for got, ref in zip(grads, ref_grads):
+    np.testing.assert_array_equal(node.data, ref_out)
+    for got, direct, ref in zip(grads, backward_twice(node, weight), ref_grads):
         np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(direct, ref)
     for a, b in zip(operands, before):
         np.testing.assert_array_equal(a, b)
 
@@ -58,6 +73,11 @@ def draw_positions(rng, n_q, n_k, starved, lead=()):
         pick = rng.choice(np.arange(start + 1, n_q), n_k - 1, replace=False)
         pos[idx] = np.sort(np.concatenate([[start], pick]))
     return pos
+
+
+def strided_heads(rng, lead, n, heads=3, dh=DH):
+    """[*lead, heads, n, dh] head views of a random [*lead, n, heads*dh] array."""
+    return split_heads(Tensor(rng.normal(size=lead + (n, heads * dh))), heads).data
 
 
 @pytest.mark.parametrize("n_k", KEY_COUNTS)
@@ -87,9 +107,10 @@ def test_sign_matched_causal_attention_matches_reference(rng, n_k):
     pos = draw_positions(rng, n_q, n_k, True)
     weight = rng.normal(size=(BATCH, n_q, DH))
     counter = OpCounter()
-    out, (gq, gk, gv) = run_node(
+    node, (gq, gk, gv) = run_node(
         lambda q, k, v: sign_match_attention(q, k, v, top_k, True, pos, counter),
         arrays, weight)
+    out = node.data
     q, k, v = arrays
     sel = np.sort(causal_select(score_keys(k, representative_sign(q)), n_k, top_k), axis=-1)
     rows = np.arange(BATCH)[:, None], sel
@@ -118,6 +139,12 @@ def test_full_attention_matches_reference(rng, n_k):
     assert_matches_reference(lambda q, k, v: full_attention(q, k, v, mask), arrays, mask, rng)
     out = full_attention(*map(Tensor, arrays), mask).data
     np.testing.assert_array_equal(out[0, ::2], 0.0)
+    # strided [B, h, n, dh] head views of [B, n, h*dh] projections, as
+    # split_heads makes them, unmasked and under a mask shared by every head
+    heads = [strided_heads(rng, (BATCH,), n) for n in (n_q, n_k, n_k)]
+    assert_matches_reference(full_attention, heads, None, rng)
+    assert_matches_reference(lambda q, k, v: full_attention(q, k, v, mask[0]),
+                             heads, mask[0], rng)
 
 
 @pytest.mark.parametrize("n_k", KEY_COUNTS)
@@ -231,43 +258,24 @@ def test_head_views_match_folded_copies(monkeypatch, rng, shape, variant, causal
     assert np.shares_memory(merged.data, core_out.data)
 
 
-def strided_heads(rng, lead, n, heads=3, dh=4):
-    """[*lead, heads, n, dh] head views of a random [*lead, n, heads*dh] array."""
-    return split_heads(Tensor(rng.normal(size=lead + (n, heads * dh))), heads).data
-
-
 KERNELS = {
     "layer_norm": lambda rng: (layer_norm, [rng.normal(size=(3, 5, 8)), rng.normal(size=8),
                                             rng.normal(size=8)]),
     "gelu": lambda rng: (gelu, [rng.normal(size=(3, 5, 8))]),
     "linear": lambda rng: (linear, [rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 6)),
                                     rng.normal(size=6)]),
-    "attention": lambda rng: (full_attention, [rng.normal(size=(2, n, 4)) for n in (5, 7, 7)]),
-    "attention_masked": lambda rng: (
-        lambda q, k, v: full_attention(q, k, v, np.tril(np.ones((5, 7), dtype=bool))),
-        [rng.normal(size=(2, n, 4)) for n in (5, 7, 7)]),
-    "attention_head_views": lambda rng: (
-        full_attention, [strided_heads(rng, (2,), n) for n in (5, 7, 7)]),
 }
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernels_write_only_their_own_buffers(rng, kernel):
     """Forward and backward leave the operands, the output and the incoming
-    gradient g unchanged (Tensor.backward stores a first gradient as is, so
-    g may be another node's .grad), and a second backward over the same
-    graph gives the same gradients."""
+    gradient unchanged (the attention core is checked by
+    assert_matches_reference)."""
     build, arrays = KERNELS[kernel](rng)
-    inputs = [Tensor(a, requires_grad=True) for a in arrays]
     before = [a.copy() for a in arrays]
-    out = build(*inputs)
+    out = build(*(Tensor(a, requires_grad=True) for a in arrays))
     out_before = out.data.copy()
-    g = rng.normal(size=out.data.shape)
-    g_before = g.copy()
-    first = out._grad_fn(g)
-    second = out._grad_fn(g)
-    for a, b in zip(arrays + [out.data, g], before + [out_before, g_before]):
-        assert np.array_equal(a, b)
-    assert len(first) == len(arrays)
-    for a, b in zip(first, second):
-        assert np.array_equal(a, b)
+    assert len(backward_twice(out, rng.normal(size=out.data.shape))) == len(arrays)
+    for a, b in zip(arrays + [out.data], before + [out_before]):
+        np.testing.assert_array_equal(a, b)

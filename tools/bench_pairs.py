@@ -1,23 +1,25 @@
 """Run the benchmark in interleaved pairs on two checkouts and compare them.
 
     python3 tools/bench_pairs.py --against PARENT --workload W --pairs N [--seed S]
-                                 [--seconds 20] [--root CHECKOUT]
 
-Pair i runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
+Pair i runs ``perfbench/run.py --workload W --seed S --seconds 20 --trace 0``
 unmodified, from the root of each checkout, so each run imports its own
-``src/``: the PARENT checkout first in even pairs and the ``--root``
-checkout (default: the one holding this script) first in odd ones. Each
-run's last line of standard output is its JSON result.
+``src/``: the PARENT checkout first in even pairs and the change (the
+checkout holding this script) first in odd ones. Both sides run for the
+same ``SECONDS``. Each run's last line of standard output is its JSON
+result.
 
-For every end-to-end metric that ``BENCHMARK.json`` of ``--root`` declares,
+For every end-to-end metric that the change's ``BENCHMARK.json`` declares,
 the script prints each side's median and quartiles over the pairs, the
 number of pairs each side won (ties count for neither) and whether the
-change's gain is claimable: it wins at least nine tenths of the pairs and
-the medians differ, in the better direction, by more than the distance
-between the parent's quartiles. Runs that report ``correct: false`` or
-failed operations are listed. The script writes nothing; each run writes
-only its own checkout's gitignored ``perfbench/out/``. Exits 2 when a run
-fails, 0 otherwise.
+change's gain is claimable: it wins at least nine tenths of the pairs, the
+medians differ, in the better direction, by more than the distance between
+the parent's quartiles, every change run reports ``correct: true`` and the
+change's runs fail no more operations than the parent's. Runs that report
+``correct: false`` or failed operations are listed. The script writes
+nothing; each run writes only its own checkout's gitignored
+``perfbench/out/``. Exits 2 when a run fails, 1 when a change run is not
+correct or fails more operations than the parent's runs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ import sys
 from pathlib import Path
 
 CLAIM_SHARE = 0.9
+SECONDS = 20
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_bench(checkout: Path, args) -> dict:
     """One benchmark run in ``checkout``; its JSON result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -50,8 +54,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def sound(parent: list[dict], change: list[dict]) -> bool:
+    """Every change run is correct and the change's runs fail no more
+    operations than the parent's; without that no gain is claimable."""
+    return (all(c["correct"] for c in change)
+            and sum(c["failed"] for c in change) <= sum(p["failed"] for p in parent))
+
+
 def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> list[str]:
     """One line per metric: medians, quartiles, wins and the claim verdict."""
+    ok = sound(parent, change)
     rows = [f"{'metric':<18} {'parent q1/med/q3':>30} {'change q1/med/q3':>30} "
             f"{'wins p/c':>9} claim"]
     for spec in metrics:
@@ -65,7 +77,8 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
         (p1, pm, p3), (c1, cm, c3) = quartiles(old), quartiles(new)
         change_wins = sum(sign * (b - a) > 0 for a, b in pairs)
         parent_wins = sum(sign * (a - b) > 0 for a, b in pairs)
-        claim = (change_wins >= CLAIM_SHARE * len(pairs) and sign * (cm - pm) > p3 - p1)
+        claim = (ok and change_wins >= CLAIM_SHARE * len(pairs)
+                 and sign * (cm - pm) > p3 - p1)
         rows.append(f"{name:<18} {p1:>9.4g} {pm:>9.4g} {p3:>9.4g}  {c1:>9.4g} {cm:>9.4g} "
                     f"{c3:>9.4g}  {parent_wins:>3}/{change_wins:<3}  "
                     f"{'yes' if claim else 'no'} ({spec['unit']}, {spec['better']} is better)")
@@ -74,23 +87,20 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
-                        help="the changed checkout (default: the one holding this script)")
     parser.add_argument("--against", type=Path, required=True, metavar="PARENT",
                         help="the parent checkout")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    root, against = args.root.resolve(), args.against.resolve()
-    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    against = args.against.resolve()
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     parent, change, bad = [], [], []
     for i in range(args.pairs):
-        order = ((against, parent), (root, change))
+        order = ((against, parent), (ROOT, change))
         for checkout, results in (order if i % 2 == 0 else order[::-1]):
             try:
                 result = run_bench(checkout, args)
@@ -105,13 +115,13 @@ def main(argv=None) -> int:
         print(f"# pair {i}: {first} parent {parent[-1]['metrics'][first]['value']:.4g} "
               f"change {change[-1]['metrics'][first]['value']:.4g}", flush=True)
 
-    print(f"# {args.workload} seed={args.seed} seconds={args.seconds:g} pairs={args.pairs} "
+    print(f"# {args.workload} seed={args.seed} seconds={SECONDS} pairs={args.pairs} "
           f"(parent first in even pairs)")
     for row in summarize(metrics, parent, change):
         print(row)
     for line in bad:
         print(f"# NOT CORRECT {line}")
-    return 0
+    return 0 if sound(parent, change) else 1
 
 
 if __name__ == "__main__":
