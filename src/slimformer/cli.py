@@ -90,12 +90,32 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+# fields of a model config that the task decides and a checkpoint must share
+_TASK_FIELDS = ("task_kind", "vocab_size", "num_classes", "autoregressive")
+
+
+def _check_fits_task(model, config: ExperimentConfig):
+    """Raise PlanError naming the first field in which the checkpoint's
+    model cannot take the task of ``config``: a task field that differs
+    (the model's vocab_size counts the padding id), or a task context
+    longer than the checkpoint's (a shorter one is padded)."""
+    have, want = model.config, config.transformer_config()
+    for name in _TASK_FIELDS:
+        if getattr(have, name) != getattr(want, name):
+            raise PlanError(f"checkpoint {name} is {getattr(have, name)!r}, the config's "
+                            f"task needs {getattr(want, name)!r}")
+    if want.context_len > have.context_len:
+        raise PlanError(f"checkpoint context_len is {have.context_len}, the config's "
+                        f"task needs at least {want.context_len}")
+
+
 def _cmd_evaluate(args) -> int:
     config = _load_config(args)
     try:
         model = load_checkpoint(args.checkpoint)
     except FileNotFoundError as exc:
         raise ConfigError(f"checkpoint file not found: {exc.filename}") from exc
+    _check_fits_task(model, config)
     plan = ApproxPlan.from_json(_read_text(args.plan, "plan")) if args.plan else ApproxPlan()
     data = generate_task(config.task)
     cost = PlannedModel(model, plan).cost()

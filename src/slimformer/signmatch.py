@@ -4,6 +4,9 @@ Keys are scored by the Hamming distance between their sign pattern and a
 majority-vote representative sign vector built from the queries; only the
 top-K keys enter the softmax. Scoring touches each matrix entry once, so
 the score stage is linear in sequence length instead of quadratic.
+``sign_match_attention`` scores with integer counts and bit counts
+(``_distances``); ``representative_sign`` and ``score_keys`` are the ±1
+reference it equals, counts included.
 
 Every function takes leading batch axes (``[..., n, d]`` matrices,
 ``[..., n]`` distances); each leading index is an independent sequence, so
@@ -20,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import PlanError
-from .tensor import Tensor, full_attention, gather_rows
+from .tensor import Tensor, full_attention, gather_rows, row_index
 
 
 def causal_mask(n: int, key_positions: np.ndarray) -> np.ndarray:
@@ -128,29 +131,52 @@ def select_keys(distances, k: int, causal: bool = False) -> np.ndarray:
     """The keys select_topk picks (causal_select with ``causal``) from
     [..., n] integer distances, as one [..., k] array of ascending
     indices. Key j of n is ranked by the unique integer ``dist * n + j``,
-    whose order is the stable sort's, so a phase takes the keys ranked at
-    or below the phase's k-th smallest rank, which ``np.partition`` finds
-    without sorting."""
+    whose order is the stable sort's, so the k keys ranked at or below the
+    k-th smallest rank are taken, which ``np.partition`` finds without
+    sorting. causal_select's first phase takes its keys from the earliest
+    quarter the same way and ranks them -1, below every other key, so the
+    k lowest ranks are those keys and the best of the rest."""
     dist = np.asarray(distances, dtype=np.int64)
     n = dist.shape[-1]
     if k > n:
         raise PlanError(f"cannot select {k} keys from {n}")
-    rank = dist * n + np.arange(n)
-    if not causal:
-        taken = _lowest(rank, k)
-    else:  # causal_select's two phases
+    rank = np.multiply(dist, n, order="C")
+    rank += np.arange(n)
+    if causal:
         quarter = max(1, -(-n // 4))
-        k_early = min(-(-k // 4), quarter)
-        taken = np.zeros(dist.shape, dtype=bool)
-        taken[..., :quarter] = _lowest(rank[..., :quarter], k_early)
-        if k > k_early:
-            taken |= _lowest(np.where(taken, np.iinfo(np.int64).max, rank), k - k_early)
-    return np.nonzero(taken)[-1].reshape(dist.shape[:-1] + (k,))
+        early = rank[..., :quarter]
+        early[_lowest(early, min(-(-k // 4), quarter))] = -1
+    return (np.flatnonzero(_lowest(rank, k)) % n).reshape(dist.shape[:-1] + (k,))
 
 
 def _lowest(rank: np.ndarray, k: int) -> np.ndarray:
-    """Where the k smallest of distinct ranks lie along the last axis."""
+    """Where the k smallest ranks lie along the last axis; ranks may tie
+    only below the k-th smallest."""
     return rank <= np.partition(rank, k - 1, axis=-1)[..., k - 1:k]
+
+
+def _distances(query: np.ndarray, key: np.ndarray,
+               counter: OpCounter | None = None) -> np.ndarray:
+    """``score_keys(key, representative_sign(query))``, with the same
+    counts, from integer work: each column's positive entries are counted
+    (ties still go to +1), and each sign is one byte, 1 when positive, in
+    rows padded with zero bytes to whole 8-byte words, so the Hamming
+    distance of a key is the bit count of its words XORed with the
+    representative's."""
+    n, d = query.shape[-2:]
+    width = -(-d // 8) * 8
+    # counted in the smallest unsigned type that holds n
+    counts = np.add.reduce(query > 0, axis=-2, dtype=np.min_scalar_type(n))
+    rep = np.zeros(query.shape[:-2] + (width,), dtype=bool)
+    np.greater_equal(counts, (n + 1) // 2, out=rep[..., :d])
+    signs = np.zeros_like(key, dtype=bool, shape=key.shape[:-1] + (width,))
+    np.greater(key, 0, out=signs[..., :d])
+    words = np.bitwise_xor(signs.view(np.uint64), rep.view(np.uint64)[..., None, :])
+    if counter is not None:
+        counter.rep_sign += query.size
+        counter.sign_extract += key.size
+        counter.hamming += key.size
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
@@ -164,19 +190,18 @@ def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
     keys are gathered in ascending original order, so at top_k = n the
     result is bit-identical to full attention. Causal queries that can see
     none of the selected keys produce a zero output row and bump the
-    starvation counter.
+    starvation counter. Keys and values are gathered through one index.
     """
     if top_k < 1:
         raise PlanError("sign-match k must be >= 1")
     n_k = k.data.shape[-2]
-    kk = min(top_k, n_k)
-    if key_positions is None:
-        key_positions = np.arange(n_k, dtype=np.int64)
-
-    dist = score_keys(k.data, representative_sign(q.data, counter), counter)
-    sel = select_keys(dist, kk, causal)                        # [..., kk]
-    k_sel, v_sel = gather_rows(k, sel), gather_rows(v, sel)
+    sel = select_keys(_distances(q.data, k.data, counter), min(top_k, n_k), causal)
+    rows = row_index(k.data.shape[:-2], sel)
+    k_sel, v_sel = gather_rows(k, rows), gather_rows(v, rows)
     if causal:
-        mask = causal_mask(q.data.shape[-2], key_positions[sel])
+        positions = np.arange(n_k) if key_positions is None else key_positions
+        # each selected key's column of the shared [n, n_k] visibility
+        columns = causal_mask(q.data.shape[-2], positions).T.take(sel, axis=0)
+        mask = np.ascontiguousarray(np.swapaxes(columns, -1, -2))
         return causal_attention(q, k_sel, v_sel, mask, counter)
     return full_attention(q, k_sel, v_sel)

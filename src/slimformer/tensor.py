@@ -88,20 +88,26 @@ class Tensor:
             raise RuntimeError("backward() already called on this loss; rebuild the graph first")
         self._backward_done = True
 
+        # Depth-first post-order over the nodes with a grad_fn (a leaf has no
+        # parents, so leaving leaves out keeps the order of the rest). A
+        # node is marked when popped: marked when pushed, it would be
+        # skipped by a consumer that reaches it again deeper down, and be
+        # appended after that consumer. Tensors hash by identity, so the
+        # set holds the nodes themselves.
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited and parent.requires_grad:
+                if parent._grad_fn is not None and parent not in visited:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
@@ -286,16 +292,21 @@ def take(a: Tensor, index, axis: int) -> Tensor:
     return _result(data, (a,), grad_fn)
 
 
+def row_index(lead: tuple, indices) -> tuple:
+    """The index ``gather_rows`` applies to a [*lead, n, d] array for [K]
+    row indices shared by every leading index or [*lead, K] ones (numpy
+    broadcasts the one against the other)."""
+    return tuple(np.arange(size).reshape((-1,) + (1,) * (len(lead) - axis))
+                 for axis, size in enumerate(lead)) + (np.asarray(indices, dtype=np.int64),)
+
+
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows along axis -2 of a [..., n, d] tensor: [K] indices shared
-    by every leading index, or [..., K] indices, one row list per leading
-    index. No row may repeat within a list: the gradient is scattered by
-    assignment."""
-    lead = a.data.shape[:-2]
-    idx = np.asarray(indices, dtype=np.int64)
-    idx = np.broadcast_to(idx, lead + idx.shape[-1:])
-    key = tuple(np.arange(size).reshape((-1,) + (1,) * (len(lead) - axis))
-                for axis, size in enumerate(lead)) + (idx,)
+    by every leading index, [..., K] indices, one row list per leading
+    index, or their ``row_index``, which a caller gathering several tensors
+    at the same rows builds once. No row may repeat within a list: the
+    gradient is scattered by assignment."""
+    key = indices if isinstance(indices, tuple) else row_index(a.data.shape[:-2], indices)
     data = a.data[key]
 
     def grad_fn(g):

@@ -347,6 +347,24 @@ class TestCli:
             assert main(["evaluate", "--config", str(cfg),
                          "--checkpoint", str(out / "baseline")]) == 3, doc.get("config")
 
+    @pytest.mark.parametrize("override, field", [
+        ("task.vocab_size=9", "vocab_size"), ("task.vocab_size=4", "vocab_size"),
+        ("task.kind=majority_classification", "task_kind"),
+        ("task.kind=toy_lm", "task_kind"), ("task.context_len=15", "context_len")])
+    def test_checkpoint_of_another_task_exit_code(self, tmp_path, capsys, override, field):
+        copy = TaskSpec("copy", vocab_size=6, context_len=9, train_size=64, seed=3)
+        cfg = self.write_config(tmp_path, task=copy, epochs_baseline=1, shape=ModelShape(
+            num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
+            weight_group_width=4, kv_group_width=3))
+        out = tmp_path / "train_out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        evaluate = ["evaluate", "--config", str(cfg), "--checkpoint", str(out / "baseline")]
+        assert main(evaluate + ["--set", "task.context_len=3"]) == 0  # shorter: padded
+        capsys.readouterr()
+        assert main(evaluate + ["--set", override]) == 3
+        assert f"error: checkpoint {field} is " in capsys.readouterr().err
+
     def test_malformed_plan_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, epochs_baseline=1)
         out = tmp_path / "train_out"

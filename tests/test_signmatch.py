@@ -59,6 +59,34 @@ class TestScoreKeys:
                 np.testing.assert_array_equal(dist[b, h], score_keys(k[b, h], val[b, h]))
 
 
+class TestDistances:
+    """The distances sign_match_attention scores keys with (integer counts
+    and bit counts) are score_keys(k, representative_sign(q)), with the
+    same OpCounter counts."""
+
+    @staticmethod
+    def heads(gen, lead, n, d):
+        """Entries in {-1, 0, 1} (zeros have sign -1; few values, many
+        ties), laid out as split_heads views when there are leading axes."""
+        x = gen.integers(-1, 2, size=lead[:1] + (n,) + lead[1:] + (d,)).astype(float)
+        return np.moveaxis(x, len(lead[:1]), -2)
+
+    @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["rank2", "rank4"])
+    def test_matches_reference_with_counts(self, lead):
+        gen = np.random.default_rng(11)
+        for d in (1, 2, 3, 5, 7, 8, 9, 12, 15, 16, 17, 24, 33):
+            for n, n_k in ((1, 1), (2, 5), (4, 3), (7, 9), (16, 15), (255, 4), (256, 3)):
+                q, k = self.heads(gen, lead, n, d), self.heads(gen, lead, n_k, d)
+                q[..., 0] = np.arange(n) % 2 == 0         # half positive (+1 at even n)
+                q[..., -1] = 1.0                          # all n positive
+                k[..., -1] = 0.0                          # sign(0) = -1
+                got, want = OpCounter(), OpCounter()
+                dist = signmatch._distances(q, k, got)
+                ref = score_keys(k, representative_sign(q, want), want)
+                assert dist.dtype == ref.dtype and np.array_equal(dist, ref), (d, n, n_k)
+                assert got == want
+
+
 class TestSelectTopK:
     def test_basic(self):
         assert select_topk([2, 0, 1], 2) == [1, 2]
@@ -185,16 +213,16 @@ class TestGatheredKeys:
         seen = []
         gather = signmatch.gather_rows
 
-        def recording(a, indices):
-            seen.append(np.asarray(indices))
-            return gather(a, indices)
+        def recording(a, rows):
+            seen.append(rows)
+            return gather(a, rows)
 
-        monkeypatch.setattr(signmatch, "score_keys", lambda *args: dist)
+        monkeypatch.setattr(signmatch, "_distances", lambda *args: dist)
         monkeypatch.setattr(signmatch, "gather_rows", recording)
         qkv = [Tensor(np.zeros(dist.shape + (2,))) for _ in range(3)]
         sign_match_attention(*qkv, k, causal)
-        assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
-        return seen[0]
+        assert len(seen) == 2 and seen[0] is seen[1]  # keys and values: one index
+        return seen[0][-1]
 
     @pytest.mark.parametrize("causal", [False, True], ids=["topk", "causal"])
     def test_every_n_and_k_matches_ranked_lists(self, monkeypatch, causal):

@@ -23,12 +23,15 @@ result (baseline and all four comparator rows) with each row's wall-time
 ``analysis_seconds`` removed. Last come ``serve <plan> logits <sha256>``
 lines, one per plan in ``perfbench/scenarios.PLAN_NAMES``: a hash over the
 logits of the no-grad ``PlannedModel.forward`` on ``serve_inputs(1)``, so a
-change to the forward kernels can show that it serves the same bits. A
-change that claims the same behaviour
-must print the same lines as its parent: ``--against PARENT`` runs the
-script on both checkouts, side by side in two processes when at least
-four CPUs are available and one after the other otherwise (each run may
-use two: its own and a speculative greedy trial's), prints only the
+change to the forward kernels can show that it serves the same bits, then
+``serve <plan> counts <sha256>`` lines: a hash over the ``OpCounter``
+fields of that same forward (sign-match work and queries that see no
+key), so it can show that it does the same counted work. A change that
+claims the same behaviour must print the same lines as its parent:
+``--against PARENT`` runs the script on both checkouts, side by side in
+two processes when at least four CPUs are available and one after the
+other otherwise (each run may use two: its own and a speculative greedy
+trial's), prints only the
 lines that differ (``-`` PARENT's, ``+`` the ``--root`` checkout's) and
 exits 1 on any difference, 0 when every line is equal (2 when a run
 fails). The package, the tests and the benchmark scenarios are all
@@ -100,14 +103,23 @@ def comparison_digest(config) -> str:
 
 
 def serve_digests() -> dict:
-    """sha256 over each serve plan's no-grad logits on serve_inputs(1)."""
+    """Per serve plan, sha256 over the logits of a counted no-grad forward
+    on serve_inputs(1) and over that forward's OpCounter fields."""
+    from dataclasses import asdict
+
     from scenarios import PLAN_NAMES, serve_inputs
 
-    from slimformer import no_grad
+    from slimformer import OpCounter, no_grad
     tokens, planned = serve_inputs(1)
+    digests = {}
     with no_grad():
-        return {name: hashlib.sha256(planned[name].forward(tokens)[0].data.tobytes()).hexdigest()
-                for name in PLAN_NAMES}
+        for name in PLAN_NAMES:
+            counter = OpCounter()
+            logits = planned[name].forward(tokens, counter=counter)[0]
+            digests[name] = (hashlib.sha256(logits.data.tobytes()).hexdigest(),
+                             hashlib.sha256(json.dumps(asdict(counter), sort_keys=True)
+                                            .encode()).hexdigest())
+    return digests
 
 
 def compare(root: Path, against: Path) -> int:
@@ -164,8 +176,11 @@ def main(argv=None) -> int:
             print(f"{name} choices {choices}", flush=True)
         if name.startswith("small_"):
             print(f"{name} comparison {comparison_digest(config)}", flush=True)
-    for name, digest in serve_digests().items():
-        print(f"serve {name} logits {digest}", flush=True)
+    digests = serve_digests()
+    for name, (logits, _) in digests.items():
+        print(f"serve {name} logits {logits}", flush=True)
+    for name, (_, counts) in digests.items():
+        print(f"serve {name} counts {counts}", flush=True)
     return 0
 
 
