@@ -90,20 +90,24 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-# fields of a model config that the task decides and a checkpoint must share
+# fields of a model config that the task decides, and those that the
+# config's model section fixes: a checkpoint must share both
 _TASK_FIELDS = ("task_kind", "vocab_size", "num_classes", "autoregressive")
+_SHAPE_FIELDS = ("num_layers", "hidden_dim", "num_heads", "ffn_dim", "weight_group_width",
+                 "kv_group_width")
 
 
 def _check_fits_task(model, config: ExperimentConfig):
     """Raise PlanError naming the first field in which the checkpoint's
-    model cannot take the task of ``config``: a task field that differs
-    (the model's vocab_size counts the padding id), or a task context
-    longer than the checkpoint's (a shorter one is padded)."""
+    model cannot take the task and model of ``config``: a task or shape
+    field that differs (the model's vocab_size counts the padding id), or a
+    task context longer than the checkpoint's (a shorter one is padded)."""
     have, want = model.config, config.transformer_config()
-    for name in _TASK_FIELDS:
+    for name in _TASK_FIELDS + _SHAPE_FIELDS:
         if getattr(have, name) != getattr(want, name):
+            section = "task" if name in _TASK_FIELDS else "model"
             raise PlanError(f"checkpoint {name} is {getattr(have, name)!r}, the config's "
-                            f"task needs {getattr(want, name)!r}")
+                            f"{section} needs {getattr(want, name)!r}")
     if want.context_len > have.context_len:
         raise PlanError(f"checkpoint context_len is {have.context_len}, the config's "
                         f"task needs at least {want.context_len}")

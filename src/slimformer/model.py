@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import statistics
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,15 +129,21 @@ class PlannedModel:
     Construction validates the plan against the model's config and binds
     it: each layer gets the index arrays of its live heads, QKV input rows
     and FFN input rows, and the images of its quantized row bands, so a
-    forward computes only live work. The view reads the model's weights
-    and can be reused across forward passes while they train in place;
-    the cached bands stay valid because quantized rows get zero gradient.
+    forward computes only live work. The views' masks and bit arrays are
+    made read-only, so the bound plan cannot change. The view reads the
+    model's weights and can be reused across forward passes while they
+    train in place; the cached bands stay valid because quantized rows get
+    zero gradient.
     """
 
     def __init__(self, model: TransformerModel, plan: ApproxPlan | None = None):
         self.model = model
         self.plan = plan or ApproxPlan()
         self.views: list[LayerView] = self.plan.resolve(model.config)
+        for view in self.views:  # bound below, and replicated by the split worker
+            for live in (view.head_live, view.kv_live, view.qkv_live, view.ffn_live,
+                         *view.quant_bits.values()):
+                live.flags.writeable = False
         self._bound = [_BoundLayer(p, view, model.config)
                        for p, view in zip(model.layers, self.views)]
 
@@ -212,12 +217,11 @@ class PlannedModel:
 
         When ``speculate.split_allowed`` holds (grad off, a residual
         stream of at least ``speculate.SPLIT_MIN_VALUES`` values, a free
-        spare CPU), a worker thread runs the second half of the batch
-        while this thread runs the first. Every op up to the logits works
-        on each sequence alone and the loss is taken on the joined logits,
-        so logits, loss and ``counter`` are bit-identical to one pass over
-        the whole batch. The worker ends before this returns, also when
-        either half raises.
+        spare CPU), the split worker process runs the second half of the
+        batch while this thread runs the first. Every op up to the logits
+        works on each sequence alone and the loss is taken on the joined
+        logits, so logits, loss and ``counter`` are bit-identical to one
+        pass over the whole batch.
         """
         cfg = self.model.config
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -264,35 +268,35 @@ class PlannedModel:
         return linear(x, m.head_w, m.head_b)
 
     def _split_logits(self, tokens: np.ndarray, counter: OpCounter | None) -> Tensor:
-        """``_logits`` of the first half of the batch in this thread and of
-        the second half in a worker thread kept off this thread's CPU,
-        joined in order. The worker counts into its own OpCounter, added to
-        ``counter`` after the join; its error, if this thread's half raised
-        none, is raised here."""
+        """``_logits`` of the first half of the batch here and of the second
+        half in the split worker (``speculate.split_worker``), on its
+        replica of this model with this model's current weights, joined in
+        order. The worker counts into its own OpCounter, added to
+        ``counter``; its error, if this half raised none, is raised here.
+        When the worker is busy or cannot take the half, the whole batch
+        runs here; when it dies, its half runs here after this one."""
+        cfg = self.model.config
         half = (tokens.shape[0] + 1) // 2
+        rest = tokens[half:]
+        out_shape = rest.shape[:1 if cfg.task_kind == "classification" else 2]
         part = None if counter is None else OpCounter()
-        out = {}
-        caller = threading.get_native_id()
-
-        def second_half():
+        with speculate.split_worker() as worker:
+            if worker is None or not worker.submit(self, rest, out_shape + (cfg.output_classes,),
+                                                   part):
+                return self._logits(tokens, counter)
             try:
-                speculate.keep_off(caller)
-                with no_grad():  # grad mode is per thread
-                    out["logits"] = self._logits(tokens[half:], part)
-            except BaseException as exc:  # raised in the caller after the join
-                out["error"] = exc
-
-        worker = threading.Thread(target=second_half)
-        worker.start()
-        try:
-            first = self._logits(tokens[:half], counter)
-        finally:
-            worker.join()
-        if "error" in out:
-            raise out["error"]
+                first = self._logits(tokens[:half], counter)
+            finally:
+                second, counted, error = worker.receive()
+            if error is not None:
+                raise error
+            if second is None:  # the worker died: its half runs here
+                counted = part
+                second = self._logits(rest, counted).data
+            logits = np.concatenate([first.data, second])
         if counter is not None:
-            counter.add(part)
-        return Tensor(np.concatenate([first.data, out["logits"].data]))
+            counter.add(counted)
+        return Tensor(logits)
 
     def cost(self) -> costs.CostModel:
         return costs.cost_from_views(self.model.config, self.views)

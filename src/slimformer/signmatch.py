@@ -37,10 +37,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     """full_attention under a causal visibility ``mask`` (see causal_mask),
     shared by all sequences or per sequence. A query that sees none of the
     keys (one before the earliest key position) gets full_attention's zero
-    output row and counts as starved in each sequence."""
+    output row and counts as starved in each sequence: a mask's starved
+    rows count once per sequence that shares them."""
     if counter is not None:
         starved = ~mask.any(axis=-1)                           # [..., n]
-        counter.starved_queries += int(np.broadcast_to(starved, q.data.shape[:-1]).sum())
+        counter.starved_queries += int(starved.sum()) * (q.data[..., 0].size // starved.size)
     return full_attention(q, k, v, mask)
 
 
@@ -185,11 +186,12 @@ def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
                          counter: OpCounter | None = None) -> Tensor:
     """Attention restricted to the top_k sign-matched keys of each sequence.
 
-    key_positions maps key rows to their original sequence positions (used
-    by the causal mask when some positions were pruned upstream). Selected
-    keys are gathered in ascending original order, so at top_k = n the
-    result is bit-identical to full attention. Causal queries that can see
-    none of the selected keys produce a zero output row and bump the
+    key_positions maps key rows to their original sequence positions, in
+    ascending order (used by the causal mask when some positions were
+    pruned upstream). Selected keys are gathered in ascending original
+    order, so at top_k = n the result is bit-identical to full attention.
+    Causal queries that can see none of the selected keys, those before a
+    sequence's earliest one, produce a zero output row and bump the
     starvation counter. Keys and values are gathered through one index.
     """
     if top_k < 1:
@@ -203,5 +205,9 @@ def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
         # each selected key's column of the shared [n, n_k] visibility
         columns = causal_mask(q.data.shape[-2], positions).T.take(sel, axis=0)
         mask = np.ascontiguousarray(np.swapaxes(columns, -1, -2))
-        return causal_attention(q, k_sel, v_sel, mask, counter)
+        if counter is not None:
+            # the queries before a sequence's earliest selected key see none
+            first = np.asarray(positions)[sel[..., 0]]
+            counter.starved_queries += int(np.minimum(first, q.data.shape[-2]).sum())
+        return full_attention(q, k_sel, v_sel, mask)
     return full_attention(q, k_sel, v_sel)

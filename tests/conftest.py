@@ -14,7 +14,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from slimformer import TaskSpec, TransformerConfig, build_model, generate_task
+from slimformer import TaskSpec, TransformerConfig, build_model, generate_task, speculate
+
+
+@pytest.fixture(autouse=True)
+def own_split_worker():
+    """Each test starts without a split worker and stops the one it started."""
+    speculate.stop_split_worker()
+    yield
+    speculate.stop_split_worker()
 
 
 @pytest.fixture

@@ -127,6 +127,47 @@ def test_sign_matched_causal_attention_matches_reference(rng, n_k):
     np.testing.assert_array_equal(out[~mask.any(axis=-1)], 0.0)
 
 
+@pytest.mark.filterwarnings("ignore:layer .* pruned key/value positions")
+@pytest.mark.parametrize("seed", range(8))
+def test_starved_count_equals_mask_scan_over_random_plans(monkeypatch, seed):
+    """A planned causal forward counts as starved exactly the mask rows
+    without a visible key, summed over every (sequence, head) of every
+    layer, as a scan of each mask the attention core receives counts them:
+    random key/value groups, heads and sign matching per layer, the first
+    group pruned in some layers, so their first queries see no key."""
+    import slimformer.signmatch as signmatch
+
+    rng = np.random.default_rng(seed)
+    config = TransformerConfig(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=8,
+                               context_len=16, vocab_size=6, autoregressive=True,
+                               task_kind="language_model", weight_group_width=4,
+                               kv_group_width=2)
+    plan = ApproxPlan()
+    for layer in range(config.num_layers):
+        groups = rng.permutation(config.context_len // 2)[:rng.integers(0, 7)]
+        for g in groups:
+            plan = plan.with_skip(TransElement(KV_GROUP, layer, int(g)))
+        if rng.random() < 0.3:
+            plan = plan.with_skip(TransElement(HEAD, layer, int(rng.integers(2))))
+        if rng.random() < 0.6:
+            plan = plan.with_approx(attn_block(layer), SignMatch(int(rng.integers(1, 17))))
+    scanned = []
+    attention = signmatch.full_attention
+
+    def scanning(q, k, v, mask=None):
+        scanned.append(int(np.broadcast_to(~mask.any(axis=-1), q.data.shape[:-1]).sum()))
+        return attention(q, k, v, mask)
+
+    monkeypatch.setattr(signmatch, "full_attention", scanning)
+    planned = PlannedModel(build_model(config, seed), plan)
+    counter = OpCounter()
+    tokens = rng.integers(0, 6, size=(5, int(rng.integers(9, 17))))
+    with tensor.no_grad():
+        planned.forward(tokens, counter=counter)
+    assert len(scanned) == sum(not v.attn_skipped and v.head_live.any() for v in planned.views)
+    assert counter.starved_queries == sum(scanned)
+
+
 @pytest.mark.parametrize("n_k", KEY_COUNTS)
 def test_full_attention_matches_reference(rng, n_k):
     n_q = 6

@@ -350,7 +350,11 @@ class TestCli:
     @pytest.mark.parametrize("override, field", [
         ("task.vocab_size=9", "vocab_size"), ("task.vocab_size=4", "vocab_size"),
         ("task.kind=majority_classification", "task_kind"),
-        ("task.kind=toy_lm", "task_kind"), ("task.context_len=15", "context_len")])
+        ("task.kind=toy_lm", "task_kind"), ("task.context_len=15", "context_len"),
+        ("model.num_layers=2", "num_layers"), ("model.hidden_dim=16", "hidden_dim"),
+        ("model.num_heads=4", "num_heads"), ("model.ffn_dim=8", "ffn_dim"),
+        ("model.weight_group_width=2", "weight_group_width"),
+        ("model.kv_group_width=1", "kv_group_width")])
     def test_checkpoint_of_another_task_exit_code(self, tmp_path, capsys, override, field):
         copy = TaskSpec("copy", vocab_size=6, context_len=9, train_size=64, seed=3)
         cfg = self.write_config(tmp_path, task=copy, epochs_baseline=1, shape=ModelShape(

@@ -2,9 +2,12 @@
 result is computed, never what it is."""
 
 import ctypes
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -37,6 +40,16 @@ def split_allowed() -> bool:
     """The forward's gate for two sequences at the split threshold, grad off."""
     with no_grad():
         return speculate.split_allowed(2, speculate.SPLIT_MIN_VALUES // 2)
+
+
+def split_forward(monkeypatch):
+    """A toy model's no-grad forward of two sequences, split: it leaves the
+    split worker running."""
+    planned = PlannedModel(build_model(small_config().transformer_config(), 3))
+    with monkeypatch.context() as m, no_grad():
+        m.setattr(speculate, "SPLIT_MIN_VALUES", 1)
+        planned.forward(np.zeros((2, 8), dtype=np.int64))
+    assert speculate._worker.proc.is_alive()
 
 
 def set_helper(monkeypatch, on: bool):
@@ -75,9 +88,15 @@ def one_helper(monkeypatch):
     monkeypatch.setattr(speculate.Helper, "submit", checked)
 
 
+def helpers() -> list:
+    """Live child processes other than the split worker."""
+    split = speculate._worker and speculate._worker.proc
+    return [p for p in multiprocessing.active_children() if p is not split]
+
+
 def artifacts(config, out: Path) -> dict:
     run_experiment(config, out)
-    assert multiprocessing.active_children() == []
+    assert helpers() == []
     return {name: (out / name).read_bytes() for name in ARTIFACTS}
 
 
@@ -396,14 +415,37 @@ def test_gate_closed_beside_other_threads(monkeypatch):
     monkeypatch.setattr(speculate, "available_cpus", lambda: 64)
     monkeypatch.setattr(threading, "active_count", lambda: 2)
     assert not speculate.helper_allowed()
-    assert split_allowed()  # the worker thread is the split's own
+    assert split_allowed()  # a running split worker serves any thread
+
+
+def test_split_worker_leaves_the_gates_open(monkeypatch):
+    """The split worker is the only child alive after a split forward; it
+    holds the spare CPU for later forwards, not against a helper."""
+    monkeypatch.setattr(speculate, "available_cpus", lambda: 2)
+    split_forward(monkeypatch)
+    assert multiprocessing.active_children() == [speculate._worker.proc]
+    assert speculate.helper_allowed() and split_allowed()
+
+
+def test_open_helper_owns_the_spare_cpu(monkeypatch):
+    """While a helper is open no forward splits, and its first submit stops
+    the split worker before it forks."""
+    monkeypatch.setattr(speculate, "available_cpus", lambda: 2)
+    split_forward(monkeypatch)
+    worker = speculate._worker
+    with speculate.Helper() as helper:
+        assert not split_allowed()
+        assert speculate._worker is worker
+        helper.submit("key", lambda: 7)
+        assert speculate._worker is None and helpers() == [helper._proc]
+        assert helper.take("key") == 7
+    assert split_allowed() and helpers() == []
 
 
 def test_speculation_unchanged_by_split_forward(monkeypatch, tmp_path, analyzers):
-    """Split forwards in the baseline's evaluations end their worker before
-    the greedy loop asks the real gate, which forks only from a process
-    running one thread; the loop's speculations are the same with the
-    split on or off."""
+    """Split forwards in the baseline's evaluations leave the split worker
+    running, which the greedy loop's real gate does not count as a helper;
+    the loop's speculations are the same with the split on or off."""
     splits = []
     split = PlannedModel._split_logits
 
@@ -424,3 +466,39 @@ def test_speculation_unchanged_by_split_forward(monkeypatch, tmp_path, analyzers
     serial, split_on = analyzers
     assert split_on.speculated == serial.speculated > 0
     assert split_on.speculation_hits == serial.speculation_hits > 0
+
+
+FRESH_RUN = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from test_experiment import small_config
+from slimformer import experiment, run_experiment, speculate
+speculate.available_cpus = lambda: 2
+made = []
+class Recording(experiment.GreedyAnalyzer):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        made.append(self)
+experiment.GreedyAnalyzer = Recording
+run_experiment(small_config(**json.loads(sys.argv[3])), sys.argv[4])
+print(json.dumps([(a.speculated, a.speculation_hits) for a in made]))
+"""
+
+
+def test_speculation_after_split_forward_as_in_a_fresh_process(monkeypatch, tmp_path,
+                                                               analyzers):
+    """A speed run started while the split worker from an earlier forward
+    still runs speculates and takes helper results as it does in a fresh
+    process, with the same artifacts."""
+    monkeypatch.setattr(speculate, "available_cpus", lambda: 2)
+    split_forward(monkeypatch)
+    here = artifacts(small_config(**KEEPS), tmp_path / "here")
+    tests = Path(__file__).resolve().parent
+    fresh = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, str(tests.parent / "src"), str(tests),
+         json.dumps(KEEPS), str(tmp_path / "fresh")],
+        capture_output=True, text=True, timeout=300, check=True)
+    assert [list(pair) for pair in json.loads(fresh.stdout)] == [
+        [a.speculated, a.speculation_hits] for a in analyzers]
+    assert analyzers[0].speculation_hits >= 1
+    assert here == {name: (tmp_path / "fresh" / name).read_bytes() for name in ARTIFACTS}

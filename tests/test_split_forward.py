@@ -1,11 +1,17 @@
 """The split no-grad forward: with grad off, a large batch runs its second
-half in a worker thread. Logits, losses and counters are the bits of one
-pass over the whole batch, and the worker never outlives the forward."""
+half in the split worker, one long-lived forked process. Logits, losses
+and counters are the bits of one pass over the whole batch, whatever
+happens to the worker, and the worker leaves no process behind."""
 
+import gc
 import multiprocessing
 import os
+import signal
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from slimformer.tensor import no_grad
 
 scenarios = load("scenarios")
 COPY_CONFIG = scenarios.optimize_config("speed")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def min_batch(config: TransformerConfig) -> int:
@@ -30,31 +37,51 @@ MIN = min_batch(COPY_CONFIG.transformer_config())  # copy-task sequences
 @pytest.fixture
 def splits(monkeypatch):
     """The batch of every split forward, with the spare CPU free whatever
-    this machine has."""
-    made = []
-    split = PlannedModel._split_logits
+    this machine has; ``splits.taken`` records whether the worker took
+    each half handed to it."""
+    made = Recorded()
+    split, submit = PlannedModel._split_logits, speculate._SplitWorker.submit
 
     def recording(self, tokens, counter):
         made.append(tokens.shape[0])
         return split(self, tokens, counter)
 
+    def submitting(self, *args):
+        made.taken.append(submit(self, *args))
+        return made.taken[-1]
+
     monkeypatch.setattr(speculate, "spare_cpu_free", lambda: True)
     monkeypatch.setattr(PlannedModel, "_split_logits", recording)
+    monkeypatch.setattr(speculate._SplitWorker, "submit", submitting)
     return made
 
 
+class Recorded(list):
+    """A list of records with side lists."""
+
+    def __init__(self):
+        super().__init__()
+        self.taken, self.threads = [], []
+
+
 @pytest.fixture
-def thread_starts(monkeypatch):
-    """Count every thread started in this process."""
-    started = []
-    start = threading.Thread.start
+def starts(monkeypatch):
+    """Every split worker started in this process; ``starts.threads``
+    records every thread."""
+    made = Recorded()
+    init, start = speculate._SplitWorker.__init__, threading.Thread.start
+
+    def forking(self, size):
+        init(self, size)
+        made.append(self)
 
     def counting(self):
-        started.append(self)
+        made.threads.append(self)
         start(self)
 
+    monkeypatch.setattr(speculate._SplitWorker, "__init__", forking)
     monkeypatch.setattr(threading.Thread, "start", counting)
-    return started
+    return made
 
 
 def serial_and_split(monkeypatch, planned, tokens, labels=None, with_counter=False):
@@ -82,11 +109,16 @@ def copy_task(batch: int):
     return PlannedModel(model), data.tokens[:batch], data.labels[:batch]
 
 
+def forward(planned, tokens):
+    with no_grad():
+        return planned.forward(tokens)[0].data
+
+
 @pytest.mark.parametrize("plan", scenarios.PLAN_NAMES)
 def test_serve_plans_bit_identical(monkeypatch, splits, plan):
     tokens, planned = scenarios.serve_inputs(1)
     serial, split = serial_and_split(monkeypatch, planned[plan], tokens, with_counter=True)
-    assert splits == [len(tokens)]
+    assert splits == [len(tokens)] and splits.taken == [True]
     assert np.array_equal(split[0], serial[0])
     assert split[2] == serial[2]  # the worker's counts merged into the caller's
     if plan == "signmatch":
@@ -103,7 +135,7 @@ def test_classification_head_bit_identical(monkeypatch, splits):
     tokens, labels = data.tokens[:batch], data.labels[:batch]
     planned = PlannedModel(build_model(config, 7))
     serial, split = serial_and_split(monkeypatch, planned, tokens, labels)
-    assert splits == [batch]
+    assert splits == [batch] and splits.taken == [True]
     assert np.array_equal(split[0], serial[0])
     assert np.array_equal(split[1], serial[1])
 
@@ -115,21 +147,21 @@ def test_copy_task_loss_bit_identical(monkeypatch, splits, batch):
     planned, tokens, labels = copy_task(batch)
     serial, split = serial_and_split(monkeypatch, planned, tokens, labels)
     assert splits == ([] if batch < MIN else [batch])
+    assert splits.taken == [True] * len(splits)
     assert np.array_equal(split[0], serial[0])
     assert np.array_equal(split[1], serial[1])
 
 
 def test_concurrent_split_forwards_bit_identical(monkeypatch, splits):
-    """Four callers split at once under a short switch interval, eight
-    threads on fewer CPUs: the halves share only what they read, so every
-    caller gets the serial bits."""
+    """Four callers split at once under a short switch interval: one takes
+    the worker, the others run their whole batch, and every caller gets
+    the serial bits."""
     tokens, planned = scenarios.serve_inputs(1)
     (serial, _, _), _ = serial_and_split(monkeypatch, planned["signmatch"], tokens)
     results = [None] * 4
 
     def call(i):
-        with no_grad():
-            results[i] = planned["signmatch"].forward(tokens)[0].data
+        results[i] = forward(planned["signmatch"], tokens)
 
     callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -142,26 +174,28 @@ def test_concurrent_split_forwards_bit_identical(monkeypatch, splits):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert len(splits) == 1 + 4
+    assert len(splits) == 1 + 4 and splits.taken[0] and 1 <= len(splits.taken) <= 5
     assert all(np.array_equal(r, serial) for r in results)
 
 
-def test_grad_enabled_forward_starts_no_thread(splits, thread_starts):
+def test_grad_enabled_forward_starts_nothing(splits, starts):
     planned, tokens, labels = copy_task(2 * MIN)
     logits, loss = planned.forward(tokens, labels)
     assert loss.requires_grad
-    assert splits == [] and thread_starts == []
+    assert splits == [] and starts == [] and starts.threads == []
 
 
-@pytest.mark.parametrize("condition, threads", [
+@pytest.mark.parametrize("condition, workers", [
     ("open", 1),
     ("below_threshold", 0),
     ("one_sequence", 0),
     ("blas_on_every_cpu", 0),
     ("pool_worker", 0),
     ("child_alive", 0),
+    ("speculating", 0),
+    ("other_threads", 0),
 ])
-def test_forward_splits_only_when_allowed(monkeypatch, thread_starts, condition, threads):
+def test_forward_splits_only_when_allowed(monkeypatch, starts, condition, workers):
     monkeypatch.setattr(speculate, "available_cpus", lambda: 2)
     batch = {"below_threshold": MIN - 1, "one_sequence": 1}.get(condition, MIN)
     if condition == "one_sequence":
@@ -172,56 +206,188 @@ def test_forward_splits_only_when_allowed(monkeypatch, thread_starts, condition,
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
     if condition == "child_alive":
         monkeypatch.setattr(multiprocessing, "active_children", lambda: [object()])
+    if condition == "speculating":
+        monkeypatch.setattr(speculate, "_speculating", 1)
+    if condition == "other_threads":  # fork would be unsafe
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
     planned, tokens, _ = copy_task(batch)
-    with no_grad():
-        planned.forward(tokens)
-    assert len(thread_starts) == threads
+    serial = forward(planned, tokens)
+    with monkeypatch.context() as m:
+        m.setattr(speculate, "split_allowed", lambda batch, values: False)
+        assert np.array_equal(forward(planned, tokens), serial)
+    assert len(starts) == workers and starts.threads == []
 
 
-def test_worker_joined_after_split(monkeypatch, splits):
-    """The worker ends with the forward, its half builds no graph although
-    grad mode is per thread, and it runs off the caller's CPU where there
-    is another."""
-    halves = {}
-    logits = PlannedModel._logits
-
-    def recording(self, tokens, counter):
-        out = logits(self, tokens, counter)
-        caller = threading.current_thread() is threading.main_thread()
-        halves[caller] = (out.requires_grad, os.sched_getaffinity(0))
-        return out
-
-    monkeypatch.setattr(PlannedModel, "_logits", recording)
+def test_worker_outlives_forward_off_the_callers_cpu(splits, starts):
+    """One worker serves every split forward, of any model, without a
+    thread; it runs off the caller's CPU where there is another."""
     planned, tokens, _ = copy_task(MIN)
-    before = threading.active_count()
-    with no_grad():
-        planned.forward(tokens)
-    assert splits == [MIN]
-    (caller_grad, caller_cpus), (worker_grad, worker_cpus) = halves[True], halves[False]
-    assert not caller_grad and not worker_grad
-    assert worker_cpus < caller_cpus or len(caller_cpus) == 1
-    assert threading.active_count() == before
+    other, _, _ = copy_task(MIN)
+    first = forward(planned, tokens)
+    for model in (planned, other, planned):
+        assert np.array_equal(forward(model, tokens), first)
+    assert splits.taken == [True] * 4 and len(starts) == 1 and starts.threads == []
+    worker = starts[0]
+    assert worker.proc.is_alive() and worker is speculate._worker
+    caller, helper = os.sched_getaffinity(0), os.sched_getaffinity(worker.proc.pid)
+    assert helper < caller or len(caller) == 1
 
 
-@pytest.mark.parametrize("failing", ["both_halves", "worker_half"])
+def test_weights_read_at_every_forward(monkeypatch, splits):
+    """Weights that train in place after the worker has its replica, or
+    are replaced, reach the worker's half."""
+    planned, tokens, _ = copy_task(MIN)
+    forward(planned, tokens)
+    planned.model.layers[0].wq.data += 0.25
+    planned.model.head_w.data = planned.model.head_w.data * 2.0
+    serial, split = serial_and_split(monkeypatch, planned, tokens)
+    assert splits.taken == [True, True]
+    assert np.array_equal(split[0], serial[0])
+
+
+def test_bound_plan_is_read_only():
+    planned, _, _ = copy_task(2)
+    view = planned.views[1]
+    for live in (view.kv_live, view.head_live, view.qkv_live, view.ffn_live,
+                 view.quant_bits["w1"]):
+        with pytest.raises(ValueError):
+            live[0] = not live[0]
+
+
+@pytest.mark.parametrize("failing", ["both_halves", "worker_half", "caller_half"])
 def test_failing_half_raises_in_caller(monkeypatch, splits, failing):
-    """A plan left with no live key/value position fails in both halves;
-    a failure in the worker's half alone is raised in the caller too. The
-    worker is joined either way."""
+    """A weight of the wrong shape, which the worker's replica takes on
+    too, fails both halves; a failure in either half alone is raised in
+    the caller as well. The next forward gets the serial bits."""
     planned, tokens, _ = copy_task(MIN)
-    if failing == "both_halves":
-        planned.views[1].kv_live[:] = False
-    else:
-        attention = PlannedModel.attention_sublayer
+    with monkeypatch.context() as m:
+        m.setattr(speculate, "split_allowed", lambda batch, values: False)
+        serial = forward(planned, tokens)
+    wv = planned.model.layers[1].wv.data
+    with monkeypatch.context() as m:  # the worker, forked here, sees the same
+        if failing == "both_halves":
+            planned.model.layers[1].wv.data = np.zeros((wv.shape[0] - 1, wv.shape[1]))
+            error, match = ValueError, None
+        else:
+            attention = PlannedModel.attention_sublayer
+            in_worker = failing == "worker_half"
 
-        def worker_fails(self, layer, x, counter=None):
-            if threading.current_thread() is not threading.main_thread():
-                raise PlanError("worker half failed")
-            return attention(self, layer, x, counter)
+            def one_half_fails(self, layer, x, counter=None):
+                if (multiprocessing.parent_process() is not None) == in_worker:
+                    raise PlanError(f"{failing} failed")
+                return attention(self, layer, x, counter)
 
-        monkeypatch.setattr(PlannedModel, "attention_sublayer", worker_fails)
-    before = threading.active_count()
-    with no_grad(), pytest.raises(PlanError):
-        planned.forward(tokens)
-    assert splits == [MIN]
-    assert threading.active_count() == before
+            m.setattr(PlannedModel, "attention_sublayer", one_half_fails)
+            error, match = PlanError, failing
+        with pytest.raises(error, match=match):
+            forward(planned, tokens)
+    planned.model.layers[1].wv.data = wv
+    assert np.array_equal(forward(planned, tokens), serial)
+    assert splits.taken == [True, True]
+
+
+def test_dead_worker_half_runs_here_then_restarts(monkeypatch, splits, starts):
+    """A worker killed while the caller runs its half: the caller computes
+    the worker's half too, counts included, and the next split forward
+    starts a new worker."""
+    planned, tokens, _ = copy_task(MIN + 1)
+    with monkeypatch.context() as m:
+        m.setattr(speculate, "split_allowed", lambda batch, values: False)
+        serial = OpCounter()
+        with no_grad():
+            first = planned.forward(tokens, counter=serial)[0].data
+    doomed, logits = [], PlannedModel._logits
+
+    def killing(self, tokens, counter):
+        if doomed:  # empty in the worker, forked before
+            os.kill(doomed.pop().proc.pid, signal.SIGKILL)
+        return logits(self, tokens, counter)
+
+    monkeypatch.setattr(PlannedModel, "_logits", killing)
+    assert np.array_equal(forward(planned, tokens), first)
+    doomed.append(starts[0])
+    counter = OpCounter()
+    with no_grad():
+        assert np.array_equal(planned.forward(tokens, counter=counter)[0].data, first)
+    assert counter == serial
+    for _ in range(2):
+        assert np.array_equal(forward(planned, tokens), first)
+    assert len(starts) == 2
+    assert splits.taken[-1] and speculate._worker is starts[1]
+
+
+def test_map_grows_for_a_larger_batch(monkeypatch, splits, starts):
+    """A half that does not fit the worker's map runs here; the next split
+    forward starts a worker with a map large enough."""
+    monkeypatch.setattr(speculate, "_map_bytes", 4096)
+    planned, tokens, _ = copy_task(MIN)
+    first = forward(planned, tokens)
+    assert np.array_equal(forward(planned, tokens), first)
+    assert splits.taken == [False, True] and len(starts) == 2
+    assert len(starts[1].map) > len(starts[0].map) == 4096
+
+
+def test_replica_of_a_collected_model_dropped(splits):
+    planned, tokens, _ = copy_task(MIN)
+    other, _, _ = copy_task(MIN)
+    forward(planned, tokens)
+    forward(other, tokens)
+    worker = speculate._worker
+    gone = worker.replicas[id(planned)].rid
+    del planned
+    gc.collect()
+    assert worker.dropped == [gone] and id(other) in worker.replicas
+    forward(other, tokens)
+    assert worker.dropped == [] and len(worker.replicas) == 1 and splits.taken[-1]
+
+
+def test_forked_child_never_talks_to_the_worker(splits):
+    """A child forked beside the worker starts without it and holds no end
+    of its pipe: closing the parent's end still ends the worker while the
+    child lives, and the parent's worker stays in step."""
+    planned, tokens, _ = copy_task(MIN)
+    first = forward(planned, tokens)
+    worker = speculate._worker
+    ctx = multiprocessing.get_context("fork")
+    ready, release = ctx.Pipe()
+
+    def child():
+        alone = speculate._worker is None
+        ready.send((alone, np.array_equal(forward(planned, tokens), first)))
+        ready.recv()  # stay alive until the parent says
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    assert release.poll(120) and release.recv() == (True, True)
+    assert np.array_equal(forward(planned, tokens), first)
+    worker.conn.close()
+    worker.proc.join(timeout=30)
+    ended = worker.proc.exitcode
+    release.send(None)
+    proc.join(timeout=30)
+    assert ended == 0 and proc.exitcode == 0
+    assert splits == [MIN, MIN] and splits.taken == [True, True]
+
+
+def test_process_that_splits_leaves_no_process_behind():
+    script = textwrap.dedent("""
+        import os, sys
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        from slimformer import (PlannedModel, TransformerConfig, build_model, no_grad,
+                                speculate)
+        speculate.spare_cpu_free = lambda: True
+        config = TransformerConfig(num_layers=1, hidden_dim=32, num_heads=4, ffn_dim=32,
+                                   context_len=32, vocab_size=8)
+        with no_grad():
+            PlannedModel(build_model(config, 1)).forward(np.zeros((48, 32), dtype=int))
+        print(speculate._worker.proc.pid)
+    """)
+    proc = subprocess.Popen([sys.executable, "-c", script, str(SRC)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert int(out) > 0
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

@@ -16,16 +16,21 @@ change's gain is claimable: it wins at least nine tenths of the pairs, the
 medians differ, in the better direction, by more than the distance between
 the parent's quartiles, every change run reports ``correct: true`` and the
 change's runs fail no more operations than the parent's. Runs that report
-``correct: false`` or failed operations are listed. The script writes
-nothing; each run writes only its own checkout's gitignored
+``correct: false`` or failed operations are listed. Each run starts in a
+session of its own; a run that leaves a process of that session running
+is listed as ``# LEFT RUNNING`` and its leftovers are killed. The script
+writes nothing; each run writes only its own checkout's gitignored
 ``perfbench/out/``. Exits 2 when a run fails, 1 when a change run is not
-correct or fails more operations than the parent's runs, 0 otherwise.
+correct, fails more operations than the parent's runs or a run leaves a
+process running, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -36,15 +41,26 @@ SECONDS = 20
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_bench(checkout: Path, args) -> dict:
-    """One benchmark run in ``checkout``; its JSON result."""
+def run_bench(checkout: Path, args) -> tuple[dict, bool]:
+    """One benchmark run in ``checkout``, in a session of its own: its JSON
+    result, and whether a process of that session outlived it (any such
+    process is then killed)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    proc = subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    stdout, stderr = proc.communicate()
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        left = False
+    else:
+        left = True
+        os.killpg(proc.pid, signal.SIGKILL)
+    lines = stdout.strip().splitlines()
     if proc.returncode or not lines:
-        raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
-    return json.loads(lines[-1])
+        raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{stderr}")
+    return json.loads(lines[-1]), left
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -98,16 +114,18 @@ def main(argv=None) -> int:
     against = args.against.resolve()
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    parent, change, bad = [], [], []
+    parent, change, bad, stray = [], [], [], []
     for i in range(args.pairs):
         order = ((against, parent), (ROOT, change))
         for checkout, results in (order if i % 2 == 0 else order[::-1]):
             try:
-                result = run_bench(checkout, args)
+                result, left = run_bench(checkout, args)
             except RuntimeError as exc:
                 print(exc, file=sys.stderr)
                 return 2
             results.append(result)
+            if left:
+                stray.append(f"pair {i} {checkout}")
             if not result["correct"] or result["failed"]:
                 bad.append(f"pair {i} {checkout}: correct={result['correct']} "
                            f"failed={result['failed']} of {result['attempted']}")
@@ -121,7 +139,9 @@ def main(argv=None) -> int:
         print(row)
     for line in bad:
         print(f"# NOT CORRECT {line}")
-    return 0 if sound(parent, change) else 1
+    for run in stray:
+        print(f"# LEFT RUNNING {run}")
+    return 0 if sound(parent, change) and not stray else 1
 
 
 if __name__ == "__main__":
