@@ -224,15 +224,17 @@ class GreedyAnalyzer:
     def run(self, queue: ElementQueue) -> ApproxPlan:
         """Decide every queue element; returns the plan. Speculates one
         trial ahead in a helper process when ``speculate.helper_allowed``
-        and candidates are fine-tuned; the helper is gone on return."""
+        and candidates are fine-tuned. The open helper owns the spare CPU
+        for the whole run, so no forward splits meanwhile; it is gone on
+        return."""
         if self.epochs == 0 or not speculate.helper_allowed():
             return self._run(queue)
         self._spec = _Speculation()
+        helper = self._spec.helper
         try:
-            return self._run(queue)
+            with helper:
+                return self._run(queue)
         finally:
-            helper = self._spec.helper
-            helper.cancel()
             self.speculated += helper.speculated
             self.speculation_hits += helper.hits
             self._spec = None

@@ -285,20 +285,24 @@ class _SplitWorker:
                 install = pickle.dumps(owner, pickle.HIGHEST_PROTOCOL)
             except Exception:  # a model that does not pickle runs here
                 return False
-            if replica is not None:
-                self.dropped.append(replica.rid)
-            replica = self.replicas[id(owner)] = _Replica(self, owner, specs)
-        for view, t in zip(replica.views, params):
-            view[...] = t.data
-        _view(self.map, tokens.dtype, tokens.shape, tok_at)[...] = tokens
-        self.out = _view(self.map, np.float64, out_shape, out_at)
-        dropped, self.dropped = self.dropped, []
         try:
+            if fresh:
+                if replica is not None:
+                    self.dropped.append(replica.rid)
+                replica = self.replicas[id(owner)] = _Replica(self, owner, specs)
+            for view, t in zip(replica.views, params):
+                view[...] = t.data
+            _view(self.map, tokens.dtype, tokens.shape, tok_at)[...] = tokens
+            self.out = _view(self.map, np.float64, out_shape, out_at)
+            dropped, self.dropped = self.dropped, []
             self.conn.send((replica.rid, install, dropped, (tokens.dtype, tokens.shape, tok_at),
                             (np.float64, out_shape, out_at), counter))
         except OSError:
             self.broken = True
             return False
+        except BaseException:  # interrupted: this end and the worker may be out of step
+            self.broken = True
+            raise
         return True
 
     def receive(self):

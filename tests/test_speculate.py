@@ -442,6 +442,44 @@ def test_open_helper_owns_the_spare_cpu(monkeypatch):
     assert split_allowed() and helpers() == []
 
 
+def test_speculating_run_owns_the_spare_cpu(monkeypatch, tmp_path, analyzers):
+    """From start to end of a speculating greedy run no forward splits and
+    no split worker starts, though every no-grad forward of the run passes
+    the split threshold; the worker from an earlier forward is stopped."""
+    events, left = [], []  # left: the split worker at the run's end
+    split, start, run = (PlannedModel._split_logits, speculate._SplitWorker.__init__,
+                         GreedyAnalyzer.run)
+
+    def recording_split(self, tokens, counter):
+        events.append("split")
+        return split(self, tokens, counter)
+
+    def recording_start(self, size):
+        events.append("fork")
+        start(self, size)
+
+    def recording_run(self, queue):
+        events.append("run")
+        try:
+            return run(self, queue)
+        finally:
+            events.append("end")
+            left.append(speculate._worker)
+
+    monkeypatch.setattr(speculate, "available_cpus", lambda: 2)
+    monkeypatch.setattr(speculate, "SPLIT_MIN_VALUES", 1)  # a toy model's batches too
+    monkeypatch.setattr(PlannedModel, "_split_logits", recording_split)
+    monkeypatch.setattr(speculate._SplitWorker, "__init__", recording_start)
+    monkeypatch.setattr(GreedyAnalyzer, "run", recording_run)
+    split_forward(monkeypatch)
+    artifacts(small_config(**KEEPS), tmp_path)
+    inside = events[events.index("run") + 1:events.index("end")]
+    assert "split" in events[:events.index("run")]  # the baseline's evaluations split
+    assert inside == [] and left == [None]
+    [analyzer] = analyzers
+    assert analyzer.speculated > analyzer.speculation_hits >= 1  # a trial ran here alone
+
+
 def test_speculation_unchanged_by_split_forward(monkeypatch, tmp_path, analyzers):
     """Split forwards in the baseline's evaluations leave the split worker
     running, which the greedy loop's real gate does not count as a helper;

@@ -6,7 +6,9 @@ happens to the worker, and the worker leaves no process behind."""
 import gc
 import multiprocessing
 import os
+import pickle
 import signal
+import struct
 import subprocess
 import sys
 import textwrap
@@ -314,6 +316,35 @@ def test_dead_worker_half_runs_here_then_restarts(monkeypatch, splits, starts):
         assert np.array_equal(forward(planned, tokens), first)
     assert len(starts) == 2
     assert splits.taken[-1] and speculate._worker is starts[1]
+
+
+def test_interrupted_send_replaces_the_worker(monkeypatch, splits, starts):
+    """An interrupt while a request is sent leaves part of it in the pipe:
+    the caller sees the interrupt, and the next split forward starts a new
+    worker rather than write behind the torn request."""
+    planned, tokens, _ = copy_task(MIN + 1)
+    first = forward(planned, tokens)
+    [torn] = starts
+
+    class TornPipe:
+        def __init__(self, conn):
+            self.conn = conn
+
+        def send(self, message):
+            data = pickle.dumps(message)
+            os.write(self.conn.fileno(), struct.pack("!i", len(data)) + data[:len(data) // 2])
+            raise KeyboardInterrupt
+
+        def __getattr__(self, name):
+            return getattr(self.conn, name)
+
+    torn.conn = TornPipe(torn.conn)
+    with pytest.raises(KeyboardInterrupt):
+        forward(planned, tokens)
+    assert torn.broken
+    assert np.array_equal(forward(planned, tokens), first)
+    assert len(starts) == 2 and splits.taken[-1] and speculate._worker is starts[1]
+    assert multiprocessing.active_children() == [starts[1].proc]
 
 
 def test_map_grows_for_a_larger_batch(monkeypatch, splits, starts):
