@@ -122,11 +122,12 @@ def _cmd_evaluate(args) -> int:
     _check_fits_task(model, config)
     plan = ApproxPlan.from_json(_read_text(args.plan, "plan")) if args.plan else ApproxPlan()
     data = generate_task(config.task)
-    cost = PlannedModel(model, plan).cost()
+    planned = PlannedModel(model, plan)
+    cost = planned.cost()
     result = {
-        "train_loss": evaluate_loss(model, plan, data.train),
-        "val_loss": evaluate_loss(model, plan, data.val),
-        "val_accuracy": evaluate_accuracy(model, plan, data.val),
+        "train_loss": evaluate_loss(planned, None, data.train),
+        "val_loss": evaluate_loss(planned, None, data.val),
+        "val_accuracy": evaluate_accuracy(planned, None, data.val),
         "mac_count": cost.mac_count,
         "param_count": cost.param_count,
         "bytes": cost.bytes,

@@ -199,15 +199,16 @@ class RunReport:
 
 def _metrics(model: TransformerModel, plan, data: TaskData, spec: TaskSpec,
              latency_batch=None) -> MetricsBundle:
-    cost = PlannedModel(model, plan).cost()
+    planned = PlannedModel(model, plan)
+    cost = planned.cost()
     tokens = (data.val.tokens if latency_batch is None else latency_batch)[:16]
-    wall = measure_latency(model, plan, tokens, repeats=3)
-    val_loss = evaluate_loss(model, plan, data.val)
+    wall = measure_latency(planned, None, tokens, repeats=3)
+    val_loss = evaluate_loss(planned, None, data.val)
     ppl = math.exp(val_loss) if spec.model_task_kind != "classification" else None
     return MetricsBundle(
-        train_loss=evaluate_loss(model, plan, data.train),
+        train_loss=evaluate_loss(planned, None, data.train),
         val_loss=val_loss,
-        accuracy=evaluate_accuracy(model, plan, data.val),
+        accuracy=evaluate_accuracy(planned, None, data.val),
         param_count=cost.param_count,
         mac_count=cost.mac_count,
         bytes=cost.bytes,
@@ -339,11 +340,12 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
 
     def row(method: str, weights: TransformerModel, plan: ApproxPlan, removed: int,
             evaluated: int, seconds: float) -> dict:
-        cost = PlannedModel(weights, plan).cost()
+        planned = PlannedModel(weights, plan)
+        cost = planned.cost()
         return {
             "method": method,
-            "train_loss": evaluate_loss(weights, plan, data.train),
-            "val_loss": evaluate_loss(weights, plan, data.val),
+            "train_loss": evaluate_loss(planned, None, data.train),
+            "val_loss": evaluate_loss(planned, None, data.val),
             "mac_count": cost.mac_count,
             "param_count": cost.param_count,
             "elements_removed": removed,

@@ -25,7 +25,7 @@ from .signmatch import OpCounter, causal_attention, causal_mask, sign_match_atte
 from .tasks import IGNORE_LABEL
 from .tensor import (Tensor, add, cross_entropy, embedding_lookup, full_attention,
                      gelu, layer_norm, linear, make_rng, mean_rows, merge_heads,
-                     mul, no_grad, reshape, split_heads, take)
+                     mul, no_grad, place, reshape, split_heads, take)
 
 
 @dataclass
@@ -133,19 +133,24 @@ class PlannedModel:
     made read-only, so the bound plan cannot change. The view reads the
     model's weights and can be reused across forward passes while they
     train in place; the cached bands stay valid because quantized rows get
-    zero gradient.
+    zero gradient. Binding does not warn: a plan that leaves early causal
+    queries without keys warns where it is checked as it is made (the
+    greedy analyzer resolves every candidate).
     """
 
     def __init__(self, model: TransformerModel, plan: ApproxPlan | None = None):
         self.model = model
         self.plan = plan or ApproxPlan()
-        self.views: list[LayerView] = self.plan.resolve(model.config)
+        self.views: list[LayerView] = self.plan.resolve(model.config, warn=False)
         for view in self.views:  # bound below, and replicated by the split worker
             for live in (view.head_live, view.kv_live, view.qkv_live, view.ffn_live,
                          *view.quant_bits.values()):
                 live.flags.writeable = False
         self._bound = [_BoundLayer(p, view, model.config)
                        for p, view in zip(model.layers, self.views)]
+        # the last layer whose attention mixes positions, None if none does
+        self._last_mixing = max((i for i, (view, b) in enumerate(zip(self.views, self._bound))
+                                 if not view.attn_skipped and b.live_heads), default=None)
 
     def parameters(self) -> list[Tensor]:
         """Parameters that enter the graph under the plan, in
@@ -166,15 +171,15 @@ class PlannedModel:
         if view.attn_skipped:
             return x
         p = self.model.layers[layer]
+        b = self._bound[layer]
+        if not b.live_heads:  # reads no keys: it may see only the loss path's read rows
+            return add(x, p.bo)
         n_x = x.data.shape[-2]
         # standalone sublayer calls may pass sequences shorter than the context
         kv_positions = np.flatnonzero(view.kv_live[:n_x])
         if kv_positions.size == 0:
             raise PlanError(f"layer {layer}: no live key/value positions for "
                             f"sequence length {n_x}")
-        b = self._bound[layer]
-        if not b.live_heads:
-            return add(x, p.bo)
         w, cols = b.weights, b.head_cols
         h = _take(layer_norm(x, p.ln1_g, p.ln1_b), b.qkv_rows, -1)
         q = linear(h, w["wq"](), _take(p.bq, cols, 0))
@@ -193,7 +198,10 @@ class PlannedModel:
             out = full_attention(q, k, v)
         return add(x, linear(merge_heads(out), w["wo"](), p.bo))
 
-    def ffn_sublayer(self, layer: int, x: Tensor) -> Tensor:
+    def ffn_sublayer(self, layer: int, x: Tensor, rows=None) -> Tensor:
+        """The FFN block's output. ``rows``, a slice, says that x holds
+        only those positions of the context; the gradient products then
+        run on every position (see ``linear``'s ``placed``)."""
         view = self.views[layer]
         if view.ffn_skipped:
             return x
@@ -201,11 +209,12 @@ class PlannedModel:
         b = self._bound[layer]
         if b.ffn_empty:
             # no live input row: every position gets gelu(b1) @ w2 + b2
-            z = gelu(reshape(p.b1, (1, -1)))
+            z, placed = gelu(reshape(p.b1, (1, -1))), None
         else:
+            placed = None if rows is None else (rows, self.model.config.context_len)
             h = _take(layer_norm(x, p.ln2_g, p.ln2_b), b.ffn_rows, -1)
-            z = gelu(linear(h, b.weights["w1"](), p.b1))
-        return add(x, linear(z, b.weights["w2"](), p.b2))
+            z = gelu(linear(h, b.weights["w1"](), p.b1, placed))
+        return add(x, linear(z, b.weights["w2"](), p.b2, placed))
 
     # -- end to end ----------------------------------------------------------
 
@@ -223,6 +232,42 @@ class PlannedModel:
         logits, so logits, loss and ``counter`` are bit-identical to one
         pass over the whole batch.
         """
+        tokens, labels = self._inputs(tokens, labels)
+        if self._splits(tokens):
+            logits = self._split_logits(tokens, counter)
+        else:
+            logits = self._logits(tokens, counter)
+        return logits, None if labels is None else self._loss(logits, labels)
+
+    def loss(self, tokens, labels) -> Tensor:
+        """``forward(tokens, labels)``'s loss, with the same bits and
+        gradients, computed on the band of positions the loss reads: from
+        the first to the last where any sequence has a label (the copy
+        task's second pattern; all but the last position of ``toy_lm``).
+        Every op after the attention block of the last layer that mixes
+        positions runs on that band only. BLAS may round a product over
+        fewer rows differently, so the head reads the band placed back
+        into zeros at the full row count, the FFN's gradient products run
+        at the full row count too (see ``linear``'s ``placed``), and the
+        attention block runs on every query. Classification reads every
+        position through the mean, so it computes every row; so does a
+        forward that ``forward`` would split, which this one does."""
+        tokens, labels = self._inputs(tokens, labels)
+        if labels is None:
+            raise ValueError("loss needs labels")
+        if self._splits(tokens):
+            return self._loss(self._split_logits(tokens, None), labels)
+        rows = None
+        if self.model.config.task_kind != "classification":
+            read = np.flatnonzero((labels >= 0).any(axis=0))
+            if read[-1] + 1 - read[0] < tokens.shape[1]:
+                # one band, so that rows are taken as views in C order
+                rows = slice(int(read[0]), int(read[-1]) + 1)
+        return self._loss(self._logits(tokens, None, rows), labels)
+
+    def _inputs(self, tokens, labels):
+        """Tokens, checked and padded to the context, and labels: as given
+        for classification, else checked against the tokens and padded."""
         cfg = self.model.config
         tokens = np.asarray(tokens, dtype=np.int64)
         if labels is not None and cfg.task_kind != "classification":
@@ -230,41 +275,52 @@ class PlannedModel:
             if labels.shape != tokens.shape:
                 raise ValueError(f"labels shape {labels.shape} does not match tokens "
                                  f"{tokens.shape}")
-            labels = np.atleast_2d(labels)
+            labels = _pad_columns(np.atleast_2d(labels), cfg.context_len, IGNORE_LABEL)
+            if not (labels >= 0).any():
+                raise ValueError("no labeled positions in batch")
         tokens = np.atleast_2d(tokens)
         if tokens.max(initial=0) >= cfg.vocab_size or tokens.min(initial=0) < 0:
             raise ValueError(f"token id out of range [0, {cfg.vocab_size})")
         if tokens.shape[1] > cfg.context_len:
             raise ValueError(f"sequence length {tokens.shape[1]} exceeds context "
                              f"{cfg.context_len}")
-        tokens = _pad_columns(tokens, cfg.context_len, cfg.pad_token)
+        return _pad_columns(tokens, cfg.context_len, cfg.pad_token), labels
 
-        if speculate.split_allowed(tokens.shape[0], tokens.shape[1] * cfg.hidden_dim):
-            logits = self._split_logits(tokens, counter)
-        else:
-            logits = self._logits(tokens, counter)
-        if labels is None:
-            return logits, None
-        if cfg.task_kind == "classification":
-            return logits, cross_entropy(logits, labels)
-        flat = reshape(logits, (tokens.shape[0] * cfg.context_len, cfg.output_classes))
-        flat_labels = _pad_columns(labels, cfg.context_len, IGNORE_LABEL).reshape(-1)
-        valid = np.nonzero(flat_labels >= 0)[0]
-        if valid.size == 0:
-            raise ValueError("no labeled positions in batch")
-        loss = cross_entropy(take(flat, valid, 0), flat_labels[valid])
-        return logits, loss
+    def _splits(self, tokens: np.ndarray) -> bool:
+        return speculate.split_allowed(tokens.shape[0],
+                                       tokens.shape[1] * self.model.config.hidden_dim)
 
-    def _logits(self, tokens: np.ndarray, counter: OpCounter | None) -> Tensor:
-        """The layer stack on padded tokens, from embedding to logits."""
+    def _loss(self, logits: Tensor, labels: np.ndarray) -> Tensor:
+        """Cross-entropy of [B, n, c] logits on the padded labels' labeled
+        positions, or of [B, c] logits on classification labels."""
+        if logits.data.ndim == 2:
+            return cross_entropy(logits, labels)
+        flat = reshape(logits, (-1, logits.data.shape[-1]))
+        flat_labels = labels.reshape(-1)
+        valid = np.flatnonzero(flat_labels >= 0)
+        return cross_entropy(take(flat, valid, 0), flat_labels[valid])
+
+    def _logits(self, tokens: np.ndarray, counter: OpCounter | None, rows=None) -> Tensor:
+        """The layer stack on padded tokens, from embedding to logits. With
+        ``rows``, a slice of positions, every op after the last mixing
+        layer's attention block (after the embedding when no layer mixes)
+        runs on those positions only, and the head reads them placed into
+        zeros at the others."""
         m = self.model
         x = add(embedding_lookup(m.embedding, tokens), m.positional)
+        held = None  # the rows x holds once it holds only the read rows
+        if rows is not None and self._last_mixing is None:
+            x, held = take(x, rows, -2), rows  # no layer mixes positions
         for layer in range(m.config.num_layers):
             x = self.attention_sublayer(layer, x, counter=counter)
-            x = self.ffn_sublayer(layer, x)
+            if rows is not None and layer == self._last_mixing:
+                x, held = take(x, rows, -2), rows
+            x = self.ffn_sublayer(layer, x, rows=held)
         x = layer_norm(x, m.lnf_g, m.lnf_b)
         if m.config.task_kind == "classification":
             x = mean_rows(x)
+        elif held is not None:
+            x = place(x, held, tokens.shape[1])
         return linear(x, m.head_w, m.head_b)
 
     def _split_logits(self, tokens: np.ndarray, counter: OpCounter | None) -> Tensor:
@@ -395,14 +451,24 @@ class _BoundLayer:
                        if name not in self.weights or not self.weights[name].constant]
 
 
-def measure_latency(model: TransformerModel, plan: ApproxPlan | None,
+def bind(model: TransformerModel | PlannedModel, plan: ApproxPlan | None) -> PlannedModel:
+    """``model`` bound to ``plan``; a model already bound is taken as it
+    is, with ``plan`` None, so that callers can share one bind."""
+    if not isinstance(model, PlannedModel):
+        return PlannedModel(model, plan)
+    if plan is not None:
+        raise ValueError("a PlannedModel is bound already: pass plan=None")
+    return model
+
+
+def measure_latency(model: TransformerModel | PlannedModel, plan: ApproxPlan | None,
                     batch, repeats: int = 5) -> float:
-    """Median wall time (ms) of forward passes; informational only, tests
-    rely on mac_count."""
+    """Median wall time (ms) of forward passes of ``bind(model, plan)``;
+    informational only, tests rely on mac_count."""
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
     tokens = batch[0] if isinstance(batch, tuple) else batch
-    planned = PlannedModel(model, plan)
+    planned = bind(model, plan)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()

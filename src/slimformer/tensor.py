@@ -201,9 +201,16 @@ def matmul(a, b) -> Tensor:
     raise ValueError(f"matmul rank combination not supported: {a.data.shape} @ {b.data.shape}")
 
 
-def linear(x, w, b) -> Tensor:
+def linear(x, w, b, placed=None) -> Tensor:
     """``x @ w + b`` as one node, for [.., n, d] activations and a [d, o]
-    weight: the arithmetic of ``add(matmul(x, w), b)``, bit for bit."""
+    weight: the arithmetic of ``add(matmul(x, w), b)``, bit for bit.
+
+    ``placed``, a (slice, size) pair, says that x's rows along axis -2
+    are that slice of a ``size``-row input whose other rows get no
+    gradient. The backward products then run on that input and its
+    gradient with those rows zero: BLAS may round a product over fewer
+    rows differently (the input gradient's, at some row counts, and the
+    weight gradient's, whose sum over rows it may split in other places)."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.data.ndim != 2 or x.data.ndim not in (2, 3) or x.data.shape[-1] != w.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
@@ -211,16 +218,21 @@ def linear(x, w, b) -> Tensor:
     data += b.data
 
     def grad_fn(g):
-        gw = None
+        gs = g if placed is None else _placed(g, *placed)
+        gx = gw = None
+        if x.requires_grad:
+            gx = gs @ w.data.T
+            if placed is not None:
+                gx = gx[..., placed[0], :]
         if w.requires_grad:
-            if x.data.ndim == 2:
-                gw = x.data.T @ g
+            xs = x.data if placed is None else _placed(x.data, *placed)
+            if xs.ndim == 2:
+                gw = xs.T @ gs
             else:
                 # the product np.tensordot(x, g, axes=([0, 1], [0, 1])) forms
-                rows = x.data.shape[0] * x.data.shape[1]
-                gw = np.dot(x.data.reshape(rows, -1).T, g.reshape(rows, -1))
-        return (g @ w.data.T if x.requires_grad else None, gw,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+                rows = xs.shape[0] * xs.shape[1]
+                gw = np.dot(xs.reshape(rows, -1).T, gs.reshape(rows, -1))
+        return gx, gw, _unbroadcast(g, b.data.shape) if b.requires_grad else None
 
     return _result(data, (x, w, b), grad_fn)
 
@@ -290,6 +302,24 @@ def take(a: Tensor, index, axis: int) -> Tensor:
         return (ga,)
 
     return _result(data, (a,), grad_fn)
+
+
+def _placed(a: np.ndarray, rows: slice, size: int) -> np.ndarray:
+    """[.., r, d] placed at ``rows`` along axis -2 of [.., size, d] zeros."""
+    out = np.zeros(a.shape[:-2] + (size,) + a.shape[-1:])
+    out[..., rows, :] = a
+    return out
+
+
+def place(a: Tensor, rows: slice, size: int) -> Tensor:
+    """The inverse of taking a slice of rows along axis -2: ``a`` placed
+    at ``rows`` in zeros that are ``size`` rows long. The gradient is a
+    view of those rows."""
+
+    def grad_fn(g):
+        return (g[..., rows, :],)
+
+    return _result(_placed(a.data, rows, size), (a,), grad_fn)
 
 
 def row_index(lead: tuple, indices) -> tuple:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import PlannedModel, TransformerModel
+from .model import PlannedModel, TransformerModel, bind
 from .optim import Adam
 from .plan import ApproxPlan
 from .tasks import Dataset
@@ -23,22 +23,24 @@ def iter_batches(dataset: Dataset, batch_size: int,
         yield dataset.tokens[take], dataset.labels[take]
 
 
-def train_epochs(model: TransformerModel, plan: ApproxPlan | None, dataset: Dataset,
-                 epochs: int, rng: np.random.Generator, lr: float = DEFAULT_LR,
-                 batch_size: int = DEFAULT_BATCH) -> list[float]:
-    """Train in place for `epochs` epochs; returns per-epoch mean batch loss.
+def train_epochs(model: TransformerModel | PlannedModel, plan: ApproxPlan | None,
+                 dataset: Dataset, epochs: int, rng: np.random.Generator,
+                 lr: float = DEFAULT_LR, batch_size: int = DEFAULT_BATCH) -> list[float]:
+    """Train ``bind(model, plan)`` in place for `epochs` epochs with one
+    fresh Adam; returns per-epoch mean batch loss.
 
     Only parameters of blocks the plan keeps alive are optimized; pruned
     weight-group rows and quantized bands receive identically zero
-    gradients.
+    gradients. Each step computes ``PlannedModel.loss``, which runs only
+    the positions the labels read.
     """
-    planned = PlannedModel(model, plan)
+    planned = bind(model, plan)
     opt = Adam(planned.parameters(), lr=lr)
     means = []
     for _ in range(epochs):
         losses = []
         for tokens, labels in iter_batches(dataset, batch_size, rng):
-            _, loss = planned.forward(tokens, labels)
+            loss = planned.loss(tokens, labels)
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -47,24 +49,26 @@ def train_epochs(model: TransformerModel, plan: ApproxPlan | None, dataset: Data
     return means
 
 
-def evaluate_loss(model: TransformerModel, plan: ApproxPlan | None, dataset: Dataset) -> float:
-    """Mean loss over a split, weighted by labeled positions."""
-    planned = PlannedModel(model, plan)
+def evaluate_loss(model: TransformerModel | PlannedModel, plan: ApproxPlan | None,
+                  dataset: Dataset) -> float:
+    """Mean loss of ``bind(model, plan)`` over a split, weighted by labeled
+    positions."""
+    planned = bind(model, plan)
     total, count = 0.0, 0
     with no_grad():
         for tokens, labels in iter_batches(dataset, EVAL_BATCH):
-            _, loss = planned.forward(tokens, labels)
+            loss = planned.loss(tokens, labels)
             rows = labels.shape[0] if labels.ndim == 1 else int((labels >= 0).sum())
             total += loss.item() * rows
             count += rows
     return total / count
 
 
-def evaluate_accuracy(model: TransformerModel, plan: ApproxPlan | None,
+def evaluate_accuracy(model: TransformerModel | PlannedModel, plan: ApproxPlan | None,
                       dataset: Dataset) -> float:
-    """Exact-match rate: per sequence for classification, per labeled token
-    otherwise."""
-    planned = PlannedModel(model, plan)
+    """Exact-match rate of ``bind(model, plan)``: per sequence for
+    classification, per labeled token otherwise."""
+    planned = bind(model, plan)
     hits, count = 0, 0
     with no_grad():
         for tokens, labels in iter_batches(dataset, EVAL_BATCH):

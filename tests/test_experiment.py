@@ -1,6 +1,8 @@
 """Experiment orchestration, reports, baseline comparison, sweep, CLI."""
 
 import json
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +115,20 @@ class TestRunExperiment:
         report = run_experiment(config, tmp_path / "lm")
         assert report.baseline.perplexity == pytest.approx(
             np.exp(report.baseline.val_loss))
+
+    def test_plan_warnings_print_once(self, tmp_path):
+        """Under the default filter a run prints each early-quarter key
+        warning once: the analyzer's check of each candidate warns, and
+        binding a plan for training or evaluation does not."""
+        config = small_config(
+            task=TaskSpec("toy_lm", vocab_size=5, context_len=8, train_size=96,
+                          seed=19),
+            epochs_baseline=6, epochs_final=6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            run_experiment(config, tmp_path / "lm")
+        printed = Counter(str(w.message) for w in caught if "first quarter" in str(w.message))
+        assert printed and set(printed.values()) == {1}
 
     def test_stage_error_carries_stage_name(self, tmp_path, monkeypatch):
         import slimformer.experiment

@@ -432,9 +432,9 @@ class TestCostOracle:
 
         counted = [0]
 
-        def counting_linear(x, w, b):
+        def counting_linear(x, w, b, placed=None):
             counted[0] += x.data.size * w.data.shape[-1]
-            return tensor.linear(x, w, b)
+            return tensor.linear(x, w, b, placed)
 
         def counting_attention(q, k, v, mask=None):
             rows, n_k = q.data.size // q.data.shape[-1], k.data.shape[-2]

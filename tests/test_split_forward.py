@@ -154,6 +154,22 @@ def test_copy_task_loss_bit_identical(monkeypatch, splits, batch):
     assert np.array_equal(split[1], serial[1])
 
 
+@pytest.mark.parametrize("batch", [MIN - 1, MIN + 1])
+def test_no_grad_loss_path_keeps_the_split(monkeypatch, splits, batch):
+    """``PlannedModel.loss`` splits where ``forward`` would and gives the
+    bits of the serial forward's loss; below the threshold it runs its
+    read rows here, with the same bits."""
+    planned, tokens, labels = copy_task(batch)
+    with no_grad():
+        with monkeypatch.context() as m:
+            m.setattr(speculate, "split_allowed", lambda batch, values: False)
+            serial = planned.forward(tokens, labels)[1].data
+        loss = planned.loss(tokens, labels).data
+    assert splits == ([] if batch < MIN else [batch])
+    assert splits.taken == [True] * len(splits)
+    assert loss.tobytes() == serial.tobytes()
+
+
 def test_concurrent_split_forwards_bit_identical(monkeypatch, splits):
     """Four callers split at once under a short switch interval: one takes
     the worker, the others run their whole batch, and every caller gets

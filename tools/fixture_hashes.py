@@ -26,7 +26,13 @@ logits of the no-grad ``PlannedModel.forward`` on ``serve_inputs(1)``, so a
 change to the forward kernels can show that it serves the same bits, then
 ``serve <plan> counts <sha256>`` lines: a hash over the ``OpCounter``
 fields of that same forward (sign-match work and queries that see no
-key), so it can show that it does the same counted work. A change that
+key), so it can show that it does the same counted work. Last come
+``train <plan> weights <sha256>`` lines, one per plan kind, at the copy
+shape of ``perfbench/scenarios.optimize_config("speed")``: a hash over a
+fixed model's weights after one epoch of ``train_epochs`` under that plan
+on the first ``TRAIN_SEQUENCES`` sequences of its task, so a change to the
+training step can show that it trains the same bits under every kind of
+plan, not only the plans the fixtures happen to visit. A change that
 claims the same behaviour must print the same lines as its parent:
 ``--against PARENT`` runs the script on both checkouts, side by side in
 two processes when at least four CPUs are available and one after the
@@ -54,6 +60,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ARTIFACTS = ("plan.json", "decisions.jsonl", "model.bin", "elements.json")
+TRAIN_SEQUENCES = 109  # three full training batches and an odd one
 
 
 def fixtures(root: Path) -> list:
@@ -122,6 +129,30 @@ def serve_digests() -> dict:
     return digests
 
 
+def train_digests() -> dict:
+    """Per serve plan kind, adapted to the copy shape, sha256 over a fixed
+    model's parameters after one epoch of train_epochs under that plan."""
+    from scenarios import PLAN_NAMES, optimize_config, serve_plans
+
+    from slimformer import (KV_GROUP, ApproxPlan, TransElement, build_model,
+                            generate_task, make_rng, train_epochs)
+    config = optimize_config("speed")
+    tcfg = config.transformer_config()
+    plans = serve_plans(tcfg)
+    # the copy context has three key/value groups; prune the later two
+    plans["kvprune"] = ApproxPlan(TransElement(KV_GROUP, layer, g)
+                                  for layer in range(tcfg.num_layers) for g in (1, 2))
+    data = generate_task(config.task).train.subset(slice(0, TRAIN_SEQUENCES))
+    digests = {}
+    for name in PLAN_NAMES:
+        model = build_model(tcfg, config.seed)
+        train_epochs(model, plans[name], data, 1, make_rng(0), lr=config.lr,
+                     batch_size=config.batch_size)
+        weights = b"".join(t.data.tobytes() for _, t in model.named_parameters())
+        digests[name] = hashlib.sha256(weights).hexdigest()
+    return digests
+
+
 def compare(root: Path, against: Path) -> int:
     """Print the lines of the two checkouts' outputs that differ; 1 if any do."""
     def run(checkout: Path) -> subprocess.CompletedProcess:
@@ -181,6 +212,8 @@ def main(argv=None) -> int:
         print(f"serve {name} logits {logits}", flush=True)
     for name, (_, counts) in digests.items():
         print(f"serve {name} counts {counts}", flush=True)
+    for name, weights in train_digests().items():
+        print(f"train {name} weights {weights}", flush=True)
     return 0
 
 
