@@ -1,13 +1,17 @@
 """The loss path (``PlannedModel.loss``) computes only the positions the
-labels read, from the last mixing layer's queries on, and gives the loss
-and every parameter gradient of ``forward(tokens, labels)`` bit for bit."""
+labels read after the last mixing layer's attention block, and gives the
+loss and every parameter gradient of ``forward(tokens, labels)`` bit for
+bit."""
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from slimformer import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KV_GROUP, ApproxPlan,
                         GroupShrink, PlannedModel, Quantize, SignMatch, TaskSpec,
-                        TransElement, TransformerConfig, build_model, generate_task)
+                        TransElement, TransformerConfig, TransformerModel, build_model,
+                        generate_task)
 from slimformer.tensor import no_grad
 
 # the benchmark's copy shape; toy_lm at a context where a training batch's
@@ -71,13 +75,34 @@ def plans(cfg: TransformerConfig) -> dict:
 PLAN_NAMES = list(plans(CONFIGS["copy"][0]))
 
 
+class Setup(NamedTuple):
+    model: TransformerModel
+    tokens: np.ndarray
+    labels: np.ndarray
+    plans: dict
+
+
 @pytest.fixture(scope="module")
 def setups():
     out = {}
     for task, (cfg, spec) in CONFIGS.items():
         data = generate_task(spec).train
-        out[task] = (build_model(cfg, 4), data.tokens, data.labels, plans(cfg))
+        out[task] = Setup(build_model(cfg, 4), data.tokens, data.labels, plans(cfg))
     return out
+
+
+@pytest.fixture
+def ffn_rows(monkeypatch):
+    """(rows of x, rows argument) of every FFN sublayer call."""
+    seen = []
+    ffn_sublayer = PlannedModel.ffn_sublayer
+
+    def recording(self, layer, x, rows=None):
+        seen.append((x.data.shape[-2], rows))
+        return ffn_sublayer(self, layer, x, rows)
+
+    monkeypatch.setattr(PlannedModel, "ffn_sublayer", recording)
+    return seen
 
 
 def grads(model, plan, run):
@@ -95,12 +120,12 @@ def grads(model, plan, run):
 @pytest.mark.parametrize("plan", PLAN_NAMES)
 @pytest.mark.parametrize("task", list(CONFIGS))
 def test_loss_and_gradients_match_forward(setups, task, plan, batch):
-    model, tokens, labels, plan = *setups[task][:3], setups[task][3][plan]
-    tokens, labels = tokens[:batch], labels[:batch]
-    ref = grads(model, plan, lambda m: m.forward(tokens, labels)[1])
-    assert grads(model, plan, lambda m: m.loss(tokens, labels)) == ref
+    setup = setups[task]
+    plan, tokens, labels = setup.plans[plan], setup.tokens[:batch], setup.labels[:batch]
+    ref = grads(setup.model, plan, lambda m: m.forward(tokens, labels)[1])
+    assert grads(setup.model, plan, lambda m: m.loss(tokens, labels)) == ref
     with no_grad():  # as the evaluations run it
-        planned = PlannedModel(model, plan)
+        planned = PlannedModel(setup.model, plan)
         assert (planned.loss(tokens, labels).data.tobytes()
                 == planned.forward(tokens, labels)[1].data.tobytes())
 
@@ -112,65 +137,51 @@ def test_loss_and_gradients_match_forward(setups, task, plan, batch):
 def test_shorter_sequences_match_forward(setups, task, plan):
     """Padded positions carry no label, so the read band shrinks with the
     sequences (copy: positions 7-9 of 11, then padding to 15)."""
-    model, tokens, labels, plan = *setups[task][:3], setups[task][3][plan]
-    tokens, labels = tokens[:13, :11], labels[:13, :11]
-    ref = grads(model, plan, lambda m: m.forward(tokens, labels)[1])
-    assert grads(model, plan, lambda m: m.loss(tokens, labels)) == ref
+    setup = setups[task]
+    plan, tokens, labels = setup.plans[plan], setup.tokens[:13, :11], setup.labels[:13, :11]
+    ref = grads(setup.model, plan, lambda m: m.forward(tokens, labels)[1])
+    assert grads(setup.model, plan, lambda m: m.loss(tokens, labels)) == ref
 
 
 def test_scattered_labels_match_forward(setups):
     """Read rows that are not one band are computed as the band from the
     first to the last."""
-    model, tokens, labels, _ = setups["toy_lm"]
-    labels = labels[:13].copy()
+    setup = setups["toy_lm"]
+    tokens, labels = setup.tokens[:13], setup.labels[:13].copy()
     labels[:, 5:20] = -1
     labels[:, 25] = -1
-    ref = grads(model, None, lambda m: m.forward(tokens[:13], labels)[1])
-    assert grads(model, None, lambda m: m.loss(tokens[:13], labels)) == ref
+    ref = grads(setup.model, None, lambda m: m.forward(tokens, labels)[1])
+    assert grads(setup.model, None, lambda m: m.loss(tokens, labels)) == ref
 
 
-@pytest.mark.parametrize("plan, ffn_rows", [
+@pytest.mark.parametrize("plan, rows", [
     ("dense", [15, 7]),                    # the last mixing layer is 1
     ("last_attention_skipped", [7, 7]),    # it is 0
     ("last_headless", [7, 7]),
     ("no_attention", [7, 7]),              # none: read rows from the embedding on
 ])
-def test_copy_task_runs_the_read_rows(setups, monkeypatch, plan, ffn_rows):
+def test_copy_task_runs_the_read_rows(setups, ffn_rows, plan, rows):
     """At the copy shape the FFN from the last mixing layer on sees the 7
-    labeled positions (7-13 of 15), and the loss path hands the head 15."""
-    model, tokens, labels, plans_ = setups["copy"]
-    seen = []
-    ffn_sublayer = PlannedModel.ffn_sublayer
-
-    def recording(self, layer, x, rows=None):
-        seen.append(x.data.shape[-2])
-        return ffn_sublayer(self, layer, x, rows)
-
-    monkeypatch.setattr(PlannedModel, "ffn_sublayer", recording)
-    PlannedModel(model, plans_[plan]).loss(tokens[:32], labels[:32]).backward()
-    assert seen == ffn_rows
-    seen.clear()
-    PlannedModel(model, plans_[plan]).forward(tokens[:32], labels[:32])
-    assert seen == [15, 15]
+    labeled positions (7-13 of 15); under ``forward`` it sees all 15."""
+    setup = setups["copy"]
+    planned = PlannedModel(setup.model, setup.plans[plan])
+    planned.loss(setup.tokens[:32], setup.labels[:32]).backward()
+    assert [n for n, _ in ffn_rows] == rows
+    ffn_rows.clear()
+    planned.forward(setup.tokens[:32], setup.labels[:32])
+    assert [n for n, _ in ffn_rows] == [15, 15]
 
 
-def test_classification_computes_every_row(setups, monkeypatch):
-    model, tokens, labels, _ = setups["classification"]
-    seen = []
-    ffn_sublayer = PlannedModel.ffn_sublayer
-
-    def recording(self, layer, x, rows=None):
-        seen.append((x.data.shape[-2], rows))
-        return ffn_sublayer(self, layer, x, rows)
-
-    monkeypatch.setattr(PlannedModel, "ffn_sublayer", recording)
-    PlannedModel(model).loss(tokens[:8], labels[:8])
-    assert seen == [(8, None), (8, None)]
+def test_classification_computes_every_row(setups, ffn_rows):
+    setup = setups["classification"]
+    PlannedModel(setup.model).loss(setup.tokens[:8], setup.labels[:8])
+    assert ffn_rows == [(8, None), (8, None)]
 
 
 def test_loss_needs_labels(setups):
-    model, tokens, labels, _ = setups["copy"]
+    setup = setups["copy"]
+    planned = PlannedModel(setup.model)
     with pytest.raises(ValueError, match="needs labels"):
-        PlannedModel(model).loss(tokens[:2], None)
+        planned.loss(setup.tokens[:2], None)
     with pytest.raises(ValueError, match="no labeled positions"):
-        PlannedModel(model).loss(tokens[:2], np.full_like(labels[:2], -1))
+        planned.loss(setup.tokens[:2], np.full_like(setup.labels[:2], -1))
