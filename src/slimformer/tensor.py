@@ -208,9 +208,9 @@ def linear(x, w, b, placed=None) -> Tensor:
     ``placed``, a (slice, size) pair, says that x's rows along axis -2
     are that slice of a ``size``-row input whose other rows get no
     gradient. The backward products then run on that input and its
-    gradient with those rows zero: BLAS may round a product over fewer
-    rows differently (the input gradient's, at some row counts, and the
-    weight gradient's, whose sum over rows it may split in other places)."""
+    gradient with those rows zero, because BLAS rounds some products over
+    fewer rows differently: the input gradient at some row counts, and the
+    weight gradient, a sum over rows that it may split in other places."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.data.ndim != 2 or x.data.ndim not in (2, 3) or x.data.shape[-1] != w.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
