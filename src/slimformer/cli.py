@@ -121,6 +121,7 @@ def _cmd_evaluate(args) -> int:
         raise ConfigError(f"checkpoint file not found: {exc.filename}") from exc
     _check_fits_task(model, config)
     plan = ApproxPlan.from_json(_read_text(args.plan, "plan")) if args.plan else ApproxPlan()
+    plan.resolve(model.config)  # warns of early causal keys pruned; binding does not
     data = generate_task(config.task)
     planned = PlannedModel(model, plan)
     cost = planned.cost()

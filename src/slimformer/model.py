@@ -27,6 +27,14 @@ from .tensor import (Tensor, add, cross_entropy, embedding_lookup, full_attentio
                      gelu, layer_norm, linear, make_rng, mean_rows, merge_heads,
                      mul, no_grad, place, reshape, split_heads, take)
 
+# The widest band of read positions, as a share of the context, that the
+# loss path computes alone. Its copies (the head's placed band, the FFN's
+# placed gradient products) cost about what a fifth of the FFN rows saves:
+# with the band, a training step (batch 32, hidden width 32) ran 2-5%
+# slower at toy_lm's 14 of 15 and 31 of 32 read positions, about even at
+# four fifths, and 8% faster at the copy task's 7 of 15.
+BAND_MAX_SHARE = 0.75
+
 
 @dataclass
 class LayerParams:
@@ -134,8 +142,9 @@ class PlannedModel:
     model's weights and can be reused across forward passes while they
     train in place; the cached bands stay valid because quantized rows get
     zero gradient. Binding does not warn: a plan that leaves early causal
-    queries without keys warns where it is checked as it is made (the
-    greedy analyzer resolves every candidate).
+    queries without keys warns where it is made or read (the greedy
+    analyzer resolves every candidate, ``slimformer evaluate`` the plan
+    it is given).
     """
 
     def __init__(self, model: TransformerModel, plan: ApproxPlan | None = None):
@@ -245,7 +254,9 @@ class PlannedModel:
         the first to the last where any sequence has a label (the copy
         task's second pattern; all but the last position of ``toy_lm``).
         Every op after the attention block of the last layer that mixes
-        positions runs on that band only. BLAS may round a product over
+        positions runs on that band only, if it spans at most
+        ``BAND_MAX_SHARE`` of the context (``toy_lm``'s does not, so it
+        computes every row). BLAS may round a product over
         fewer rows differently, so the head reads the band placed back
         into zeros at the full row count, the FFN's gradient products run
         at the full row count too (see ``linear``'s ``placed``), and the
@@ -260,7 +271,7 @@ class PlannedModel:
         rows = None
         if self.model.config.task_kind != "classification":
             read = np.flatnonzero((labels >= 0).any(axis=0))
-            if read[-1] + 1 - read[0] < tokens.shape[1]:
+            if read[-1] + 1 - read[0] <= BAND_MAX_SHARE * tokens.shape[1]:
                 # one band, so that rows are taken as views in C order
                 rows = slice(int(read[0]), int(read[-1]) + 1)
         return self._loss(self._logits(tokens, None, rows), labels)
@@ -275,15 +286,16 @@ class PlannedModel:
             if labels.shape != tokens.shape:
                 raise ValueError(f"labels shape {labels.shape} does not match tokens "
                                  f"{tokens.shape}")
-            labels = _pad_columns(np.atleast_2d(labels), cfg.context_len, IGNORE_LABEL)
-            if not (labels >= 0).any():
-                raise ValueError("no labeled positions in batch")
         tokens = np.atleast_2d(tokens)
         if tokens.max(initial=0) >= cfg.vocab_size or tokens.min(initial=0) < 0:
             raise ValueError(f"token id out of range [0, {cfg.vocab_size})")
         if tokens.shape[1] > cfg.context_len:
             raise ValueError(f"sequence length {tokens.shape[1]} exceeds context "
                              f"{cfg.context_len}")
+        if labels is not None and cfg.task_kind != "classification":
+            labels = _pad_columns(np.atleast_2d(labels), cfg.context_len, IGNORE_LABEL)
+            if not (labels >= 0).any():
+                raise ValueError("no labeled positions in batch")
         return _pad_columns(tokens, cfg.context_len, cfg.pad_token), labels
 
     def _splits(self, tokens: np.ndarray) -> bool:

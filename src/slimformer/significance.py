@@ -433,8 +433,7 @@ def taylor_signed_scores(model: TransformerModel, data: TaskData,
     elements = elements if elements is not None else enumerate_elements(model.config)
     work = model.clone()
     tokens, labels = next(iter_batches(data.train, TAYLOR_BATCH))
-    _, loss = PlannedModel(work).forward(tokens, labels)
-    loss.backward()
+    PlannedModel(work).loss(tokens, labels).backward()
     scores = {}
     for el in elements:
         attr, owned = _OWNED_PARAMS.get(el.kind, (None, ()))

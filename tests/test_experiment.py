@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slimformer import (ExperimentConfig, Focus, InfeasibleError,
-                        ModelShape, TaskSpec, compare_baselines, run_experiment,
-                        sweep_thresholds)
+from slimformer import (KV_GROUP, ApproxPlan, ExperimentConfig, Focus, InfeasibleError,
+                        ModelShape, TaskSpec, TransElement, compare_baselines,
+                        run_experiment, sweep_thresholds)
 from slimformer.cli import main
 
 
@@ -300,6 +300,24 @@ class TestCli:
         assert code == 0
         result = json.loads(capsys.readouterr().out)
         assert result["mac_count"] == report["optimized"]["mac_count"]
+
+    def test_evaluate_warns_once_of_pruned_early_keys(self, tmp_path):
+        """A plan read by ``evaluate --plan`` that prunes early causal keys
+        warns once, though it is bound and evaluated several times."""
+        cfg = self.write_config(
+            tmp_path, task=TaskSpec("toy_lm", vocab_size=5, context_len=8, train_size=96,
+                                    seed=19), epochs_baseline=1)
+        out = tmp_path / "train_out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        plan = tmp_path / "plan.json"
+        plan.write_text(ApproxPlan([TransElement(KV_GROUP, 0, 0)]).to_json())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["evaluate", "--config", str(cfg), "--checkpoint",
+                         str(out / "baseline"), "--plan", str(plan)])
+        assert code == 0
+        printed = [str(w.message) for w in caught if "first quarter" in str(w.message)]
+        assert len(printed) == 1 and printed[0].startswith("layer 0:")
 
     def test_set_override(self, tmp_path):
         cfg = self.write_config(tmp_path)

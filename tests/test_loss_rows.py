@@ -12,6 +12,7 @@ from slimformer import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KV_GROUP, Approx
                         GroupShrink, PlannedModel, Quantize, SignMatch, TaskSpec,
                         TransElement, TransformerConfig, TransformerModel, build_model,
                         generate_task)
+from slimformer.model import BAND_MAX_SHARE
 from slimformer.tensor import no_grad
 
 # the benchmark's copy shape; toy_lm at a context where a training batch's
@@ -73,6 +74,9 @@ def plans(cfg: TransformerConfig) -> dict:
 
 
 PLAN_NAMES = list(plans(CONFIGS["copy"][0]))
+# toy_lm reads 31 of its 32 positions, more than BAND_MAX_SHARE, so it
+# computes every row; "toy_lm_band" labels only its positions 19-30
+TASKS = [*CONFIGS, "toy_lm_band"]
 
 
 class Setup(NamedTuple):
@@ -88,6 +92,9 @@ def setups():
     for task, (cfg, spec) in CONFIGS.items():
         data = generate_task(spec).train
         out[task] = Setup(build_model(cfg, 4), data.tokens, data.labels, plans(cfg))
+    labels = out["toy_lm"].labels.copy()
+    labels[:, :19] = -1
+    out["toy_lm_band"] = out["toy_lm"]._replace(labels=labels)
     return out
 
 
@@ -118,7 +125,7 @@ def grads(model, plan, run):
 @pytest.mark.filterwarnings("ignore:.*first quarter of a causal context")
 @pytest.mark.parametrize("batch", [1, 13, 32, 64])
 @pytest.mark.parametrize("plan", PLAN_NAMES)
-@pytest.mark.parametrize("task", list(CONFIGS))
+@pytest.mark.parametrize("task", TASKS)
 def test_loss_and_gradients_match_forward(setups, task, plan, batch):
     setup = setups[task]
     plan, tokens, labels = setup.plans[plan], setup.tokens[:batch], setup.labels[:batch]
@@ -136,7 +143,8 @@ def test_loss_and_gradients_match_forward(setups, task, plan, batch):
 @pytest.mark.parametrize("task", ["copy", "toy_lm"])
 def test_shorter_sequences_match_forward(setups, task, plan):
     """Padded positions carry no label, so the read band shrinks with the
-    sequences (copy: positions 7-9 of 11, then padding to 15)."""
+    sequences (copy: positions 7-9 of 11, then padding to 15; toy_lm:
+    0-9 of 11, then padding to 32)."""
     setup = setups[task]
     plan, tokens, labels = setup.plans[plan], setup.tokens[:13, :11], setup.labels[:13, :11]
     ref = grads(setup.model, plan, lambda m: m.forward(tokens, labels)[1])
@@ -148,8 +156,9 @@ def test_scattered_labels_match_forward(setups):
     first to the last."""
     setup = setups["toy_lm"]
     tokens, labels = setup.tokens[:13], setup.labels[:13].copy()
-    labels[:, 5:20] = -1
-    labels[:, 25] = -1
+    labels[:, 5:12] = -1
+    labels[:, 15] = -1
+    labels[:, 20:] = -1  # the band is 0-19
     ref = grads(setup.model, None, lambda m: m.forward(tokens, labels)[1])
     assert grads(setup.model, None, lambda m: m.loss(tokens, labels)) == ref
 
@@ -170,6 +179,19 @@ def test_copy_task_runs_the_read_rows(setups, ffn_rows, plan, rows):
     ffn_rows.clear()
     planned.forward(setup.tokens[:32], setup.labels[:32])
     assert [n for n, _ in ffn_rows] == [15, 15]
+
+
+@pytest.mark.parametrize("task, rows", [
+    ("toy_lm", [(32, None), (32, None)]),
+    ("toy_lm_band", [(32, None), (12, slice(19, 31))]),
+])
+def test_band_wider_than_its_share_computes_every_row(setups, ffn_rows, task, rows):
+    """A band of 31 read positions of 32 computes every row; one of 12
+    computes the 12."""
+    setup = setups[task]
+    assert 12 <= BAND_MAX_SHARE * 32 < 31
+    PlannedModel(setup.model).loss(setup.tokens[:32], setup.labels[:32]).backward()
+    assert ffn_rows == rows
 
 
 def test_classification_computes_every_row(setups, ffn_rows):

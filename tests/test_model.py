@@ -271,6 +271,18 @@ class TestForward:
         with pytest.raises(ValueError, match="token id out of range"):
             PlannedModel(tiny_model).forward(np.array([[99, 0, 1]]))
 
+    def test_sequence_longer_than_context(self, causal_model, rng):
+        """Over-long sequences are rejected by their length, also when labels
+        come with them (which are padded only after the check)."""
+        cfg = causal_model.config
+        tokens = rng.integers(0, cfg.vocab_size, size=(2, cfg.context_len + 1))
+        labels = rng.integers(0, cfg.output_classes, size=tokens.shape)
+        planned = PlannedModel(causal_model)
+        for call in (lambda: planned.forward(tokens), lambda: planned.forward(tokens, labels),
+                     lambda: planned.loss(tokens, labels)):
+            with pytest.raises(ValueError, match="exceeds context"):
+                call()
+
     def test_causal_mask_blocks_future_influence(self, causal_model, rng):
         """Changing tokens after position t never changes logits at <= t."""
         n = causal_model.config.context_len
