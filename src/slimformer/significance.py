@@ -11,13 +11,13 @@ accepted loss so far, and only pruning is applied.
 Under speed focus `shrink` scans a block's weight groups from both ends and
 leaves one GroupShrink for the band that survives (none for the full band).
 
-While `run` decides one trial, it may fine-tune the trial the loop would
-ask for next in a helper process (see `speculate`). The prediction replays
-the committed trial results on a throwaway twin of the analyzer, through
-the same decision code, taking the current trial as landing in the
-approximation band when there is one and as rejected otherwise; a result
-is used only for a request equal to the predicted one, so the audit trail
-cannot change.
+The loop is one stream of trial requests over explicit state (plan,
+working weights, bars, RNG step, weights generation, shrink-scan cursor):
+`_next` names the next request and `_advance` applies its result. While
+`run` decides one trial, a helper process (see `speculate`) may fine-tune
+the request a copy of that state names next when advanced past the
+current trial with an assumed outcome; a result is used only for a
+request equal to the predicted one, so the audit trail cannot change.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import copy
 import json
 import math
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,6 @@ class GreedyAnalyzer:
     the harness can persist the audit trail.
     """
 
-    _warns = True  # whether candidate plans warn as they resolve
-
     def __init__(self, model: TransformerModel, data: TaskData,
                  baseline: tuple[float, float], focus: Focus, seed: int,
                  eps_skip: float = 0.0, eps_approx: float | None = None,
@@ -126,6 +125,7 @@ class GreedyAnalyzer:
         self.records: list[dict] = []
         self._step = 0
         self._generation = 0  # accepted skips: each replaces the working weights
+        self._scan: _Scan | None = None  # the open shrink scan's cursor
         self._spec: _Speculation | None = None
         self.speculated = self.speculation_hits = 0  # helper trials started / used
         # (train, val) pairs; only an accepted accuracy-focus skip lowers the bars
@@ -162,47 +162,33 @@ class GreedyAnalyzer:
         return {split: {"skip": self._skip[i], "approx": self._approx[i]}
                 for i, split in enumerate(("train", "val"))}
 
-    def _try_skip(self, el: TransElement, action: str) -> dict:
-        """The one trial every candidate takes: fine-tune under the plan
-        with `el` skipped and adopt plan and tuned model if the losses clear
-        the skip bar. Returns the decision record, not yet logged ("skip" or
-        "keep"; no losses if the skip would make the plan invalid)."""
-        candidate = self.plan.with_skip(el)
-        rec = {"element": el.key, "tentative_action": action, "train_loss": None,
-               "val_loss": None, "thresholds": self._thresholds_doc(), "decision": "keep"}
+    def _resolves(self, candidate: ApproxPlan, warn: bool = True) -> bool:
         try:
-            candidate.resolve(self.model.config, warn=self._warns)
+            candidate.resolve(self.model.config, warn=warn)
         except PlanError:
-            rec["approx"] = {"reason": "plan would be invalid"}
-            return rec
-        step = self._step
-        self._step += 1
-        tl, vl, tuned = self._trial(el, candidate, step)
-        rec.update(train_loss=tl, val_loss=vl)
-        if self._accept_skip(tl, vl):
-            rec["decision"] = "skip"
-            self.plan, self.work = candidate, tuned
-            self._generation += 1
-            if self.focus == Focus.ACCURACY:
-                self._skip = self._approx = (tl, vl)
-        return rec
+            return False
+        return True
 
     def _train(self, work: TransformerModel, candidate: ApproxPlan, step: int):
         return evaluate_candidate(work, candidate, self.data, self.epochs,
                                   spawn_rng(self.seed, 2, step), lr=self.lr,
                                   batch_size=self.batch_size)
 
-    def _trial(self, el: TransElement, candidate: ApproxPlan, step: int):
-        """(train loss, val loss, tuned model) of one trial. Inside a
-        speculating run: the helper's result if it ran this very request,
-        else computed here, while the helper starts on the predicted next
-        request if the prediction made at the previous trial held."""
-        spec = self._spec
+    def _result(self, queue: ElementQueue, request):
+        """(train loss, val loss, tuned model) of a request's trial, or None,
+        with no trial, when its plan would be invalid. Inside a speculating
+        run: the helper's result if it ran this very request, else computed
+        here, while the helper starts on the predicted next request if the
+        prediction made at the previous trial held."""
+        el, _, candidate = request
+        if not self._resolves(candidate):
+            return None
+        step, spec = self._step, self._spec
         if spec is None:
             return self._train(self.work, candidate, step)
         key = _trial_key(el, candidate, step, self._generation)
         result = spec.helper.take(key)
-        predicted = spec.next_request(key)
+        predicted = spec.next_request(key, self._predict(queue, request))
         if result is None:
             # the helper inherits self.work: only a request on these weights may go to it
             if predicted is not None and predicted[3] == self._generation:
@@ -211,8 +197,25 @@ class GreedyAnalyzer:
             else:
                 spec.helper.cancel()
             result = self._train(self.work, candidate, step)
-        spec.results.append(result[:2])
         return result
+
+    def _predict(self, queue: ElementQueue, request):
+        """(element, candidate, step, generation) of the trial after
+        ``request`` on a copy of the loop (None if it ends first), which
+        takes that request as landing in the band, on the approximation
+        bars, when both lie strictly above the skip bars, else as rejected
+        above both: either way the weights stay those a helper inherits.
+        Its plans resolve without warnings."""
+        ahead, queue = copy.copy(self), copy.deepcopy(queue)
+        in_band = all(a > s for a, s in zip(self._approx, self._skip))
+        assumed = self._approx if in_band else (math.inf, math.inf)
+        ahead._advance(queue, request, (*assumed, None))
+        while (request := ahead._next(queue)) is not None:
+            el, _, candidate = request
+            if ahead._resolves(candidate, warn=False):
+                return el, candidate, ahead._step, ahead._generation
+            ahead._advance(queue, request, None)
+        return None
 
     def _log(self, rec: dict):
         self.records.append(rec)
@@ -241,52 +244,95 @@ class GreedyAnalyzer:
             self._spec = None
 
     def _run(self, queue: ElementQueue) -> ApproxPlan:
-        while queue.has_next():
-            if self._spec is not None:
-                self._spec.restart(self, queue)
-            el = queue.pop()
-            block = weight_group_block(el)
-            if self.focus == Focus.SPEED and block is not None:
-                queue.extract_family(el.kind, el.layer, "shrink_scan")
-                self.shrink(block)
-            else:
-                self._decide(el, queue)
+        while (request := self._next(queue)) is not None:
+            self._log(self._advance(queue, request, self._result(queue, request)))
         return self.plan
 
-    def _decide(self, el: TransElement, queue: ElementQueue):
-        rec = self._try_skip(el, "skip")
-        tl, vl = rec["train_loss"], rec["val_loss"]
-        if rec["decision"] == "skip":
+    def _next(self, queue: ElementQueue):
+        """The next request, (element, tentative action, plan with the
+        element skipped), or None when the loop is done. A finished scan
+        closes first; under speed focus a popped weight group takes its
+        family out of the queue and opens a scan of its block."""
+        scan = self._scan
+        if scan is not None and scan.phase is not None and scan.lo < scan.hi:
+            el = TransElement(scan.kind, scan.block.layer,
+                              scan.lo if scan.phase == "bottom" else scan.hi - 1)
+            return el, f"shrink_prune_{scan.phase}", self.plan.with_skip(el)
+        if scan is not None:  # back to the plan before it, plus the band it left
+            self._scan, self.plan = None, scan.before
+            full = KIND_TABLE[scan.kind].per_layer(self.model.config)
+            if (scan.lo, scan.hi) != (0, full) and scan.block not in scan.before.skiplist:
+                self.plan = scan.before.with_approx(scan.block, GroupShrink(scan.lo, scan.hi))
+        if not queue.has_next():
+            return None
+        el = queue.pop()
+        block = weight_group_block(el)
+        if self.focus == Focus.SPEED and block is not None:
+            queue.extract_family(el.kind, el.layer, "shrink_scan")
+            full = KIND_TABLE[el.kind].per_layer(self.model.config)
+            self._scan = _Scan(block, el.kind, 0, full, "bottom", self.plan)
+            return self._next(queue)
+        return el, "skip", self.plan.with_skip(el)
+
+    def _advance(self, queue: ElementQueue, request, result) -> dict:
+        """Apply one request's result (None for an invalid plan: no trial,
+        no RNG step) and return its decision record, unlogged. A skip that
+        clears the bar adopts plan and tuned weights; in a scan it narrows
+        the band, and anything else ends the phase. Outside a scan, an
+        element in the band is approximated, and a block drops its inner
+        elements when skipped or kept at high importance."""
+        el, action, candidate = request
+        rec = {"element": el.key, "tentative_action": action, "train_loss": None,
+               "val_loss": None, "thresholds": self._thresholds_doc(), "decision": "keep"}
+        if result is None:
+            rec["approx"] = {"reason": "plan would be invalid"}
+        else:
+            tl, vl, tuned = result
+            self._step += 1
+            rec.update(train_loss=tl, val_loss=vl)
+            if self._accept_skip(tl, vl):
+                rec["decision"] = "skip"
+                self.plan, self.work = candidate, tuned
+                self._generation += 1
+                if self.focus == Focus.ACCURACY:
+                    self._skip = self._approx = (tl, vl)
+        skipped, scan = rec["decision"] == "skip", self._scan
+        if scan is not None:
+            if not skipped:
+                self._scan = scan._replace(phase="top" if scan.phase == "bottom" else None)
+            elif scan.phase == "bottom":
+                self._scan = scan._replace(lo=scan.lo + 1)
+            else:
+                self._scan = scan._replace(hi=scan.hi - 1)
+        elif skipped:
             if self.encompass_enabled and el.granularity == 0:
                 encompass_filter(queue, el, "skipped")
-        elif tl is not None:
-            decision, approx = "keep", None
-            if self._accept_approx(tl, vl):
-                decision, approx = self._approximate(el)
+        elif result is not None:
+            approx = self._approximate(el) if self._accept_approx(tl, vl) else None
             if approx is not None:
-                rec.update(decision=decision, approx=approx)
+                rec.update(decision="approximate", approx=approx)
             elif (self.encompass_enabled and el.granularity == 0
                     and self._high_importance(tl, vl)):
                 encompass_filter(queue, el, "kept")
-        self._log(rec)
+        return rec
 
-    def _approximate(self, el: TransElement) -> tuple[str, dict | None]:
+    def _approximate(self, el: TransElement) -> dict | None:
         """Approximate an element inside the band, if its kind has an
-        approximation under the focus; returns the decision and approx doc."""
+        approximation under the focus; returns the approx doc, if any."""
         params = None
         if self.focus == Focus.SPEED:
             if el.kind == FFN_BLOCK:
-                return "approximate", {"variant": "group_shrink", "status": "scheduled"}
+                return {"variant": "group_shrink", "status": "scheduled"}
             if el.kind == ATTN_BLOCK:
                 params = SignMatch(self.sign_match_k)
         elif self.focus == Focus.SIZE and (el.granularity == 0 or weight_group_block(el)):
             params = Quantize(self.quant_bits)
         if params is None:
-            return "keep", None
+            return None
         # redundant when the element (for a weight group: its block) carries it
         if params not in self.plan.entries(weight_group_block(el) or el):
             self.plan = self.plan.with_approx(el, params)
-        return "approximate", params_to_doc(params)
+        return params_to_doc(params)
 
     # -- contiguous shrinking ---------------------------------------------------
 
@@ -302,26 +348,25 @@ class GreedyAnalyzer:
         if self.focus != Focus.SPEED:
             raise ConfigError("contiguous shrinking applies under speed focus only; "
                               "other focuses prune groups individually")
-        kind = WEIGHT_GROUPS.get(block.kind)
-        if kind is None:
+        if block.kind not in WEIGHT_GROUPS:
             raise ConfigError("shrink target must be an FFN or ATTN block")
-        before = self.plan
+        # the loop scans a block when it pops one of its groups
+        queue = ElementQueue([TransElement(WEIGHT_GROUPS[block.kind], block.layer, 0)])
+        while (request := self._next(queue)) is not None:
+            self._log(self._advance(queue, request, self._result(queue, request)))
+            scan = self._scan
+        return scan.lo, scan.hi
 
-        def attempt(g: int, phase: str) -> bool:
-            rec = self._try_skip(TransElement(kind, block.layer, g), f"shrink_prune_{phase}")
-            self._log(rec)
-            return rec["decision"] == "skip"
 
-        full = KIND_TABLE[kind].per_layer(self.model.config)
-        lo, hi = 0, full
-        while lo < hi and attempt(lo, "bottom"):
-            lo += 1
-        while lo < hi and attempt(hi - 1, "top"):
-            hi -= 1
-        self.plan = before
-        if (lo, hi) != (0, full) and block not in before.skiplist:
-            self.plan = before.with_approx(block, GroupShrink(lo, hi))
-        return lo, hi
+class _Scan(NamedTuple):
+    """Cursor of a shrink scan: block, group kind, the band [lo, hi) of
+    unpruned groups, phase ("bottom", "top", None: done), plan before it."""
+    block: TransElement
+    kind: str
+    lo: int
+    hi: int
+    phase: str | None
+    before: ApproxPlan
 
 
 def _trial_key(el: TransElement, candidate: ApproxPlan, step: int, generation: int):
@@ -331,79 +376,27 @@ def _trial_key(el: TransElement, candidate: ApproxPlan, step: int, generation: i
             tuple(candidate.approxlist.items()))
 
 
-class _Predicted(Exception):
-    """Raised by a replay at its first trial past the one being decided."""
-
-
-class _Replay(GreedyAnalyzer):
-    """A throwaway twin of an analyzer as it stood before its latest pop.
-
-    It replays the committed trial results in order and takes the trial
-    being decided as landing in the band, with losses on the approximation
-    bars, when both of those lie strictly above the skip bars (in the
-    benchmark's speed scenario every block trial lands there); otherwise
-    as rejected above both bars. Neither is an accepted skip, so the
-    working weights stay those a helper inherits. Under speed and size
-    focus the bars never move; under accuracy focus they are equal. The
-    replay stops at the next trial request by raising
-    ``_Predicted(element, candidate, step, generation)``. It trains
-    nothing, logs nothing and resolves plans without warnings."""
-
-    _warns = False
-
-    def __init__(self, start: GreedyAnalyzer, results: list):
-        vars(self).update(vars(start))
-        self.records, self.log_path, self._spec = [], None, None
-        in_band = all(a > s for a, s in zip(self._approx, self._skip))
-        assumed = self._approx if in_band else (math.inf, math.inf)
-        self._results = iter([(tl, vl, None) for tl, vl in [*results, assumed]])
-
-    def _trial(self, el: TransElement, candidate: ApproxPlan, step: int):
-        result = next(self._results, None)
-        if result is None:
-            raise _Predicted(el, candidate, step, self._generation)
-        return result
-
-
-_FIRST = object()  # what _Speculation expects before a run's first trial
-
-
 class _Speculation:
-    """Per-run state of a speculating analyzer: the helper, the key the
-    last prediction named, and what a replay starts from: a snapshot of
-    analyzer and queue taken before the latest pop, and the (train, val)
-    losses of the trials committed since."""
+    """Per-run state of a speculating analyzer: the helper and the key the
+    last prediction named."""
 
     def __init__(self):
         self.helper = speculate.Helper()
-        self.expected = _FIRST
+        self.first = True  # no trial of the run has asked yet
+        self.expected = None
 
-    def restart(self, analyzer: GreedyAnalyzer, queue: ElementQueue):
-        self.start, self.queue = copy.copy(analyzer), copy.deepcopy(queue)
-        self.results: list[tuple[float, float]] = []
-
-    def next_request(self, key):
+    def next_request(self, key, predicted):
         """The request to speculate on while the trial with ``key`` runs:
-        the predicted next one, but only while predictions hold, i.e. at
-        the run's first trial or when the prediction made at the previous
-        trial named ``key``. Plain keeps come in runs, accepted skips too,
-        so past an accepted skip the helper would mostly train for nothing;
-        on the benchmark scenarios, speculating on every trial instead made
-        the pipeline 6-10% slower."""
-        held = self.expected is _FIRST or self.expected == key
-        predicted = self.predict()
+        ``predicted``, the request the loop would ask for next, but only
+        while predictions hold, i.e. at the run's first trial or when the
+        prediction made at the previous trial named ``key``. Plain keeps
+        come in runs, accepted skips too, so past an accepted skip the
+        helper would mostly train for nothing; on the benchmark scenarios,
+        speculating on every trial instead made the pipeline 6-10% slower."""
+        held = self.first or self.expected == key
+        self.first = False
         self.expected = predicted and _trial_key(*predicted)
         return predicted if held else None
-
-    def predict(self):
-        """(element, candidate, step, generation) of the request the loop
-        makes after the current trial if that has the outcome ``_Replay``
-        assumes; None if none."""
-        try:
-            _Replay(self.start, self.results)._run(copy.deepcopy(self.queue))
-        except _Predicted as request:
-            return request.args
-        return None
 
 
 # -- comparison baselines -------------------------------------------------------

@@ -26,10 +26,11 @@ The spare CPU has one owner at a time. An open ``Helper`` (a speculating
 greedy run) owns it from start to end: no forward splits meanwhile, and
 ``Helper.submit`` stops the split worker before it forks. Outside such a
 run the split worker owns it. ``spare_cpu_free`` is the rule both users
-share. The spare CPU must not be shared with this process's BLAS threads:
-on a 2-CPU machine with BLAS on both CPUs, the speed run of the acceptance
-suite's desk-scale fixture took 60.6 s instead of 16.8 s with a helper on
-every trial (16.4 s with BLAS on one).
+share. Either child moves itself off the CPU its parent ran on at the
+fork, where it may run on another. The spare CPU must not be shared with
+this process's BLAS threads: on a 2-CPU machine with BLAS on both CPUs,
+the speed run of the acceptance suite's desk-scale fixture took 60.6 s
+instead of 16.8 s with a helper on every trial (16.4 s with BLAS on one).
 """
 
 from __future__ import annotations
@@ -177,6 +178,13 @@ def _own_cpu() -> int | None:
         return None
 
 
+def _leave_cpu(cpu: int | None):
+    """In a forked child: run off ``cpu``, the parent's, where it may."""
+    if cpu is not None:
+        with contextlib.suppress(OSError, ValueError):
+            os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+
+
 def _layout(specs, start: int) -> tuple[list[int], int]:
     """Byte offsets of arrays of (dtype, shape) ``specs`` laid out from
     ``start`` on aligned bounds, and the end of the last."""
@@ -202,11 +210,7 @@ def _serve_halves(conn, parent_end, buf, cpu):
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent takes interrupts
     warnings.simplefilter("ignore")  # the parent warns for its own half
-    if cpu is not None:
-        try:
-            os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
-        except (OSError, ValueError):
-            pass
+    _leave_cpu(cpu)
     replicas = {}
     with no_grad():
         while True:
@@ -355,11 +359,12 @@ class _Replica:
 
 # -- the speculative helper --------------------------------------------------------
 
-def _serve(conn, compute):
-    """Helper body: send compute()'s result. On a failure it sends nothing,
-    so the parent reads end-of-file and computes the trial itself, raising
-    there if the failure is the trial's own."""
+def _serve(conn, compute, cpu):
+    """Helper body, off the parent's CPU: send compute()'s result. On a
+    failure it sends nothing, so the parent reads end-of-file and computes
+    the trial itself, raising there if the failure is the trial's own."""
     warnings.simplefilter("ignore")  # the parent warns for its own trials
+    _leave_cpu(cpu)
     try:
         conn.send(compute())
     except Exception:
@@ -398,7 +403,8 @@ class Helper:
         self.cancel()
         stop_split_worker()
         recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(target=_serve, args=(send, compute), daemon=True)
+        proc = self._ctx.Process(target=_serve, args=(send, compute, _own_cpu()),
+                                 daemon=True)
         try:
             proc.start()
         except OSError:

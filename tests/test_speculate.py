@@ -59,7 +59,7 @@ def set_helper(monkeypatch, on: bool):
 def speculate_always(monkeypatch):
     """Submit every prediction, not only those made while predictions hold."""
     monkeypatch.setattr(significance._Speculation, "next_request",
-                        lambda self, key: self.predict())
+                        lambda self, key, predicted: predicted)
 
 
 @pytest.fixture
@@ -148,11 +148,40 @@ def test_in_band_block_trials_speculated_from_the_first(monkeypatch, tmp_path, a
     assert [key[1] for key in taken] == list(range(1, len(records), 2))
 
 
+@pytest.mark.parametrize("focus", [Focus.SPEED, Focus.SIZE])
+def test_every_prediction_holds_on_the_band(monkeypatch, tmp_path, analyzers, one_helper,
+                                            focus):
+    """With every trial's losses on the approximation bars, each prediction
+    names the request that follows, so the helper takes every second trial
+    from the second on. Under speed focus that spans both phases of each
+    shrink scan (the top trial is predicted while the bottom one runs) and
+    a scan's close, which writes no record, before the next element."""
+    taken = []
+    take = speculate.Helper.take
+
+    def recording(self, key):
+        result = take(self, key)
+        if result is not None:
+            taken.append(key[1])
+        return result
+
+    def on_the_bars(self, work, candidate, step):
+        return (*self._approx, work)
+
+    monkeypatch.setattr(speculate.Helper, "take", recording)
+    monkeypatch.setattr(GreedyAnalyzer, "_train", on_the_bars)
+    off, on = off_then_on(monkeypatch, tmp_path, small_config(focus, **BAND))
+    assert on == off
+    trials = [r for r in analyzers[1].records if r["train_loss"] is not None]
+    assert taken == list(range(1, len(trials), 2))
+    actions = {trials[step]["tentative_action"] for step in taken}
+    assert actions == ({"skip", "shrink_prune_top"} if focus == Focus.SPEED else {"skip"})
+
+
 def test_other_generation_never_submitted(monkeypatch, tmp_path, analyzers):
     """A prediction made for weights the helper would not inherit is not
     handed to it."""
-    def other_weights(self, key):
-        predicted = self.predict()
+    def other_weights(self, key, predicted):
         if predicted is not None:
             el, candidate, step, generation = predicted
             return el, candidate, step, generation + 1
@@ -183,8 +212,7 @@ def test_comparison_rows_identical(monkeypatch):
 
 def test_forced_misprediction_is_dropped(monkeypatch, tmp_path, analyzers, one_helper):
     """Every helper runs a request one RNG step off the one that comes next."""
-    def wrong(self, key):
-        predicted = self.predict()
+    def wrong(self, key, predicted):
         if predicted is not None:
             el, candidate, step, generation = predicted
             return el, candidate, step + 1, generation
@@ -289,7 +317,7 @@ def test_direct_shrink_stays_serial(monkeypatch, tiny_config, majority_data):
 def test_warnings_unchanged_by_helper(monkeypatch, causal_config):
     """Trials that prune early key/value positions of a causal model warn
     once per request from the analyzer's own plan check, helper or not; the
-    helper and the prediction replay add none."""
+    helper and the prediction add none."""
     data = generate_task(TaskSpec("toy_lm", vocab_size=5, context_len=8,
                                   train_size=64, seed=5))
     model = build_model(causal_config, 5)

@@ -251,6 +251,16 @@ def test_worker_outlives_forward_off_the_callers_cpu(splits, starts):
     assert helper < caller or len(caller) == 1
 
 
+def test_helper_runs_off_the_callers_cpu():
+    """A speculative helper, like the split worker, runs off the CPU of
+    the process that forks it where there is another."""
+    with speculate.Helper() as helper:
+        helper.submit("key", lambda: os.sched_getaffinity(0))
+        helper_cpus = helper.take("key")
+    caller = os.sched_getaffinity(0)
+    assert helper_cpus < caller or len(caller) == 1
+
+
 def test_weights_read_at_every_forward(monkeypatch, splits):
     """Weights that train in place after the worker has its replica, or
     are replaced, reach the worker's half."""

@@ -13,7 +13,11 @@ the plan's form can show that it executes the same model, and
 ``<fixture> choices <sha256>``: a hash over ``decisions.jsonl`` with each
 record's ``train_loss``, ``val_loss`` and ``thresholds`` removed, so a change
 that moves losses in the last bits can show that every element, decision,
-action and approximation held. The fixtures are
+action and approximation held, and ``<fixture> speculation
+<speculated>:<taken>:<trials>``: the greedy trials handed to the speculative
+helper, the helper results the loop took and the trials run, so a change to
+the loop's prediction can show that the helper does the same work (the first
+two read 0 where no helper may run, as on one CPU). The fixtures are
 ``tests/test_experiment.py::small_config`` under speed, size and accuracy
 focus (``small_speed``, ``small_size``, ``small_accuracy``) and
 ``perfbench/scenarios.optimize_config("speed")`` and ``("size")``
@@ -74,6 +78,21 @@ def fixtures(root: Path) -> list:
     return ([(f"small_{focus}", small_config(Focus(focus)))
              for focus in ("speed", "size", "accuracy")]
             + [(f"bench_{focus}", optimize_config(focus)) for focus in ("speed", "size")])
+
+
+def recorded_analyzers() -> list:
+    """Every GreedyAnalyzer the experiment module builds from here on, in
+    order, as ``tests/test_speculate.py::analyzers`` records them."""
+    from slimformer import GreedyAnalyzer, experiment
+    made = []
+
+    class Recording(GreedyAnalyzer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    experiment.GreedyAnalyzer = Recording
+    return made
 
 
 def views_digest(plan_json: str, config) -> str:
@@ -195,7 +214,9 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     configs = fixtures(args.root.resolve())
     from slimformer import run_experiment
+    analyzers = recorded_analyzers()
     for name, config in configs:
+        analyzers.clear()
         with tempfile.TemporaryDirectory() as tmp:
             run_experiment(config, Path(tmp))
             for artifact in ARTIFACTS:
@@ -205,6 +226,9 @@ def main(argv=None) -> int:
             print(f"{name} views {views}", flush=True)
             choices = choices_digest((Path(tmp) / "decisions.jsonl").read_text())
             print(f"{name} choices {choices}", flush=True)
+        counts = [sum(a.speculated for a in analyzers), sum(a.speculation_hits for a in analyzers),
+                  sum(r["train_loss"] is not None for a in analyzers for r in a.records)]
+        print(f"{name} speculation {':'.join(map(str, counts))}", flush=True)
         if name.startswith("small_"):
             print(f"{name} comparison {comparison_digest(config)}", flush=True)
     digests = serve_digests()
