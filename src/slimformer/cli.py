@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+from .config import TransformerConfig
 from .errors import ConfigError, InfeasibleError, PlanError, StageError
-from .experiment import (ExperimentConfig, compare_baselines, run_experiment,
+from .experiment import (ExperimentConfig, ModelShape, compare_baselines, run_experiment,
                          sweep_thresholds, train_baseline)
 from .model import PlannedModel, load_checkpoint, save_checkpoint
 from .plan import ApproxPlan
@@ -90,22 +92,19 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-# fields of a model config that the task decides, and those that the
-# config's model section fixes: a checkpoint must share both
-_TASK_FIELDS = ("task_kind", "vocab_size", "num_classes", "autoregressive")
-_SHAPE_FIELDS = ("num_layers", "hidden_dim", "num_heads", "ffn_dim", "weight_group_width",
-                 "kv_group_width")
-
-
 def _check_fits_task(model, config: ExperimentConfig):
     """Raise PlanError naming the first field in which the checkpoint's
-    model cannot take the task and model of ``config``: a task or shape
-    field that differs (the model's vocab_size counts the padding id), or a
-    task context longer than the checkpoint's (a shorter one is padded)."""
+    model cannot take the task and model of ``config``: any model config
+    field that differs (the model's vocab_size counts the padding id),
+    task_kind first as it decides the other task fields, or a task context
+    longer than the checkpoint's (a shorter one is padded)."""
     have, want = model.config, config.transformer_config()
-    for name in _TASK_FIELDS + _SHAPE_FIELDS:
+    shape = {f.name for f in fields(ModelShape)}
+    names = sorted((f.name for f in fields(TransformerConfig) if f.name != "context_len"),
+                   key=lambda name: name != "task_kind")
+    for name in names:
         if getattr(have, name) != getattr(want, name):
-            section = "task" if name in _TASK_FIELDS else "model"
+            section = "model" if name in shape else "task"
             raise PlanError(f"checkpoint {name} is {getattr(have, name)!r}, the config's "
                             f"{section} needs {getattr(want, name)!r}")
     if want.context_len > have.context_len:

@@ -1,11 +1,12 @@
 """Prunable/approximable model units and the ordered analysis queue.
 
-``KIND_TABLE`` declares each element kind once; everything that knows a
-kind reads it. Kinds come in three granularity tiers (blocks, heads,
-weight/position groups). The queue orders elements coarse to fine so whole
-blocks are decided first, with layer order and block-type order chosen by
-task and cost heuristics, and supports dynamically dropping elements that a
-coarser decision has made irrelevant.
+``KIND_TABLE`` declares each element kind once, ``PARAM_TABLE`` each layer
+parameter (its block, shape and the kinds that slice it); everything that
+knows a kind or a layer parameter reads them. Kinds come in three
+granularity tiers (blocks, heads, weight/position groups). The queue orders
+elements coarse to fine so whole blocks are decided first, with layer order
+and block-type order chosen by task and cost heuristics, and supports
+dynamically dropping elements that a coarser decision has made irrelevant.
 """
 
 from __future__ import annotations
@@ -61,6 +62,38 @@ _RANK = {kind: r for r, kind in enumerate(KIND_TABLE)}
 
 # Each block's weight-group kind: the groups a GroupShrink keeps a band of.
 WEIGHT_GROUPS = {ATTN_BLOCK: QKV_GROUP, FFN_BLOCK: FFN_GROUP}
+
+# Every layer parameter, in checkpoint order: name -> (block, axes), per axis
+# the config attribute giving its length and the kind that slices it (None:
+# unsliced). Element i of a kind owns slice i of the kind's per-layer count
+# of equal slices of each axis it slices; a block owns its parameters whole.
+PARAM_TABLE = {
+    "ln1_g": (ATTN_BLOCK, (("hidden_dim", None),)),
+    "ln1_b": (ATTN_BLOCK, (("hidden_dim", None),)),
+    "wq": (ATTN_BLOCK, (("hidden_dim", QKV_GROUP), ("hidden_dim", HEAD))),
+    "bq": (ATTN_BLOCK, (("hidden_dim", HEAD),)),
+    "wk": (ATTN_BLOCK, (("hidden_dim", QKV_GROUP), ("hidden_dim", HEAD))),
+    "bk": (ATTN_BLOCK, (("hidden_dim", HEAD),)),
+    "wv": (ATTN_BLOCK, (("hidden_dim", QKV_GROUP), ("hidden_dim", HEAD))),
+    "bv": (ATTN_BLOCK, (("hidden_dim", HEAD),)),
+    "wo": (ATTN_BLOCK, (("hidden_dim", HEAD), ("hidden_dim", None))),
+    "bo": (ATTN_BLOCK, (("hidden_dim", None),)),
+    "ln2_g": (FFN_BLOCK, (("hidden_dim", None),)),
+    "ln2_b": (FFN_BLOCK, (("hidden_dim", None),)),
+    "w1": (FFN_BLOCK, (("hidden_dim", FFN_GROUP), ("ffn_dim", None))),
+    "b1": (FFN_BLOCK, (("ffn_dim", None),)),
+    "w2": (FFN_BLOCK, (("ffn_dim", None), ("hidden_dim", None))),
+    "b2": (FFN_BLOCK, (("hidden_dim", None),)),
+}
+
+
+def owned_params(el: TransElement) -> list[tuple[str, int | None]]:
+    """The (parameter, axis) pairs an element owns, in table order: axis
+    None owns the whole tensor, else the element's slice of that axis."""
+    if el.granularity == 0:
+        return [(name, None) for name, (block, _) in PARAM_TABLE.items() if block == el.kind]
+    return [(name, axis) for name, (_, axes) in PARAM_TABLE.items()
+            for axis, (_, kind) in enumerate(axes) if kind == el.kind]
 
 
 @dataclass(frozen=True, order=True)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import costs, speculate
 from .config import TransformerConfig
+from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KIND_TABLE, PARAM_TABLE,
+                       QKV_GROUP)
 from .errors import ConfigError, PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
 from .signmatch import OpCounter, causal_attention, causal_mask, sign_match_attention
@@ -36,27 +37,14 @@ from .tensor import (Tensor, add, cross_entropy, embedding_lookup, full_attentio
 BAND_MAX_SHARE = 0.75
 
 
-@dataclass
 class LayerParams:
-    ln1_g: Tensor
-    ln1_b: Tensor
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln2_g: Tensor
-    ln2_b: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
+    """One layer's parameters: an attribute per ``PARAM_TABLE`` row, of
+    its shape, layer-norm gains at one and the rest at zero."""
 
-    ATTN_NAMES = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-    FFN_NAMES = ("ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
+    def __init__(self, config: TransformerConfig):
+        for name, (_, axes) in PARAM_TABLE.items():
+            shape = tuple(getattr(config, length) for length, _ in axes)
+            setattr(self, name, _param(np.ones(shape) if name.endswith("_g") else np.zeros(shape)))
 
 
 class TransformerModel:
@@ -68,18 +56,7 @@ class TransformerModel:
         d, n, v = config.hidden_dim, config.context_len, config.vocab_size
         self.embedding = Tensor(np.zeros((v, d)), requires_grad=True)
         self.positional = Tensor(np.zeros((n, d)), requires_grad=True)
-        self.layers: list[LayerParams] = []
-        for _ in range(config.num_layers):
-            self.layers.append(LayerParams(
-                ln1_g=_param(np.ones(d)), ln1_b=_param(np.zeros(d)),
-                wq=_param(np.zeros((d, d))), bq=_param(np.zeros(d)),
-                wk=_param(np.zeros((d, d))), bk=_param(np.zeros(d)),
-                wv=_param(np.zeros((d, d))), bv=_param(np.zeros(d)),
-                wo=_param(np.zeros((d, d))), bo=_param(np.zeros(d)),
-                ln2_g=_param(np.ones(d)), ln2_b=_param(np.zeros(d)),
-                w1=_param(np.zeros((d, config.ffn_dim))), b1=_param(np.zeros(config.ffn_dim)),
-                w2=_param(np.zeros((config.ffn_dim, d))), b2=_param(np.zeros(d)),
-            ))
+        self.layers = [LayerParams(config) for _ in range(config.num_layers)]
         c = config.output_classes
         self.lnf_g = _param(np.ones(d))
         self.lnf_b = _param(np.zeros(d))
@@ -89,7 +66,7 @@ class TransformerModel:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [("embedding", self.embedding), ("positional", self.positional)]
         for i, layer in enumerate(self.layers):
-            for name in LayerParams.ATTN_NAMES + LayerParams.FFN_NAMES:
+            for name in PARAM_TABLE:
                 out.append((f"layers.{i}.{name}", getattr(layer, name)))
         out.extend([("lnf_g", self.lnf_g), ("lnf_b", self.lnf_b),
                     ("head_w", self.head_w), ("head_b", self.head_b)])
@@ -117,17 +94,16 @@ def build_model(config: TransformerConfig, rng: np.random.Generator | int) -> Tr
     else:
         seed = -1
     model = TransformerModel(config, seed)
-    d, y = config.hidden_dim, config.ffn_dim
     res = (2 * config.num_layers) ** -0.5
     model.embedding.data = rng.normal(0.0, 1.0, model.embedding.data.shape)
     model.positional.data = rng.normal(0.0, 0.1, model.positional.data.shape)
     for layer in model.layers:
-        for name in ("wq", "wk", "wv"):
-            getattr(layer, name).data = rng.normal(0.0, d ** -0.5, (d, d))
-        layer.wo.data = rng.normal(0.0, res * d ** -0.5, (d, d))
-        layer.w1.data = rng.normal(0.0, d ** -0.5, (d, y))
-        layer.w2.data = rng.normal(0.0, res * y ** -0.5, (y, d))
-    model.head_w.data = rng.normal(0.0, d ** -0.5, model.head_w.data.shape)
+        for name, (_, axes) in PARAM_TABLE.items():  # the weight matrices, in table order
+            if len(axes) == 2:
+                t = getattr(layer, name)
+                std = t.data.shape[0] ** -0.5
+                t.data = rng.normal(0.0, res * std if name in ("wo", "w2") else std, t.data.shape)
+    model.head_w.data = rng.normal(0.0, config.hidden_dim ** -0.5, model.head_w.data.shape)
     return model
 
 
@@ -392,6 +368,12 @@ def _take(a: Tensor, index, axis: int) -> Tensor:
     return a if index is None else take(a, index, axis)
 
 
+_BLOCK_PARAMS = {block: tuple(name for name, (b, _) in PARAM_TABLE.items() if b == block)
+                 for block in (ATTN_BLOCK, FFN_BLOCK)}
+# the (length, kind) of every parameter axis a kind slices
+_SLICED_AXES = {axis for _, axes in PARAM_TABLE.values() for axis in axes if axis[1]}
+
+
 class _BoundWeight:
     """One weight matrix as a bound layer reads it: its live rows and
     columns, with quantized row bands replaced by constant images computed
@@ -444,21 +426,23 @@ class _BoundLayer:
         if cfg.autoregressive and view.signmatch_k is None:
             self.causal = causal_mask(cfg.context_len, np.flatnonzero(view.kv_live))
         self.live_heads = int(view.head_live.sum())
-        self.head_cols = _live_index(np.repeat(view.head_live, cfg.head_dim))
-        self.qkv_rows = _live_index(view.qkv_live)
-        self.ffn_rows = _live_index(view.ffn_live)
+        index = {}  # how the live entries of each sliced axis are taken
+        for length, kind in _SLICED_AXES:
+            mask = getattr(view, KIND_TABLE[kind].mask)  # one entry per element or per axis entry
+            index[length, kind] = _live_index(np.repeat(mask, getattr(cfg, length) // mask.size))
+        self.head_cols = index["hidden_dim", HEAD]
+        self.qkv_rows = index["hidden_dim", QKV_GROUP]
+        self.ffn_rows = index["hidden_dim", FFN_GROUP]
         self.ffn_empty = not view.ffn_live.any()
-        qkv = (self.qkv_rows, self.head_cols)
-        index = {"wq": qkv, "wk": qkv, "wv": qkv, "wo": (self.head_cols, None),
-                 "w1": (self.ffn_rows, None), "w2": (None, None)}
         names = ()
         if not view.attn_skipped:
-            names += LayerParams.ATTN_NAMES if self.live_heads else ("bo",)
+            names += _BLOCK_PARAMS[ATTN_BLOCK] if self.live_heads else ("bo",)
         if not view.ffn_skipped:
-            names += ("b1", "w2", "b2") if self.ffn_empty else LayerParams.FFN_NAMES
-        self.weights = {name: _BoundWeight(getattr(p, name), *index[name],
+            names += ("b1", "w2", "b2") if self.ffn_empty else _BLOCK_PARAMS[FFN_BLOCK]
+        self.weights = {name: _BoundWeight(getattr(p, name),
+                                           *(index.get(axis) for axis in PARAM_TABLE[name][1]),
                                            view.quant_bits[name], cfg.weight_group_width)
-                        for name in names if name in index}
+                        for name in names if name in view.quant_bits}
         self.params = [getattr(p, name) for name in names
                        if name not in self.weights or not self.weights[name].constant]
 

@@ -24,8 +24,9 @@ import numpy as np
 
 from .config import TransformerConfig
 from .costs import quantized_bytes
-from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, KIND_TABLE, QKV_GROUP,
-                       WEIGHT_GROUPS, TransElement, element_bounds)
+from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, KIND_TABLE, PARAM_TABLE,
+                       QKV_GROUP, WEIGHT_GROUPS, TransElement, element_bounds,
+                       owned_params)
 from .errors import ConfigError, PlanError
 
 QUANT_BITS = (2, 4, 8)
@@ -74,14 +75,6 @@ _ALLOWED = {
     FFN_BLOCK: (Quantize, GroupShrink),
     FFN_GROUP: (Quantize,),
     QKV_GROUP: (Quantize,),
-}
-
-# The weight matrices a Quantize entry on each element kind covers.
-_QUANT_MATRICES = {
-    ATTN_BLOCK: ("wq", "wk", "wv", "wo"),
-    FFN_BLOCK: ("w1", "w2"),
-    FFN_GROUP: ("w1",),
-    QKV_GROUP: ("wq", "wk", "wv"),
 }
 
 
@@ -234,8 +227,9 @@ class ApproxPlan:
 class LayerView:
     """Resolved execution state of one layer under a plan: one boolean
     liveness mask per axis (heads, key/value positions, QKV and FFN input
-    rows) and, per weight matrix, the quantization bits of each
-    weight-group-wide row band (0: full precision)."""
+    rows) and, per weight matrix (a two-axis ``PARAM_TABLE`` row), the
+    quantization bits of each weight-group-wide row band (0: full
+    precision)."""
 
     def __init__(self, config: TransformerConfig):
         self.attn_skipped = False
@@ -245,10 +239,9 @@ class LayerView:
         self.qkv_live = np.ones(config.hidden_dim, dtype=bool)
         self.ffn_live = np.ones(config.hidden_dim, dtype=bool)
         self.signmatch_k: int | None = None
-        bands = -(-config.ffn_dim // config.weight_group_width)
-        self.quant_bits = {m: np.zeros(config.num_weight_groups, dtype=np.int64)
-                           for m in ("wq", "wk", "wv", "wo", "w1")}
-        self.quant_bits["w2"] = np.zeros(bands, dtype=np.int64)
+        g = config.weight_group_width
+        self.quant_bits = {name: np.zeros(-(-getattr(config, axes[0][0]) // g), dtype=np.int64)
+                           for name, (_, axes) in PARAM_TABLE.items() if len(axes) == 2}
 
     def apply_approx(self, el: TransElement, params: ApproxParams,
                      config: TransformerConfig):
@@ -265,10 +258,12 @@ class LayerView:
             live[kept.stop:] = False
         elif isinstance(params, Quantize):
             # a block sorts before its weight groups, so a group's own
-            # entry overrides its block's on the bands it covers
+            # entry overrides its block's on the bands it covers; a block
+            # quantizes its matrices, a group those whose rows it owns
             bands = slice(None) if el.granularity == 0 else el.index
-            for m in _QUANT_MATRICES[el.kind]:
-                self.quant_bits[m][bands] = params.bits
+            for name, axis in owned_params(el):
+                if name in self.quant_bits and axis in (None, 0):
+                    self.quant_bits[name][bands] = params.bits
 
 
 @dataclass

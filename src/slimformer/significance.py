@@ -31,12 +31,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import speculate
-from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KIND_TABLE, QKV_GROUP,
-                       WEIGHT_GROUPS, ElementQueue, TransElement, encompass_filter,
-                       enumerate_elements, weight_group_block)
+from .elements import (ATTN_BLOCK, FFN_BLOCK, KIND_TABLE, WEIGHT_GROUPS, ElementQueue,
+                       TransElement, encompass_filter, enumerate_elements, owned_params,
+                       weight_group_block)
 from .errors import ConfigError, InfeasibleError, PlanError
 from .focus import Focus
-from .model import LayerParams, PlannedModel, TransformerModel
+from .model import PlannedModel, TransformerModel
 from .plan import ApproxPlan, GroupShrink, Quantize, SignMatch, params_to_doc
 from .tasks import TaskData
 from .tensor import spawn_rng
@@ -403,20 +403,6 @@ class _Speculation:
 
 TAYLOR_BATCH = 64  # training examples behind the one gradient Taylor scores use
 
-# element kind -> (config attribute giving its slice width, owned parameters
-# as (name, axis) pairs): axis None owns the whole tensor, else the element's
-# index-th slice along that axis. Key/value position groups own no
-# parameters (they select activations), so they score zero.
-_OWNED_PARAMS = {
-    FFN_BLOCK: (None, tuple((name, None) for name in LayerParams.FFN_NAMES)),
-    ATTN_BLOCK: (None, tuple((name, None) for name in LayerParams.ATTN_NAMES)),
-    HEAD: ("head_dim", (("wq", 1), ("wk", 1), ("wv", 1),
-                        ("bq", 0), ("bk", 0), ("bv", 0), ("wo", 0))),
-    FFN_GROUP: ("weight_group_width", (("w1", 0),)),
-    QKV_GROUP: ("weight_group_width", (("wq", 0), ("wk", 0), ("wv", 0))),
-}
-
-
 def taylor_signed_scores(model: TransformerModel, data: TaskData,
                          elements: list[TransElement] | None = None
                          ) -> dict[TransElement, float]:
@@ -429,15 +415,16 @@ def taylor_signed_scores(model: TransformerModel, data: TaskData,
     PlannedModel(work).loss(tokens, labels).backward()
     scores = {}
     for el in elements:
-        attr, owned = _OWNED_PARAMS.get(el.kind, (None, ()))
-        width = getattr(model.config, attr) if attr else 0
-        band = slice(el.index * width, (el.index + 1) * width)
+        count = KIND_TABLE[el.kind].per_layer(model.config)
         total = 0.0
-        for name, axis in owned:
+        for name, axis in owned_params(el):  # key/value position groups own none: zero
             t = getattr(work.layers[el.layer], name)
             if t.grad is None:
                 raise RuntimeError(f"missing gradient for parameters of {el.key}")
-            index = ... if axis is None else (slice(None),) * axis + (band,)
+            index = ...
+            if axis is not None:
+                width = t.data.shape[axis] // count
+                index = (slice(None),) * axis + (slice(el.index * width, (el.index + 1) * width),)
             total += float((t.data[index] * t.grad[index]).sum())
         scores[el] = total
     return scores

@@ -363,6 +363,7 @@ def _serve(conn, compute, cpu):
     """Helper body, off the parent's CPU: send compute()'s result. On a
     failure it sends nothing, so the parent reads end-of-file and computes
     the trial itself, raising there if the failure is the trial's own."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent takes interrupts
     warnings.simplefilter("ignore")  # the parent warns for its own trials
     _leave_cpu(cpu)
     try:

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from slimformer import (ConfigError, ElementQueue, Focus, PlanError,
-                        TransElement, TransformerConfig, encompass_filter,
-                        enumerate_elements, order_queue)
-from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
-                                 KV_GROUP, QKV_GROUP, element_bounds)
+from slimformer import (ApproxPlan, ConfigError, ElementQueue, Focus, PlanError,
+                        Quantize, TransElement, TransformerConfig, build_model,
+                        encompass_filter, enumerate_elements, order_queue)
+from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KIND_TABLE,
+                                 KV_GROUP, PARAM_TABLE, QKV_GROUP, element_bounds,
+                                 owned_params)
 
 
 def make_config(**kw):
@@ -253,3 +254,68 @@ class TestEncompassFilter:
         cfg = make_config()
         q = order_queue(enumerate_elements(cfg), Focus.SPEED, cfg)
         assert encompass_filter(q, TransElement(HEAD, 0, 0), "kept") == []
+
+
+class TestParamTable:
+    CONFIGS = [make_config(), make_config(ffn_dim=10),  # 10 FFN rows: a 2-row last band
+               make_config(num_layers=1, hidden_dim=12, num_heads=3, ffn_dim=20,
+                           weight_group_width=3)]
+
+    # Pinned: what each kind owns and the config attribute giving the
+    # width of its slices, written out by hand.
+    ATTN = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+    FFN = ("ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
+    OWNED = {
+        FFN_BLOCK: (None, tuple((name, None) for name in FFN)),
+        ATTN_BLOCK: (None, tuple((name, None) for name in ATTN)),
+        HEAD: ("head_dim", (("wq", 1), ("wk", 1), ("wv", 1),
+                            ("bq", 0), ("bk", 0), ("bv", 0), ("wo", 0))),
+        FFN_GROUP: ("weight_group_width", (("w1", 0),)),
+        QKV_GROUP: ("weight_group_width", (("wq", 0), ("wk", 0), ("wv", 0))),
+    }
+
+    # Pinned: the matrices a Quantize on each kind covers.
+    QUANTIZED = {ATTN_BLOCK: ("wq", "wk", "wv", "wo"), FFN_BLOCK: ("w1", "w2"),
+                 FFN_GROUP: ("w1",), QKV_GROUP: ("wq", "wk", "wv")}
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_rows_give_the_built_shapes_in_named_order(self, cfg):
+        model = build_model(cfg, 0)
+        names = [n.split(".")[2] for n, _ in model.named_parameters() if n.startswith("layers.")]
+        assert names == list(PARAM_TABLE) * cfg.num_layers
+        for layer in model.layers:
+            for name, (_, axes) in PARAM_TABLE.items():
+                shape = tuple(getattr(cfg, length) for length, _ in axes)
+                assert getattr(layer, name).data.shape == shape, name
+        assert list(PARAM_TABLE) == list(self.ATTN + self.FFN)
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_owned_params_match_the_pinned_list(self, cfg):
+        layer = build_model(cfg, 0).layers[0]
+        for kind in KIND_TABLE:
+            el = TransElement(kind, 0)
+            attr, owned = self.OWNED.get(kind, (None, ()))
+            assert sorted(owned_params(el)) == sorted(owned), kind
+            for name, axis in owned_params(el):
+                if axis is not None:  # the slice width the scorer takes
+                    length = getattr(layer, name).data.shape[axis]
+                    assert length // KIND_TABLE[kind].per_layer(cfg) == getattr(cfg, attr)
+        assert owned_params(TransElement(KV_GROUP, 0)) == []
+
+    def test_w2_bands_round_up(self):
+        assert len(ApproxPlan().resolve(make_config(ffn_dim=10))[0].quant_bits["w2"]) == 3
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_quantize_sets_the_pinned_bands(self, cfg):
+        g = cfg.weight_group_width
+        bands = {name: cfg.num_weight_groups for name in ("wq", "wk", "wv", "wo", "w1")}
+        bands["w2"] = -(-cfg.ffn_dim // g)
+        for kind, covered in self.QUANTIZED.items():
+            el = TransElement(kind, 0, 0 if KIND_TABLE[kind].tier == 0 else 1)
+            view = ApproxPlan().with_approx(el, Quantize(4)).resolve(cfg)[0]
+            assert {m: len(bits) for m, bits in view.quant_bits.items()} == bands
+            for name, bits in view.quant_bits.items():
+                want = np.zeros(bands[name], dtype=np.int64)
+                if name in covered:
+                    want[slice(None) if el.granularity == 0 else 1] = 4
+                np.testing.assert_array_equal(bits, want, err_msg=f"{kind} {name}")

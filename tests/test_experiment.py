@@ -388,10 +388,14 @@ class TestCli:
         ("model.num_layers=2", "num_layers"), ("model.hidden_dim=16", "hidden_dim"),
         ("model.num_heads=4", "num_heads"), ("model.ffn_dim=8", "ffn_dim"),
         ("model.weight_group_width=2", "weight_group_width"),
-        ("model.kv_group_width=1", "kv_group_width")])
+        ("model.kv_group_width=1", "kv_group_width"),
+        ("task.kind=parity_classification", "num_classes")])
     def test_checkpoint_of_another_task_exit_code(self, tmp_path, capsys, override, field):
-        copy = TaskSpec("copy", vocab_size=6, context_len=9, train_size=64, seed=3)
-        cfg = self.write_config(tmp_path, task=copy, epochs_baseline=1, shape=ModelShape(
+        """A copy checkpoint, or a majority one for the class count, fails
+        on a config that differs in one field."""
+        kind = "majority_classification" if field == "num_classes" else "copy"
+        task = TaskSpec(kind, vocab_size=6, context_len=9, train_size=64, seed=3)
+        cfg = self.write_config(tmp_path, task=task, epochs_baseline=1, shape=ModelShape(
             num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
             weight_group_width=4, kv_group_width=3))
         out = tmp_path / "train_out"

@@ -470,6 +470,19 @@ def test_open_helper_owns_the_spare_cpu(monkeypatch):
     assert split_allowed() and helpers() == []
 
 
+def test_helper_ignores_interrupts(capfd):
+    """An interrupt reaches the whole process group; the helper ignores it,
+    as the split worker does, and still sends its result."""
+    def compute():
+        os.kill(os.getpid(), signal.SIGINT)
+        return 42
+
+    with speculate.Helper() as helper:
+        helper.submit("key", compute)
+        assert helper.take("key") == 42
+    assert capfd.readouterr().err == ""
+
+
 def test_speculating_run_owns_the_spare_cpu(monkeypatch, tmp_path, analyzers):
     """From start to end of a speculating greedy run no forward splits and
     no split worker starts, though every no-grad forward of the run passes
