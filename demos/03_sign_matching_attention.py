@@ -22,12 +22,10 @@ hot = gen.choice(n, size=8, replace=False)
 k[hot] = 1.2 * direction[None, :] + 0.4 * gen.normal(size=(8, d))
 v = gen.normal(size=(n, d))
 
-val = sf.representative_sign(q)
-dist = sf.score_keys(k, val)
-print("representative sign:", val)
+dist = sf.sign_distances(q, k)
 print("hamming distances:  ", dist)
-print("top-8 keys:         ", sorted(sf.select_topk(dist, 8)))
-print("planted hot keys:   ", sorted(hot))
+print("top-8 keys:         ", sf.select_keys(dist, 8))
+print("planted hot keys:   ", np.sort(hot))
 
 full = sf.full_attention(Tensor(q), Tensor(k), Tensor(v)).data
 print("\nerror vs full attention as K grows:")
@@ -50,4 +48,4 @@ out = sf.sign_match_attention(Tensor(q), Tensor(k), Tensor(v), 8, causal=True,
                               counter=counter)
 print(f"\ncausal variant: {counter.starved_queries} starved queries "
       f"(zeroed output rows)")
-print("causal selection:", sorted(sf.causal_select(dist, n, 8)))
+print("causal selection:", sf.select_keys(dist, 8, causal=True))

@@ -25,8 +25,7 @@ from .plan import (ApproxPlan, GroupShrink, Quantize, QuantizedGroup, SignMatch,
                    quantize_dequantize, quantize_group)
 from .significance import (GreedyAnalyzer, evaluate_candidate, final_finetune,
                            oracle_significance, taylor_significance)
-from .signmatch import (OpCounter, causal_select, representative_sign,
-                        score_keys, select_topk, sign_match_attention)
+from .signmatch import OpCounter, select_keys, sign_distances, sign_match_attention
 from .tasks import Dataset, TaskData, TaskSpec, generate_task
 from .tensor import (Tensor, cross_entropy, full_attention, layer_norm, make_rng,
                      no_grad, spawn_rng)
@@ -42,12 +41,12 @@ __all__ = [
     "OpCounter", "PlanError", "PlannedModel", "QKV_GROUP", "Quantize",
     "QuantizedGroup", "RunReport", "SignMatch", "StageError", "TaskData",
     "TaskSpec", "Tensor", "TransElement", "TransformerConfig", "TransformerModel",
-    "build_model", "causal_select", "compare_baselines", "cross_entropy",
+    "build_model", "compare_baselines", "cross_entropy",
     "encompass_filter", "enumerate_elements", "evaluate_accuracy", "evaluate_candidate",
     "evaluate_loss", "final_finetune", "full_attention", "generate_task",
     "layer_norm", "load_checkpoint", "make_rng", "measure_latency", "no_grad",
     "oracle_significance", "order_queue", "quantize_dequantize", "quantize_group",
-    "representative_sign", "run_experiment", "save_checkpoint", "score_keys",
-    "select_topk", "sign_match_attention", "spawn_rng", "sweep_thresholds",
+    "run_experiment", "save_checkpoint", "select_keys", "sign_distances",
+    "sign_match_attention", "spawn_rng", "sweep_thresholds",
     "taylor_significance", "train_baseline", "train_epochs",
 ]

@@ -197,12 +197,10 @@ class RunReport:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
 
-def _metrics(model: TransformerModel, plan, data: TaskData, spec: TaskSpec,
-             latency_batch=None) -> MetricsBundle:
+def _metrics(model: TransformerModel, plan, data: TaskData, spec: TaskSpec) -> MetricsBundle:
     planned = PlannedModel(model, plan)
     cost = planned.cost()
-    tokens = (data.val.tokens if latency_batch is None else latency_batch)[:16]
-    wall = measure_latency(planned, None, tokens, repeats=3)
+    wall = measure_latency(planned, None, data.val.tokens[:16], repeats=3)
     val_loss = evaluate_loss(planned, None, data.val)
     ppl = math.exp(val_loss) if spec.model_task_kind != "classification" else None
     return MetricsBundle(

@@ -4,9 +4,9 @@ Keys are scored by the Hamming distance between their sign pattern and a
 majority-vote representative sign vector built from the queries; only the
 top-K keys enter the softmax. Scoring touches each matrix entry once, so
 the score stage is linear in sequence length instead of quadratic.
-``sign_match_attention`` scores with integer counts and bit counts
-(``_distances``); ``representative_sign`` and ``score_keys`` are the ±1
-reference it equals, counts included.
+``sign_match_attention`` scores with ``sign_distances`` (integer counts
+and bit counts) and selects with ``select_keys`` (one index array);
+``select_topk`` and ``causal_select`` are that selection's ranked-list form.
 
 Every function takes leading batch axes (``[..., n, d]`` matrices,
 ``[..., n]`` distances); each leading index is an independent sequence, so
@@ -76,28 +76,6 @@ class OpCounter:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-def representative_sign(query: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Majority sign of each query column: +1 when at least half the rows
-    are strictly positive (ties resolve to +1), else -1. [..., n, d] -> [..., d]."""
-    q = np.asarray(query, dtype=np.float64)
-    counts = np.ones(q.shape[-2]) @ (q > 0)
-    if counter is not None:
-        counter.rep_sign += q.size
-    return np.where(counts >= q.shape[-2] / 2, 1, -1).astype(np.int64)
-
-
-def score_keys(key: np.ndarray, val: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Hamming distance between each key row's sign pattern and the
-    representative vector. [..., n, d] keys, [..., d] signs -> [..., n]."""
-    k = np.asarray(key, dtype=np.float64)
-    if val.shape != k.shape[:-2] + k.shape[-1:]:
-        raise ValueError(f"sign vector shape {val.shape} does not match keys {k.shape}")
-    if counter is not None:
-        counter.sign_extract += k.size
-        counter.hamming += k.size
-    return ((k > 0) != (val > 0)[..., None, :]).sum(axis=-1, dtype=np.int64)
-
-
 def select_topk(distances, k: int) -> list:
     """Indices of the k smallest distances along the last axis, ties broken
     by ascending index; a list per leading index for batched input."""
@@ -156,14 +134,15 @@ def _lowest(rank: np.ndarray, k: int) -> np.ndarray:
     return rank <= np.partition(rank, k - 1, axis=-1)[..., k - 1:k]
 
 
-def _distances(query: np.ndarray, key: np.ndarray,
-               counter: OpCounter | None = None) -> np.ndarray:
-    """``score_keys(key, representative_sign(query))``, with the same
-    counts, from integer work: each column's positive entries are counted
-    (ties still go to +1), and each sign is one byte, 1 when positive, in
-    rows padded with zero bytes to whole 8-byte words, so the Hamming
-    distance of a key is the bit count of its words XORed with the
-    representative's."""
+def sign_distances(query: np.ndarray, key: np.ndarray,
+                   counter: OpCounter | None = None) -> np.ndarray:
+    """Hamming distance of each key's sign pattern from the queries'
+    majority sign (+1 where at least half a column is positive), from
+    integer work: each column's positive entries are counted, and each sign
+    is one byte, 1 when positive, in rows padded with zero bytes to whole
+    8-byte words, so a key's distance is the bit count of its words XORed
+    with the representative's. ``tests/reference.py`` holds the ±1 form,
+    ``ref_score_keys(k, ref_representative_sign(q))``."""
     n, d = query.shape[-2:]
     width = -(-d // 8) * 8
     # counted in the smallest unsigned type that holds n
@@ -197,7 +176,7 @@ def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
     if top_k < 1:
         raise PlanError("sign-match k must be >= 1")
     n_k = k.data.shape[-2]
-    sel = select_keys(_distances(q.data, k.data, counter), min(top_k, n_k), causal)
+    sel = select_keys(sign_distances(q.data, k.data, counter), min(top_k, n_k), causal)
     rows = row_index(k.data.shape[:-2], sel)
     k_sel, v_sel = gather_rows(k, rows), gather_rows(v, rows)
     if causal:

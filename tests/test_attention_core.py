@@ -1,4 +1,4 @@
-"""The attention core and the sign-scoring kernels give the bits of the
+"""The attention core and sign-matched attention give the bits of the
 plain formulations in ``reference``: forward, gradients and op counts, on
 row lengths that take every branch of the row-max kernel (column loop up
 to 16 keys, halving folds for even rows above that, a reduction otherwise)
@@ -15,12 +15,11 @@ from slimformer import (ApproxPlan, PlannedModel, SignMatch, TransElement, Trans
                         build_model, tensor)
 from slimformer.elements import HEAD, KV_GROUP, attn_block
 from slimformer.signmatch import (OpCounter, causal_attention, causal_mask, causal_select,
-                                  representative_sign, score_keys, sign_match_attention)
+                                  sign_distances, sign_match_attention)
 from slimformer.tensor import (Tensor, full_attention, gelu, layer_norm, linear, mul,
                                softmax_rows, split_heads)
 
-from reference import (FoldedHeads, ref_masked_attention, ref_representative_sign,
-                       ref_score_keys, ref_softmax, sum_all)
+from reference import FoldedHeads, ref_masked_attention, ref_softmax, sum_all
 
 KEY_COUNTS = (1, 5, 8, 15, 16, 17, 32)
 BATCH, DH = 3, 4
@@ -112,7 +111,7 @@ def test_sign_matched_causal_attention_matches_reference(rng, n_k):
         arrays, weight)
     out = node.data
     q, k, v = arrays
-    sel = np.sort(causal_select(score_keys(k, representative_sign(q)), n_k, top_k), axis=-1)
+    sel = np.sort(causal_select(sign_distances(q, k), n_k, top_k), axis=-1)
     rows = np.arange(BATCH)[:, None], sel
     mask = pos[sel][..., None, :] <= np.arange(n_q)[:, None]
     ref_out, ref_gq, ref_gk, ref_gv = ref_masked_attention(q, k[rows], v[rows], mask, weight)
@@ -195,38 +194,6 @@ def test_softmax_rows_matches_reference_and_keeps_input(rng, n_k):
     a = Tensor(x)
     np.testing.assert_array_equal(softmax_rows(a).data, ref_softmax(before))
     np.testing.assert_array_equal(a.data, before)
-
-
-def signed_inputs(rng, n=6, d=16, lead=(BATCH, 2)):
-    """Random [*lead, n, d] matrices with exact zeros (sign -1) and, in the
-    first half of the columns, exactly half of the rows positive (a tie,
-    which resolves to +1)."""
-    x = rng.normal(size=lead + (n, d))
-    x[rng.random(x.shape) < 0.2] = 0.0
-    ties = np.abs(x[..., : d // 2]) + 0.5
-    ties[..., : n // 2, :] *= -1
-    x[..., : d // 2] = rng.permuted(ties, axis=-2)
-    return x
-
-
-def test_representative_sign_matches_reference(rng):
-    q = signed_inputs(rng)
-    counter = OpCounter()
-    val = representative_sign(q, counter)
-    assert val.dtype == np.int64
-    np.testing.assert_array_equal(val, ref_representative_sign(q))
-    np.testing.assert_array_equal(val[..., : q.shape[-1] // 2], 1)
-    assert counter.rep_sign == q.size and counter.score_stage == 0
-
-
-def test_score_keys_matches_reference(rng):
-    q, k = signed_inputs(rng), signed_inputs(rng, n=9)
-    val = ref_representative_sign(q)
-    counter = OpCounter()
-    dist = score_keys(k, val, counter)
-    assert dist.dtype == np.int64
-    np.testing.assert_array_equal(dist, ref_score_keys(k, val))
-    assert (counter.sign_extract, counter.hamming, counter.rep_sign) == (k.size, k.size, 0)
 
 
 def head_model(causal: bool, live: int, variant: str):

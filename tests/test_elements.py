@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slimformer import (ApproxPlan, ConfigError, ElementQueue, Focus, PlanError,
-                        Quantize, TransElement, TransformerConfig, build_model,
+                        Quantize, TransElement, TransformerConfig, build_model, costs,
                         encompass_filter, enumerate_elements, order_queue)
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KIND_TABLE,
                                  KV_GROUP, PARAM_TABLE, QKV_GROUP, element_bounds,
@@ -155,6 +155,17 @@ class TestOrderQueue:
     @pytest.mark.parametrize("focus", list(Focus), ids=lambda f: f.value)
     def test_full_order_ffn_first(self, focus):
         assert queue_keys(ffn_first_config(), focus) == FFN_FIRST
+
+    @pytest.mark.parametrize("focus, first", [(Focus.SPEED, "attn_block:1:0"),
+                                              (Focus.ACCURACY, "attn_block:1:0"),
+                                              (Focus.SIZE, "ffn_block:1:0")],
+                             ids=lambda x: getattr(x, "value", x))
+    def test_size_focus_ranks_blocks_by_parameters(self, focus, first):
+        # attention costs more MACs, the FFN more parameters
+        cfg = make_config(context_len=64, kv_group_width=16, ffn_dim=32)
+        assert (costs.attn_params(cfg), costs.attn_macs(cfg)) == (304, 81920)
+        assert (costs.ffn_params(cfg), costs.ffn_macs(cfg)) == (568, 32768)
+        assert queue_keys(cfg, focus)[0] == first
 
     def test_full_order_layer_order_ascending(self):
         assert queue_keys(attn_first_config(), Focus.SPEED, [0, 1]) == swap_layers(ATTN_FIRST)

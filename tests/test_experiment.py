@@ -106,6 +106,12 @@ class TestRunExperiment:
         report = run_experiment(config, tmp_path / "size")
         assert report.optimized.bytes < report.baseline.bytes
 
+    def test_quant_bits_reach_the_plan(self, tmp_path):
+        run_experiment(small_config(Focus.SIZE, quant_bits=4), tmp_path / "q4")
+        plan = json.loads((tmp_path / "q4" / "plan.json").read_text())
+        assert plan["approx"] == [{"element": "ffn_block:0:0", "params": {"bits": 4},
+                                   "variant": "quantize"}]
+
     @pytest.mark.filterwarnings("ignore:.*first quarter of a causal context")
     def test_lm_report_includes_perplexity(self, tmp_path):
         config = small_config(

@@ -239,24 +239,26 @@ class TestGreedyLoop:
         with pytest.raises(ConfigError, match="sign_match_k"):
             GreedyAnalyzer(trained, majority_data, (1.0, 1.0), SPEED, 0, sign_match_k=k)
 
+    @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_group_quantize_not_repeated_under_quantized_block(self, trained,
-                                                              majority_data):
+                                                              majority_data, bits):
         """Size focus with every trial in the band: the blocks of layer 0
-        carry Quantize(8) and their groups' in-band records write nothing
+        carry Quantize(bits) and their groups' in-band records write nothing
         more; a group whose block was not quantized gets its own entry."""
         tl = evaluate_loss(trained, None, majority_data.train)
         vl = evaluate_loss(trained, None, majority_data.val)
         analyzer = GreedyAnalyzer(trained, majority_data, (tl * 0.5, vl * 0.5), SIZE,
-                                  seed=9, eps_approx=2e6, epochs_per_candidate=0)
+                                  seed=9, eps_approx=2e6, epochs_per_candidate=0,
+                                  quant_bits=bits)
         queue = ElementQueue([attn_block(0), ffn_block(0), TransElement(QKV_GROUP, 0, 1),
                               TransElement(FFN_GROUP, 0, 0), TransElement(FFN_GROUP, 1, 0)])
         plan = analyzer.run(queue)
         assert [r["decision"] for r in analyzer.records] == ["approximate"] * 5
-        assert all(r["approx"] == {"variant": "quantize", "params": {"bits": 8}}
+        assert all(r["approx"] == {"variant": "quantize", "params": {"bits": bits}}
                    for r in analyzer.records)
-        assert plan.approxlist == {attn_block(0): (Quantize(8),),
-                                   ffn_block(0): (Quantize(8),),
-                                   TransElement(FFN_GROUP, 1, 0): (Quantize(8),)}
+        assert plan.approxlist == {attn_block(0): (Quantize(bits),),
+                                   ffn_block(0): (Quantize(bits),),
+                                   TransElement(FFN_GROUP, 1, 0): (Quantize(bits),)}
 
     def test_determinism(self, trained, tiny_config, majority_data):
         def run():

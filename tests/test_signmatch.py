@@ -4,44 +4,59 @@ selection, the causal two-phase pick, and attention equivalences."""
 import numpy as np
 import pytest
 
-from slimformer import (OpCounter, PlanError, Tensor,
-                        causal_select, full_attention, representative_sign,
-                        score_keys, select_topk, sign_match_attention, signmatch)
+from slimformer import (OpCounter, PlanError, Tensor, full_attention,
+                        sign_distances, sign_match_attention, signmatch)
+from slimformer.signmatch import causal_select, select_topk
+
+from reference import ref_representative_sign, ref_score_keys
+
+
+def representative(q):
+    """The majority sign sign_distances compares keys with, read back from
+    its distances: against the all-negative key, a key positive only in
+    column j is one closer iff column j's sign is +1."""
+    d = q.shape[-1]
+    keys = -np.ones((d + 1, d))
+    keys[np.arange(1, d + 1), np.arange(d)] = 1.0
+    dist = sign_distances(q, keys)
+    return np.where(dist[..., 1:] < dist[..., :1], 1, -1)
+
+
+def queries(val):
+    """One query row whose majority sign is the ±1 vector ``val``."""
+    return np.asarray(val, dtype=float)[..., None, :]
 
 
 class TestRepresentativeSign:
     def test_majority_count_example(self):
         q = np.array([[1.0, -2.0], [3.0, -4.0], [-5.0, 6.0]])
-        np.testing.assert_array_equal(representative_sign(q), [1, -1])
+        np.testing.assert_array_equal(representative(q), [1, -1])
 
     def test_all_zero_counts_as_negative(self):
-        np.testing.assert_array_equal(representative_sign(np.zeros((4, 3))), [-1, -1, -1])
+        np.testing.assert_array_equal(representative(np.zeros((4, 3))), [-1, -1, -1])
 
     def test_exact_tie_resolves_positive(self):
         q = np.array([[1.0], [-1.0]])
-        np.testing.assert_array_equal(representative_sign(q), [1])
+        np.testing.assert_array_equal(representative(q), [1])
 
 
 class TestScoreKeys:
     def test_matching_pattern_distance_zero(self):
-        val = np.array([1, -1, 1])
         key = np.array([[2.0, -0.5, 3.0]])
-        np.testing.assert_array_equal(score_keys(key, val), [0])
+        np.testing.assert_array_equal(sign_distances(queries([1, -1, 1]), key), [0])
 
     def test_opposite_pattern_distance_d(self):
-        val = np.array([1, -1, 1])
         key = np.array([[-2.0, 0.5, -3.0]])
-        np.testing.assert_array_equal(score_keys(key, val), [3])
+        np.testing.assert_array_equal(sign_distances(queries([1, -1, 1]), key), [3])
 
     def test_zero_entries_count_as_negative_sign(self):
-        val = np.array([1, -1])
         key = np.array([[0.0, 0.0]])
-        np.testing.assert_array_equal(score_keys(key, val), [1])
+        np.testing.assert_array_equal(sign_distances(queries([1, -1]), key), [1])
 
     def test_matches_brute_force_counter(self, rng):
-        k = rng.normal(size=(10, 6))
-        val = representative_sign(rng.normal(size=(10, 6)))
-        got = score_keys(k, val)
+        q, k = rng.normal(size=(10, 6)), rng.normal(size=(10, 6))
+        got = sign_distances(q, k)
+        val = [1 if sum(q[:, j] > 0) >= 5 else -1 for j in range(6)]
         for i in range(10):
             mism = sum(1 for j in range(6)
                        if (1 if k[i, j] > 0 else -1) != val[j])
@@ -50,19 +65,19 @@ class TestScoreKeys:
     def test_batched_matches_rows(self, rng):
         q = rng.normal(size=(2, 3, 10, 6))
         k = rng.normal(size=(2, 3, 10, 6))
-        val = representative_sign(q)
-        dist = score_keys(k, val)
+        val = representative(q)
+        dist = sign_distances(q, k)
         assert val.shape == (2, 3, 6) and dist.shape == (2, 3, 10)
         for b in range(2):
             for h in range(3):
-                np.testing.assert_array_equal(val[b, h], representative_sign(q[b, h]))
-                np.testing.assert_array_equal(dist[b, h], score_keys(k[b, h], val[b, h]))
+                np.testing.assert_array_equal(val[b, h], representative(q[b, h]))
+                np.testing.assert_array_equal(dist[b, h], sign_distances(q[b, h], k[b, h]))
 
 
 class TestDistances:
-    """The distances sign_match_attention scores keys with (integer counts
-    and bit counts) are score_keys(k, representative_sign(q)), with the
-    same OpCounter counts."""
+    """sign_distances, the integer kernel sign_match_attention scores keys
+    with, equals the ±1 reference ref_score_keys(k, ref_representative_sign(q))
+    and counts each query entry once and each key entry once per stage."""
 
     @staticmethod
     def heads(gen, lead, n, d):
@@ -80,11 +95,12 @@ class TestDistances:
                 q[..., 0] = np.arange(n) % 2 == 0         # half positive (+1 at even n)
                 q[..., -1] = 1.0                          # all n positive
                 k[..., -1] = 0.0                          # sign(0) = -1
-                got, want = OpCounter(), OpCounter()
-                dist = signmatch._distances(q, k, got)
-                ref = score_keys(k, representative_sign(q, want), want)
+                counter = OpCounter()
+                dist = sign_distances(q, k, counter)
+                ref = ref_score_keys(k, ref_representative_sign(q))
                 assert dist.dtype == ref.dtype and np.array_equal(dist, ref), (d, n, n_k)
-                assert got == want
+                assert counter == OpCounter(rep_sign=q.size, sign_extract=k.size,
+                                            hamming=k.size)
 
 
 class TestSelectTopK:
@@ -136,7 +152,7 @@ class TestCausalSelect:
         q = Tensor(rng.normal(size=(8, 4)))
         k = Tensor(rng.normal(size=(8, 4)))
         v = Tensor(rng.normal(size=(8, 4)))
-        dist = score_keys(k.data, representative_sign(q.data))
+        dist = sign_distances(q.data, k.data)
         expected_rows = sorted(select_topk(dist, 3))
         out = sign_match_attention(q, k, v, 3, causal=False)
         gathered = full_attention(q, Tensor(k.data[expected_rows]),
@@ -165,7 +181,7 @@ class TestSignMatchAttention:
         k = Tensor(rng.normal(size=(8, 4)))
         v = Tensor(rng.normal(size=(8, 4)))
         out = sign_match_attention(q, k, v, 4)
-        rows = sorted(select_topk(score_keys(k.data, representative_sign(q.data)), 4))
+        rows = sorted(select_topk(sign_distances(q.data, k.data), 4))
         oracle = full_attention(q, Tensor(k.data[rows]), Tensor(v.data[rows]))
         np.testing.assert_array_equal(out.data, oracle.data)
 
@@ -179,7 +195,7 @@ class TestSignMatchAttention:
         v = Tensor(rng.normal(size=(8, d)))
         counter = OpCounter()
         out = sign_match_attention(q, k, v, 2, causal=True, counter=counter)
-        sel = sorted(causal_select(score_keys(kdata, representative_sign(q.data)), 8, 2))
+        sel = sorted(causal_select(sign_distances(q.data, kdata), 8, 2))
         starved = [i for i in range(8) if all(j > i for j in sel)]
         assert counter.starved_queries == len(starved)
         for i in starved:
@@ -190,7 +206,7 @@ class TestSignMatchAttention:
             gen = np.random.default_rng(trial)
             q = Tensor(gen.normal(size=(16, 4)))
             k = Tensor(gen.normal(size=(16, 4)))
-            sel = causal_select(score_keys(k.data, representative_sign(q.data)), 16, 4)
+            sel = causal_select(sign_distances(q.data, k.data), 16, 4)
             first_early = min(i for i in sel if i < 4)
             assert all(any(j <= i for j in sel) for i in range(first_early, 16))
 
@@ -217,7 +233,7 @@ class TestGatheredKeys:
             seen.append(rows)
             return gather(a, rows)
 
-        monkeypatch.setattr(signmatch, "_distances", lambda *args: dist)
+        monkeypatch.setattr(signmatch, "sign_distances", lambda *args: dist)
         monkeypatch.setattr(signmatch, "gather_rows", recording)
         qkv = [Tensor(np.zeros(dist.shape + (2,))) for _ in range(3)]
         sign_match_attention(*qkv, k, causal)
@@ -263,9 +279,9 @@ class TestLinearContract:
         q = rng.normal(size=(4, 8, 4))
         k = rng.normal(size=(4, 8, 4))
         batched, rows = OpCounter(), OpCounter()
-        score_keys(k, representative_sign(q, batched), batched)
+        sign_distances(q, k, batched)
         for b in range(4):
-            score_keys(k[b], representative_sign(q[b], rows), rows)
+            sign_distances(q[b], k[b], rows)
         assert (batched.rep_sign, batched.sign_extract, batched.hamming) == \
                (rows.rep_sign, rows.sign_extract, rows.hamming) == (128, 128, 128)
 
@@ -290,11 +306,11 @@ class TestPermutationCovariance:
 
     def test_selection_depends_only_on_contents(self):
         # distinct distances by construction, so index tie-breaks never fire
-        val = np.ones(5, dtype=np.int64)
+        q = queries(np.ones(5))
         kdata = np.ones((5, 5))
         for i in range(5):
             kdata[i, :i] = -1.0  # key i has Hamming distance exactly i
         perm = np.array([4, 0, 3, 1, 2])
-        sel = select_topk(score_keys(kdata, val), 3)
-        sel_p = select_topk(score_keys(kdata[perm], val), 3)
+        sel = select_topk(sign_distances(q, kdata), 3)
+        sel_p = select_topk(sign_distances(q, kdata[perm]), 3)
         assert sorted(perm[sel_p]) == sorted(sel) == [0, 1, 2]
