@@ -5,8 +5,10 @@ runtime-aware queue ordering; wall-clock timing is informational only.
 Counts cover the multiply-accumulates of matmuls that an execution honoring
 the plan would actually perform: pruned head slices, pruned weight-group
 rows and pruned key/value positions are excluded, and a sign-matched score
-stage is charged n*d MAC-equivalents plus the gathered-key attention
-instead of the full n^2*d score matrix.
+stage that keeps k of a layer's n_k live keys is charged n*d
+MAC-equivalents plus the gathered-key attention instead of the full
+n*n_k*d score matrix. At k >= n_k every key would be kept, so the layer
+runs, and is charged, as plain attention.
 """
 
 from __future__ import annotations
@@ -46,13 +48,12 @@ def attn_macs(config: TransformerConfig, *, live_heads: int | None = None,
     if width == 0:
         return 0
     proj = n * d_in * width + 2 * nk * d_in * width  # Q at all rows; K,V at live rows
-    if signmatch_k is None:
+    if signmatch_k is None or signmatch_k >= nk:
         score = n * nk * width
         weighted = n * nk * width
     else:
-        k_sel = min(signmatch_k, nk)
-        score = n * width + n * k_sel * width  # linear scoring + gathered dot products
-        weighted = n * k_sel * width
+        score = n * width + n * signmatch_k * width  # linear scoring + gathered dot products
+        weighted = n * signmatch_k * width
     out = n * width * d
     return proj + score + weighted + out
 

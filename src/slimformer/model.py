@@ -174,7 +174,8 @@ class PlannedModel:
 
         # live heads as strided views of the projections: [B, h, n, dh]
         q, k, v = (split_heads(t, b.live_heads) for t in (q, k, v))
-        if view.signmatch_k is not None:
+        # k at or above the live key count selects every key: plain attention's bits
+        if view.signmatch_k is not None and view.signmatch_k < kv_positions.size:
             out = sign_match_attention(q, k, v, view.signmatch_k, cfg.autoregressive,
                                        key_positions=kv_positions, counter=counter)
         elif cfg.autoregressive:
@@ -415,15 +416,16 @@ def _select(a: np.ndarray, rows, cols) -> np.ndarray:
 class _BoundLayer:
     """One layer of a bound plan: the live head columns, QKV rows and FFN
     rows, the causal visibility of the live key/value positions that all
-    sequences share (unless the layer sign-matches, which selects keys per
-    sequence; a shorter sequence reads its top-left corner), the weight
-    matrices it reads through them, and ``params``, the parameters that
-    enter the graph. A block without live heads adds only wo's bias; an FFN
-    without live input rows only a constant vector."""
+    sequences share (a shorter sequence reads its top-left corner; a
+    sign-matched call that selects fewer keys than it has builds its own
+    per sequence), the weight matrices it reads through them, and
+    ``params``, the parameters that enter the graph. A block without live
+    heads adds only wo's bias; an FFN without live input rows only a
+    constant vector."""
 
     def __init__(self, p: LayerParams, view: LayerView, cfg: TransformerConfig):
         self.causal = None
-        if cfg.autoregressive and view.signmatch_k is None:
+        if cfg.autoregressive:
             self.causal = causal_mask(cfg.context_len, np.flatnonzero(view.kv_live))
         self.live_heads = int(view.head_live.sum())
         index = {}  # how the live entries of each sliced axis are taken

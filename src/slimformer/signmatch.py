@@ -53,8 +53,9 @@ class OpCounter:
     comparisons); rep_sign counts building the query-side representative.
     starved_queries counts causal rows left with no visible key, in
     either attention path. Every sequence handed to sign_match_attention
-    is counted; a model hands it only its live heads, so pruned heads are
-    not scored.
+    is counted; a model hands it only its live heads of layers whose k is
+    below their live key count, so pruned heads, and layers that would
+    keep every key, are not scored.
     """
 
     rep_sign: int = 0
@@ -168,8 +169,10 @@ def sign_match_attention(q: Tensor, k: Tensor, v: Tensor, top_k: int,
     key_positions maps key rows to their original sequence positions, in
     ascending order (used by the causal mask when some positions were
     pruned upstream). Selected keys are gathered in ascending original
-    order, so at top_k = n the result is bit-identical to full attention.
-    Causal queries that can see none of the selected keys, those before a
+    order, so at top_k >= n the result is bit-identical to full attention
+    (``full_attention``, or ``causal_attention`` under the ``causal_mask``
+    of the key positions), which a model runs there instead. Causal
+    queries that can see none of the selected keys, those before a
     sequence's earliest one, produce a zero output row and bump the
     starvation counter. Keys and values are gathered through one index.
     """

@@ -5,14 +5,17 @@ to 16 keys, halving folds for even rows above that, a reduction otherwise)
 and on queries that see no key. The attention sublayer's strided head views
 give the bits of the copying head layout, without a copy between the
 projections, the core and ``wo``, and the rewritten kernels write only into
-buffers they allocated."""
+buffers they allocated. A SignMatch whose k is at least its layer's live
+key count runs that layer's plain attention, with its bits and no sign
+work."""
 
 import numpy as np
 import pytest
 
 import slimformer.model
-from slimformer import (ApproxPlan, PlannedModel, SignMatch, TransElement, TransformerConfig,
-                        build_model, tensor)
+from slimformer import (ApproxPlan, PlannedModel, SignMatch, TaskSpec, TransElement,
+                        TransformerConfig, build_model, generate_task, make_rng, tensor,
+                        train_epochs)
 from slimformer.elements import HEAD, KV_GROUP, attn_block
 from slimformer.signmatch import (OpCounter, causal_attention, causal_mask, causal_select,
                                   sign_distances, sign_match_attention)
@@ -287,3 +290,142 @@ def test_kernels_write_only_their_own_buffers(rng, kernel):
     assert len(backward_twice(out, rng.normal(size=out.data.shape))) == len(arrays)
     for a, b in zip(arrays + [out.data], before + [out_before]):
         np.testing.assert_array_equal(a, b)
+
+
+# Sign matching that keeps at least every live key ("vacuous") runs as the
+# layer's plain attention: a copy-task causal model (context 9, three
+# key/value groups) and a classifier (context 8, four groups).
+VACUOUS_SHAPES = {
+    "copy": (TransformerConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=8,
+                               context_len=9, vocab_size=5, autoregressive=True,
+                               task_kind="copy", weight_group_width=4, kv_group_width=3),
+             TaskSpec("copy", vocab_size=5, context_len=9, train_size=40, seed=3)),
+    "classification": (TransformerConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=8,
+                                         context_len=8, vocab_size=5, weight_group_width=4,
+                                         kv_group_width=2),
+                       TaskSpec("majority_classification", vocab_size=5, context_len=8,
+                                train_size=40, seed=3)),
+}
+
+
+def vacuous_plans(cfg, gen):
+    """A random plan (pruned heads and key/value groups, one SignMatch per
+    layer) and the same plan without its vacuous SignMatch entries. Layer
+    0's k is at least its live key count, layer 1's anywhere in 1..n."""
+    base = ApproxPlan()
+    for layer in range(cfg.num_layers):
+        if gen.random() < 0.4:
+            base = base.with_skip(TransElement(HEAD, layer, int(gen.integers(cfg.num_heads))))
+        for g in gen.permutation(cfg.num_kv_groups)[:gen.integers(0, cfg.num_kv_groups)]:
+            base = base.with_skip(TransElement(KV_GROUP, layer, int(g)))
+    full, stripped, vacuous = base, base, 0
+    for layer, view in enumerate(base.resolve(cfg, warn=False)):
+        live = int(view.kv_live.sum())
+        k = int(gen.integers(live if layer == 0 else 1, cfg.context_len + 1))
+        full = full.with_approx(attn_block(layer), SignMatch(k))
+        if k < live:
+            stripped = stripped.with_approx(attn_block(layer), SignMatch(k))
+        vacuous += k >= live
+    assert vacuous >= 1
+    return full, stripped
+
+
+def assert_same_bits(got, expected):
+    """Two lists of arrays (None where no gradient reached) hold the same bits."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def step_bits(cfg, plan, data):
+    """Logits, loss and every parameter gradient of one forward and
+    backward on ``data``, then the weights after one epoch under ``plan``."""
+    model = build_model(cfg, 5)
+    planned = PlannedModel(model, plan)
+    logits, loss = planned.forward(data.tokens, data.labels)
+    loss.backward()
+    bits = [logits.data, loss.data] + [t.grad for _, t in model.named_parameters()]
+    train_epochs(model, plan, data, 1, make_rng(0), batch_size=16)
+    return bits + [t.data for _, t in model.named_parameters()]
+
+
+@pytest.mark.filterwarnings("ignore:layer .* pruned key/value positions")
+@pytest.mark.parametrize("shape", sorted(VACUOUS_SHAPES))
+@pytest.mark.parametrize("seed", range(6))
+def test_vacuous_signmatch_changes_no_bit(shape, seed):
+    """Logits, loss, gradients and trained weights are those of the plan
+    without the vacuous entries."""
+    cfg, spec = VACUOUS_SHAPES[shape]
+    full, stripped = vacuous_plans(cfg, np.random.default_rng(seed))
+    data = generate_task(spec).train
+    assert_same_bits(step_bits(cfg, full, data), step_bits(cfg, stripped, data))
+
+
+def counting_selection(monkeypatch):
+    """Calls of sign_distances and select_keys, counted by name."""
+    import slimformer.signmatch as signmatch
+    calls = {"sign_distances": 0, "select_keys": 0}
+
+    def wrap(name):
+        op = getattr(signmatch, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return op(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(signmatch, name, wrap(name))
+    return calls
+
+
+def kvpruned_signmatch(k, pruned_groups=(1,)):
+    """The copy shape's model with key/value groups pruned in layer 0 (6
+    live keys) and SignMatch(k) on its attention block."""
+    cfg = VACUOUS_SHAPES["copy"][0]
+    plan = ApproxPlan(TransElement(KV_GROUP, 0, g) for g in pruned_groups)
+    return PlannedModel(build_model(cfg, 5), plan.with_approx(attn_block(0), SignMatch(k)))
+
+
+@pytest.mark.parametrize("k, scores", [(5, True), (6, False), (9, False)])
+def test_only_selecting_layers_score_and_select(monkeypatch, k, scores):
+    """A layer with k below its 6 live keys scores and selects; one with
+    k at or above them does neither."""
+    calls = counting_selection(monkeypatch)
+    planned = kvpruned_signmatch(k)
+    planned.forward(generate_task(VACUOUS_SHAPES["copy"][1]).train.tokens[:4])
+    assert calls == {"sign_distances": int(scores), "select_keys": int(scores)}
+
+
+@pytest.mark.filterwarnings("ignore:layer .* pruned key/value positions")
+def test_vacuous_plan_counts_no_sign_work():
+    """With key/value group 0 pruned, the first queries see no key: the
+    plan whose sign-matched layers are all vacuous counts no sign work and
+    the starved queries of the plan without the entries."""
+    tokens = generate_task(VACUOUS_SHAPES["copy"][1]).train.tokens[:4]
+    matched = kvpruned_signmatch(6, (0,))
+    counts = []
+    for plan in (matched.plan, ApproxPlan([TransElement(KV_GROUP, 0, 0)])):
+        counts.append(OpCounter())
+        PlannedModel(matched.model, plan).forward(tokens, counter=counts[-1])
+    assert counts[0] == counts[1]
+    assert counts[0].total == 0 and counts[0].starved_queries == 4 * 2 * 3
+
+
+def test_short_standalone_call_takes_the_plain_path(monkeypatch, rng):
+    """A standalone sublayer call on a sequence whose live keys drop to k
+    or fewer runs plain attention, with its bits; one longer keeps
+    scoring."""
+    calls = counting_selection(monkeypatch)
+    cfg = VACUOUS_SHAPES["copy"][0]
+    model = build_model(cfg, 5)
+    matched = PlannedModel(model, ApproxPlan().with_approx(attn_block(0), SignMatch(5)))
+    plain = PlannedModel(model)
+    for n, scores in ((4, 0), (5, 0), (6, 1)):
+        x, weight = rng.normal(size=(2, n, cfg.hidden_dim)), rng.normal(size=(2, n, 8))
+        got = sublayer_bits(matched, x, weight)
+        assert calls["sign_distances"] == calls["select_keys"] == scores
+        if not scores:
+            assert_same_bits(got, sublayer_bits(plain, x, weight))

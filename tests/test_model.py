@@ -392,8 +392,10 @@ class TestCostOracle:
     """Closed-form MACs against the multiply-accumulates the executor
     performs, counted at every projection (``linear``) and attention core
     (``full_attention``: Q K^T plus P V) of the model and the attention
-    code. Sign-matched layers also pay an n*width linear scoring stage,
-    which is not a matmul."""
+    code, plus the query entries of each ``sign_distances`` call: a layer
+    that sign-matches fewer keys than it has pays that n*width linear
+    scoring stage, which is not a matmul; one with k at or above its live
+    key count runs, and is charged, as plain attention."""
 
     SHAPES = {
         "lm": dict(autoregressive=True, task_kind="language_model"),
@@ -428,8 +430,12 @@ class TestCostOracle:
         out = {"skip"} if view.attn_skipped or view.ffn_skipped else set()
         checks = []
         if not view.attn_skipped:
+            # sign matching selects keys only while k is below the live key count
+            k, live = view.signmatch_k, int(view.kv_live.sum())
             checks += [("heads", not view.head_live.all()), ("qkv", not view.qkv_live.all()),
-                       ("kv", not view.kv_live.all()), ("signmatch", view.signmatch_k is not None),
+                       ("kv", not view.kv_live.all()),
+                       ("signmatch", k is not None and k < live),
+                       ("signmatch_vacuous", k is not None and k >= live),
                        ("quant", any(view.quant_bits[m].any() for m in ("wq", "wk", "wv", "wo")))]
         if not view.ffn_skipped:
             checks += [("ffn", not view.ffn_live.all()), ("empty_ffn", not view.ffn_live.any()),
@@ -453,6 +459,12 @@ class TestCostOracle:
             counted[0] += rows * n_k * (q.data.shape[-1] + v.data.shape[-1])
             return tensor.full_attention(q, k, v, mask)
 
+        def counting_distances(query, key, counter=None):
+            counted[0] += query.size  # the scoring stage: one MAC-equivalent per query entry
+            return distances(query, key, counter)
+
+        distances = slimformer.signmatch.sign_distances
+        monkeypatch.setattr(slimformer.signmatch, "sign_distances", counting_distances)
         monkeypatch.setattr(slimformer.model, "linear", counting_linear)
         for module in (slimformer.model, slimformer.signmatch):
             monkeypatch.setattr(module, "full_attention", counting_attention)
@@ -466,13 +478,10 @@ class TestCostOracle:
             planned = PlannedModel(model, self.random_plan(cfg, gen))
             counted[0] = 0
             planned.forward(gen.integers(0, cfg.vocab_size, size=(1, cfg.context_len)))
-            scoring = sum(cfg.context_len * cfg.head_dim * int(v.head_live.sum())
-                          for v in planned.views
-                          if not v.attn_skipped and v.signmatch_k is not None)
-            assert counted[0] == planned.cost().mac_count - scoring
+            assert counted[0] == planned.cost().mac_count
             seen.update(*map(self.executed, planned.views))
-        assert seen == {"heads", "qkv", "ffn", "empty_ffn", "kv", "signmatch", "quant",
-                        "skip"}
+        assert seen == {"heads", "qkv", "ffn", "empty_ffn", "kv", "signmatch",
+                        "signmatch_vacuous", "quant", "skip"}
 
 
 class TestBoundPlan:

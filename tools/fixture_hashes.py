@@ -36,7 +36,10 @@ shape of ``perfbench/scenarios.optimize_config("speed")``: a hash over a
 fixed model's weights after one epoch of ``train_epochs`` under that plan
 on the first ``TRAIN_SEQUENCES`` sequences of its task, so a change to the
 training step can show that it trains the same bits under every kind of
-plan, not only the plans the fixtures happen to visit. A change that
+plan, not only the plans the fixtures happen to visit; the last,
+``train signmatch_kvprune weights``, is the ``kvprune`` plan with
+``SignMatch(8)`` on both attention blocks, which keeps all 5 live keys of
+each, so its digest must equal ``train kvprune weights``. A change that
 claims the same behaviour must print the same lines as its parent:
 ``--against PARENT`` runs the script on both checkouts, side by side in
 two processes when at least four CPUs are available and one after the
@@ -149,21 +152,27 @@ def serve_digests() -> dict:
 
 
 def train_digests() -> dict:
-    """Per serve plan kind, adapted to the copy shape, sha256 over a fixed
+    """Per serve plan kind, adapted to the copy shape, and for the kvprune
+    plan with every attention block sign-matched, sha256 over a fixed
     model's parameters after one epoch of train_epochs under that plan."""
     from scenarios import PLAN_NAMES, optimize_config, serve_plans
 
-    from slimformer import (KV_GROUP, ApproxPlan, TransElement, build_model,
-                            generate_task, make_rng, train_epochs)
+    from slimformer import (ATTN_BLOCK, KV_GROUP, ApproxPlan, SignMatch, TransElement,
+                            build_model, generate_task, make_rng, train_epochs)
     config = optimize_config("speed")
     tcfg = config.transformer_config()
     plans = serve_plans(tcfg)
     # the copy context has three key/value groups; prune the later two
     plans["kvprune"] = ApproxPlan(TransElement(KV_GROUP, layer, g)
                                   for layer in range(tcfg.num_layers) for g in (1, 2))
+    # SignMatch(8) keeps all 5 live keys of each block: kvprune's bits
+    plans["signmatch_kvprune"] = plans["kvprune"]
+    for layer in range(tcfg.num_layers):
+        plans["signmatch_kvprune"] = plans["signmatch_kvprune"].with_approx(
+            TransElement(ATTN_BLOCK, layer), SignMatch(config.sign_match_k))
     data = generate_task(config.task).train.subset(slice(0, TRAIN_SEQUENCES))
     digests = {}
-    for name in PLAN_NAMES:
+    for name in (*PLAN_NAMES, "signmatch_kvprune"):
         model = build_model(tcfg, config.seed)
         train_epochs(model, plans[name], data, 1, make_rng(0), lr=config.lr,
                      batch_size=config.batch_size)
