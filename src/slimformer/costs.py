@@ -1,4 +1,5 @@
-"""Closed-form MAC / parameter / byte accounting.
+"""MAC / parameter / byte accounting: MACs in closed form, parameters and
+bytes counted from ``elements.PARAM_TABLE``.
 
 mac_count is the deterministic latency proxy used by tests and the
 runtime-aware queue ordering; wall-clock timing is informational only.
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TransformerConfig
+from .elements import KIND_TABLE, PARAM_TABLE
 
 FLOAT_BYTES = 8
 SCALE_BYTES = 8
@@ -76,26 +78,6 @@ def head_macs(config: TransformerConfig) -> int:
     return config.context_len * config.hidden_dim * c
 
 
-def attn_params(config: TransformerConfig, *, live_heads: int | None = None,
-                live_qkv_rows: int | None = None) -> int:
-    d = config.hidden_dim
-    dh = config.head_dim
-    h = config.num_heads if live_heads is None else live_heads
-    d_in = d if live_qkv_rows is None else live_qkv_rows
-    width = dh * h
-    qkv = 3 * d_in * width + 3 * width      # weights + biases of live columns/rows
-    out = width * d + d                      # W_o live rows + bias
-    ln = 2 * d
-    return qkv + out + ln
-
-
-def ffn_params(config: TransformerConfig, *, live_rows: int | None = None) -> int:
-    d = config.hidden_dim
-    y = config.ffn_dim
-    d_in = d if live_rows is None else live_rows
-    return d_in * y + y + y * d + d + 2 * d
-
-
 def static_params(config: TransformerConfig) -> int:
     """Embedding, positional table, final norm and task head: never pruned."""
     d = config.hidden_dim
@@ -109,46 +91,38 @@ def quantized_bytes(count: int, bits: int) -> int:
 
 
 def cost_from_views(config: TransformerConfig, views) -> CostModel:
-    """Aggregate cost over resolved per-layer plan views (``plan.LayerView``):
-    skip flags, the head_live/kv_live/qkv_live/ffn_live boolean masks,
-    signmatch_k, and quant_bits, the bits of each weight-group-wide row band
-    per matrix (0: full precision)."""
+    """Aggregate cost over resolved per-layer plan views (``plan.LayerView``).
+    MACs follow in closed form from the skip flags, the head_live/kv_live/
+    qkv_live/ffn_live masks and signmatch_k. Each ``PARAM_TABLE`` row of an
+    unskipped block counts its live rows times its live columns, stored as
+    floats but for its quantized row bands (``quant_bits``), which are packed
+    codes."""
     macs = head_macs(config)
     params = static_params(config)
-    nbytes = static_params(config) * FLOAT_BYTES
-    d, dh = config.hidden_dim, config.head_dim
+    nbytes = params * FLOAT_BYTES
     for view in views:
         if not view.attn_skipped:
-            h_live = int(view.head_live.sum())
-            d_in = int(view.qkv_live.sum())
-            macs += attn_macs(config, live_heads=h_live, live_qkv_rows=d_in,
+            macs += attn_macs(config, live_heads=int(view.head_live.sum()),
+                              live_qkv_rows=int(view.qkv_live.sum()),
                               n_kv=int(view.kv_live.sum()), signmatch_k=view.signmatch_k)
-            p = attn_params(config, live_heads=h_live, live_qkv_rows=d_in)
-            params += p
-            width = dh * h_live
-            nbytes += p * FLOAT_BYTES + _quant_delta(config, view.quant_bits, (
-                ("wq", view.qkv_live, width), ("wk", view.qkv_live, width),
-                ("wv", view.qkv_live, width), ("wo", np.repeat(view.head_live, dh), d)))
         if not view.ffn_skipped:
-            d_live = int(view.ffn_live.sum())
-            macs += ffn_macs(config, live_rows=d_live)
-            p = ffn_params(config, live_rows=d_live)
-            params += p
-            nbytes += p * FLOAT_BYTES + _quant_delta(config, view.quant_bits, (
-                ("w1", view.ffn_live, config.ffn_dim),
-                ("w2", np.ones(config.ffn_dim, dtype=bool), d)))
+            macs += ffn_macs(config, live_rows=int(view.ffn_live.sum()))
+        for name, (block, axes) in PARAM_TABLE.items():
+            if not getattr(view, KIND_TABLE[block].mask):
+                count, stored = _param_cost(config, view, name, axes)
+                params += count
+                nbytes += stored
     return CostModel(mac_count=int(macs), param_count=int(params), bytes=int(nbytes))
 
 
-def _quant_delta(config: TransformerConfig, quant_bits: dict, matrices) -> int:
-    """Byte delta from storing quantized row bands as packed codes instead
-    of floats. ``matrices`` holds (name, row liveness mask, live column
-    count); a band stores its live rows times the live columns."""
-    g = config.weight_group_width
-    delta = 0
-    for name, live, cols in matrices:
-        for band, bits in enumerate(quant_bits[name].tolist()):
-            count = int(live[band * g:(band + 1) * g].sum()) * cols
-            if bits and count > 0:
-                delta += quantized_bytes(count, bits) - count * FLOAT_BYTES
-    return delta
+def _param_cost(config: TransformerConfig, view, name: str, axes) -> tuple[int, int]:
+    """Live entries and stored bytes of one layer parameter, counted per
+    weight-group-wide band of its first axis."""
+    rows, *cols = (view.axis_live(config, axis) for axis in axes)
+    width = int(cols[0].sum()) if cols else 1
+    bands = np.add.reduceat(rows, range(0, rows.size, config.weight_group_width),
+                            dtype=np.int64) * width
+    bits = view.quant_bits.get(name, np.zeros_like(bands))
+    stored = sum(quantized_bytes(n, b) if b and n else n * FLOAT_BYTES
+                 for n, b in zip(bands.tolist(), bits.tolist()))
+    return int(bands.sum()), stored

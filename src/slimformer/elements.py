@@ -12,9 +12,9 @@ dynamically dropping elements that a coarser decision has made irrelevant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from . import costs
 from .config import TransformerConfig
 from .errors import ConfigError, PlanError
 from .focus import Focus
@@ -85,6 +85,12 @@ PARAM_TABLE = {
     "w2": (FFN_BLOCK, (("ffn_dim", None), ("hidden_dim", None))),
     "b2": (FFN_BLOCK, (("hidden_dim", None),)),
 }
+
+
+def block_params(config: TransformerConfig, block: str) -> int:
+    """Parameter count of one dense block: its ``PARAM_TABLE`` rows' sizes."""
+    return sum(math.prod(getattr(config, length) for length, _ in axes)
+               for owner, axes in PARAM_TABLE.values() if owner == block)
 
 
 def owned_params(el: TransElement) -> list[tuple[str, int | None]]:
@@ -242,8 +248,9 @@ def order_queue(elements: list[TransElement], focus: Focus,
     if leftover:
         raise ConfigError(f"elements not placeable in queue: {sorted(e.key for e in leftover)}")
 
+    from . import costs  # here, not at the top: costs imports this module's tables
     if focus == Focus.SIZE:
-        attn_first = costs.attn_params(config) >= costs.ffn_params(config)
+        attn_first = block_params(config, ATTN_BLOCK) >= block_params(config, FFN_BLOCK)
     else:
         attn_first = costs.attn_macs(config) >= costs.ffn_macs(config)
     first = ATTN_BLOCK if attn_first else FFN_BLOCK

@@ -165,13 +165,8 @@ class MetricsBundle:
     perplexity: float | None = None
 
     def to_doc(self) -> dict:
-        doc = {"train_loss": self.train_loss, "val_loss": self.val_loss,
-               "accuracy": self.accuracy, "param_count": self.param_count,
-               "mac_count": self.mac_count, "bytes": self.bytes,
-               "wall_ms": self.wall_ms}
-        if self.perplexity is not None:
-            doc["perplexity"] = self.perplexity
-        return doc
+        """Every field, leaving out a perplexity of None."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import costs, speculate
 from .config import TransformerConfig
-from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KIND_TABLE, PARAM_TABLE,
-                       QKV_GROUP)
+from .elements import ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, PARAM_TABLE, QKV_GROUP
 from .errors import ConfigError, PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
 from .signmatch import OpCounter, causal_attention, causal_mask, sign_match_attention
@@ -428,10 +427,8 @@ class _BoundLayer:
         if cfg.autoregressive:
             self.causal = causal_mask(cfg.context_len, np.flatnonzero(view.kv_live))
         self.live_heads = int(view.head_live.sum())
-        index = {}  # how the live entries of each sliced axis are taken
-        for length, kind in _SLICED_AXES:
-            mask = getattr(view, KIND_TABLE[kind].mask)  # one entry per element or per axis entry
-            index[length, kind] = _live_index(np.repeat(mask, getattr(cfg, length) // mask.size))
+        # how the live entries of each sliced axis are taken
+        index = {axis: _live_index(view.axis_live(cfg, axis)) for axis in _SLICED_AXES}
         self.head_cols = index["hidden_dim", HEAD]
         self.qkv_rows = index["hidden_dim", QKV_GROUP]
         self.ffn_rows = index["hidden_dim", FFN_GROUP]

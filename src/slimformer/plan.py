@@ -243,6 +243,16 @@ class LayerView:
         self.quant_bits = {name: np.zeros(-(-getattr(config, axes[0][0]) // g), dtype=np.int64)
                            for name, (_, axes) in PARAM_TABLE.items() if len(axes) == 2}
 
+    def axis_live(self, config: TransformerConfig, axis: tuple[str, str | None]) -> np.ndarray:
+        """The liveness of the entries of a ``PARAM_TABLE`` axis, given as
+        its (length attribute, kind) pair: all live when no kind slices it."""
+        length, kind = axis
+        n = getattr(config, length)
+        if kind is None:
+            return np.ones(n, dtype=bool)
+        mask = getattr(self, KIND_TABLE[kind].mask)  # one entry per element or per axis entry
+        return np.repeat(mask, n // mask.size)
+
     def apply_approx(self, el: TransElement, params: ApproxParams,
                      config: TransformerConfig):
         if isinstance(params, SignMatch):

@@ -9,8 +9,8 @@ from slimformer import (ApproxPlan, ConfigError, ElementQueue, Focus, PlanError,
                         Quantize, TransElement, TransformerConfig, build_model, costs,
                         encompass_filter, enumerate_elements, order_queue)
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KIND_TABLE,
-                                 KV_GROUP, PARAM_TABLE, QKV_GROUP, element_bounds,
-                                 owned_params)
+                                 KV_GROUP, PARAM_TABLE, QKV_GROUP, block_params,
+                                 element_bounds, owned_params)
 
 
 def make_config(**kw):
@@ -163,8 +163,8 @@ class TestOrderQueue:
     def test_size_focus_ranks_blocks_by_parameters(self, focus, first):
         # attention costs more MACs, the FFN more parameters
         cfg = make_config(context_len=64, kv_group_width=16, ffn_dim=32)
-        assert (costs.attn_params(cfg), costs.attn_macs(cfg)) == (304, 81920)
-        assert (costs.ffn_params(cfg), costs.ffn_macs(cfg)) == (568, 32768)
+        assert (block_params(cfg, ATTN_BLOCK), costs.attn_macs(cfg)) == (304, 81920)
+        assert (block_params(cfg, FFN_BLOCK), costs.ffn_macs(cfg)) == (568, 32768)
         assert queue_keys(cfg, focus)[0] == first
 
     def test_full_order_layer_order_ascending(self):

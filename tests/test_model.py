@@ -402,6 +402,12 @@ class TestCostOracle:
         "classification": dict(task_kind="classification", num_classes=3),
     }
 
+    @classmethod
+    def config(cls, shape) -> TransformerConfig:
+        return TransformerConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=12,
+                                 context_len=8, vocab_size=6, weight_group_width=2,
+                                 kv_group_width=2, **cls.SHAPES[shape])
+
     @staticmethod
     def random_plan(cfg, gen) -> ApproxPlan:
         groups = cfg.num_weight_groups
@@ -468,9 +474,7 @@ class TestCostOracle:
         monkeypatch.setattr(slimformer.model, "linear", counting_linear)
         for module in (slimformer.model, slimformer.signmatch):
             monkeypatch.setattr(module, "full_attention", counting_attention)
-        cfg = TransformerConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=12,
-                                context_len=8, vocab_size=6, weight_group_width=2,
-                                kv_group_width=2, **self.SHAPES[shape])
+        cfg = self.config(shape)
         model = build_model(cfg, 3)
         gen = np.random.default_rng(91)
         seen = set()
@@ -482,6 +486,55 @@ class TestCostOracle:
             seen.update(*map(self.executed, planned.views))
         assert seen == {"heads", "qkv", "ffn", "empty_ffn", "kv", "signmatch",
                         "signmatch_vacuous", "quant", "skip"}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_counted_params_and_bytes_match_cost_model(self, shape):
+        """Parameters and bytes against a count from explicit row and column
+        masks of each layer tensor: an unskipped block stores the live rows
+        times the live columns of each of its tensors, as floats except for
+        its quantized row bands, which are packed codes."""
+        cfg = self.config(shape)
+        d, y, g = cfg.hidden_dim, cfg.ffn_dim, cfg.weight_group_width
+        # embedding, positional table, final norm and task head
+        static = (cfg.vocab_size + cfg.context_len + 2) * d + (d + 1) * cfg.output_classes
+        gen = np.random.default_rng(29)
+        seen = set()
+        for _ in range(48):
+            plan = self.random_plan(cfg, gen)
+            if any(isinstance(p, GroupShrink) for entries in plan.approxlist.values()
+                   for p in entries):
+                seen.add("shrink")
+            params, nbytes = static, static * 8
+            for view in plan.resolve(cfg):
+                all_d, all_y = np.ones(d, bool), np.ones(y, bool)
+                heads = np.repeat(view.head_live, cfg.head_dim)  # live columns of wq/wk/wv
+                tensors = []  # (name, live rows, live columns or None for a vector)
+                if not view.attn_skipped:
+                    tensors += [("ln1_g", all_d, None), ("ln1_b", all_d, None),
+                                ("wq", view.qkv_live, heads), ("bq", heads, None),
+                                ("wk", view.qkv_live, heads), ("bk", heads, None),
+                                ("wv", view.qkv_live, heads), ("bv", heads, None),
+                                ("wo", heads, all_d), ("bo", all_d, None)]
+                    if not view.head_live.any():
+                        seen.add("headless")
+                if not view.ffn_skipped:
+                    tensors += [("ln2_g", all_d, None), ("ln2_b", all_d, None),
+                                ("w1", view.ffn_live, all_y), ("b1", all_y, None),
+                                ("w2", all_y, all_d), ("b2", all_d, None)]
+                    if not view.ffn_live.any():
+                        seen.add("empty_ffn")
+                for name, rows, cols in tensors:
+                    live = rows[:, None] & (np.ones(1, bool) if cols is None else cols)
+                    params += int(live.sum())
+                    bits = view.quant_bits.get(name, np.zeros(-(-rows.size // g), int))
+                    for band, b in enumerate(bits.tolist()):
+                        count = int(live[band * g:(band + 1) * g].sum())
+                        nbytes += quantized_bytes(count, b) if b and count else count * 8
+                        if b and not rows[band * g:(band + 1) * g].all():
+                            seen.add("quant_pruned_rows")
+            cost = cost_from_views(cfg, plan.resolve(cfg))
+            assert (cost.param_count, cost.bytes) == (params, nbytes)
+        assert seen == {"shrink", "headless", "empty_ffn", "quant_pruned_rows"}
 
 
 class TestBoundPlan:

@@ -17,21 +17,26 @@ action and approximation held, and ``<fixture> speculation
 <speculated>:<taken>:<trials>``: the greedy trials handed to the speculative
 helper, the helper results the loop took and the trials run, so a change to
 the loop's prediction can show that the helper does the same work (the first
-two read 0 where no helper may run, as on one CPU). The fixtures are
+two read 0 where no helper may run, as on one CPU), and ``<fixture> cost
+baseline <mac>:<params>:<bytes>`` and ``<fixture> cost optimized ...``: the
+``mac_count``, ``param_count`` and ``bytes`` of ``report.json``'s two
+bundles (the report itself holds wall times and is not hashed), so a change
+to the cost model can show that every count held. The fixtures are
 ``tests/test_experiment.py::small_config`` under speed, size and accuracy
 focus (``small_speed``, ``small_size``, ``small_accuracy``) and
 ``perfbench/scenarios.optimize_config("speed")`` and ``("size")``
 (``bench_speed``, ``bench_size``). Each small fixture also prints
 ``<fixture> comparison <sha256>``: a hash over the ``compare_baselines``
 result (baseline and all four comparator rows) with each row's wall-time
-``analysis_seconds`` removed. Last come ``serve <plan> logits <sha256>``
+``analysis_seconds`` removed. Then come ``serve <plan> logits <sha256>``
 lines, one per plan in ``perfbench/scenarios.PLAN_NAMES``: a hash over the
 logits of the no-grad ``PlannedModel.forward`` on ``serve_inputs(1)``, so a
 change to the forward kernels can show that it serves the same bits, then
 ``serve <plan> counts <sha256>`` lines: a hash over the ``OpCounter``
 fields of that same forward (sign-match work and queries that see no
-key), so it can show that it does the same counted work. Last come
-``train <plan> weights <sha256>`` lines, one per plan kind, at the copy
+key), so it can show that it does the same counted work, then ``serve
+<plan> cost <mac>:<params>:<bytes>`` lines: that plan's ``cost()``. Last
+come ``train <plan> weights <sha256>`` lines, one per plan kind, at the copy
 shape of ``perfbench/scenarios.optimize_config("speed")``: a hash over a
 fixed model's weights after one epoch of ``train_epochs`` under that plan
 on the first ``TRAIN_SEQUENCES`` sequences of its task, so a change to the
@@ -131,9 +136,15 @@ def comparison_digest(config) -> str:
     return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
 
 
+def cost_line(doc: dict) -> str:
+    """``<mac>:<params>:<bytes>`` of a cost or metrics document."""
+    return f"{doc['mac_count']}:{doc['param_count']}:{doc['bytes']}"
+
+
 def serve_digests() -> dict:
     """Per serve plan, sha256 over the logits of a counted no-grad forward
-    on serve_inputs(1) and over that forward's OpCounter fields."""
+    on serve_inputs(1) and over that forward's OpCounter fields, and the
+    plan's cost line."""
     from dataclasses import asdict
 
     from scenarios import PLAN_NAMES, serve_inputs
@@ -147,7 +158,8 @@ def serve_digests() -> dict:
             logits = planned[name].forward(tokens, counter=counter)[0]
             digests[name] = (hashlib.sha256(logits.data.tobytes()).hexdigest(),
                              hashlib.sha256(json.dumps(asdict(counter), sort_keys=True)
-                                            .encode()).hexdigest())
+                                            .encode()).hexdigest(),
+                             cost_line(asdict(planned[name].cost())))
     return digests
 
 
@@ -235,16 +247,21 @@ def main(argv=None) -> int:
             print(f"{name} views {views}", flush=True)
             choices = choices_digest((Path(tmp) / "decisions.jsonl").read_text())
             print(f"{name} choices {choices}", flush=True)
+            report = json.loads((Path(tmp) / "report.json").read_text())
+            for bundle in ("baseline", "optimized"):
+                print(f"{name} cost {bundle} {cost_line(report[bundle])}", flush=True)
         counts = [sum(a.speculated for a in analyzers), sum(a.speculation_hits for a in analyzers),
                   sum(r["train_loss"] is not None for a in analyzers for r in a.records)]
         print(f"{name} speculation {':'.join(map(str, counts))}", flush=True)
         if name.startswith("small_"):
             print(f"{name} comparison {comparison_digest(config)}", flush=True)
     digests = serve_digests()
-    for name, (logits, _) in digests.items():
+    for name, (logits, _, _) in digests.items():
         print(f"serve {name} logits {logits}", flush=True)
-    for name, (_, counts) in digests.items():
+    for name, (_, counts, _) in digests.items():
         print(f"serve {name} counts {counts}", flush=True)
+    for name, (_, _, cost) in digests.items():
+        print(f"serve {name} cost {cost}", flush=True)
     for name, weights in train_digests().items():
         print(f"train {name} weights {weights}", flush=True)
     return 0
