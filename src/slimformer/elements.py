@@ -12,7 +12,6 @@ dynamically dropping elements that a coarser decision has made irrelevant.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .config import TransformerConfig
@@ -85,12 +84,6 @@ PARAM_TABLE = {
     "w2": (FFN_BLOCK, (("ffn_dim", None), ("hidden_dim", None))),
     "b2": (FFN_BLOCK, (("hidden_dim", None),)),
 }
-
-
-def block_params(config: TransformerConfig, block: str) -> int:
-    """Parameter count of one dense block: its ``PARAM_TABLE`` rows' sizes."""
-    return sum(math.prod(getattr(config, length) for length, _ in axes)
-               for owner, axes in PARAM_TABLE.values() if owner == block)
 
 
 def owned_params(el: TransElement) -> list[tuple[str, int | None]]:
@@ -248,12 +241,13 @@ def order_queue(elements: list[TransElement], focus: Focus,
     if leftover:
         raise ConfigError(f"elements not placeable in queue: {sorted(e.key for e in leftover)}")
 
-    from . import costs  # here, not at the top: costs imports this module's tables
-    if focus == Focus.SIZE:
-        attn_first = block_params(config, ATTN_BLOCK) >= block_params(config, FFN_BLOCK)
-    else:
-        attn_first = costs.attn_macs(config) >= costs.ffn_macs(config)
-    first = ATTN_BLOCK if attn_first else FFN_BLOCK
+    # here, not at the top: both modules import this one's tables
+    from .costs import block_cost
+    from .plan import LayerView
+    dense = LayerView(config)
+    attn, ffn = (block_cost(config, dense, block) for block in (ATTN_BLOCK, FFN_BLOCK))
+    field = "param_count" if focus == Focus.SIZE else "mac_count"
+    first = ATTN_BLOCK if getattr(attn, field) >= getattr(ffn, field) else FFN_BLOCK
     layer_rank = {ly: r for r, ly in enumerate(layer_order)}
     return ElementQueue(sorted(have, key=lambda e: (
         e.granularity, KIND_TABLE[e.kind].block != first, _RANK[e.kind],

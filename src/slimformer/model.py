@@ -368,8 +368,6 @@ def _take(a: Tensor, index, axis: int) -> Tensor:
     return a if index is None else take(a, index, axis)
 
 
-_BLOCK_PARAMS = {block: tuple(name for name, (b, _) in PARAM_TABLE.items() if b == block)
-                 for block in (ATTN_BLOCK, FFN_BLOCK)}
 # the (length, kind) of every parameter axis a kind slices
 _SLICED_AXES = {axis for _, axes in PARAM_TABLE.values() for axis in axes if axis[1]}
 
@@ -418,9 +416,8 @@ class _BoundLayer:
     sequences share (a shorter sequence reads its top-left corner; a
     sign-matched call that selects fewer keys than it has builds its own
     per sequence), the weight matrices it reads through them, and
-    ``params``, the parameters that enter the graph. A block without live
-    heads adds only wo's bias; an FFN without live input rows only a
-    constant vector."""
+    ``params``, the parameters that enter the graph: those of
+    ``LayerView.read_params`` that are not constant."""
 
     def __init__(self, p: LayerParams, view: LayerView, cfg: TransformerConfig):
         self.causal = None
@@ -433,11 +430,7 @@ class _BoundLayer:
         self.qkv_rows = index["hidden_dim", QKV_GROUP]
         self.ffn_rows = index["hidden_dim", FFN_GROUP]
         self.ffn_empty = not view.ffn_live.any()
-        names = ()
-        if not view.attn_skipped:
-            names += _BLOCK_PARAMS[ATTN_BLOCK] if self.live_heads else ("bo",)
-        if not view.ffn_skipped:
-            names += ("b1", "w2", "b2") if self.ffn_empty else _BLOCK_PARAMS[FFN_BLOCK]
+        names = view.read_params(ATTN_BLOCK) + view.read_params(FFN_BLOCK)
         self.weights = {name: _BoundWeight(getattr(p, name),
                                            *(index.get(axis) for axis in PARAM_TABLE[name][1]),
                                            view.quant_bits[name], cfg.weight_group_width)

@@ -253,6 +253,20 @@ class LayerView:
         mask = getattr(self, KIND_TABLE[kind].mask)  # one entry per element or per axis entry
         return np.repeat(mask, n // mask.size)
 
+    def read_params(self, block: str) -> tuple[str, ...]:
+        """The ``PARAM_TABLE`` rows of ``block`` that the executor reads:
+        none when the block is skipped, all when an attention block has a
+        live head or an FFN a live input row, and otherwise only those of
+        the block's constant output: a headless attention block adds wo's
+        bias, an FFN without live input rows gelu(b1) @ w2 + b2."""
+        if getattr(self, KIND_TABLE[block].mask):
+            return ()
+        if block == ATTN_BLOCK and not self.head_live.any():
+            return ("bo",)
+        if block == FFN_BLOCK and not self.ffn_live.any():
+            return ("b1", "w2", "b2")
+        return tuple(name for name, (owner, _) in PARAM_TABLE.items() if owner == block)
+
     def apply_approx(self, el: TransElement, params: ApproxParams,
                      config: TransformerConfig):
         if isinstance(params, SignMatch):

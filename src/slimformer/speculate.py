@@ -52,12 +52,12 @@ import numpy as np
 from .tensor import grad_enabled, no_grad
 
 # Smallest residual stream (sequences x positions x hidden width) whose
-# no-grad forward is split. The split pays when each half has enough work
-# to cover its fixed cost, and that work grows with the stream, not with
-# the sequence count: on 2 CPUs with BLAS on one thread the split, then run
-# in a worker thread, won at least 9 of 10 timed pairs from here on at the
-# benchmark's serve shape (48 sequences of 32 x 32) and its copy-task shape
-# (103 of 15 x 32), but not at 64 copy-task sequences.
+# no-grad forward is split: 48 sequences of the serve shape, 32 x 32. On 2
+# CPUs, BLAS on one thread, the split of a no-grad copy-task loss (15 x 32)
+# wins below it too, in 300 alternating pairs: 32 sequences 3.55 -> 2.47 ms
+# (290 won), 64 sequences 5.87 -> 4.89 ms (275 won). But a threshold of 64
+# copy-task sequences, which splits the pipeline's evaluation batches,
+# moved neither benchmark pipeline's time beyond noise in 10 pairs each.
 SPLIT_MIN_VALUES = 48 * 32 * 32
 
 _ALIGN = 64  # byte alignment of every array in the split worker's map

@@ -9,8 +9,9 @@ from slimformer import (ApproxPlan, ConfigError, ElementQueue, Focus, PlanError,
                         Quantize, TransElement, TransformerConfig, build_model, costs,
                         encompass_filter, enumerate_elements, order_queue)
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KIND_TABLE,
-                                 KV_GROUP, PARAM_TABLE, QKV_GROUP, block_params,
-                                 element_bounds, owned_params)
+                                 KV_GROUP, PARAM_TABLE, QKV_GROUP, element_bounds,
+                                 owned_params)
+from slimformer.plan import LayerView
 
 
 def make_config(**kw):
@@ -163,8 +164,10 @@ class TestOrderQueue:
     def test_size_focus_ranks_blocks_by_parameters(self, focus, first):
         # attention costs more MACs, the FFN more parameters
         cfg = make_config(context_len=64, kv_group_width=16, ffn_dim=32)
-        assert (block_params(cfg, ATTN_BLOCK), costs.attn_macs(cfg)) == (304, 81920)
-        assert (block_params(cfg, FFN_BLOCK), costs.ffn_macs(cfg)) == (568, 32768)
+        attn, ffn = (costs.block_cost(cfg, LayerView(cfg), block)
+                     for block in (ATTN_BLOCK, FFN_BLOCK))
+        assert (attn.param_count, attn.mac_count) == (304, 81920)
+        assert (ffn.param_count, ffn.mac_count) == (568, 32768)
         assert queue_keys(cfg, focus)[0] == first
 
     def test_full_order_layer_order_ascending(self):

@@ -12,10 +12,10 @@ from slimformer import (ApproxPlan, ConfigError, GroupShrink, OpCounter, PlanErr
                         TransElement, TransformerConfig, build_model,
                         load_checkpoint, measure_latency, save_checkpoint,
                         sign_match_attention)
-from slimformer.costs import attn_macs, cost_from_views, ffn_macs, quantized_bytes
+from slimformer.costs import block_cost, cost_from_views, head_macs, quantized_bytes
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
-                                 KV_GROUP, QKV_GROUP, attn_block, enumerate_elements,
-                                 ffn_block)
+                                 KV_GROUP, PARAM_TABLE, QKV_GROUP, attn_block,
+                                 enumerate_elements, ffn_block)
 from slimformer.signmatch import causal_mask
 from slimformer.tasks import IGNORE_LABEL
 from slimformer.tensor import layer_norm, make_rng
@@ -363,20 +363,25 @@ class TestCost:
                                      ffn_dim=32, context_len=n, vocab_size=5,
                                      weight_group_width=4, kv_group_width=4)
 
-        sm64 = attn_macs(cfg(64), signmatch_k=8)
-        sm128 = attn_macs(cfg(128), signmatch_k=8)
+        def attn_macs(n, plan=ApproxPlan()):
+            view = plan.resolve(cfg(n))[0]
+            return block_cost(cfg(n), view, ATTN_BLOCK).mac_count
+
+        matched = ApproxPlan().with_approx(attn_block(0), SignMatch(8))
+        sm64 = attn_macs(64, matched)
+        sm128 = attn_macs(128, matched)
         assert sm128 == 2 * sm64  # every sign-matched stage is linear in n
-        full64 = attn_macs(cfg(64))
-        full128 = attn_macs(cfg(128))
+        full64 = attn_macs(64)
+        full128 = attn_macs(128)
         assert full128 > 2 * full64  # quadratic score stage by contrast
         assert sm64 < full64
 
     def test_cost_additivity(self, tiny_config, tiny_model):
-        from slimformer.costs import head_macs
         full = PlannedModel(tiny_model).cost()
         expected = head_macs(tiny_config)
-        for _ in range(tiny_config.num_layers):
-            expected += attn_macs(tiny_config) + ffn_macs(tiny_config)
+        for view in PlannedModel(tiny_model).views:
+            expected += sum(block_cost(tiny_config, view, block).mac_count
+                            for block in (ATTN_BLOCK, FFN_BLOCK))
         assert full.mac_count == expected
 
     def test_kv_prune_reduces_macs_not_params(self, tiny_config):
@@ -389,7 +394,7 @@ class TestCost:
 
 
 class TestCostOracle:
-    """Closed-form MACs against the multiply-accumulates the executor
+    """The cost model's MACs against the multiply-accumulates the executor
     performs, counted at every projection (``linear``) and attention core
     (``full_attention``: Q K^T plus P V) of the model and the attention
     code, plus the query entries of each ``sign_distances`` call: a layer
@@ -438,7 +443,8 @@ class TestCostOracle:
         if not view.attn_skipped:
             # sign matching selects keys only while k is below the live key count
             k, live = view.signmatch_k, int(view.kv_live.sum())
-            checks += [("heads", not view.head_live.all()), ("qkv", not view.qkv_live.all()),
+            checks += [("heads", not view.head_live.all()), ("headless", not view.head_live.any()),
+                       ("qkv", not view.qkv_live.all()),
                        ("kv", not view.kv_live.all()),
                        ("signmatch", k is not None and k < live),
                        ("signmatch_vacuous", k is not None and k >= live),
@@ -484,17 +490,40 @@ class TestCostOracle:
             planned.forward(gen.integers(0, cfg.vocab_size, size=(1, cfg.context_len)))
             assert counted[0] == planned.cost().mac_count
             seen.update(*map(self.executed, planned.views))
-        assert seen == {"heads", "qkv", "ffn", "empty_ffn", "kv", "signmatch",
+        assert seen == {"heads", "headless", "qkv", "ffn", "empty_ffn", "kv", "signmatch",
                         "signmatch_vacuous", "quant", "skip"}
+
+    @staticmethod
+    def counted_tensors(cfg, view) -> list:
+        """(name, live rows, live columns or None for a vector) of each
+        layer tensor the executor reads, from explicit masks: an unskipped
+        block reads the live rows times the live columns of each of its
+        tensors, but a headless attention block only wo's bias and an FFN
+        without live input rows only b1, w2 and b2, not its layer norm."""
+        all_d, all_y = np.ones(cfg.hidden_dim, bool), np.ones(cfg.ffn_dim, bool)
+        heads = np.repeat(view.head_live, cfg.head_dim)  # live columns of wq/wk/wv
+        tensors = []
+        if not view.attn_skipped:
+            tensors += [("wq", view.qkv_live, heads), ("bq", heads, None),
+                        ("wk", view.qkv_live, heads), ("bk", heads, None),
+                        ("wv", view.qkv_live, heads), ("bv", heads, None),
+                        ("wo", heads, all_d), ("bo", all_d, None)]
+            if view.head_live.any():
+                tensors += [("ln1_g", all_d, None), ("ln1_b", all_d, None)]
+        if not view.ffn_skipped:
+            tensors += [("w1", view.ffn_live, all_y), ("b1", all_y, None),
+                        ("w2", all_y, all_d), ("b2", all_d, None)]
+            if view.ffn_live.any():
+                tensors += [("ln2_g", all_d, None), ("ln2_b", all_d, None)]
+        return tensors
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_counted_params_and_bytes_match_cost_model(self, shape):
-        """Parameters and bytes against a count from explicit row and column
-        masks of each layer tensor: an unskipped block stores the live rows
-        times the live columns of each of its tensors, as floats except for
-        its quantized row bands, which are packed codes."""
+        """Parameters and bytes against a count over ``counted_tensors``,
+        stored as floats except for quantized row bands, which are packed
+        codes."""
         cfg = self.config(shape)
-        d, y, g = cfg.hidden_dim, cfg.ffn_dim, cfg.weight_group_width
+        d, g = cfg.hidden_dim, cfg.weight_group_width
         # embedding, positional table, final norm and task head
         static = (cfg.vocab_size + cfg.context_len + 2) * d + (d + 1) * cfg.output_classes
         gen = np.random.default_rng(29)
@@ -506,24 +535,11 @@ class TestCostOracle:
                 seen.add("shrink")
             params, nbytes = static, static * 8
             for view in plan.resolve(cfg):
-                all_d, all_y = np.ones(d, bool), np.ones(y, bool)
-                heads = np.repeat(view.head_live, cfg.head_dim)  # live columns of wq/wk/wv
-                tensors = []  # (name, live rows, live columns or None for a vector)
-                if not view.attn_skipped:
-                    tensors += [("ln1_g", all_d, None), ("ln1_b", all_d, None),
-                                ("wq", view.qkv_live, heads), ("bq", heads, None),
-                                ("wk", view.qkv_live, heads), ("bk", heads, None),
-                                ("wv", view.qkv_live, heads), ("bv", heads, None),
-                                ("wo", heads, all_d), ("bo", all_d, None)]
-                    if not view.head_live.any():
-                        seen.add("headless")
-                if not view.ffn_skipped:
-                    tensors += [("ln2_g", all_d, None), ("ln2_b", all_d, None),
-                                ("w1", view.ffn_live, all_y), ("b1", all_y, None),
-                                ("w2", all_y, all_d), ("b2", all_d, None)]
-                    if not view.ffn_live.any():
-                        seen.add("empty_ffn")
-                for name, rows, cols in tensors:
+                if not view.attn_skipped and not view.head_live.any():
+                    seen.add("headless")
+                if not view.ffn_skipped and not view.ffn_live.any():
+                    seen.add("empty_ffn")
+                for name, rows, cols in self.counted_tensors(cfg, view):
                     live = rows[:, None] & (np.ones(1, bool) if cols is None else cols)
                     params += int(live.sum())
                     bits = view.quant_bits.get(name, np.zeros(-(-rows.size // g), int))
@@ -535,6 +551,45 @@ class TestCostOracle:
             cost = cost_from_views(cfg, plan.resolve(cfg))
             assert (cost.param_count, cost.bytes) == (params, nbytes)
         assert seen == {"shrink", "headless", "empty_ffn", "quant_pruned_rows"}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_counted_tensors_are_what_the_executor_trains(self, shape):
+        """One backward of the planned loss, with every weight drawn at
+        random: no layer entry outside ``counted_tensors`` gets a nonzero
+        gradient, and every tensor with a counted full-precision entry
+        enters the graph and the plan's ``parameters()``. (Some counted
+        entries get an exactly zero gradient: bk's under the softmax's
+        shift invariance, a query path whose queries see one key, a layer
+        norm's at rows its block does not read.)"""
+        cfg = self.config(shape)
+        g = cfg.weight_group_width
+        model = build_model(cfg, 3)
+        init = np.random.default_rng(5)
+        for _, t in model.named_parameters():  # no zero bias hides a read
+            t.data = init.normal(0.0, 0.5, t.data.shape)
+        gen = np.random.default_rng(29)
+        batch = (4,) if shape == "classification" else (4, cfg.context_len)
+        seen = set()
+        for _ in range(48):
+            planned = PlannedModel(model, self.random_plan(cfg, gen))
+            trained = {id(t) for t in planned.parameters()}
+            for _, t in model.named_parameters():
+                t.grad = None
+            tokens = gen.integers(0, cfg.vocab_size, size=(4, cfg.context_len))
+            planned.loss(tokens, gen.integers(0, cfg.output_classes, size=batch)).backward()
+            for p, view in zip(model.layers, planned.views):
+                seen |= self.executed(view)
+                counted = {name: rows if cols is None else np.outer(rows, cols)
+                           for name, rows, cols in self.counted_tensors(cfg, view)}
+                for name in PARAM_TABLE:
+                    t = getattr(p, name)
+                    live = counted.get(name, np.zeros(t.data.shape, bool))
+                    assert t.grad is None or not t.grad[~live].any(), name
+                    bits = view.quant_bits.get(name, np.zeros(-(-live.shape[0] // g), int))
+                    rows = np.repeat(bits == 0, g)[:live.shape[0]]
+                    if (live & rows.reshape((-1,) + (1,) * (live.ndim - 1))).any():
+                        assert t.grad is not None and id(t) in trained, name
+        assert {"headless", "empty_ffn", "quant", "heads", "qkv"} <= seen
 
 
 class TestBoundPlan:

@@ -35,7 +35,11 @@ change to the forward kernels can show that it serves the same bits, then
 ``serve <plan> counts <sha256>`` lines: a hash over the ``OpCounter``
 fields of that same forward (sign-match work and queries that see no
 key), so it can show that it does the same counted work, then ``serve
-<plan> cost <mac>:<params>:<bytes>`` lines: that plan's ``cost()``. Last
+<plan> cost <mac>:<params>:<bytes>`` lines: that plan's ``cost()``, and
+``serve headless cost <mac>:<params>:<bytes>``: the cost of a serve-shape
+plan that skips every head of layer 0 and every FFN weight group of layer
+1, so that the parameters a headless attention block and an FFN without
+live input rows read stay pinned. Last
 come ``train <plan> weights <sha256>`` lines, one per plan kind, at the copy
 shape of ``perfbench/scenarios.optimize_config("speed")``: a hash over a
 fixed model's weights after one epoch of ``train_epochs`` under that plan
@@ -69,6 +73,7 @@ import sys
 import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 ARTIFACTS = ("plan.json", "decisions.jsonl", "model.bin", "elements.json")
@@ -145,8 +150,6 @@ def serve_digests() -> dict:
     """Per serve plan, sha256 over the logits of a counted no-grad forward
     on serve_inputs(1) and over that forward's OpCounter fields, and the
     plan's cost line."""
-    from dataclasses import asdict
-
     from scenarios import PLAN_NAMES, serve_inputs
 
     from slimformer import OpCounter, no_grad
@@ -161,6 +164,18 @@ def serve_digests() -> dict:
                                             .encode()).hexdigest(),
                              cost_line(asdict(planned[name].cost())))
     return digests
+
+
+def headless_cost() -> str:
+    """The cost line of a serve-shape plan with a headless attention block
+    (layer 0) and an FFN without live input rows (layer 1)."""
+    from scenarios import serve_config
+
+    from slimformer import FFN_GROUP, HEAD, ApproxPlan, PlannedModel, TransElement, build_model
+    cfg = serve_config()
+    plan = ApproxPlan([TransElement(HEAD, 0, h) for h in range(cfg.num_heads)]
+                      + [TransElement(FFN_GROUP, 1, g) for g in range(cfg.num_weight_groups)])
+    return cost_line(asdict(PlannedModel(build_model(cfg, 0), plan).cost()))
 
 
 def train_digests() -> dict:
@@ -262,6 +277,7 @@ def main(argv=None) -> int:
         print(f"serve {name} counts {counts}", flush=True)
     for name, (_, _, cost) in digests.items():
         print(f"serve {name} cost {cost}", flush=True)
+    print(f"serve headless cost {headless_cost()}", flush=True)
     for name, weights in train_digests().items():
         print(f"train {name} weights {weights}", flush=True)
     return 0
