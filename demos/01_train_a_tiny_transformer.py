@@ -20,7 +20,7 @@ config = sf.TransformerConfig(
     context_len=task.context_len, vocab_size=task.vocab_size + 1,
     task_kind="classification", num_classes=task.num_classes,
     weight_group_width=4, kv_group_width=4)
-model = sf.build_model(config, rng=0)
+model = sf.build_model(config, seed=0)
 
 cost = sf.PlannedModel(model).cost()
 print(f"\nmodel: {config.num_layers} layers, d={config.hidden_dim}, "

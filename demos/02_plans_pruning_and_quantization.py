@@ -15,7 +15,7 @@ config = sf.TransformerConfig(num_layers=2, hidden_dim=16, num_heads=2,
                               ffn_dim=32, context_len=16, vocab_size=7,
                               task_kind="classification", num_classes=6,
                               weight_group_width=4, kv_group_width=4)
-model = sf.build_model(config, rng=1)
+model = sf.build_model(config, seed=1)
 tokens = np.random.default_rng(0).integers(0, 6, size=(4, 16))
 
 

@@ -67,8 +67,8 @@ WEIGHT_GROUPS = {ATTN_BLOCK: QKV_GROUP, FFN_BLOCK: FFN_GROUP}
 # unsliced). Element i of a kind owns slice i of the kind's per-layer count
 # of equal slices of each axis it slices; a block owns its parameters whole.
 PARAM_TABLE = {
-    "ln1_g": (ATTN_BLOCK, (("hidden_dim", None),)),
-    "ln1_b": (ATTN_BLOCK, (("hidden_dim", None),)),
+    "ln1_g": (ATTN_BLOCK, (("hidden_dim", QKV_GROUP),)),
+    "ln1_b": (ATTN_BLOCK, (("hidden_dim", QKV_GROUP),)),
     "wq": (ATTN_BLOCK, (("hidden_dim", QKV_GROUP), ("hidden_dim", HEAD))),
     "bq": (ATTN_BLOCK, (("hidden_dim", HEAD),)),
     "wk": (ATTN_BLOCK, (("hidden_dim", QKV_GROUP), ("hidden_dim", HEAD))),
@@ -77,8 +77,8 @@ PARAM_TABLE = {
     "bv": (ATTN_BLOCK, (("hidden_dim", HEAD),)),
     "wo": (ATTN_BLOCK, (("hidden_dim", HEAD), ("hidden_dim", None))),
     "bo": (ATTN_BLOCK, (("hidden_dim", None),)),
-    "ln2_g": (FFN_BLOCK, (("hidden_dim", None),)),
-    "ln2_b": (FFN_BLOCK, (("hidden_dim", None),)),
+    "ln2_g": (FFN_BLOCK, (("hidden_dim", FFN_GROUP),)),
+    "ln2_b": (FFN_BLOCK, (("hidden_dim", FFN_GROUP),)),
     "w1": (FFN_BLOCK, (("hidden_dim", FFN_GROUP), ("ffn_dim", None))),
     "b1": (FFN_BLOCK, (("ffn_dim", None),)),
     "w2": (FFN_BLOCK, (("ffn_dim", None), ("hidden_dim", None))),

@@ -82,17 +82,13 @@ def _param(data: np.ndarray) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def build_model(config: TransformerConfig, rng: np.random.Generator | int) -> TransformerModel:
+def build_model(config: TransformerConfig, seed: int) -> TransformerModel:
     """Initialize weights from fan-in-scaled normals; deterministic per seed.
 
     Residual output projections (wo, w2) are shrunk by 1/sqrt(2L) so deep
     stacks start close to the identity map."""
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = make_rng(seed)
-    else:
-        seed = -1
     model = TransformerModel(config, seed)
+    rng = make_rng(seed)
     res = (2 * config.num_layers) ** -0.5
     model.embedding.data = rng.normal(0.0, 1.0, model.embedding.data.shape)
     model.positional.data = rng.normal(0.0, 0.1, model.positional.data.shape)
@@ -469,79 +465,51 @@ def measure_latency(model: TransformerModel | PlannedModel, plan: ApproxPlan | N
 # -- checkpoints -------------------------------------------------------------
 
 def save_checkpoint(model: TransformerModel, prefix: str | Path) -> tuple[Path, Path]:
-    """Write `<prefix>.json` (manifest) and `<prefix>.bin` (raw little-endian
-    float64 tensor data)."""
+    """Write `<prefix>.json`, a manifest of the model's config, seed and
+    dtype, and `<prefix>.bin`, every parameter of ``named_parameters()`` in
+    that order as raw little-endian float64 data."""
     prefix = Path(prefix)
-    tensors, offset = [], 0
-    blob = bytearray()
-    for name, t in model.named_parameters():
-        raw = t.data.astype("<f8").tobytes()
-        tensors.append({"name": name, "shape": list(t.data.shape), "offset": offset})
-        blob.extend(raw)
-        offset += len(raw)
-    manifest = {
-        "config": model.config.to_dict(),
-        "seed": model.seed,
-        "dtype": "<f8",
-        "tensors": tensors,
-    }
+    manifest = {"config": model.config.to_dict(), "seed": model.seed, "dtype": "<f8"}
     json_path = prefix.with_suffix(".json")
     bin_path = prefix.with_suffix(".bin")
     json_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    bin_path.write_bytes(bytes(blob))
+    bin_path.write_bytes(b"".join(t.data.astype("<f8").tobytes()
+                                  for _, t in model.named_parameters()))
     return json_path, bin_path
 
 
-def _count(value, least: int = 0) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
 def load_checkpoint(prefix: str | Path) -> TransformerModel:
-    """Read a checkpoint pair. The manifest must hold a valid model config,
-    an int seed of at least -1 (-1: weights drawn from a Generator) if any,
-    and list every parameter of that model, and nothing else, as "<f8"
-    data inside the `.bin`; anything else raises PlanError."""
+    """Read a checkpoint pair. The manifest must be a JSON object with a
+    valid model config, an int seed of at least 0 and dtype "<f8" (other
+    keys are ignored), and the `.bin` must hold exactly that model's
+    parameters in ``named_parameters()`` order; anything else raises
+    PlanError."""
     prefix = Path(prefix)
     try:
         manifest = json.loads(prefix.with_suffix(".json").read_text())
     except json.JSONDecodeError as exc:
         raise PlanError(f"checkpoint manifest is not JSON: {exc}") from exc
-    tensors = manifest.get("tensors") if isinstance(manifest, dict) else None
-    if not isinstance(tensors, list) or "config" not in manifest:
-        raise PlanError("checkpoint manifest needs a 'config' and a 'tensors' list")
-    if not all(isinstance(spec, dict) and {"name", "shape", "offset"} <= spec.keys()
-               and isinstance(spec["name"], str) and _count(spec["offset"])
-               and isinstance(spec["shape"], list) and all(map(_count, spec["shape"]))
-               for spec in tensors):
-        raise PlanError("every checkpoint tensor entry needs a name, shape and offset: "
-                        "a string, a list of non-negative ints and a non-negative int")
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        raise PlanError("checkpoint manifest needs a 'config'")
     if manifest.get("dtype") != "<f8":
         raise PlanError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
-    seed = manifest.get("seed", -1)
-    if not _count(seed, -1):
-        raise PlanError(f"checkpoint seed {seed!r} is not an int >= -1")
+    seed = manifest.get("seed")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise PlanError(f"checkpoint seed {seed!r} is not an int >= 0")
     try:
         config = TransformerConfig.from_dict(manifest["config"])
     except ConfigError as exc:
         raise PlanError(f"checkpoint config is invalid: {exc}") from exc
     model = TransformerModel(config, seed)
+    params = [t for _, t in model.named_parameters()]
     blob = prefix.with_suffix(".bin").read_bytes()
-    params = dict(model.named_parameters())
-    listed = [spec["name"] for spec in tensors]
-    if sorted(listed) != sorted(params):
-        unknown = sorted(set(listed) - set(params))
-        missing = sorted(set(params) - set(listed))
-        raise PlanError(f"checkpoint tensors do not match the model: unknown {unknown}, "
-                        f"missing {missing}")
-    for spec in tensors:
-        t = params[spec["name"]]
-        if tuple(spec["shape"]) != t.data.shape:
-            raise PlanError(f"checkpoint tensor {spec['name']} has shape {spec['shape']}, "
-                            f"expected {t.data.shape}")
-        end = spec["offset"] + 8 * t.data.size
-        if end > len(blob):
-            raise PlanError(f"checkpoint tensor {spec['name']} needs bytes "
-                            f"[{spec['offset']}, {end}) of a {len(blob)}-byte .bin")
-        arr = np.frombuffer(blob, dtype="<f8", count=t.data.size, offset=spec["offset"])
+    size = 8 * sum(t.data.size for t in params)
+    if len(blob) != size:
+        raise PlanError(f"checkpoint .bin holds {len(blob)} bytes, but the model's "
+                        f"parameters take {size}")
+    offset = 0
+    for t in params:
+        arr = np.frombuffer(blob, dtype="<f8", count=t.data.size, offset=offset)
         t.data = arr.reshape(t.data.shape).astype(np.float64)
+        offset += 8 * t.data.size
     return model

@@ -284,8 +284,9 @@ class TestParamTable:
         ATTN_BLOCK: (None, tuple((name, None) for name in ATTN)),
         HEAD: ("head_dim", (("wq", 1), ("wk", 1), ("wv", 1),
                             ("bq", 0), ("bk", 0), ("bv", 0), ("wo", 0))),
-        FFN_GROUP: ("weight_group_width", (("w1", 0),)),
-        QKV_GROUP: ("weight_group_width", (("wq", 0), ("wk", 0), ("wv", 0))),
+        FFN_GROUP: ("weight_group_width", (("ln2_g", 0), ("ln2_b", 0), ("w1", 0))),
+        QKV_GROUP: ("weight_group_width", (("ln1_g", 0), ("ln1_b", 0),
+                                           ("wq", 0), ("wk", 0), ("wv", 0))),
     }
 
     # Pinned: the matrices a Quantize on each kind covers.

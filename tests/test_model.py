@@ -498,8 +498,9 @@ class TestCostOracle:
         """(name, live rows, live columns or None for a vector) of each
         layer tensor the executor reads, from explicit masks: an unskipped
         block reads the live rows times the live columns of each of its
-        tensors, but a headless attention block only wo's bias and an FFN
-        without live input rows only b1, w2 and b2, not its layer norm."""
+        tensors (a layer norm's at the block's live input rows), but a
+        headless attention block only wo's bias and an FFN without live
+        input rows only b1, w2 and b2."""
         all_d, all_y = np.ones(cfg.hidden_dim, bool), np.ones(cfg.ffn_dim, bool)
         heads = np.repeat(view.head_live, cfg.head_dim)  # live columns of wq/wk/wv
         tensors = []
@@ -509,12 +510,12 @@ class TestCostOracle:
                         ("wv", view.qkv_live, heads), ("bv", heads, None),
                         ("wo", heads, all_d), ("bo", all_d, None)]
             if view.head_live.any():
-                tensors += [("ln1_g", all_d, None), ("ln1_b", all_d, None)]
+                tensors += [("ln1_g", view.qkv_live, None), ("ln1_b", view.qkv_live, None)]
         if not view.ffn_skipped:
             tensors += [("w1", view.ffn_live, all_y), ("b1", all_y, None),
                         ("w2", all_y, all_d), ("b2", all_d, None)]
             if view.ffn_live.any():
-                tensors += [("ln2_g", all_d, None), ("ln2_b", all_d, None)]
+                tensors += [("ln2_g", view.ffn_live, None), ("ln2_b", view.ffn_live, None)]
         return tensors
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -559,8 +560,7 @@ class TestCostOracle:
         gradient, and every tensor with a counted full-precision entry
         enters the graph and the plan's ``parameters()``. (Some counted
         entries get an exactly zero gradient: bk's under the softmax's
-        shift invariance, a query path whose queries see one key, a layer
-        norm's at rows its block does not read.)"""
+        shift invariance, a query path whose queries see one key.)"""
         cfg = self.config(shape)
         g = cfg.weight_group_width
         model = build_model(cfg, 3)
@@ -679,11 +679,8 @@ class TestLatency:
         assert statistics.median([5, 7, 100]) == 7
 
 
-# one tensor entry's field set to a JSON value of the wrong type
-ILL_TYPED_ENTRIES = {"string_offset": ("offset", "0"), "fractional_offset": ("offset", 0.5),
-                     "int_shape": ("shape", 5), "list_name": ("name", ["x"])}
 ILL_TYPED_SEEDS = {"string_seed": "x", "fractional_seed": 0.5, "bool_seed": True,
-                   "seed_below_generator": -2}
+                   "seed_below_generator": -1}
 
 
 class TestCheckpoint:
@@ -700,58 +697,64 @@ class TestCheckpoint:
     def test_manifest_structure(self, tiny_model, tmp_path):
         json_path, _ = save_checkpoint(tiny_model, tmp_path / "model")
         manifest = json.loads(json_path.read_text())
-        assert manifest["dtype"] == "<f8"
-        names = [t["name"] for t in manifest["tensors"]]
-        assert names[0] == "embedding"
-        offsets = [t["offset"] for t in manifest["tensors"]]
-        assert offsets == sorted(offsets)
-        assert "config" in manifest and "seed" in manifest
+        assert sorted(manifest) == ["config", "dtype", "seed"]
+        assert manifest["dtype"] == "<f8" and manifest["seed"] == tiny_model.seed
+        assert TransformerConfig.from_dict(manifest["config"]) == tiny_model.config
+
+    def test_manifest_with_a_tensor_table_loads(self, tiny_model, tmp_path):
+        """A manifest in the earlier format, which also listed each
+        tensor's name, shape and byte offset, loads bit for bit: the
+        table only restated the layout the config fixes."""
+        _, bin_path = save_checkpoint(tiny_model, tmp_path / "model")
+        tensors, offset = [], 0
+        for name, t in tiny_model.named_parameters():
+            tensors.append({"name": name, "shape": list(t.data.shape), "offset": offset})
+            offset += 8 * t.data.size
+        assert offset == bin_path.stat().st_size
+        manifest = {"config": tiny_model.config.to_dict(), "seed": tiny_model.seed,
+                    "dtype": "<f8", "tensors": tensors}
+        (tmp_path / "model.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        loaded = load_checkpoint(tmp_path / "model")
+        for (_, ta), (_, tb) in zip(tiny_model.named_parameters(), loaded.named_parameters()):
+            assert ta.data.tobytes() == tb.data.tobytes()
+
+    @pytest.mark.parametrize("config", [pytest.param("tiny_config", id="classifier"),
+                                        pytest.param("causal_config", id="lm")])
+    def test_dense_bin_length_is_the_cost_bytes(self, request, tmp_path, config):
+        model = build_model(request.getfixturevalue(config), 3)
+        _, bin_path = save_checkpoint(model, tmp_path / "model")
+        assert bin_path.stat().st_size == PlannedModel(model).cost().bytes
 
     @pytest.mark.parametrize("case, match", [
         pytest.param(case, match, id=case) for case, match in (
-            ("missing_tensor", r"missing \['head_w'\]"),
-            ("unknown_tensor", r"unknown \['bogus'\]"),
-            ("truncated_bin", "head_b needs bytes"),
+            ("truncated_bin", "holds {short} bytes, but the model's parameters take {size}"),
+            ("padded_bin", "holds {long} bytes, but the model's parameters take {size}"),
             ("foreign_dtype", "dtype"),
             ("not_json", "not JSON"),
-            ("no_tensors", "'tensors' list"),
             ("no_config", "'config'"),
-            ("tensors_not_list", "'tensors' list"),
-            ("tensor_without_shape", "name, shape and offset"),
-            ("string_offset", "name, shape and offset"),
-            ("fractional_offset", "name, shape and offset"),
-            ("int_shape", "name, shape and offset"),
-            ("list_name", "name, shape and offset"),
             ("string_seed", "seed 'x'"),
             ("fractional_seed", "seed 0.5"),
             ("bool_seed", "seed True"),
-            ("seed_below_generator", "seed -2"))])
+            ("seed_below_generator", "seed -1"))])
     def test_corrupt_checkpoint_rejected(self, tiny_model, tmp_path, case, match):
         json_path, bin_path = save_checkpoint(tiny_model, tmp_path / "model")
         manifest = json.loads(json_path.read_text())
+        size = bin_path.stat().st_size
         if case == "not_json":
             manifest = None
-        elif case in ("no_tensors", "no_config"):
-            del manifest[case[3:]]
-        elif case == "tensors_not_list":
-            manifest["tensors"] = {t["name"]: t for t in manifest["tensors"]}
-        elif case == "tensor_without_shape":
-            del manifest["tensors"][3]["shape"]
-        elif case in ILL_TYPED_ENTRIES:
-            field, value = ILL_TYPED_ENTRIES[case]
-            manifest["tensors"][3][field] = value
-        elif case == "missing_tensor":
-            manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] != "head_w"]
-        elif case == "unknown_tensor":
-            manifest["tensors"][0]["name"] = "bogus"
+        elif case == "no_config":
+            del manifest["config"]
         elif case == "foreign_dtype":
             manifest["dtype"] = "<f4"
         elif case in ILL_TYPED_SEEDS:
             manifest["seed"] = ILL_TYPED_SEEDS[case]
+        elif case == "padded_bin":
+            bin_path.write_bytes(bin_path.read_bytes() + bytes(8))
         else:
             bin_path.write_bytes(bin_path.read_bytes()[:-8])
         json_path.write_text("{not json" if manifest is None else json.dumps(manifest))
-        with pytest.raises(PlanError, match=match):
+        with pytest.raises(PlanError, match=match.format(short=size - 8, long=size + 8,
+                                                         size=size)):
             load_checkpoint(tmp_path / "model")
 
 

@@ -418,10 +418,10 @@ class TestTaylor:
     # parameters no part owns)
     @pytest.mark.parametrize("block, part, count, rest", [
         pytest.param(FFN_BLOCK, FFN_GROUP, "num_weight_groups",
-                     ("ln2_g", "ln2_b", "b1", "w2", "b2"), id="ffn_groups"),
+                     ("b1", "w2", "b2"), id="ffn_groups"),
         pytest.param(ATTN_BLOCK, HEAD, "num_heads", ("ln1_g", "ln1_b", "bo"), id="heads"),
         pytest.param(ATTN_BLOCK, QKV_GROUP, "num_weight_groups",
-                     ("ln1_g", "ln1_b", "bq", "bk", "bv", "wo", "bo"), id="qkv_groups")])
+                     ("bq", "bk", "bv", "wo", "bo"), id="qkv_groups")])
     def test_signed_scores_additive_over_partition(self, trained, majority_data,
                                                    tiny_config, block, part, count, rest):
         signed = taylor_signed_scores(trained, majority_data)

@@ -6,7 +6,9 @@ Runs ``run_experiment`` on five fixed configs, each into a temporary
 directory, and prints one line per fixture and artifact
 (``plan.json``, ``decisions.jsonl``, ``model.bin`` and ``elements.json``, the
 final queue and the encompass-filter removal log):
-``<fixture> <artifact> <sha256>``, then ``<fixture> views <sha256>``: a hash
+``<fixture> <artifact> <sha256>``, then ``<fixture> manifest <sha256>``: the
+hash of the final checkpoint's manifest, ``model.json``, so the checkpoint
+format stays pinned, then ``<fixture> views <sha256>``: a hash
 over the per-layer ``LayerView`` that ``plan.json`` resolves to (skip flags,
 liveness masks, sign-match k, quantization bits), so a change that rewrites
 the plan's form can show that it executes the same model, and
@@ -258,6 +260,8 @@ def main(argv=None) -> int:
             for artifact in ARTIFACTS:
                 digest = hashlib.sha256((Path(tmp) / artifact).read_bytes()).hexdigest()
                 print(f"{name} {artifact} {digest}", flush=True)
+            manifest = hashlib.sha256((Path(tmp) / "model.json").read_bytes()).hexdigest()
+            print(f"{name} manifest {manifest}", flush=True)
             views = views_digest((Path(tmp) / "plan.json").read_text(), config)
             print(f"{name} views {views}", flush=True)
             choices = choices_digest((Path(tmp) / "decisions.jsonl").read_text())
