@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: train, optimize, evaluate, compare-baselines, sweep.
-Configuration comes from a JSON document; flags override config fields,
-with --set taking dotted JSON paths. Exit codes: 0 success, 2 config
-error, 3 infeasible constraint or bad plan.
+Configuration comes from a JSON document; --set overrides any of its
+fields by dotted JSON path. Exit codes: 0 success, 2 config error, 3
+infeasible constraint or bad plan.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"--set expects path=value, got '{override}'")
         path, raw = override.split("=", 1)
         _set_path(doc, path.strip(), _parse_value(raw.strip()))
-    if getattr(args, "focus", None):
-        doc["focus"] = args.focus
-    if getattr(args, "eps_skip", None) is not None:
-        doc["eps_skip"] = args.eps_skip
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
     return ExperimentConfig.from_doc(doc)
 
 
@@ -170,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--set", action="append", metavar="PATH=VALUE",
                        help="override a config field by dotted JSON path")
-        p.add_argument("--seed", type=int, default=None)
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
 
@@ -180,9 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="full analyze-and-approximate pipeline")
     common(p_opt)
-    p_opt.add_argument("--focus", choices=["speed", "size", "accuracy"])
-    p_opt.add_argument("--eps-skip", type=float, dest="eps_skip",
-                       help="relative loss increase a skip may cost")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint, optionally under a plan")
@@ -195,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare-baselines",
                            help="greedy vs oracle vs Taylor comparison on a tiny model")
     common(p_cmp)
-    p_cmp.add_argument("--focus", choices=["speed", "size", "accuracy"])
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="threshold sweep producing sweep.csv")

@@ -10,17 +10,40 @@ TASK_KINDS = ("classification", "language_model", "copy")
 _NUMBER_TYPES = {"int": (int,), "float": (int, float)}
 
 
-def check_number_fields(obj) -> None:
-    """Raise ConfigError if a dataclass field annotated int or float (or
+def check_number_fields(obj, error=ConfigError) -> None:
+    """Raise ``error`` if a dataclass field annotated int or float (or
     either `| None`) holds another type; bools and fractions for ints do
-    not pass. Config docs and manifests can carry any JSON value."""
+    not pass. Config docs, plans and manifests can carry any JSON value."""
     for f in fields(obj):
         base, _, optional = f.type.partition(" | ")
         kinds, value = _NUMBER_TYPES.get(base), getattr(obj, f.name)
         if kinds is None or (optional and value is None):
             continue
         if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ConfigError(f"{f.name} must be of type {base}, got {value!r}")
+            raise error(f"{f.name} must be of type {base}, got {value!r}")
+
+
+def check_keys(doc, known, what: str, error=ConfigError) -> dict:
+    """``doc`` itself, if it is a JSON object whose keys are all in
+    ``known``; otherwise ``error`` naming ``what``."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise error(f"unknown key(s) {unknown} in {what}")
+    return doc
+
+
+def read_doc(cls, doc, what: str, error=ConfigError):
+    """The dataclass ``cls`` built from a JSON object whose keys name its
+    fields; absent keys take the field defaults. An unknown key, a missing
+    required field or a value ``cls`` rejects raises ``error`` naming
+    ``what``."""
+    check_keys(doc, [f.name for f in fields(cls)], what, error)
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:  # a missing field; a rejected value
+        raise error(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -95,10 +118,3 @@ class TransformerConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TransformerConfig":
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ConfigError(f"bad transformer config: {exc}") from exc

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .config import TransformerConfig, check_number_fields
+from .config import TransformerConfig, check_keys, check_number_fields, read_doc
 from .elements import ElementQueue, enumerate_elements, order_queue
 from .errors import ConfigError, InfeasibleError, PlanError, StageError
 from .focus import Focus
@@ -52,17 +52,6 @@ _EPOCHS = {"epochs_baseline": "baseline", "epochs_candidate": "candidate",
            "epochs_final": "final"}
 _STRUCTURED = ("task", "shape", "focus", *_EPOCHS)
 COMPARATORS = ("greedy_heuristic", "greedy_plain", "oracle", "taylor")
-
-
-def _section(doc: dict, name: str, keys) -> dict:
-    """A nested config section, rejecting keys the schema does not know."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section '{name}' must be an object")
-    unknown = sorted(set(section) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in config section '{name}'")
-    return section
 
 
 @dataclass
@@ -135,22 +124,17 @@ class ExperimentConfig:
         return doc
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "ExperimentConfig":
-        """Inverse of to_doc; absent keys take the dataclass defaults.
-        Unknown top-level keys are ignored, unknown section keys rejected."""
-        if "max_degradation" in doc:  # would otherwise be ignored silently
-            raise ConfigError("config key 'max_degradation' is now 'eps_skip'")
-        try:
-            task = TaskSpec.from_dict(doc["task"])
-        except KeyError as exc:
-            raise ConfigError("config needs a 'task' section") from exc
-        shape = ModelShape(**_section(doc, "model", [f.name for f in fields(ModelShape)]))
-        focus = Focus.parse(doc.get("focus", cls.focus.value))
-        epochs = _section(doc, "epochs", _EPOCHS.values())
+    def from_doc(cls, doc) -> "ExperimentConfig":
+        """Inverse of to_doc; absent keys take the dataclass defaults, and
+        an unknown key at any level raises ConfigError."""
+        flat = [f.name for f in fields(cls) if f.name not in _STRUCTURED]
+        check_keys(doc, ["task", "model", "focus", "epochs", *flat], "config")
+        epochs = check_keys(doc.get("epochs", {}), _EPOCHS.values(), "config section 'epochs'")
         kwargs = {name: epochs[key] for name, key in _EPOCHS.items() if key in epochs}
-        kwargs.update((f.name, doc[f.name]) for f in fields(cls)
-                      if f.name not in _STRUCTURED and f.name in doc)
-        return cls(task=task, shape=shape, focus=focus, **kwargs)
+        kwargs.update((name, doc[name]) for name in flat if name in doc)
+        return cls(task=read_doc(TaskSpec, doc.get("task"), "config section 'task'"),
+                   shape=read_doc(ModelShape, doc.get("model", {}), "config section 'model'"),
+                   focus=Focus.parse(doc.get("focus", cls.focus.value)), **kwargs)
 
 
 @dataclass

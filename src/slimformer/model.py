@@ -10,6 +10,7 @@ model. The forward pass is parameterized by an approximation plan.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import time
 from pathlib import Path
@@ -17,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import costs, speculate
-from .config import TransformerConfig
+from .config import TransformerConfig, read_doc
 from .elements import ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, PARAM_TABLE, QKV_GROUP
-from .errors import ConfigError, PlanError
+from .errors import PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
 from .signmatch import OpCounter, causal_attention, causal_mask, sign_match_attention
 from .tasks import IGNORE_LABEL
@@ -480,8 +481,9 @@ def save_checkpoint(model: TransformerModel, prefix: str | Path) -> tuple[Path, 
 
 def load_checkpoint(prefix: str | Path) -> TransformerModel:
     """Read a checkpoint pair. The manifest must be a JSON object with a
-    valid model config, an int seed of at least 0 and dtype "<f8" (other
-    keys are ignored), and the `.bin` must hold exactly that model's
+    model config that ``read_doc`` accepts, an int seed of at least 0 and
+    dtype "<f8" (other top-level keys are ignored, such as the tensor table
+    of earlier manifests), and the `.bin` must hold exactly that model's
     parameters in ``named_parameters()`` order; anything else raises
     PlanError."""
     prefix = Path(prefix)
@@ -496,19 +498,18 @@ def load_checkpoint(prefix: str | Path) -> TransformerModel:
     seed = manifest.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise PlanError(f"checkpoint seed {seed!r} is not an int >= 0")
-    try:
-        config = TransformerConfig.from_dict(manifest["config"])
-    except ConfigError as exc:
-        raise PlanError(f"checkpoint config is invalid: {exc}") from exc
-    model = TransformerModel(config, seed)
-    params = [t for _, t in model.named_parameters()]
+    config = read_doc(TransformerConfig, manifest["config"], "checkpoint config", PlanError)
+    # counted before the model is built, which a huge config would not survive
+    per_layer = sum(math.prod(getattr(config, length) for length, _ in axes)
+                    for _, axes in PARAM_TABLE.values())
+    size = 8 * (costs.static_params(config) + config.num_layers * per_layer)
     blob = prefix.with_suffix(".bin").read_bytes()
-    size = 8 * sum(t.data.size for t in params)
     if len(blob) != size:
         raise PlanError(f"checkpoint .bin holds {len(blob)} bytes, but the model's "
                         f"parameters take {size}")
+    model = TransformerModel(config, seed)
     offset = 0
-    for t in params:
+    for _, t in model.named_parameters():
         arr = np.frombuffer(blob, dtype="<f8", count=t.data.size, offset=offset)
         t.data = arr.reshape(t.data.shape).astype(np.float64)
         offset += 8 * t.data.size

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .config import TransformerConfig
+from .config import TransformerConfig, check_number_fields, read_doc
 from .costs import quantized_bytes
 from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, KIND_TABLE, PARAM_TABLE,
                        QKV_GROUP, WEIGHT_GROUPS, TransElement, element_bounds,
@@ -38,6 +38,7 @@ class Quantize:
     bits: int
 
     def __post_init__(self):
+        check_number_fields(self, PlanError)
         if self.bits not in QUANT_BITS:
             raise PlanError(f"quantization bits must be one of {QUANT_BITS}")
 
@@ -48,6 +49,7 @@ class SignMatch:
     k: int
 
     def __post_init__(self):
+        check_number_fields(self, PlanError)
         if self.k < 1:
             raise PlanError("sign-match k must be >= 1")
 
@@ -61,6 +63,7 @@ class GroupShrink:
     hi: int
 
     def __post_init__(self):
+        check_number_fields(self, PlanError)
         if self.lo < 0 or self.hi < self.lo:
             raise PlanError(f"bad kept interval [{self.lo}, {self.hi})")
 
@@ -89,13 +92,7 @@ def params_from_doc(entry: dict) -> ApproxParams:
     cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise PlanError(f"unknown approximation variant {variant!r}")
-    names = sorted(f.name for f in fields(cls))
-    values = entry.get("params")
-    if not isinstance(values, dict) or sorted(values) != names:
-        raise PlanError(f"{cls.name} entry needs params {names}, got {values!r}")
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in values.values()):
-        raise PlanError(f"{cls.name} params must be integers, got {values!r}")
-    return cls(**values)
+    return read_doc(cls, entry.get("params"), f"{cls.name} params", PlanError)
 
 
 def _element(key) -> TransElement:

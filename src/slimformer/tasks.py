@@ -80,13 +80,6 @@ class TaskSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ConfigError(f"bad task spec: {exc}") from exc
-
 
 @dataclass
 class Dataset:

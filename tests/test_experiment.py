@@ -260,10 +260,12 @@ class TestConfigRoundtrip:
         with pytest.raises(ConfigError, match="task"):
             ExperimentConfig.from_doc({})
 
-    def test_unknown_top_level_keys_ignored(self):
-        doc = small_config().to_doc()
-        doc.update(train_loss_only=False, qat_enabled=False)
-        assert ExperimentConfig.from_doc(doc) == small_config()
+    def test_unknown_top_level_keys_rejected(self):
+        from slimformer import ConfigError
+        for key in ("qat_enabled", "train_loss_only", "max_degradation"):
+            doc = {**small_config().to_doc(), key: False}
+            with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\] in config$"):
+                ExperimentConfig.from_doc(doc)
 
 
 class TestCli:
@@ -290,12 +292,12 @@ class TestCli:
                                 epochs_final=0)
         out = tmp_path / "opt_out"
         code = main(["optimize", "--config", str(cfg), "--out", str(out),
-                     "--focus", "speed", "--eps-skip", "0.4"])
+                     "--set", "focus=speed", "--set", "eps_skip=0.4"])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert "baseline" in report and "optimized" in report
         first = json.loads((out / "decisions.jsonl").read_text().splitlines()[0])
-        assert first["thresholds"]["val"] == {  # --eps-skip sets the bars
+        assert first["thresholds"]["val"] == {  # the overridden eps_skip sets the bars
             "skip": report["baseline"]["val_loss"] * (1.0 + 0.4),
             "approx": report["baseline"]["val_loss"] * (1.0 + 0.8)}
         capsys.readouterr()
@@ -351,6 +353,15 @@ class TestCli:
         assert code == 2
         assert f"unknown key(s) ['{key}'] in config section '{section}'" in \
             capsys.readouterr().err
+
+    def test_alias_flags_are_gone(self, capsys):
+        """focus, eps_skip and seed are set with --set, as every other field."""
+        for command in ("train", "optimize", "evaluate", "compare-baselines", "sweep"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            usage = capsys.readouterr().out
+            for flag in ("--focus", "--eps-skip", "--seed"):
+                assert flag not in usage, (command, flag)
 
     def test_evaluate_missing_inputs_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, epochs_baseline=1)
@@ -437,7 +448,9 @@ class TestCli:
         ("batch_size=0", "batch_size"), ('comparators=["oracel","taylor"]', "comparator"),
         # small_config sets eps_skip=0.3
         ("eps_approx=0.1", "eps_skip <= eps_approx"), ("eps_skip=-1", "eps_skip <= eps_approx"),
-        ("max_degradation=-1", "eps_skip"), ("max_degradation=0.1", "eps_skip"),
+        ("max_degradation=-1", "unknown key(s) ['max_degradation'] in config"),
+        ("max_degradation=0.1", "unknown key(s) ['max_degradation'] in config"),
+        ("eps_skp=0.5", "unknown key(s) ['eps_skp'] in config"),  # not run with the default
         ('seed="0"', "seed"), ('epochs.baseline="abc"', "epochs_baseline"),
         ("epochs.final=1.5", "epochs_final"), ('lr="x"', "lr"), ("lr=null", "lr"),
         ("batch_size=true", "batch_size"), ('eps_skip="0.1"', "eps_skip"),

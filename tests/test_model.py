@@ -12,6 +12,7 @@ from slimformer import (ApproxPlan, ConfigError, GroupShrink, OpCounter, PlanErr
                         TransElement, TransformerConfig, build_model,
                         load_checkpoint, measure_latency, save_checkpoint,
                         sign_match_attention)
+from slimformer.config import read_doc
 from slimformer.costs import block_cost, cost_from_views, head_macs, quantized_bytes
 from slimformer.elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD,
                                  KV_GROUP, PARAM_TABLE, QKV_GROUP, attn_block,
@@ -699,7 +700,7 @@ class TestCheckpoint:
         manifest = json.loads(json_path.read_text())
         assert sorted(manifest) == ["config", "dtype", "seed"]
         assert manifest["dtype"] == "<f8" and manifest["seed"] == tiny_model.seed
-        assert TransformerConfig.from_dict(manifest["config"]) == tiny_model.config
+        assert read_doc(TransformerConfig, manifest["config"], "config") == tiny_model.config
 
     def test_manifest_with_a_tensor_table_loads(self, tiny_model, tmp_path):
         """A manifest in the earlier format, which also listed each

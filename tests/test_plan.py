@@ -111,6 +111,12 @@ class TestPlanStructure:
         with pytest.raises(PlanError):
             GroupShrink(2, 1)
 
+    @pytest.mark.parametrize("make", [lambda: SignMatch(2.0), lambda: Quantize(True)],
+                             ids=["sign_match_float", "quantize_bool"])
+    def test_ill_typed_params_rejected(self, make):
+        with pytest.raises(PlanError, match="must be of type int"):
+            make()
+
     def test_shrink_resolves_to_row_mask(self, tiny_config):
         plan = ApproxPlan().with_approx(ffn_block(0), GroupShrink(1, 2))
         view = plan.resolve(tiny_config)[0]
@@ -128,6 +134,9 @@ MALFORMED_PLANS = {
     "no_params": {"approx": [{**SIGN_MATCH, "params": {}}]},
     "non_int_param": {"approx": [{**SIGN_MATCH, "params": {"k": "x"}}]},
     "float_param": {"approx": [{**SIGN_MATCH, "params": {"k": 4.7}}]},
+    "integral_float_param": {"approx": [{**SIGN_MATCH, "params": {"k": 8.0}}]},
+    "string_bits": {"approx": [{**SIGN_MATCH, "variant": "quantize", "params": {"bits": "8"}}]},
+    "params_not_object": {"approx": [{**SIGN_MATCH, "params": [4]}]},
     "bool_param": {"approx": [{**SIGN_MATCH, "params": {"k": True}}]},
     "string_param": {"approx": [{**SIGN_MATCH, "params": {"k": "4"}}]},
     "extra_param": {"approx": [{**SIGN_MATCH, "params": {"k": 4, "bits": 8}}]},

@@ -8,7 +8,9 @@ directory, and prints one line per fixture and artifact
 final queue and the encompass-filter removal log):
 ``<fixture> <artifact> <sha256>``, then ``<fixture> manifest <sha256>``: the
 hash of the final checkpoint's manifest, ``model.json``, so the checkpoint
-format stays pinned, then ``<fixture> views <sha256>``: a hash
+format stays pinned, then ``<fixture> config <sha256>``: the hash of the
+run's ``config.json``, so the config document format stays pinned, then
+``<fixture> views <sha256>``: a hash
 over the per-layer ``LayerView`` that ``plan.json`` resolves to (skip flags,
 liveness masks, sign-match k, quantization bits), so a change that rewrites
 the plan's form can show that it executes the same model, and
@@ -262,6 +264,8 @@ def main(argv=None) -> int:
                 print(f"{name} {artifact} {digest}", flush=True)
             manifest = hashlib.sha256((Path(tmp) / "model.json").read_bytes()).hexdigest()
             print(f"{name} manifest {manifest}", flush=True)
+            doc = hashlib.sha256((Path(tmp) / "config.json").read_bytes()).hexdigest()
+            print(f"{name} config {doc}", flush=True)
             views = views_digest((Path(tmp) / "plan.json").read_text(), config)
             print(f"{name} views {views}", flush=True)
             choices = choices_digest((Path(tmp) / "decisions.jsonl").read_text())
