@@ -116,12 +116,11 @@ def _cmd_evaluate(args) -> int:
     plan = ApproxPlan.from_json(_read_text(args.plan, "plan")) if args.plan else ApproxPlan()
     plan.resolve(model.config)  # warns of early causal keys pruned; binding does not
     data = generate_task(config.task)
-    planned = PlannedModel(model, plan)
-    cost = planned.cost()
+    cost = PlannedModel(model, plan).cost()
     result = {
-        "train_loss": evaluate_loss(planned, None, data.train),
-        "val_loss": evaluate_loss(planned, None, data.val),
-        "val_accuracy": evaluate_accuracy(planned, None, data.val),
+        "train_loss": evaluate_loss(model, plan, data.train),
+        "val_loss": evaluate_loss(model, plan, data.val),
+        "val_accuracy": evaluate_accuracy(model, plan, data.val),
         "mac_count": cost.mac_count,
         "param_count": cost.param_count,
         "bytes": cost.bytes,

@@ -7,19 +7,20 @@ from dataclasses import asdict, dataclass, fields
 from .errors import ConfigError
 
 TASK_KINDS = ("classification", "language_model", "copy")
-_NUMBER_TYPES = {"int": (int,), "float": (int, float)}
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
-def check_number_fields(obj, error=ConfigError) -> None:
-    """Raise ``error`` if a dataclass field annotated int or float (or
-    either `| None`) holds another type; bools and fractions for ints do
-    not pass. Config docs, plans and manifests can carry any JSON value."""
+def check_field_types(obj, error=ConfigError) -> None:
+    """Raise ``error`` if a dataclass field annotated int, float or bool
+    (or either `| None`) holds another type: a bool field takes only true
+    or false, and bools and fractions do not pass for numbers. Config docs,
+    plans and manifests can carry any JSON value."""
     for f in fields(obj):
         base, _, optional = f.type.partition(" | ")
-        kinds, value = _NUMBER_TYPES.get(base), getattr(obj, f.name)
+        kinds, value = _FIELD_TYPES.get(base), getattr(obj, f.name)
         if kinds is None or (optional and value is None):
             continue
-        if isinstance(value, bool) or not isinstance(value, kinds):
+        if isinstance(value, bool) != (base == "bool") or not isinstance(value, kinds):
             raise error(f"{f.name} must be of type {base}, got {value!r}")
 
 
@@ -69,7 +70,7 @@ class TransformerConfig:
     num_classes: int = 0  # 0 means "use vocab_size"
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_field_types(self)
         if self.num_layers < 1:
             raise ConfigError("num_layers must be >= 1")
         if min(self.hidden_dim, self.num_heads, self.ffn_dim, self.context_len,

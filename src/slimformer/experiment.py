@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .config import TransformerConfig, check_keys, check_number_fields, read_doc
+from .config import TransformerConfig, check_field_types, check_keys, read_doc
 from .elements import ElementQueue, enumerate_elements, order_queue
 from .errors import ConfigError, InfeasibleError, PlanError, StageError
 from .focus import Focus
@@ -73,7 +73,7 @@ class ExperimentConfig:
     comparators: tuple[str, ...] = COMPARATORS
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_field_types(self)
         self.transformer_config()  # range-checks the shape against the task
         eps_pair(self.eps_skip, self.eps_approx)
         n, k = self.task.context_len, self.sign_match_k
@@ -177,15 +177,14 @@ class RunReport:
 
 
 def _metrics(model: TransformerModel, plan, data: TaskData, spec: TaskSpec) -> MetricsBundle:
-    planned = PlannedModel(model, plan)
-    cost = planned.cost()
-    wall = measure_latency(planned, None, data.val.tokens[:16], repeats=3)
-    val_loss = evaluate_loss(planned, None, data.val)
+    cost = PlannedModel(model, plan).cost()
+    wall = measure_latency(model, plan, data.val.tokens[:16], repeats=3)
+    val_loss = evaluate_loss(model, plan, data.val)
     ppl = math.exp(val_loss) if spec.model_task_kind != "classification" else None
     return MetricsBundle(
-        train_loss=evaluate_loss(planned, None, data.train),
+        train_loss=evaluate_loss(model, plan, data.train),
         val_loss=val_loss,
-        accuracy=evaluate_accuracy(planned, None, data.val),
+        accuracy=evaluate_accuracy(model, plan, data.val),
         param_count=cost.param_count,
         mac_count=cost.mac_count,
         bytes=cost.bytes,
@@ -317,12 +316,11 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
 
     def row(method: str, weights: TransformerModel, plan: ApproxPlan, removed: int,
             evaluated: int, seconds: float) -> dict:
-        planned = PlannedModel(weights, plan)
-        cost = planned.cost()
+        cost = PlannedModel(weights, plan).cost()
         return {
             "method": method,
-            "train_loss": evaluate_loss(planned, None, data.train),
-            "val_loss": evaluate_loss(planned, None, data.val),
+            "train_loss": evaluate_loss(weights, plan, data.train),
+            "val_loss": evaluate_loss(weights, plan, data.val),
             "mac_count": cost.mac_count,
             "param_count": cost.param_count,
             "elements_removed": removed,

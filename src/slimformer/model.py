@@ -436,24 +436,14 @@ class _BoundLayer:
                        if name not in self.weights or not self.weights[name].constant]
 
 
-def bind(model: TransformerModel | PlannedModel, plan: ApproxPlan | None) -> PlannedModel:
-    """``model`` bound to ``plan``; a model already bound is taken as it
-    is, with ``plan`` None, so that callers can share one bind."""
-    if not isinstance(model, PlannedModel):
-        return PlannedModel(model, plan)
-    if plan is not None:
-        raise ValueError("a PlannedModel is bound already: pass plan=None")
-    return model
-
-
-def measure_latency(model: TransformerModel | PlannedModel, plan: ApproxPlan | None,
-                    batch, repeats: int = 5) -> float:
-    """Median wall time (ms) of forward passes of ``bind(model, plan)``;
-    informational only, tests rely on mac_count."""
+def measure_latency(model: TransformerModel, plan: ApproxPlan | None,
+                    tokens: np.ndarray, repeats: int = 5) -> float:
+    """Median wall time (ms) of forward passes of ``tokens`` through
+    ``model`` under ``plan``, bound once before the first; informational
+    only, tests rely on mac_count."""
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
-    tokens = batch[0] if isinstance(batch, tuple) else batch
-    planned = bind(model, plan)
+    planned = PlannedModel(model, plan)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()

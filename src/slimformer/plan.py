@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import TransformerConfig, check_number_fields, read_doc
+from .config import TransformerConfig, check_field_types, check_keys, read_doc
 from .costs import quantized_bytes
 from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, KIND_TABLE, PARAM_TABLE,
                        QKV_GROUP, WEIGHT_GROUPS, TransElement, element_bounds,
@@ -38,7 +38,7 @@ class Quantize:
     bits: int
 
     def __post_init__(self):
-        check_number_fields(self, PlanError)
+        check_field_types(self, PlanError)
         if self.bits not in QUANT_BITS:
             raise PlanError(f"quantization bits must be one of {QUANT_BITS}")
 
@@ -49,7 +49,7 @@ class SignMatch:
     k: int
 
     def __post_init__(self):
-        check_number_fields(self, PlanError)
+        check_field_types(self, PlanError)
         if self.k < 1:
             raise PlanError("sign-match k must be >= 1")
 
@@ -63,7 +63,7 @@ class GroupShrink:
     hi: int
 
     def __post_init__(self):
-        check_number_fields(self, PlanError)
+        check_field_types(self, PlanError)
         if self.lo < 0 or self.hi < self.lo:
             raise PlanError(f"bad kept interval [{self.lo}, {self.hi})")
 
@@ -171,13 +171,14 @@ class ApproxPlan:
     @classmethod
     def from_doc(cls, doc: dict) -> "ApproxPlan":
         """Rebuild a plan through with_skip/with_approx; any malformed
-        document raises PlanError."""
-        if not (isinstance(doc, dict) and isinstance(doc.get("skip", []), list)
-                and isinstance(doc.get("approx", []), list)):
+        document, or an unknown key in it or in an entry, raises PlanError."""
+        check_keys(doc, ("skip", "approx"), "plan document", PlanError)
+        if not (isinstance(doc.get("skip", []), list) and isinstance(doc.get("approx", []), list)):
             raise PlanError("a plan document needs 'skip' and 'approx' lists")
         plan = cls(_element(key) for key in doc.get("skip", ()))
         for entry in doc.get("approx", ()):
-            if not isinstance(entry, dict) or "element" not in entry:
+            check_keys(entry, ("element", "variant", "params"), "approx entry", PlanError)
+            if "element" not in entry:
                 raise PlanError(f"approx entry without an element: {entry!r}")
             plan = plan.with_approx(_element(entry["element"]), params_from_doc(entry))
         return plan

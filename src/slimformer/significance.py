@@ -67,14 +67,13 @@ def evaluate_candidate(model: TransformerModel, plan: ApproxPlan, data: TaskData
     if len(data.train) == 0 or len(data.val) == 0:
         raise ConfigError("empty dataset split")
     work = model.clone()
-    planned = PlannedModel(work, plan)  # one bind: quantized bands hold through training
     if epochs > 0:
-        means = train_epochs(planned, None, data.train, epochs, rng,
+        means = train_epochs(work, plan, data.train, epochs, rng,
                              lr=lr, batch_size=batch_size)
         train_loss = means[-1]
     else:
-        train_loss = evaluate_loss(planned, None, data.train)
-    val_loss = evaluate_loss(planned, None, data.val)
+        train_loss = evaluate_loss(work, plan, data.train)
+    val_loss = evaluate_loss(work, plan, data.val)
     return train_loss, val_loss, work
 
 
@@ -465,11 +464,10 @@ def final_finetune(model: TransformerModel, plan: ApproxPlan, data: TaskData,
         return tuned
     rng = spawn_rng(seed, 3)
     best = tuned.clone()
-    planned = PlannedModel(tuned, plan)
-    best_loss = evaluate_loss(planned, None, data.train)
+    best_loss = evaluate_loss(tuned, plan, data.train)
     for _ in range(epochs):
-        train_epochs(planned, None, data.train, 1, rng, lr=lr, batch_size=batch_size)
-        cur = evaluate_loss(planned, None, data.train)
+        train_epochs(tuned, plan, data.train, 1, rng, lr=lr, batch_size=batch_size)
+        cur = evaluate_loss(tuned, plan, data.train)
         if cur < best_loss:
             best_loss = cur
             best = tuned.clone()

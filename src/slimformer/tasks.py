@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .config import check_number_fields
+from .config import check_field_types
 from .errors import ConfigError
 from .tensor import spawn_rng
 
@@ -32,7 +32,7 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_field_types(self)
         if self.kind not in TASK_NAMES:
             raise ConfigError(f"task kind must be one of {TASK_NAMES}")
         if self.vocab_size < 2:

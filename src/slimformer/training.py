@@ -1,10 +1,16 @@
-"""Fine-tuning loop and evaluation helpers."""
+"""Fine-tuning loop and evaluation helpers.
+
+Each helper takes a ``TransformerModel`` and a plan (None for the dense
+model) and binds them into a fresh ``PlannedModel`` per call. A bind made
+after training equals one made before it: quantized rows get zero gradient,
+so the cached band images do not go stale.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import PlannedModel, TransformerModel, bind
+from .model import PlannedModel, TransformerModel
 from .optim import Adam
 from .plan import ApproxPlan
 from .tasks import Dataset
@@ -23,10 +29,10 @@ def iter_batches(dataset: Dataset, batch_size: int,
         yield dataset.tokens[take], dataset.labels[take]
 
 
-def train_epochs(model: TransformerModel | PlannedModel, plan: ApproxPlan | None,
+def train_epochs(model: TransformerModel, plan: ApproxPlan | None,
                  dataset: Dataset, epochs: int, rng: np.random.Generator,
                  lr: float = DEFAULT_LR, batch_size: int = DEFAULT_BATCH) -> list[float]:
-    """Train ``bind(model, plan)`` in place for `epochs` epochs with one
+    """Train ``model`` in place under ``plan`` for `epochs` epochs with one
     fresh Adam; returns per-epoch mean batch loss.
 
     Only parameters of blocks the plan keeps alive are optimized; pruned
@@ -34,7 +40,7 @@ def train_epochs(model: TransformerModel | PlannedModel, plan: ApproxPlan | None
     gradients. Each step computes ``PlannedModel.loss``, which runs only
     the positions the labels read.
     """
-    planned = bind(model, plan)
+    planned = PlannedModel(model, plan)
     opt = Adam(planned.parameters(), lr=lr)
     means = []
     for _ in range(epochs):
@@ -49,11 +55,11 @@ def train_epochs(model: TransformerModel | PlannedModel, plan: ApproxPlan | None
     return means
 
 
-def evaluate_loss(model: TransformerModel | PlannedModel, plan: ApproxPlan | None,
+def evaluate_loss(model: TransformerModel, plan: ApproxPlan | None,
                   dataset: Dataset) -> float:
-    """Mean loss of ``bind(model, plan)`` over a split, weighted by labeled
-    positions."""
-    planned = bind(model, plan)
+    """Mean loss of ``model`` under ``plan`` over a split, weighted by
+    labeled positions."""
+    planned = PlannedModel(model, plan)
     total, count = 0.0, 0
     with no_grad():
         for tokens, labels in iter_batches(dataset, EVAL_BATCH):
@@ -64,11 +70,11 @@ def evaluate_loss(model: TransformerModel | PlannedModel, plan: ApproxPlan | Non
     return total / count
 
 
-def evaluate_accuracy(model: TransformerModel | PlannedModel, plan: ApproxPlan | None,
+def evaluate_accuracy(model: TransformerModel, plan: ApproxPlan | None,
                       dataset: Dataset) -> float:
-    """Exact-match rate of ``bind(model, plan)``: per sequence for
+    """Exact-match rate of ``model`` under ``plan``: per sequence for
     classification, per labeled token otherwise."""
-    planned = bind(model, plan)
+    planned = PlannedModel(model, plan)
     hits, count = 0, 0
     with no_grad():
         for tokens, labels in iter_batches(dataset, EVAL_BATCH):

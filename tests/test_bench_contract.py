@@ -14,7 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from slimformer import PlannedModel, sign_match_attention
+from slimformer import (PlannedModel, TaskSpec, build_model, evaluate_accuracy,
+                        generate_task, sign_match_attention)
 from slimformer.tensor import no_grad
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -79,3 +80,20 @@ def test_cost_check_passes_on_every_serve_plan():
     for name, model in planned.items():
         report = SimpleNamespace(optimized=model.cost())
         assert checks.check_plan(model.plan.to_json(), tcfg, report) == [], name
+
+
+def test_accuracy_of_model_and_plan():
+    """The reload check calls evaluate_accuracy(model, plan, split); on the
+    serve quant plan it is the exact-match rate of the bound forward."""
+    scenarios = load("scenarios")
+    cfg = scenarios.serve_config()
+    model = build_model(cfg, 0)
+    plan = scenarios.serve_plans(cfg)["quant"]
+    val = generate_task(TaskSpec("toy_lm", cfg.vocab_size - 1, cfg.context_len,
+                                 train_size=200, seed=0)).val
+    with no_grad():
+        logits = PlannedModel(model, plan).forward(val.tokens)[0].data
+    pred = logits.argmax(axis=-1)[:, :val.labels.shape[1]]
+    live = val.labels >= 0
+    want = (pred[live] == val.labels[live]).sum() / live.sum()
+    assert evaluate_accuracy(model, plan, val) == want

@@ -605,8 +605,8 @@ class TestBoundPlan:
                 .with_approx(TransElement(QKV_GROUP, 0, 1), Quantize(4))
                 .with_approx(TransElement(FFN_GROUP, 1, 0), Quantize(2)))
 
-    def test_cached_bands_survive_training(self, tiny_config, majority_data):
-        from slimformer import train_epochs
+    def test_cached_bands_survive_training(self, tiny_config, majority_data, monkeypatch):
+        from slimformer import evaluate_loss, train_epochs, training
         model = build_model(tiny_config, 5)
         plan = self.plan()
         bound = PlannedModel(model, plan)
@@ -622,6 +622,18 @@ class TestBoundPlan:
         stale = bound.forward(tokens)[0].data
         fresh = PlannedModel(model, plan).forward(tokens)[0].data
         assert stale.tobytes() == fresh.tobytes()
+        # the helpers bind afresh per call; the bind made before training
+        # gives the same loss and, trained one more epoch, the same weights
+        twin = model.clone()
+        fresh_loss = evaluate_loss(model, plan, majority_data.val)
+        train_epochs(twin, plan, majority_data.train, 1, make_rng(1))
+        binds = []
+        monkeypatch.setattr(training, "PlannedModel", lambda m, p: binds.append(m) or bound)
+        assert evaluate_loss(model, plan, majority_data.val).hex() == fresh_loss.hex()
+        train_epochs(model, plan, majority_data.train, 1, make_rng(1))
+        assert binds == [model, model]
+        for (name, a), (_, b) in zip(model.named_parameters(), twin.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
 
     def test_fully_quantized_matrix_is_not_a_parameter(self, tiny_config, tiny_model):
         plan = ApproxPlan().with_approx(ffn_block(1), Quantize(8))

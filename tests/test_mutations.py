@@ -3,8 +3,8 @@ checkpoint manifests. Each mutation sets one value to one of 24 JSON
 values, deletes a key or adds one. A mutated document either loads or
 raises its reader's typed error (ConfigError for a config, PlanError for a
 plan or a checkpoint; the CLI exits 2 and 3), and an unknown key at any
-level of a config is rejected. A checkpoint's `.bin` length is checked
-before its model is built, so no case builds a large model."""
+level of a config or a plan is rejected. A checkpoint's `.bin` length is
+checked before its model is built, so no case builds a large model."""
 
 import copy
 import json
@@ -98,15 +98,17 @@ def test_config_mutations_raise_config_error_and_unknown_keys_fail():
 
 
 def test_plan_mutations_raise_plan_error():
-    rng, doc = random.Random(32), base_plan().to_doc()
+    rng, doc, added = random.Random(32), base_plan().to_doc(), set()
     tcfg = base_config().transformer_config()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # early causal keys pruned
         for _ in range(300):
             mutated, (kind, path, _) = mutate(doc, rng)
             exc = outcome(lambda: ApproxPlan.from_doc(mutated).resolve(tcfg), PlanError)
-            if kind == "add" and path[-2:-1] == ("params",):
+            if kind == "add":
                 assert exc is not None and UNKNOWN in str(exc), path
+                added.add(len(path))
+    assert added == {1, 3, 4}  # every level: the top, an approx entry, its params
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,22 @@ def test_huge_manifest_rejected_before_building(tiny_model, tmp_path, key):
     with pytest.raises(PlanError, match="but the model's parameters take"):
         load_checkpoint(bad)
     assert time.perf_counter() - t0 < 1.0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base_config().to_doc()))
+    assert main(["evaluate", "--config", str(config), "--checkpoint", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_non_bool_autoregressive_rejected(checkpoint, tmp_path, value):
+    """A bool field takes only true or false; "no" would be truthy and load
+    a causal model."""
+    prefix, manifest = checkpoint
+    bad = tmp_path / "model"
+    bad.with_suffix(".bin").write_bytes(prefix.with_suffix(".bin").read_bytes())
+    bad.with_suffix(".json").write_text(json.dumps(
+        {**manifest, "config": {**manifest["config"], "autoregressive": value}}))
+    with pytest.raises(PlanError, match="autoregressive must be of type bool"):
+        load_checkpoint(bad)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(base_config().to_doc()))
     assert main(["evaluate", "--config", str(config), "--checkpoint", str(bad)]) == 3

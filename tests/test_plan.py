@@ -145,6 +145,8 @@ MALFORMED_PLANS = {
     "approx_not_list": {"approx": SIGN_MATCH},
     "skip_not_list": {"skip": "attn_block:0:0"},
     "bad_element_key": {"skip": ["no_such_kind:0:0"]},
+    "unknown_top_level_key": {"skip": [], "aprox": [SIGN_MATCH]},
+    "unknown_entry_key": {"approx": [{**SIGN_MATCH, "k": 4}]},
 }
 
 
