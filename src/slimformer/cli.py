@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .config import TransformerConfig
+from .config import TransformerConfig, read_json
 from .errors import ConfigError, InfeasibleError, PlanError, StageError
 from .experiment import (ExperimentConfig, ModelShape, compare_baselines, run_experiment,
                          sweep_thresholds, train_baseline)
@@ -24,18 +24,8 @@ from .tasks import generate_task
 from .training import evaluate_accuracy, evaluate_loss
 
 
-def _read_text(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text()
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{what} file not found: {path}") from exc
-
-
 def _load_config(args) -> ExperimentConfig:
-    try:
-        doc = json.loads(_read_text(args.config, "config"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    doc = read_json(args.config, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     for override in getattr(args, "set", None) or []:
@@ -49,7 +39,7 @@ def _load_config(args) -> ExperimentConfig:
 def _parse_value(raw: str):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past Python's digit limit
         return raw
 
 
@@ -108,12 +98,9 @@ def _check_fits_task(model, config: ExperimentConfig):
 
 def _cmd_evaluate(args) -> int:
     config = _load_config(args)
-    try:
-        model = load_checkpoint(args.checkpoint)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"checkpoint file not found: {exc.filename}") from exc
+    model = load_checkpoint(args.checkpoint)
     _check_fits_task(model, config)
-    plan = ApproxPlan.from_json(_read_text(args.plan, "plan")) if args.plan else ApproxPlan()
+    plan = ApproxPlan.from_doc(read_json(args.plan, "plan", PlanError) if args.plan else {})
     plan.resolve(model.config)  # warns of early causal keys pruned; binding does not
     data = generate_task(config.task)
     cost = PlannedModel(model, plan).cost()

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .config import TransformerConfig, check_field_types, check_keys, read_doc
+from .config import TransformerConfig, bounded, check_fields, check_keys, read_doc
 from .elements import ElementQueue, enumerate_elements, order_queue
 from .errors import ConfigError, InfeasibleError, PlanError, StageError
 from .focus import Focus
@@ -59,43 +59,29 @@ class ExperimentConfig:
     task: TaskSpec
     shape: ModelShape = ModelShape()
     focus: Focus = Focus.SPEED
-    seed: int = 0
-    epochs_baseline: int = 5
-    epochs_candidate: int = 1
-    epochs_final: int = 5
+    seed: int = bounded(low=0, default=0)
+    epochs_baseline: int = bounded(low=0, default=5)
+    epochs_candidate: int = bounded(low=0, default=1)
+    epochs_final: int = bounded(low=0, default=5)
     lr: float = DEFAULT_LR
-    batch_size: int = DEFAULT_BATCH
+    batch_size: int = bounded(low=1, default=DEFAULT_BATCH)
     eps_skip: float = 0.005
     eps_approx: float | None = None
-    sign_match_k: int | None = None
-    quant_bits: int = 8
+    sign_match_k: int | None = bounded(low=1, default=None)
+    quant_bits: int = bounded(choices=QUANT_BITS, default=8)
     max_oracle_elements: int = 64
-    comparators: tuple[str, ...] = COMPARATORS
+    comparators: tuple[str, ...] = bounded(choices=COMPARATORS, default=COMPARATORS)
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self)
         self.transformer_config()  # range-checks the shape against the task
         eps_pair(self.eps_skip, self.eps_approx)
         n, k = self.task.context_len, self.sign_match_k
-        if self.quant_bits not in QUANT_BITS:
-            raise ConfigError(f"quant_bits must be one of {QUANT_BITS}, got {self.quant_bits}")
-        if k is not None and not 1 <= k <= n:
-            raise ConfigError(f"sign_match_k must be in [1, context_len={n}], got {k}")
-        if min(self.epochs_baseline, self.epochs_candidate, self.epochs_final) < 0:
-            raise ConfigError("epoch budgets must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if k is not None and k > n:
+            raise ConfigError(f"sign_match_k must be <= context_len={n}, got {k}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if (not isinstance(self.comparators, (list, tuple))
-                or not all(isinstance(c, str) for c in self.comparators)):
-            raise ConfigError(f"comparators must be a list of names, got {self.comparators!r}")
         self.comparators = tuple(self.comparators)
-        unknown = sorted(set(self.comparators) - set(COMPARATORS))
-        if unknown:
-            raise ConfigError(f"unknown comparator(s) {unknown}; known: {list(COMPARATORS)}")
 
     def transformer_config(self) -> TransformerConfig:
         """Model config derived from the task (vocab gains one padding id)."""

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costs, speculate
-from .config import TransformerConfig, read_doc
+from .config import TransformerConfig, read_bytes, read_doc, read_json
 from .elements import ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, PARAM_TABLE, QKV_GROUP
 from .errors import PlanError
 from .plan import ApproxPlan, LayerView, quantized_rows
@@ -475,12 +475,9 @@ def load_checkpoint(prefix: str | Path) -> TransformerModel:
     dtype "<f8" (other top-level keys are ignored, such as the tensor table
     of earlier manifests), and the `.bin` must hold exactly that model's
     parameters in ``named_parameters()`` order; anything else raises
-    PlanError."""
+    PlanError, and a file that cannot be read ConfigError."""
     prefix = Path(prefix)
-    try:
-        manifest = json.loads(prefix.with_suffix(".json").read_text())
-    except json.JSONDecodeError as exc:
-        raise PlanError(f"checkpoint manifest is not JSON: {exc}") from exc
+    manifest = read_json(prefix.with_suffix(".json"), "checkpoint", PlanError)
     if not isinstance(manifest, dict) or "config" not in manifest:
         raise PlanError("checkpoint manifest needs a 'config'")
     if manifest.get("dtype") != "<f8":
@@ -493,7 +490,7 @@ def load_checkpoint(prefix: str | Path) -> TransformerModel:
     per_layer = sum(math.prod(getattr(config, length) for length, _ in axes)
                     for _, axes in PARAM_TABLE.values())
     size = 8 * (costs.static_params(config) + config.num_layers * per_layer)
-    blob = prefix.with_suffix(".bin").read_bytes()
+    blob = read_bytes(prefix.with_suffix(".bin"), "checkpoint")
     if len(blob) != size:
         raise PlanError(f"checkpoint .bin holds {len(blob)} bytes, but the model's "
                         f"parameters take {size}")

@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import TransformerConfig, check_field_types, check_keys, read_doc
+from .config import TransformerConfig, bounded, check_fields, check_keys, parse_json, read_doc
 from .costs import quantized_bytes
 from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, KIND_TABLE, PARAM_TABLE,
                        QKV_GROUP, WEIGHT_GROUPS, TransElement, element_bounds,
@@ -35,23 +35,19 @@ QUANT_BITS = (2, 4, 8)
 @dataclass(frozen=True)
 class Quantize:
     name: ClassVar[str] = "quantize"
-    bits: int
+    bits: int = bounded(choices=QUANT_BITS)
 
     def __post_init__(self):
-        check_field_types(self, PlanError)
-        if self.bits not in QUANT_BITS:
-            raise PlanError(f"quantization bits must be one of {QUANT_BITS}")
+        check_fields(self, PlanError)
 
 
 @dataclass(frozen=True)
 class SignMatch:
     name: ClassVar[str] = "sign_match"
-    k: int
+    k: int = bounded(low=1)
 
     def __post_init__(self):
-        check_field_types(self, PlanError)
-        if self.k < 1:
-            raise PlanError("sign-match k must be >= 1")
+        check_fields(self, PlanError)
 
 
 @dataclass(frozen=True)
@@ -59,12 +55,12 @@ class GroupShrink:
     """Contiguous kept weight-group interval [lo, hi)."""
 
     name: ClassVar[str] = "group_shrink"
-    lo: int
+    lo: int = bounded(low=0)
     hi: int
 
     def __post_init__(self):
-        check_field_types(self, PlanError)
-        if self.lo < 0 or self.hi < self.lo:
+        check_fields(self, PlanError)
+        if self.hi < self.lo:
             raise PlanError(f"bad kept interval [{self.lo}, {self.hi})")
 
 
@@ -185,11 +181,7 @@ class ApproxPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "ApproxPlan":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PlanError(f"plan is not JSON: {exc}") from exc
-        return cls.from_doc(doc)
+        return cls.from_doc(parse_json(text, "plan", PlanError))
 
     # -- resolution --------------------------------------------------------
 

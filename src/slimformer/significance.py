@@ -46,9 +46,10 @@ from .training import (DEFAULT_BATCH, DEFAULT_LR, evaluate_loss, iter_batches,
 
 def eps_pair(eps_skip: float, eps_approx: float | None) -> tuple[float, float]:
     """The (skip, approximation) loss epsilons, approximation defaulting to
-    twice skip; raises ConfigError unless 0 <= eps_skip <= eps_approx."""
+    twice skip; raises ConfigError unless 0 <= eps_skip <= eps_approx,
+    both finite."""
     eps_approx = 2.0 * eps_skip if eps_approx is None else eps_approx
-    if not 0 <= eps_skip <= eps_approx:
+    if not 0 <= eps_skip <= eps_approx < math.inf:
         raise ConfigError(f"need 0 <= eps_skip <= eps_approx, got {eps_skip} and {eps_approx}")
     return eps_skip, eps_approx
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .config import check_field_types
+from .config import bounded, check_fields
 from .errors import ConfigError
 from .tensor import spawn_rng
 
@@ -24,26 +24,18 @@ IGNORE_LABEL = -1
 
 @dataclass(frozen=True)
 class TaskSpec:
-    kind: str
-    vocab_size: int
-    context_len: int
+    kind: str = bounded(choices=TASK_NAMES)
+    vocab_size: int = bounded(low=2)
+    context_len: int = bounded(low=2)
     train_size: int
     val_fraction: float = 0.10
-    seed: int = 0
+    seed: int = bounded(low=0, default=0)
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.kind not in TASK_NAMES:
-            raise ConfigError(f"task kind must be one of {TASK_NAMES}")
-        if self.vocab_size < 2:
-            raise ConfigError("vocab_size must be >= 2")
-        if self.context_len < 2:
-            raise ConfigError("context_len must be >= 2")
+        check_fields(self)
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must be in (0, 1)")
-        if self.seed < 0:
-            raise ConfigError(f"task seed must be >= 0, got {self.seed}")
-        if self.train_size < 2 or self.val_count >= self.train_size:
+        if self.val_count >= self.train_size:
             raise ConfigError(f"train_size {self.train_size} too small to split at "
                               f"val_fraction {self.val_fraction}")
         if self.kind == "copy":

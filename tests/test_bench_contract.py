@@ -14,8 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from slimformer import (PlannedModel, TaskSpec, build_model, evaluate_accuracy,
-                        generate_task, sign_match_attention)
+from slimformer import (ExperimentConfig, PlannedModel, TaskSpec, build_model,
+                        evaluate_accuracy, generate_task, sign_match_attention)
 from slimformer.tensor import no_grad
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -97,3 +97,15 @@ def test_accuracy_of_model_and_plan():
     live = val.labels >= 0
     want = (pred[live] == val.labels[live]).sum() / live.sum()
     assert evaluate_accuracy(model, plan, val) == want
+
+
+def test_benchmark_configs_load():
+    """The benchmark's configs and plans pass every field rule, and its
+    configs load back from their documents: a bound tightened past them
+    fails here, before a benchmark run would."""
+    scenarios = load("scenarios")
+    for focus in ("speed", "size"):
+        for smoke in (False, True):
+            config = scenarios.optimize_config(focus, smoke)
+            assert ExperimentConfig.from_doc(config.to_doc()) == config
+    assert list(scenarios.serve_plans(scenarios.serve_config())) == list(scenarios.PLAN_NAMES)

@@ -444,7 +444,7 @@ class TestCli:
     BAD_VALUES = [  # (override, what the error names)
         ("quant_bits=3", "quant_bits"), ("sign_match_k=-1", "sign_match_k"),
         ("sign_match_k=0", "sign_match_k"), ("sign_match_k=9", "sign_match_k"),
-        ("epochs.baseline=-1", "epoch budgets"), ("lr=-1", "lr"), ("lr=0", "lr"),
+        ("epochs.baseline=-1", "epochs_baseline"), ("lr=-1", "lr"), ("lr=0", "lr"),
         ("batch_size=0", "batch_size"), ('comparators=["oracel","taylor"]', "comparator"),
         # small_config sets eps_skip=0.3
         ("eps_approx=0.1", "eps_skip <= eps_approx"), ("eps_skip=-1", "eps_skip <= eps_approx"),
@@ -459,7 +459,9 @@ class TestCli:
         ("comparators=5", "comparators"), ('model.hidden_dim="x"', "hidden_dim"),
         ("seed=-1", "seed"), ("task.train_size=40.5", "train_size"),
         ("task.seed=-3", "seed"), ("model.num_heads=0", "num_heads"),
-        ("task.train_size=0", "train_size"), ("task.train_size=-5", "train_size")]
+        ("task.train_size=0", "train_size"), ("task.train_size=-5", "train_size"),
+        ("lr=Infinity", "lr"), ("eps_skip=Infinity", "eps_skip"),
+        ("eps_approx=Infinity", "eps_approx")]
 
     @pytest.mark.parametrize("override, named", BAD_VALUES, ids=[o for o, _ in BAD_VALUES])
     def test_bad_config_value_fails_at_load(self, tmp_path, capsys, override, named):
@@ -479,7 +481,8 @@ class TestCli:
                               (["--epsilons", "0.1,0.3:0.1"],
                                "need 0 <= eps_skip <= eps_approx, got 0.3 and 0.1"),
                               (["--epsilons", "0.1", "--workers", "0"],
-                               "workers must be >= 1")):
+                               "workers must be >= 1"),
+                              (["--epsilons", "inf"], "eps_skip must be finite, got inf")):
             code = main(["sweep", "--config", str(cfg), "--out", str(out), *args])
             assert code == 2
             assert f"config error: {message}" in capsys.readouterr().err

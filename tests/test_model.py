@@ -744,6 +744,7 @@ class TestCheckpoint:
             ("padded_bin", "holds {long} bytes, but the model's parameters take {size}"),
             ("foreign_dtype", "dtype"),
             ("not_json", "not JSON"),
+            ("not_utf8", "codec can't decode byte 0xff"),
             ("no_config", "'config'"),
             ("string_seed", "seed 'x'"),
             ("fractional_seed", "seed 0.5"),
@@ -753,7 +754,8 @@ class TestCheckpoint:
         json_path, bin_path = save_checkpoint(tiny_model, tmp_path / "model")
         manifest = json.loads(json_path.read_text())
         size = bin_path.stat().st_size
-        if case == "not_json":
+        raw = {"not_json": b"{not json", "not_utf8": b'{"seed": "\xff"}'}.get(case)
+        if raw is not None:
             manifest = None
         elif case == "no_config":
             del manifest["config"]
@@ -765,7 +767,7 @@ class TestCheckpoint:
             bin_path.write_bytes(bin_path.read_bytes() + bytes(8))
         else:
             bin_path.write_bytes(bin_path.read_bytes()[:-8])
-        json_path.write_text("{not json" if manifest is None else json.dumps(manifest))
+        json_path.write_bytes(raw if manifest is None else json.dumps(manifest).encode())
         with pytest.raises(PlanError, match=match.format(short=size - 8, long=size + 8,
                                                          size=size)):
             load_checkpoint(tmp_path / "model")

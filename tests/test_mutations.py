@@ -1,5 +1,5 @@
 """Seeded mutations of every document the package reads: configs, plans and
-checkpoint manifests. Each mutation sets one value to one of 24 JSON
+checkpoint manifests. Each mutation sets one value to one of 27 JSON
 values, deletes a key or adds one. A mutated document either loads or
 raises its reader's typed error (ConfigError for a config, PlanError for a
 plan or a checkpoint; the CLI exits 2 and 3), and an unknown key at any
@@ -8,9 +8,11 @@ checked before its model is built, so no case builds a large model."""
 
 import copy
 import json
+import math
 import random
 import time
 import warnings
+from dataclasses import fields, replace
 
 import pytest
 
@@ -21,7 +23,8 @@ from slimformer import (ATTN_BLOCK, FFN_GROUP, HEAD, KV_GROUP, ApproxPlan, Confi
 from slimformer.cli import main
 
 VALUES = [None, True, False, 0, 1, -1, 2, 3, 4, 8, 0.5, 2.0, -3.5, 10 ** 12, "", "x", "8",
-          "copy", "speed", [], [1, 2], [["a"]], {}, {"k": 4}]
+          "copy", "speed", [], [1, 2], [["a"]], {}, {"k": 4}, math.inf, -math.inf, math.nan]
+NON_FINITE = [math.inf, -math.inf, math.nan, 10 ** 400]  # the last is past the float range
 UNKNOWN = "unknown_key"
 HUGE = 10 ** 12
 
@@ -196,3 +199,75 @@ def test_cli_exit_codes_of_rejected_documents(checkpoint, tmp_path, capsys):
         assert main(["evaluate", "--config", str(config), "--checkpoint", str(bad)]) == 3
         runs += 1
     assert capsys.readouterr().err.count("error") >= 60
+
+
+def declared_bounds():
+    """(instance, its error, field, value) for every ``bounded`` field of
+    the six checked classes: one value below the field's low, one outside
+    its choices."""
+    config = base_config()
+    for obj, error in ((config.transformer_config(), ConfigError), (config.task, ConfigError),
+                       (config, ConfigError), (Quantize(4), PlanError),
+                       (SignMatch(3), PlanError), (GroupShrink(0, 1), PlanError)):
+        for f in fields(obj):
+            low, choices = f.metadata.get("low"), f.metadata.get("choices")
+            if low is not None:
+                yield obj, error, f.name, low - 1
+            if choices is not None:
+                outside = type(choices[0])()  # "" or 0, in no declared choices
+                yield obj, error, f.name, [outside] if f.type.startswith("tuple") else outside
+
+
+DECLARED = list(declared_bounds())
+
+
+@pytest.mark.parametrize("obj, error, name, value", DECLARED,
+                         ids=[f"{type(o).__name__}.{n}={v!r}" for o, _, n, v in DECLARED])
+def test_declared_bounds_raise_naming_the_field(obj, error, name, value):
+    with pytest.raises(error, match=rf"\b{name}\b"):
+        replace(obj, **{name: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan", "10**400"])
+@pytest.mark.parametrize("path", [("lr",), ("eps_skip",), ("eps_approx",),
+                                  ("task", "val_fraction")], ids=".".join)
+def test_non_finite_numbers_raise_config_error(path, value):
+    doc = base_config().to_doc()
+    at(doc, path[:-1])[path[-1]] = value
+    with pytest.raises(ConfigError, match=f"{path[-1]} must be finite"):
+        ExperimentConfig.from_doc(doc)
+
+
+def test_set_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    """json reads no integer of more than 4300 digits; --set keeps it as
+    the string, which the field rule rejects."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base_config().to_doc()))
+    assert main(["optimize", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--set", "lr=" + "9" * 5000]) == 2
+    assert "lr must be of type float" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("damage", ["not_utf8", "directory"])
+@pytest.mark.parametrize("kind", ["config", "plan", "manifest"])
+def test_unreadable_files_exit_with_their_codes(checkpoint, tmp_path, capsys, kind, damage):
+    """A file that cannot be read exits 2; bytes that are not UTF-8 exit 2
+    in a config and 3 in a plan or a checkpoint manifest."""
+    prefix, manifest = checkpoint
+    files = {"config": tmp_path / "config.json", "plan": tmp_path / "plan.json",
+             "manifest": tmp_path / "model.json"}
+    files["config"].write_text(json.dumps(base_config().to_doc()))
+    files["plan"].write_text(base_plan().to_json())
+    files["manifest"].write_text(json.dumps(manifest))
+    (tmp_path / "model.bin").write_bytes(prefix.with_suffix(".bin").read_bytes())
+    files[kind].unlink()
+    if damage == "directory":
+        files[kind].mkdir()
+    else:
+        files[kind].write_bytes(b'{"seed": "\xff"}')
+    code = main(["evaluate", "--config", str(files["config"]),
+                 "--checkpoint", str(tmp_path / "model"), "--plan", str(files["plan"])])
+    assert code == (3 if damage == "not_utf8" and kind != "config" else 2)
+    message = "unreadable" if damage == "directory" else "not JSON in UTF-8"
+    assert message in capsys.readouterr().err

@@ -76,5 +76,5 @@ class TestDeterminismAndSplit:
                                    context_len=8, train_size=1, seed=0))
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="task kind"):
+        with pytest.raises(ConfigError, match="kind must be one of"):
             TaskSpec("nonsense", vocab_size=4, context_len=8, train_size=10)
