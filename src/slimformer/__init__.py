@@ -15,7 +15,7 @@ from .elements import (ATTN_BLOCK, FFN_BLOCK, FFN_GROUP, HEAD, KV_GROUP,
                        enumerate_elements, order_queue)
 from .errors import ConfigError, InfeasibleError, PlanError, StageError
 from .experiment import (ExperimentConfig, MetricsBundle, ModelShape, RunReport,
-                         compare_baselines, run_experiment, sweep_thresholds,
+                         compare_baselines, measure, run_experiment, sweep_thresholds,
                          train_baseline)
 from .focus import Focus, FocusMode
 from .model import (PlannedModel, TransformerModel, build_model, load_checkpoint,
@@ -44,7 +44,7 @@ __all__ = [
     "build_model", "compare_baselines", "cross_entropy",
     "encompass_filter", "enumerate_elements", "evaluate_accuracy", "evaluate_candidate",
     "evaluate_loss", "final_finetune", "full_attention", "generate_task",
-    "layer_norm", "load_checkpoint", "make_rng", "measure_latency", "no_grad",
+    "layer_norm", "load_checkpoint", "make_rng", "measure", "measure_latency", "no_grad",
     "oracle_significance", "order_queue", "quantize_dequantize", "quantize_group",
     "run_experiment", "save_checkpoint", "select_keys", "sign_distances",
     "sign_match_attention", "spawn_rng", "sweep_thresholds",

@@ -16,12 +16,11 @@ from pathlib import Path
 
 from .config import TransformerConfig, read_json
 from .errors import ConfigError, InfeasibleError, PlanError, StageError
-from .experiment import (ExperimentConfig, ModelShape, compare_baselines, run_experiment,
-                         sweep_thresholds, train_baseline)
-from .model import PlannedModel, load_checkpoint, save_checkpoint
+from .experiment import (ExperimentConfig, ModelShape, compare_baselines, measure,
+                         run_experiment, sweep_thresholds, train_baseline)
+from .model import load_checkpoint, save_checkpoint
 from .plan import ApproxPlan
 from .tasks import generate_task
-from .training import evaluate_accuracy, evaluate_loss
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -57,15 +56,11 @@ def _cmd_train(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data, model, train_loss, val_loss = train_baseline(config)
+    _, model, bundle = train_baseline(config)
     save_checkpoint(model, out / "baseline")
-    metrics = {
-        "train_loss": train_loss,
-        "val_loss": val_loss,
-        "val_accuracy": evaluate_accuracy(model, None, data.val),
-    }
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True))
-    print(json.dumps(metrics, indent=2, sort_keys=True))
+    text = json.dumps(bundle.to_doc(), indent=2, sort_keys=True)
+    (out / "metrics.json").write_text(text)
+    print(text)
     return 0
 
 
@@ -102,17 +97,8 @@ def _cmd_evaluate(args) -> int:
     _check_fits_task(model, config)
     plan = ApproxPlan.from_doc(read_json(args.plan, "plan", PlanError) if args.plan else {})
     plan.resolve(model.config)  # warns of early causal keys pruned; binding does not
-    data = generate_task(config.task)
-    cost = PlannedModel(model, plan).cost()
-    result = {
-        "train_loss": evaluate_loss(model, plan, data.train),
-        "val_loss": evaluate_loss(model, plan, data.val),
-        "val_accuracy": evaluate_accuracy(model, plan, data.val),
-        "mac_count": cost.mac_count,
-        "param_count": cost.param_count,
-        "bytes": cost.bytes,
-    }
-    print(json.dumps(result, indent=2, sort_keys=True))
+    bundle = measure(model, plan, generate_task(config.task), config.task)
+    print(json.dumps(bundle.to_doc(), indent=2, sort_keys=True))
     return 0
 
 

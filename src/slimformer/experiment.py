@@ -3,7 +3,7 @@
 Pipeline: baseline fine-tune -> ordered queue -> greedy significance
 analysis -> final fine-tune -> metrics. All artifacts (report,
 plan, decision log, element queue audit, checkpoints) are JSON or JSONL and
-deterministic except for wall-time fields.
+deterministic except for the report's ``timings`` block.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -131,7 +131,6 @@ class MetricsBundle:
     param_count: int
     mac_count: int
     bytes: int
-    wall_ms: float
     perplexity: float | None = None
 
     def to_doc(self) -> dict:
@@ -144,6 +143,7 @@ class RunReport:
     baseline: MetricsBundle
     optimized: MetricsBundle
     ratios: dict
+    timings: dict
     plan_summary: dict
     histogram: list[dict]
     decision_log: str
@@ -153,6 +153,7 @@ class RunReport:
             "baseline": self.baseline.to_doc(),
             "optimized": self.optimized.to_doc(),
             "ratios": self.ratios,
+            "timings": self.timings,
             "plan_summary": self.plan_summary,
             "per_layer_histogram": self.histogram,
             "decision_log": self.decision_log,
@@ -162,11 +163,17 @@ class RunReport:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
 
-def _metrics(model: TransformerModel, plan, data: TaskData, spec: TaskSpec) -> MetricsBundle:
+def measure(model: TransformerModel, plan, data: TaskData, task: TaskSpec) -> MetricsBundle:
+    """The one record of a model under a plan (None for dense): its cost,
+    train and val losses, val accuracy and, for token tasks, the perplexity,
+    left out when exp(val loss) overflows a float. Nothing is timed, so the
+    same inputs give the same bundle."""
     cost = PlannedModel(model, plan).cost()
-    wall = measure_latency(model, plan, data.val.tokens[:16], repeats=3)
     val_loss = evaluate_loss(model, plan, data.val)
-    ppl = math.exp(val_loss) if spec.model_task_kind != "classification" else None
+    ppl = None
+    if task.model_task_kind != "classification":
+        with suppress(OverflowError):
+            ppl = math.exp(val_loss)
     return MetricsBundle(
         train_loss=evaluate_loss(model, plan, data.train),
         val_loss=val_loss,
@@ -174,7 +181,6 @@ def _metrics(model: TransformerModel, plan, data: TaskData, spec: TaskSpec) -> M
         param_count=cost.param_count,
         mac_count=cost.mac_count,
         bytes=cost.bytes,
-        wall_ms=wall,
         perplexity=ppl,
     )
 
@@ -215,9 +221,9 @@ def _stage(name: str):
 
 
 def train_baseline(config: ExperimentConfig) -> tuple[TaskData, TransformerModel,
-                                                      float, float]:
+                                                      MetricsBundle]:
     """The fine-tuned baseline every pipeline starts from: generate the task,
-    build the model, train it. Returns (data, model, train loss, val loss)."""
+    build the model, train it. Returns (data, model, the model's bundle)."""
     with _stage("generate_task"):
         data = generate_task(config.task)
     with _stage("build_model"):
@@ -226,15 +232,15 @@ def train_baseline(config: ExperimentConfig) -> tuple[TaskData, TransformerModel
         train_epochs(model, None, data.train, config.epochs_baseline,
                      spawn_rng(config.seed, 0), lr=config.lr,
                      batch_size=config.batch_size)
-        return (data, model, evaluate_loss(model, None, data.train),
-                evaluate_loss(model, None, data.val))
+        return data, model, measure(model, None, data, config.task)
 
 
 def _analyzer(config: ExperimentConfig, model: TransformerModel, data: TaskData,
-              baseline: tuple[float, float], **kwargs) -> GreedyAnalyzer:
-    """The greedy analyzer a config asks for, its bars set from the baseline
-    (train, val) losses."""
-    return GreedyAnalyzer(model, data, baseline, config.focus, config.seed,
+              baseline: MetricsBundle, **kwargs) -> GreedyAnalyzer:
+    """The greedy analyzer a config asks for, its bars set from the
+    baseline's train and val losses."""
+    return GreedyAnalyzer(model, data, (baseline.train_loss, baseline.val_loss),
+                          config.focus, config.seed,
                           eps_skip=config.eps_skip, eps_approx=config.eps_approx,
                           epochs_per_candidate=config.epochs_candidate, lr=config.lr,
                           batch_size=config.batch_size, sign_match_k=config.sign_match_k,
@@ -249,15 +255,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config.to_doc(), indent=2, sort_keys=True))
 
-    data, model, baseline_train, baseline_val = train_baseline(config)
+    data, model, base = train_baseline(config)
     tcfg = model.config
     with _stage("baseline_finetune"):
         save_checkpoint(model, out / "baseline")
     with _stage("order_queue"):
         queue = order_queue(enumerate_elements(tcfg), config.focus, tcfg)
     with _stage("significance"):
-        analyzer = _analyzer(config, model, data, (baseline_train, baseline_val),
-                             log_path=out / "decisions.jsonl")
+        analyzer = _analyzer(config, model, data, base, log_path=out / "decisions.jsonl")
         plan = analyzer.run(queue)
         (out / "plan.json").write_text(plan.to_json())
         (out / "elements.json").write_text(queue.to_json())
@@ -267,17 +272,20 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunReport:
                                batch_size=config.batch_size)
         save_checkpoint(final, out / "model")
     with _stage("metrics_report"):
-        base = _metrics(model, None, data, config.task)
-        opt = _metrics(final, plan, data, config.task)
+        opt = measure(final, plan, data, config.task)
         ratios = {
             "mac": base.mac_count / opt.mac_count,
             "params": base.param_count / opt.param_count,
             "bytes": base.bytes / opt.bytes,
-            "wall": base.wall_ms / opt.wall_ms if opt.wall_ms > 0 else float("inf"),
             "accuracy_delta": opt.accuracy - base.accuracy,
         }
+        probe = data.val.tokens[:16]
+        base_ms = measure_latency(model, None, probe, repeats=3)
+        opt_ms = measure_latency(final, plan, probe, repeats=3)
+        timings = {"baseline_wall_ms": base_ms, "optimized_wall_ms": opt_ms,
+                   "wall_ratio": base_ms / opt_ms if opt_ms > 0 else float("inf")}
         report = RunReport(
-            baseline=base, optimized=opt, ratios=ratios,
+            baseline=base, optimized=opt, ratios=ratios, timings=timings,
             plan_summary=_plan_summary(plan, len(enumerate_elements(tcfg))),
             histogram=_histogram(plan, tcfg.num_layers),
             decision_log="decisions.jsonl",
@@ -297,26 +305,16 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
             f"{len(elements)} elements exceed the comparison guard of "
             f"{config.max_oracle_elements}")
 
-    data, model, baseline_train, baseline_val = train_baseline(config)
-    baseline_cost = PlannedModel(model).cost()
+    data, model, base = train_baseline(config)
 
     def row(method: str, weights: TransformerModel, plan: ApproxPlan, removed: int,
             evaluated: int, seconds: float) -> dict:
-        cost = PlannedModel(weights, plan).cost()
-        return {
-            "method": method,
-            "train_loss": evaluate_loss(weights, plan, data.train),
-            "val_loss": evaluate_loss(weights, plan, data.val),
-            "mac_count": cost.mac_count,
-            "param_count": cost.param_count,
-            "elements_removed": removed,
-            "candidates_evaluated": evaluated,
-            "analysis_seconds": seconds,
-        }
+        return {"method": method, **measure(weights, plan, data, config.task).to_doc(),
+                "elements_removed": removed, "candidates_evaluated": evaluated,
+                "analysis_seconds": seconds}
 
     def greedy(method: str, queue: ElementQueue, encompass: bool) -> dict:
-        analyzer = _analyzer(config, model, data, (baseline_train, baseline_val),
-                             encompass_enabled=encompass)
+        analyzer = _analyzer(config, model, data, base, encompass_enabled=encompass)
         t0 = time.perf_counter()
         plan = analyzer.run(queue)
         seconds = time.perf_counter() - t0
@@ -353,12 +351,7 @@ def compare_baselines(config: ExperimentConfig, out_dir: str | Path | None = Non
             plan, taken = candidate, taken + 1
         rows.append(row(method, model, plan, taken, len(scores), seconds))
 
-    result = {
-        "baseline": {"train_loss": baseline_train, "val_loss": baseline_val,
-                     "mac_count": baseline_cost.mac_count,
-                     "param_count": baseline_cost.param_count},
-        "rows": rows,
-    }
+    result = {"baseline": base.to_doc(), "rows": rows}
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -379,18 +372,19 @@ def _sweep_one(config: ExperimentConfig, run_dir: str) -> dict:
 
 def sweep_thresholds(config: ExperimentConfig, epsilon_list, out_dir: str | Path,
                      workers: int = 1) -> list[dict]:
-    """One experiment per (eps_skip, eps_approx) pair; bare floats f expand
-    to (f, 2f). Every pair is validated before the first run. Runs in a
-    pool of at most ``workers`` processes, capped at the CPUs available.
-    Writes sweep.csv plus one run directory per pair."""
+    """One experiment per (eps_skip, eps_approx) pair; a bare float takes
+    eps_pair's default approximation epsilon. Every pair is validated before
+    the first run. Runs in a pool of at most ``workers`` processes, capped
+    at the CPUs available. Writes sweep.csv plus one run directory per pair."""
     if not epsilon_list:
         raise ConfigError("epsilon list must be nonempty")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     configs = []
     for item in epsilon_list:
-        es, ea = item if isinstance(item, (tuple, list)) else (item, 2.0 * float(item))
-        configs.append(replace(config, eps_skip=float(es), eps_approx=float(ea)))
+        es, ea = item if isinstance(item, (tuple, list)) else (item, None)
+        run = replace(config, eps_skip=float(es), eps_approx=ea if ea is None else float(ea))
+        configs.append(replace(run, eps_approx=eps_pair(run.eps_skip, run.eps_approx)[1]))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_dirs = [str(out / f"run_{i:03d}") for i in range(len(configs))]

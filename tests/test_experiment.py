@@ -14,6 +14,18 @@ from slimformer import (KV_GROUP, ApproxPlan, ExperimentConfig, Focus, Infeasibl
 from slimformer.cli import main
 
 
+def copy_config(**kw):
+    """A one-layer copy task that optimizes in well under a second."""
+    defaults = dict(
+        task=TaskSpec("copy", vocab_size=8, context_len=15, train_size=64, seed=5),
+        shape=ModelShape(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32,
+                         weight_group_width=4, kv_group_width=5),
+        seed=1, epochs_baseline=1, epochs_candidate=0, epochs_final=0, lr=0.01,
+        eps_skip=0.1, eps_approx=2.0, sign_match_k=8)
+    defaults.update(kw)
+    return ExperimentConfig(**defaults)
+
+
 def small_config(focus=Focus.SPEED, **kw):
     defaults = dict(
         task=TaskSpec("majority_classification", vocab_size=4, context_len=8,
@@ -158,11 +170,9 @@ class TestDeterminism:
                 (tmp_path / "b" / name).read_bytes()
         ra = json.loads((tmp_path / "a" / "report.json").read_text())
         rb = json.loads((tmp_path / "b" / "report.json").read_text())
-        for side in ("baseline", "optimized"):
-            ra[side].pop("wall_ms")
-            rb[side].pop("wall_ms")
-        ra["ratios"].pop("wall")
-        rb["ratios"].pop("wall")
+        assert set(ra.pop("timings")) == {"baseline_wall_ms", "optimized_wall_ms",
+                                          "wall_ratio"}
+        rb.pop("timings")
         assert ra == rb
 
 
@@ -236,6 +246,14 @@ class TestSweep:
                 assert ((tmp_path / "w1" / run / name).read_bytes()
                         == (tmp_path / "w2" / run / name).read_bytes()), (run, name)
 
+    def test_bare_epsilon_takes_the_default_pair(self, tmp_path):
+        """A bare f runs, and writes, exactly what the pair (f, 2f) does."""
+        config = small_config(epochs_baseline=1, epochs_candidate=0, epochs_final=0)
+        sweep_thresholds(config, [0.15], tmp_path / "bare")
+        sweep_thresholds(config, [(0.15, 0.3)], tmp_path / "pair")
+        assert ((tmp_path / "bare" / "sweep.csv").read_bytes()
+                == (tmp_path / "pair" / "sweep.csv").read_bytes())
+
     def test_empty_list_rejected(self, tmp_path):
         from slimformer import ConfigError
         with pytest.raises(ConfigError, match="nonempty"):
@@ -269,8 +287,8 @@ class TestConfigRoundtrip:
 
 
 class TestCli:
-    def write_config(self, path: Path, **kw) -> Path:
-        doc = small_config(**kw).to_doc()
+    def write_config(self, path: Path, make=small_config, **kw) -> Path:
+        doc = make(**kw).to_doc()
         cfg = path / "config.json"
         cfg.write_text(json.dumps(doc))
         return cfg
@@ -285,7 +303,7 @@ class TestCli:
                      "--checkpoint", str(out / "baseline")])
         assert code == 0
         result = json.loads(capsys.readouterr().out)
-        assert {"train_loss", "val_loss", "val_accuracy", "mac_count"} <= set(result)
+        assert {"train_loss", "val_loss", "accuracy", "mac_count"} <= set(result)
 
     def test_optimize_writes_report(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, epochs_baseline=2, epochs_candidate=0,
@@ -308,6 +326,38 @@ class TestCli:
         assert code == 0
         result = json.loads(capsys.readouterr().out)
         assert result["mac_count"] == report["optimized"]["mac_count"]
+
+    @pytest.mark.parametrize("make", [copy_config, lambda: small_config(
+        epochs_baseline=2, epochs_candidate=0, epochs_final=1)], ids=["copy", "majority"])
+    def test_run_directory_round_trip(self, tmp_path, capsys, make):
+        """evaluate of a run's final checkpoint under its plan prints the
+        report's optimized bundle, and train on the run's config writes its
+        baseline bundle, both exactly."""
+        cfg = self.write_config(tmp_path, make=make)
+        run = tmp_path / "run"
+        assert main(["optimize", "--config", str(cfg), "--out", str(run)]) == 0
+        report = json.loads((run / "report.json").read_text())
+        assert ("perplexity" in report["optimized"]) == (make is copy_config)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(run / "config.json"), "--checkpoint",
+                     str(run / "model"), "--plan", str(run / "plan.json")]) == 0
+        assert json.loads(capsys.readouterr().out) == report["optimized"]
+        out = tmp_path / "train_out"
+        assert main(["train", "--config", str(run / "config.json"), "--out", str(out)]) == 0
+        assert json.loads((out / "metrics.json").read_text()) == report["baseline"]
+
+    def test_overflowing_perplexity_is_left_out(self, tmp_path):
+        """At lr=50 the copy model's val loss is in the tens of thousands;
+        exp of it overflows a float, so the token task's bundles carry no
+        perplexity and the run still writes its report."""
+        cfg = self.write_config(tmp_path, make=copy_config)
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out),
+                     "--set", "lr=50"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["baseline"]["val_loss"] > 1000
+        assert "perplexity" not in report["baseline"]
+        assert "perplexity" not in report["optimized"]
 
     def test_evaluate_warns_once_of_pruned_early_keys(self, tmp_path):
         """A plan read by ``evaluate --plan`` that prunes early causal keys

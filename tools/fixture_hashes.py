@@ -24,8 +24,10 @@ the loop's prediction can show that the helper does the same work (the first
 two read 0 where no helper may run, as on one CPU), and ``<fixture> cost
 baseline <mac>:<params>:<bytes>`` and ``<fixture> cost optimized ...``: the
 ``mac_count``, ``param_count`` and ``bytes`` of ``report.json``'s two
-bundles (the report itself holds wall times and is not hashed), so a change
-to the cost model can show that every count held. The fixtures are
+bundles, so a change to the cost model can show that every count held, and
+``<fixture> report <sha256>``: a hash over ``report.json`` without its
+``timings`` block, the report's only wall times, so a change can show that
+every loss, accuracy, ratio and summary it reports held. The fixtures are
 ``tests/test_experiment.py::small_config`` under speed, size and accuracy
 focus (``small_speed``, ``small_size``, ``small_accuracy``) and
 ``perfbench/scenarios.optimize_config("speed")`` and ``("size")``
@@ -273,6 +275,9 @@ def main(argv=None) -> int:
             report = json.loads((Path(tmp) / "report.json").read_text())
             for bundle in ("baseline", "optimized"):
                 print(f"{name} cost {bundle} {cost_line(report[bundle])}", flush=True)
+            report.pop("timings", None)  # an older checkout's report has no timings block
+            digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+            print(f"{name} report {digest}", flush=True)
         counts = [sum(a.speculated for a in analyzers), sum(a.speculation_hits for a in analyzers),
                   sum(r["train_loss"] is not None for a in analyzers for r in a.records)]
         print(f"{name} speculation {':'.join(map(str, counts))}", flush=True)
